@@ -19,48 +19,25 @@
 //! (parallel rule search inside each saturation; default 1 = serial,
 //! 0 = one thread per CPU; recorded in the JSON so baselines at
 //! different thread counts are never compared by accident),
-//! `--search-backend B` (which pluggable search backend runs the
-//! e-matching fan-out: `per-pattern`, `shared-trie` (default), or
-//! `relational`; recorded in the JSON as `"backend"`),
-//! `--per-pattern` (deprecated alias of `--search-backend
-//! per-pattern`, kept so old invocations keep working),
 //! `--compare-threads N` (after the main corpus pass, rerun the whole
 //! corpus at `N` search threads and record the second pass's totals
 //! under `"comparison"`, so one file holds both the serial baseline
-//! and a threaded data point), `--compare-backends` (run each config
-//! under the main backend and every other backend in one mirrored
-//! back-to-back sequence — e.g. A,B,C,C,B,A — keep the faster of each
-//! backend's two runs, and record the non-main backends under
-//! `"backend_comparisons"`; pairing the backends within seconds of
-//! each other and discarding each one's cold run keeps box-level
-//! drift and per-config allocator warm-up — both ~10% effects, bigger
-//! than the backend difference itself — out of the comparison),
-//! `--compare-per-pattern` (deprecated: the two-backend special case
-//! of `--compare-backends`, recorded under `"per_pattern_baseline"`
-//! in the pre-backend-refactor shape), `--note TEXT` (appended to
-//! this run's `baseline_history` entry — the place to record what
-//! the measured comparison showed), and `--verify-serial` (after
-//! each parallel run, rerun the config at one thread and assert the
+//! and a threaded data point), and `--verify-serial` (after each
+//! parallel run, rerun the config at one thread and assert the
 //! saturation outcome — sizes, iteration counts, stop reasons, match
 //! totals — is identical; the benchmark doubles as the determinism
 //! oracle).
 //!
 //! Timing semantics: `search_ms` counts only the e-matching fan-out;
-//! the serial merge/bookkeeping that demultiplexes per-rule match
-//! sets is reported separately as `merge_ms`, and the relational
-//! backend's index-construction time (a subset of `search_ms`) as
-//! `relation_build_ms`. Cross-run comparability caveats live in the
-//! appendable `baseline_history` array: every run appends one entry
-//! describing itself (label, backend, threads, totals, a short note),
-//! and prior entries are carried over from the existing out-file, so
-//! the history of what was measured under which semantics survives
-//! rewrites of the file.
+//! the serial merge/bookkeeping of per-rule match sets is reported
+//! separately as `merge_ms`. Each rule's `search_ms` in `top_rules` is
+//! the measured time of that rule's own searches.
 
 use std::time::Instant;
 
 use boole::convert::aig_to_egraph;
 use boole::json::{Json, ToJson};
-use boole::{SaturateParams, SaturationStats, SearchBackendKind};
+use boole::{SaturateParams, SaturationStats};
 
 /// One corpus entry: a generator family at a bit width, optionally
 /// put through the technology-mapping round trip.
@@ -145,10 +122,6 @@ fn record_json(r: &RunRecord) -> Json {
         ("r2_stop", r.stats.r2_stop.to_json()),
         ("search_ms", Json::from(ms(r.stats.search_time))),
         ("merge_ms", Json::from(ms(r.stats.merge_time))),
-        (
-            "relation_build_ms",
-            Json::from(ms(r.stats.relation_build_time)),
-        ),
         ("apply_ms", Json::from(ms(r.stats.apply_time))),
         ("rebuild_ms", Json::from(ms(r.stats.rebuild_time))),
         ("saturate_ms", Json::from(r.wall_ms)),
@@ -232,7 +205,6 @@ fn assert_outcome_identical(parallel: &RunRecord, serial: &RunRecord) {
 struct Totals {
     search: f64,
     merge: f64,
-    relation_build: f64,
     apply: f64,
     rebuild: f64,
 }
@@ -242,7 +214,6 @@ impl Totals {
         Json::obj([
             ("search_ms", Json::from(self.search)),
             ("merge_ms", Json::from(self.merge)),
-            ("relation_build_ms", Json::from(self.relation_build)),
             ("apply_ms", Json::from(self.apply)),
             ("rebuild_ms", Json::from(self.rebuild)),
         ])
@@ -251,7 +222,6 @@ impl Totals {
     fn add(&mut self, r: &RunRecord) {
         self.search += ms(r.stats.search_time);
         self.merge += ms(r.stats.merge_time);
-        self.relation_build += ms(r.stats.relation_build_time);
         self.apply += ms(r.stats.apply_time);
         self.rebuild += ms(r.stats.rebuild_time);
     }
@@ -259,14 +229,12 @@ impl Totals {
 
 fn print_header() {
     eprintln!(
-        "{:>8} {:>5} {:>7} {:>11} | {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10} {:>12}",
+        "{:>8} {:>5} {:>7} | {:>9} {:>9} {:>9} {:>9} {:>9} | {:>10} {:>12}",
         "family",
         "bits",
         "mapped",
-        "backend",
         "search",
         "merge",
-        "relbuild",
         "apply",
         "rebuild",
         "total",
@@ -275,17 +243,15 @@ fn print_header() {
     );
 }
 
-fn print_row(r: &RunRecord, backend: &str) {
+fn print_row(r: &RunRecord) {
     let search_s = r.stats.search_time.as_secs_f64();
     eprintln!(
-        "{:>8} {:>5} {:>7} {:>11} | {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms | {:>10} {:>12.0}",
+        "{:>8} {:>5} {:>7} | {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms {:>8.1}ms | {:>10} {:>12.0}",
         r.cfg.family,
         r.cfg.bits,
         r.cfg.mapped,
-        backend,
         ms(r.stats.search_time),
         ms(r.stats.merge_time),
-        ms(r.stats.relation_build_time),
         ms(r.stats.apply_time),
         ms(r.stats.rebuild_time),
         r.wall_ms,
@@ -298,15 +264,11 @@ fn print_row(r: &RunRecord, backend: &str) {
     );
 }
 
-fn print_totals(tag: &str, totals: &Totals) {
+fn print_totals(totals: &Totals) {
     eprintln!(
-        "{tag} totals: search {:.1}ms  merge {:.1}ms  relbuild {:.1}ms  apply {:.1}ms  rebuild {:.1}ms",
-        totals.search, totals.merge, totals.relation_build, totals.apply, totals.rebuild
+        "totals: search {:.1}ms  merge {:.1}ms  apply {:.1}ms  rebuild {:.1}ms",
+        totals.search, totals.merge, totals.apply, totals.rebuild
     );
-}
-
-fn backend_tag(p: &SaturateParams) -> &'static str {
-    p.effective_backend().name()
 }
 
 /// Runs the whole corpus once under `p`, printing a per-config row,
@@ -326,87 +288,11 @@ fn run_corpus(
             assert_outcome_identical(&r, &serial);
         }
         totals.add(&r);
-        print_row(&r, backend_tag(p));
+        print_row(&r);
         records.push(r);
     }
-    print_totals("", &totals);
+    print_totals(&totals);
     (records, totals)
-}
-
-/// Runs each config under every parameter set in a mirrored
-/// back-to-back sequence (`A,B,..,Z,Z,..,B,A`) and keeps the faster
-/// (by search time) of each set's two runs. The first run of each
-/// backend warms the allocator and page cache for this config's
-/// working set — measured at ~10% on a quiet 1-CPU box, large enough
-/// to swamp a single-digit backend difference — and the mirrored
-/// order means slow box-level drift lands on every backend
-/// symmetrically instead of on whichever whole-corpus pass ran
-/// second. Saturation is deterministic per (config, params), so the
-/// two runs differ only in timing and taking the min is sound.
-/// Returns one (records, totals) pair per input parameter set, in
-/// input order.
-fn run_corpus_mirrored(
-    configs: &[Config],
-    param_sets: &[&SaturateParams],
-    verify_serial: bool,
-) -> Vec<(Vec<RunRecord>, Totals)> {
-    print_header();
-    let mut out: Vec<(Vec<RunRecord>, Totals)> = param_sets
-        .iter()
-        .map(|_| (Vec::new(), Totals::default()))
-        .collect();
-    for &cfg in configs {
-        let run = |params: &SaturateParams| {
-            let r = run_one(cfg, params);
-            if verify_serial {
-                let serial = run_one(cfg, &params.clone().with_search_threads(1));
-                assert_outcome_identical(&r, &serial);
-            }
-            print_row(&r, backend_tag(params));
-            r
-        };
-        let min_by_search = |x: RunRecord, y: RunRecord| {
-            assert_eq!(
-                x.stats.total_matches, y.stats.total_matches,
-                "repeat run diverged on {:?}",
-                x.cfg
-            );
-            if x.stats.search_time <= y.stats.search_time {
-                x
-            } else {
-                y
-            }
-        };
-        let firsts: Vec<RunRecord> = param_sets.iter().map(|p| run(p)).collect();
-        let mut seconds: Vec<RunRecord> = param_sets.iter().rev().map(|p| run(p)).collect();
-        seconds.reverse();
-        for (slot, (a, b)) in out.iter_mut().zip(firsts.into_iter().zip(seconds)) {
-            let best = min_by_search(a, b);
-            slot.1.add(&best);
-            slot.0.push(best);
-        }
-    }
-    for ((_, totals), p) in out.iter().zip(param_sets) {
-        print_totals(&format!("{} (min of 2)", backend_tag(p)), totals);
-    }
-    out
-}
-
-/// The appendable run history: parses the existing out-file (if any),
-/// carries over its `baseline_history` array, and appends one entry
-/// describing this run. Files written before the history existed
-/// contribute nothing — the history starts at this run — but are
-/// never a parse error. Each entry records what was measured and
-/// under which timing semantics, so the caveats that used to be
-/// re-edited prose in `notes` accrete as data instead.
-fn baseline_history(prior: Option<&str>, entry: Json) -> Json {
-    let mut history: Vec<Json> = prior
-        .and_then(|text| Json::parse(text).ok())
-        .and_then(|doc| doc.field("baseline_history").cloned())
-        .and_then(|h| h.as_array().map(<[Json]>::to_vec))
-        .unwrap_or_default();
-    history.push(entry);
-    Json::arr(history)
 }
 
 fn main() {
@@ -428,19 +314,8 @@ fn main() {
     let search_threads: usize = arg_str("--search-threads")
         .map(|s| s.parse().expect("--search-threads takes an integer"))
         .unwrap_or(1);
-    let backend: SearchBackendKind = match arg_str("--search-backend") {
-        Some(name) => name.parse().expect("bad --search-backend"),
-        // `--per-pattern` predates the backend enum; it keeps working
-        // as an alias of `--search-backend per-pattern`.
-        None if boole_bench::arg_flag("--per-pattern") => SearchBackendKind::PerPatternVm,
-        None => SearchBackendKind::default(),
-    };
     let compare_threads: Option<usize> = arg_str("--compare-threads")
         .map(|s| s.parse().expect("--compare-threads takes an integer"));
-    let compare_backends = boole_bench::arg_flag("--compare-backends");
-    // Deprecated alias: the two-backend special case, recorded in the
-    // original `per_pattern_baseline` shape.
-    let compare_per_pattern = boole_bench::arg_flag("--compare-per-pattern");
     let verify_serial = boole_bench::arg_flag("--verify-serial");
 
     let mut p = params();
@@ -470,88 +345,8 @@ fn main() {
         }
         v
     };
-    p = p
-        .with_search_threads(search_threads)
-        .with_search_backend(backend);
-
-    // Which other backends ride along as paired baselines: all
-    // non-oracle backends except the main one under
-    // `--compare-backends`, just the per-pattern VM under the
-    // deprecated `--compare-per-pattern`.
-    let baseline_backends: Vec<SearchBackendKind> = if compare_backends {
-        [
-            SearchBackendKind::PerPatternVm,
-            SearchBackendKind::SharedTrie,
-            SearchBackendKind::Relational,
-        ]
-        .into_iter()
-        .filter(|&k| k != backend)
-        .collect()
-    } else if compare_per_pattern && backend != SearchBackendKind::PerPatternVm {
-        vec![SearchBackendKind::PerPatternVm]
-    } else {
-        Vec::new()
-    };
-
-    let (records, totals, baselines) = if baseline_backends.is_empty() {
-        let (records, totals) = run_corpus(&configs, &p, verify_serial);
-        (records, totals, Vec::new())
-    } else {
-        let baseline_params: Vec<SaturateParams> = baseline_backends
-            .iter()
-            .map(|&k| p.clone().with_search_backend(k))
-            .collect();
-        let mut param_sets: Vec<&SaturateParams> = vec![&p];
-        param_sets.extend(baseline_params.iter());
-        eprintln!(
-            "paired pass over backends {:?} (mirrored back-to-back per config, min of 2 kept)",
-            param_sets
-                .iter()
-                .map(|q| backend_tag(q))
-                .collect::<Vec<_>>()
-        );
-        let mut results = run_corpus_mirrored(&configs, &param_sets, verify_serial);
-        let (records, totals) = results.remove(0);
-        let baselines: Vec<(SearchBackendKind, Vec<RunRecord>, Totals)> = baseline_backends
-            .iter()
-            .zip(results)
-            .map(|(&k, (r, t))| (k, r, t))
-            .collect();
-        (records, totals, baselines)
-    };
-
-    let out_path: Option<&str> = match (&out, smoke) {
-        (Some(path), _) => Some(path.as_str()),
-        (None, true) => None,
-        (None, false) => Some("BENCH_satbench.json"),
-    };
-    let prior = out_path.and_then(|path| std::fs::read_to_string(path).ok());
-    let history_entry = Json::obj([
-        ("label", Json::str(label.clone())),
-        ("backend", Json::str(backend.name())),
-        ("search_threads", Json::from(p.search_threads)),
-        ("smoke", Json::from(smoke)),
-        ("totals", totals.json()),
-        (
-            "note",
-            Json::str(format!(
-                "search_ms = e-matching fan-out only (merge_ms separate, \
-                 relation_build_ms subset of search_ms); main backend {} \
-                 paired against {:?}{}{}",
-                backend.name(),
-                baselines
-                    .iter()
-                    .map(|(k, _, _)| k.name())
-                    .collect::<Vec<_>>(),
-                if arg_str("--note").is_some() {
-                    ". "
-                } else {
-                    ""
-                },
-                arg_str("--note").unwrap_or_default(),
-            )),
-        ),
-    ]);
+    p = p.with_search_threads(search_threads);
+    let (records, totals) = run_corpus(&configs, &p, verify_serial);
 
     let mut fields = vec![
         ("bench", Json::str("satbench")),
@@ -560,69 +355,20 @@ fn main() {
         ("node_limit", Json::from(p.node_limit)),
         ("match_limit", Json::from(p.match_limit)),
         ("search_threads", Json::from(p.search_threads)),
-        ("backend", Json::str(backend.name())),
-        ("shared_search", Json::from(p.shared_search)),
         (
             "notes",
             Json::str(
                 "search_ms is the e-matching fan-out only; the serial merge is \
-                 reported separately as merge_ms, and the relational backend's \
-                 index construction (a subset of search_ms) as \
-                 relation_build_ms. Per-run comparability caveats accrete in \
-                 baseline_history; compare like with like: the main pass vs a \
-                 backend_comparisons entry (same threads, backends paired \
-                 back-to-back per config with each side keeping its faster \
-                 run, so box drift and allocator warm-up cancel), or the main \
-                 pass vs comparison (same backend, different threads).",
+                 reported separately as merge_ms. top_rules search_ms is each \
+                 rule's own measured search time. Compare like with like: the \
+                 main pass vs comparison (same corpus, different threads), or \
+                 runs from the same machine.",
             ),
         ),
         ("totals", totals.json()),
         ("top_rules", top_rules_json(&records, 10)),
         ("runs", Json::arr(records.iter().map(record_json))),
     ];
-    if compare_backends {
-        fields.push((
-            "backend_comparisons",
-            Json::arr(baselines.iter().map(|(k, base_records, base_totals)| {
-                Json::obj([
-                    ("backend", Json::str(k.name())),
-                    ("search_threads", Json::from(p.search_threads)),
-                    (
-                        "methodology",
-                        Json::str(
-                            "per config: all backends back-to-back in mirrored \
-                             order, each side keeps its faster run (saturation \
-                             is deterministic, so repeats differ only in \
-                             timing)",
-                        ),
-                    ),
-                    ("totals", base_totals.json()),
-                    ("runs", Json::arr(base_records.iter().map(record_json))),
-                ])
-            })),
-        ));
-    } else if let Some((k, base_records, base_totals)) = baselines.first() {
-        // Deprecated `--compare-per-pattern` shape, kept byte-compatible
-        // with pre-backend-refactor consumers.
-        assert_eq!(*k, SearchBackendKind::PerPatternVm);
-        fields.push((
-            "per_pattern_baseline",
-            Json::obj([
-                ("search_threads", Json::from(p.search_threads)),
-                ("shared_search", Json::from(false)),
-                (
-                    "methodology",
-                    Json::str(
-                        "per config: main,baseline,baseline,main back-to-back, \
-                         each side keeps its faster run (saturation is \
-                         deterministic, so repeats differ only in timing)",
-                    ),
-                ),
-                ("totals", base_totals.json()),
-                ("runs", Json::arr(base_records.iter().map(record_json))),
-            ]),
-        ));
-    }
     if let Some(threads) = compare_threads {
         eprintln!("--- comparison pass at {threads} search threads ---");
         let cp = p.clone().with_search_threads(threads);
@@ -631,23 +377,18 @@ fn main() {
             "comparison",
             Json::obj([
                 ("search_threads", Json::from(threads)),
-                ("backend", Json::str(backend.name())),
                 ("totals", cmp_totals.json()),
                 ("runs", Json::arr(cmp_records.iter().map(record_json))),
             ]),
         ));
     }
-    fields.push((
-        "baseline_history",
-        baseline_history(prior.as_deref(), history_entry),
-    ));
-    let doc = Json::obj(fields);
-    let text = doc.pretty();
-    match out_path {
-        Some(path) => {
+    let text = Json::obj(fields).pretty();
+    match (out.as_deref(), smoke) {
+        (None, true) => println!("{text}"),
+        (path, _) => {
+            let path = path.unwrap_or("BENCH_satbench.json");
             std::fs::write(path, format!("{text}\n")).expect("write benchmark file");
             eprintln!("wrote {path}");
         }
-        None => println!("{text}"),
     }
 }

@@ -678,7 +678,6 @@ impl FromJson for SaturationStats {
             merge_time: Duration::ZERO,
             apply_time: Duration::ZERO,
             rebuild_time: Duration::ZERO,
-            relation_build_time: Duration::ZERO,
             total_matches: total_matches.expect_usize("total_matches")?,
             // Per-rule profiles are struct-only like the phase times.
             rules: Vec::new(),
@@ -1101,7 +1100,6 @@ mod tests {
                     merge_time: Duration::ZERO,
                     apply_time: Duration::ZERO,
                     rebuild_time: Duration::ZERO,
-                    relation_build_time: Duration::ZERO,
                     total_matches: matches,
                     rules: Vec::new(),
                 }

@@ -36,7 +36,7 @@ pub mod saturate;
 pub mod telemetry;
 
 pub use convert::{aig_to_egraph, NetlistEGraph};
-pub use egraph::{CancelToken, SearchBackendKind};
+pub use egraph::CancelToken;
 pub use extract::{extract_dag, DagChoice, DagExtraction};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use lang::{BoolLang, BoolOp};

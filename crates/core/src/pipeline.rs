@@ -87,10 +87,6 @@ pub enum PhaseEvent {
         classes: usize,
         /// Substitutions found this iteration (post-scheduling).
         matches: usize,
-        /// Time the search backend spent (re)building shared
-        /// relations this iteration (zero unless the relational
-        /// backend rebuilt its tuple stores).
-        relation_build: Duration,
     },
 }
 
@@ -154,14 +150,6 @@ impl BooleParams {
     /// thread count.
     pub fn with_search_threads(mut self, threads: usize) -> Self {
         self.saturate.search_threads = threads;
-        self
-    }
-
-    /// Selects the e-matching backend for saturation's rule search
-    /// (see [`SaturateParams::search_backend`]). Results are
-    /// byte-identical across backends.
-    pub fn with_search_backend(mut self, backend: egraph::SearchBackendKind) -> Self {
-        self.saturate = self.saturate.with_search_backend(backend);
         self
     }
 
@@ -327,7 +315,6 @@ impl BoolE {
                             nodes: it.egraph_nodes,
                             classes: it.egraph_classes,
                             matches: it.total_matches,
-                            relation_build: it.relation_build_time,
                         });
                     },
                 ) as crate::saturate::IterationObserver

@@ -7,7 +7,7 @@ use std::time::Duration;
 use egraph::hash::{FxHashMap, FxHashSet};
 use egraph::{
     BackoffScheduler, CancelToken, EGraph, Id, Iteration, Language, RuleProfile, Runner,
-    SearchBackendKind, StopReason, Symbol,
+    StopReason, Symbol,
 };
 
 use crate::convert::NetlistEGraph;
@@ -44,24 +44,6 @@ pub struct SaturateParams {
     /// this knob is excluded from cache-key fingerprints, like the
     /// cancel token.
     pub search_threads: usize,
-    /// Drive each iteration's search through the shared multi-pattern
-    /// trie instead of one VM program per rule.
-    ///
-    /// Deprecated alias (since the search-backend refactor; will be
-    /// removed one release later): `false` overrides
-    /// [`SaturateParams::search_backend`] to
-    /// [`SearchBackendKind::PerPatternVm`] — see
-    /// [`SaturateParams::effective_backend`]. Leave `true` (the
-    /// default) and set `search_backend` instead.
-    pub shared_search: bool,
-    /// The e-matching strategy for both phases (default
-    /// [`SearchBackendKind::SharedTrie`]). Every backend yields
-    /// byte-identical results — match sets are proven equal by the
-    /// differential harness — so this knob is excluded from cache-key
-    /// fingerprints, like `search_threads`. The alternatives exist for
-    /// performance comparisons (`satbench --compare-backends`) and
-    /// differential baselines.
-    pub search_backend: SearchBackendKind,
     /// Cooperative cancellation token checked by both saturation
     /// phases. Defaults to a fresh (never-cancelled) token; clone a
     /// shared token in to make the run externally killable.
@@ -80,8 +62,6 @@ impl Default for SaturateParams {
             match_limit: 2_000,
             prune: true,
             search_threads: 1,
-            shared_search: true,
-            search_backend: SearchBackendKind::default(),
             cancel: CancelToken::new(),
         }
     }
@@ -125,43 +105,6 @@ impl SaturateParams {
         self.search_threads = threads;
         self
     }
-
-    /// Sets [`SaturateParams::shared_search`].
-    ///
-    /// Deprecated alias (since the search-backend refactor; will be
-    /// removed one release later): forwards to
-    /// [`SaturateParams::with_search_backend`] with
-    /// [`SearchBackendKind::SharedTrie`] (`true`) or
-    /// [`SearchBackendKind::PerPatternVm`] (`false`), preserving the
-    /// old knob's behavior byte for byte.
-    pub fn with_shared_search(self, enabled: bool) -> Self {
-        self.with_search_backend(if enabled {
-            SearchBackendKind::SharedTrie
-        } else {
-            SearchBackendKind::PerPatternVm
-        })
-    }
-
-    /// Sets [`SaturateParams::search_backend`] (and keeps the
-    /// deprecated `shared_search` alias consistent with it). Never
-    /// changes results — only which e-matching strategy finds them.
-    pub fn with_search_backend(mut self, backend: SearchBackendKind) -> Self {
-        self.search_backend = backend;
-        self.shared_search = backend != SearchBackendKind::PerPatternVm;
-        self
-    }
-
-    /// The backend the run will actually use: `search_backend`, unless
-    /// the deprecated `shared_search = false` escape hatch demands the
-    /// per-pattern VM (callers constructing params literally, without
-    /// the builders, keep their historical behavior).
-    pub fn effective_backend(&self) -> SearchBackendKind {
-        if !self.shared_search {
-            SearchBackendKind::PerPatternVm
-        } else {
-            self.search_backend
-        }
-    }
 }
 
 /// Statistics from a saturation run.
@@ -186,8 +129,8 @@ pub struct SaturationStats {
     /// Time spent in the e-matching search phase (the parallel
     /// fan-out only), summed over all iterations of both phases.
     pub search_time: Duration,
-    /// Time spent in the serial merge that demultiplexes and
-    /// bookkeeps per-rule match sets after each search fan-out,
+    /// Time spent in the serial merge that bookkeeps per-rule match
+    /// sets after each search fan-out,
     /// summed over all iterations. Reported separately so
     /// `search_time` stays an honest measure of matching work.
     pub merge_time: Duration,
@@ -196,10 +139,6 @@ pub struct SaturationStats {
     /// Time spent rebuilding (congruence repair), summed over all
     /// iterations.
     pub rebuild_time: Duration,
-    /// Time the search backend spent (re)building shared relations,
-    /// summed over all iterations of both phases. Zero for backends
-    /// without a build step; a subset of `search_time`.
-    pub relation_build_time: Duration,
     /// Total substitutions found by the searchers across both phases.
     pub total_matches: usize,
     /// Per-rule accounting merged across both phases, sorted by rule
@@ -271,7 +210,6 @@ pub fn saturate_observed(
         .with_time_limit(params.time_limit / 4)
         .with_scheduler(BackoffScheduler::new(params.match_limit, 2))
         .with_search_threads(params.search_threads)
-        .with_search_backend(params.effective_backend())
         .with_cancel_token(params.cancel.clone());
     if let Some(obs) = observer.clone() {
         runner1 = runner1.with_iteration_hook(move |i, it| obs("r1", i, it));
@@ -284,7 +222,6 @@ pub fn saturate_observed(
     let mut merge_time = Duration::ZERO;
     let mut apply_time = Duration::ZERO;
     let mut rebuild_time = Duration::ZERO;
-    let mut relation_build_time = Duration::ZERO;
     let mut total_matches = 0usize;
     let mut accumulate = |iterations: &[egraph::Iteration]| {
         for it in iterations {
@@ -292,7 +229,6 @@ pub fn saturate_observed(
             merge_time += it.merge_time;
             apply_time += it.apply_time;
             rebuild_time += it.rebuild_time;
-            relation_build_time += it.relation_build_time;
             total_matches += it.total_matches;
         }
     };
@@ -305,7 +241,6 @@ pub fn saturate_observed(
         .with_time_limit(params.time_limit * 3 / 4)
         .with_scheduler(BackoffScheduler::new(params.match_limit, 2))
         .with_search_threads(params.search_threads)
-        .with_search_backend(params.effective_backend())
         .with_cancel_token(params.cancel.clone());
     if let Some(obs) = observer {
         runner2 = runner2.with_iteration_hook(move |i, it| obs("r2", i, it));
@@ -337,7 +272,6 @@ pub fn saturate_observed(
         merge_time,
         apply_time,
         rebuild_time,
-        relation_build_time,
         total_matches,
         rules,
     };

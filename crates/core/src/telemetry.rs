@@ -95,9 +95,6 @@ pub enum EventKind {
         classes: usize,
         /// Substitutions found this iteration (post-scheduling).
         matches: usize,
-        /// Time the search backend spent (re)building shared
-        /// relations this iteration (relational backend only).
-        relation_build: Duration,
     },
     /// A cache tier answered a lookup.
     CacheHit {
@@ -225,7 +222,6 @@ impl TelemetryEvent {
                 nodes,
                 classes,
                 matches,
-                relation_build,
             } => {
                 push("job", Json::Int(*job as i64));
                 push("ruleset", Json::str(*ruleset));
@@ -233,10 +229,6 @@ impl TelemetryEvent {
                 push("nodes", Json::Int(*nodes as i64));
                 push("classes", Json::Int(*classes as i64));
                 push("matches", Json::Int(*matches as i64));
-                push(
-                    "relation_build_us",
-                    Json::Int(i64::try_from(relation_build.as_micros()).unwrap_or(i64::MAX)),
-                );
             }
             EventKind::CacheHit { job, tier } => {
                 push("job", Json::Int(*job as i64));
@@ -828,7 +820,6 @@ mod tests {
                 nodes: 100,
                 classes: 40,
                 matches: 17,
-                relation_build: Duration::from_micros(250),
             },
             EventKind::CacheHit {
                 job: 1,

@@ -7,10 +7,7 @@
 
 use boole::convert::aig_to_egraph;
 use boole::{rules, saturate, BoolLang, SaturateParams};
-use egraph::{
-    make_backend, CancelToken, EGraph, Id, Pattern, RuleDirective, RuleSetProgram,
-    SearchBackendKind, SearchMatches, Subst,
-};
+use egraph::{search_rules, CancelToken, EGraph, Id, Pattern, RuleDirective, SearchMatches, Subst};
 
 /// The benchmark netlists the patterns are matched against: a lone
 /// full adder, a ripple-carry stage, and a small CSA multiplier —
@@ -91,54 +88,11 @@ fn vm_matches_oracle_on_every_boole_rule_pattern() {
 }
 
 #[test]
-fn shared_trie_matches_vm_and_oracle_on_full_ruleset() {
-    // The tentpole guarantee: compiling *every* BoolE rule LHS into
-    // one shared-prefix trie and searching the whole ruleset in a
-    // single pass demultiplexes exactly the per-rule match sets the
-    // single-pattern VM and the recursive oracle find — serial and
-    // threaded alike.
-    let egraphs = test_egraphs();
-    let rules: Vec<egraph::Rewrite<BoolLang, ()>> = rules::r1_rules()
-        .into_iter()
-        .chain(rules::r2_rules())
-        .collect();
-    assert!(rules.len() >= 197, "expected all 197 rules");
-    let patterns: Vec<&Pattern<BoolLang>> = rules.iter().map(|r| r.searcher()).collect();
-    let program = RuleSetProgram::compile(&patterns);
-    let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-    for (i, eg) in egraphs.iter().enumerate() {
-        for threads in [1usize, 2] {
-            let slots = program.search(eg, &directives, &CancelToken::new(), None, threads);
-            assert_eq!(slots.len(), rules.len());
-            for (rule, slot) in rules.iter().zip(slots) {
-                let (matches, _) = slot.expect("no skip without cancel/deadline");
-                let shared = flatten(matches);
-                let solo = flatten(rule.searcher().search(eg));
-                let oracle = flatten(rule.searcher().search_oracle(eg));
-                assert_eq!(
-                    shared,
-                    solo,
-                    "shared trie vs per-pattern VM diverged for rule {} on e-graph #{i} at {threads} threads",
-                    rule.name()
-                );
-                assert_eq!(
-                    shared,
-                    oracle,
-                    "shared trie vs oracle diverged for rule {} on e-graph #{i}",
-                    rule.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn all_backends_match_on_full_ruleset() {
-    // The four-way differential: every pluggable search backend —
-    // per-pattern VM, shared trie, relational generic join, and the
-    // recursive oracle — demultiplexes exactly the same per-rule
-    // match sets across all 197 R1/R2 rules on real netlist e-graphs,
-    // serial and threaded alike. The per-pattern VM is the reference.
+    // The runner's search path — every R1/R2 rule on its own VM
+    // program, rules fanned out over worker threads — yields exactly
+    // the recursive oracle's per-rule match sets across all 197 rules
+    // on real netlist e-graphs, serial and threaded alike.
     let egraphs = test_egraphs();
     let rules: Vec<egraph::Rewrite<BoolLang, ()>> = rules::r1_rules()
         .into_iter()
@@ -147,31 +101,29 @@ fn all_backends_match_on_full_ruleset() {
     assert!(rules.len() >= 197, "expected all 197 rules");
     let patterns: Vec<&Pattern<BoolLang>> = rules.iter().map(|r| r.searcher()).collect();
     let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-    let kinds = [
-        SearchBackendKind::PerPatternVm,
-        SearchBackendKind::SharedTrie,
-        SearchBackendKind::Relational,
-        SearchBackendKind::Oracle,
-    ];
     for (i, eg) in egraphs.iter().enumerate() {
-        let reference: Vec<_> = rules
+        let oracle: Vec<_> = rules
             .iter()
-            .map(|r| flatten(r.searcher().search(eg)))
+            .map(|r| flatten(r.searcher().search_oracle(eg)))
             .collect();
-        for kind in kinds {
-            let mut backend = make_backend::<BoolLang, ()>(kind, patterns.clone());
-            for threads in [1usize, 2, 4] {
-                let result = backend.search(eg, &directives, &CancelToken::new(), None, threads);
-                assert_eq!(result.slots.len(), rules.len());
-                for ((rule, expected), slot) in rules.iter().zip(&reference).zip(result.slots) {
-                    let (matches, _) = slot.expect("no skip without cancel/deadline");
-                    assert_eq!(
-                        &flatten(matches),
-                        expected,
-                        "{kind} vs per-pattern VM diverged for rule {} on e-graph #{i} at {threads} threads",
-                        rule.name()
-                    );
-                }
+        for threads in [1usize, 2] {
+            let slots = search_rules(
+                &patterns,
+                eg,
+                &directives,
+                &CancelToken::new(),
+                None,
+                threads,
+            );
+            assert_eq!(slots.len(), rules.len());
+            for ((rule, expected), slot) in rules.iter().zip(&oracle).zip(slots) {
+                let (matches, _) = slot.expect("no skip without cancel/deadline");
+                assert_eq!(
+                    &flatten(matches),
+                    expected,
+                    "VM fan-out vs oracle diverged for rule {} on e-graph #{i} at {threads} threads",
+                    rule.name()
+                );
             }
         }
     }

@@ -2,14 +2,15 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A cheaply clonable cancellation token.
 ///
 /// All clones share one flag: once any clone calls [`cancel`], every
 /// holder observes [`is_cancelled`] as `true`. The [`Runner`] checks
-/// its token between iterations and between rules, so cancellation
-/// latency is bounded by a single rule search/apply step, not by a
-/// whole saturation run.
+/// its token between iterations, between rules, and inside each rule's
+/// search, so cancellation latency is bounded by a single rule apply
+/// step, not by a whole saturation run.
 ///
 /// [`cancel`]: CancelToken::cancel
 /// [`is_cancelled`]: CancelToken::is_cancelled
@@ -54,6 +55,11 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
+}
+
+/// `true` once `deadline` (if any) has passed.
+pub(crate) fn past(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() > d)
 }
 
 #[cfg(test)]

@@ -1,16 +1,12 @@
 //! Differential tests: the compiled e-matching VM must find exactly
 //! the same match sets as the legacy recursive backtracking matcher
-//! (kept as [`Pattern::search_oracle`]) on randomized e-graphs — and
-//! every pluggable [`SearchBackend`] (per-pattern VM, shared trie,
-//! relational generic join, oracle) must agree with all of them, at
-//! any thread count, under cancellation, and across merges.
+//! (kept as [`Pattern::search_oracle`]) on randomized e-graphs — pattern
+//! by pattern, and through the runner's rule fan-out ([`search_rules`])
+//! at any thread count, under scheduler directives and cancellation.
 
 use proptest::{proptest, ProptestConfig, TestRng};
 
-use crate::{
-    make_backend, CancelToken, EGraph, Id, Pattern, RuleDirective, RuleSetProgram,
-    SearchBackendKind, SymbolLang,
-};
+use crate::{search_rules, CancelToken, EGraph, Id, Pattern, RuleDirective, SymbolLang};
 
 type EG = EGraph<SymbolLang, ()>;
 
@@ -112,107 +108,40 @@ proptest! {
         }
     }
 
-    /// The shared multi-pattern trie demultiplexes *the entire pattern
-    /// set at once* into exactly the per-rule match sets the
-    /// single-pattern VM and the recursive oracle find — at 1, 2, and
-    /// N search threads.
-    #[test]
-    fn prop_trie_matches_vm_and_oracle(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let eg = random_egraph(&mut rng);
-        let patterns: Vec<Pattern<SymbolLang>> =
-            PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let prog = RuleSetProgram::compile(&refs);
-        let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-        for threads in [1usize, 2, 5] {
-            let slots = prog.search(&eg, &directives, &CancelToken::new(), None, threads);
-            for ((pat, p), slot) in PATTERNS.iter().zip(&patterns).zip(slots) {
-                let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
-                let trie = flatten(matches);
-                let vm = flatten(p.search(&eg));
-                let oracle = flatten(p.search_oracle(&eg));
-                assert_eq!(trie, vm, "trie vs VM diverged on {pat} at {threads} threads (seed {seed:#x})");
-                assert_eq!(trie, oracle, "trie vs oracle diverged on {pat} (seed {seed:#x})");
-            }
-        }
-    }
-
-    /// Adversarial rule *pairs*: shared Bind prefixes diverging on a
-    /// Compare, ground-Lookup-only patterns, var-root Scans mixed with
-    /// bound roots, and duplicate LHSs — per-rule equality must hold
-    /// for every subset paired with every other subset.
-    #[test]
-    fn prop_trie_adversarial_pairs(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let eg = random_egraph(&mut rng);
-        const ADVERSARIAL: &[(&str, &str)] = &[
-            ("(g ?x ?x)", "(g ?x ?y)"),           // prefix diverging on Compare
-            ("(g (f ?x) (f ?x))", "(g (f ?x) ?y)"), // deeper shared Bind prefix
-            ("(f (g a b))", "a"),                  // ground-Lookup-only pair
-            ("?z", "(g ?x ?y)"),                   // Scan mixed with bound root
-            ("(g ?x ?y)", "(g ?x ?y)"),            // identical LHS twice
-            ("(g a ?x)", "(g ?x ?y)"),             // Lookup vs wildcard under one root
-        ];
-        for (a, b) in ADVERSARIAL {
-            let pa: Pattern<SymbolLang> = a.parse().unwrap();
-            let pb: Pattern<SymbolLang> = b.parse().unwrap();
-            let prog = RuleSetProgram::compile(&[&pa, &pb]);
-            let directives = [RuleDirective::Limit(usize::MAX); 2];
-            for threads in [1usize, 2] {
-                let slots = prog.search(&eg, &directives, &CancelToken::new(), None, threads);
-                for (p, slot) in [&pa, &pb].into_iter().zip(slots) {
-                    let (matches, _) = slot.expect("not skipped");
-                    assert_eq!(
-                        flatten(matches),
-                        flatten(p.search(&eg)),
-                        "pair ({a}, {b}) diverged on {p} (seed {seed:#x})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// All four pluggable backends (per-pattern VM, shared trie,
-    /// relational generic join, recursive oracle) produce identical
-    /// per-rule slots over the whole pattern set — at 1, 2, and N
-    /// search threads — with the single-pattern VM as the reference.
+    /// The rule fan-out produces, per rule, exactly the oracle's match
+    /// set over the whole pattern set — at 1, 2, and N search threads.
     #[test]
     fn prop_all_backends_agree(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::seeded(seed);
         let eg = random_egraph(&mut rng);
         let patterns: Vec<Pattern<SymbolLang>> =
             PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-        let reference: Vec<_> = patterns.iter().map(|p| flatten(p.search(&eg))).collect();
+        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
         let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-        for &kind in SearchBackendKind::all() {
-            let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-            let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
-            for threads in [1usize, 2, 5] {
-                let result = backend.search(&eg, &directives, &CancelToken::new(), None, threads);
-                for ((pat, expected), slot) in
-                    PATTERNS.iter().zip(&reference).zip(result.slots)
-                {
-                    let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
-                    assert_eq!(
-                        &flatten(matches), expected,
-                        "{kind} vs VM diverged on {pat} at {threads} threads (seed {seed:#x})"
-                    );
-                }
+        for threads in [1usize, 2, 5] {
+            let slots = search_rules(&refs, &eg, &directives, &CancelToken::new(), None, threads);
+            for ((pat, p), slot) in PATTERNS.iter().zip(&patterns).zip(slots) {
+                let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
+                assert_eq!(
+                    flatten(matches),
+                    flatten(p.search_oracle(&eg)),
+                    "VM vs oracle diverged on {pat} at {threads} threads (seed {seed:#x})"
+                );
             }
         }
     }
 
-    /// Backoff-style envelopes: every backend masks over-limit rules
-    /// and honors `Skip` directives identically. Limits small enough
-    /// to bind are exercised because truncation points must align
-    /// across backends (the "finish the class, then mask" discipline).
+    /// Backoff-style envelopes: the fan-out honors `Skip` directives and
+    /// truncates over-limit rules exactly where the oracle does. Limits
+    /// small enough to bind are exercised because truncation points
+    /// must align (the "finish the class, then stop" discipline).
     #[test]
     fn prop_all_backends_agree_under_directives(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::seeded(seed);
         let eg = random_egraph(&mut rng);
         let patterns: Vec<Pattern<SymbolLang>> =
             PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
+        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
         let directives: Vec<RuleDirective> = (0..patterns.len())
             .map(|i| match i % 4 {
                 0 => RuleDirective::Skip,
@@ -221,115 +150,42 @@ proptest! {
                 _ => RuleDirective::Limit(usize::MAX),
             })
             .collect();
-        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let mut reference_backend =
-            make_backend::<SymbolLang, ()>(SearchBackendKind::PerPatternVm, refs);
-        let reference = reference_backend.search(&eg, &directives, &CancelToken::new(), None, 1);
-        for &kind in SearchBackendKind::all() {
-            let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-            let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
-            for threads in [1usize, 2] {
-                let result = backend.search(&eg, &directives, &CancelToken::new(), None, threads);
-                for ((pat, expected), slot) in
-                    PATTERNS.iter().zip(&reference.slots).zip(result.slots)
-                {
-                    let expected = expected.as_ref().map(|(m, _)| flatten(m.clone()));
-                    let got = slot.map(|(m, _)| flatten(m));
-                    assert_eq!(
-                        got, expected,
-                        "{kind} diverged under directives on {pat} at {threads} threads (seed {seed:#x})"
-                    );
-                }
+        for threads in [1usize, 2] {
+            let slots = search_rules(&refs, &eg, &directives, &CancelToken::new(), None, threads);
+            for (((pat, p), directive), slot) in
+                PATTERNS.iter().zip(&patterns).zip(&directives).zip(slots)
+            {
+                let expected = match *directive {
+                    RuleDirective::Skip => Vec::new(),
+                    RuleDirective::Limit(limit) => flatten(p.search_oracle_with_limit(&eg, limit)),
+                };
+                let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
+                assert_eq!(
+                    flatten(matches), expected,
+                    "VM vs oracle diverged under {directive:?} on {pat} at {threads} threads (seed {seed:#x})"
+                );
             }
         }
     }
 
-    /// Relation staleness: a relational backend reused across a merge
-    /// and rebuild must not serve pre-merge tuples — its post-merge
-    /// results must equal a freshly built backend's (and the VM's).
-    #[test]
-    fn prop_relational_store_invalidated_by_merges(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let mut eg = random_egraph(&mut rng);
-        let patterns: Vec<Pattern<SymbolLang>> =
-            PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-        let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let mut stale = make_backend::<SymbolLang, ()>(SearchBackendKind::Relational, refs);
-        // Populate the backend's tuple cache on the pre-merge state.
-        stale.search(&eg, &directives, &CancelToken::new(), None, 1);
-        // Merge two random classes and rebuild.
-        let classes: Vec<Id> = eg.classes().map(|c| c.id).collect();
-        let a = classes[rng.below(classes.len() as u64) as usize];
-        let b = classes[rng.below(classes.len() as u64) as usize];
-        eg.union(a, b);
-        eg.rebuild();
-        let stale_result = stale.search(&eg, &directives, &CancelToken::new(), None, 1);
-        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let mut fresh = make_backend::<SymbolLang, ()>(SearchBackendKind::Relational, refs);
-        let fresh_result = fresh.search(&eg, &directives, &CancelToken::new(), None, 1);
-        for (((pat, p), stale_slot), fresh_slot) in PATTERNS
-            .iter()
-            .zip(&patterns)
-            .zip(stale_result.slots)
-            .zip(fresh_result.slots)
-        {
-            let stale_matches = flatten(stale_slot.expect("not skipped").0);
-            assert_eq!(
-                stale_matches,
-                flatten(fresh_slot.expect("not skipped").0),
-                "reused relational backend diverged from fresh on {pat} (seed {seed:#x})"
-            );
-            assert_eq!(
-                stale_matches,
-                flatten(p.search(&eg)),
-                "reused relational backend diverged from VM on {pat} (seed {seed:#x})"
-            );
-        }
-    }
-
-    /// Mid-search cancellation over every backend: a pre-set token
-    /// must make the search report every rule as skipped (no partial
-    /// match sets leak), at any thread count.
+    /// A pre-set cancel token makes the fan-out report every rule as
+    /// skipped (no partial match sets leak), at any thread count.
     #[test]
     fn prop_backend_cancellation_skips_all(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::seeded(seed);
         let eg = random_egraph(&mut rng);
         let patterns: Vec<Pattern<SymbolLang>> =
             PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-        let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-        let token = CancelToken::new();
-        token.cancel();
-        for &kind in SearchBackendKind::all() {
-            let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-            let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
-            for threads in [1usize, 3] {
-                let result = backend.search(&eg, &directives, &token, None, threads);
-                assert!(
-                    result.slots.iter().all(Option::is_none),
-                    "{kind} leaked slots under a pre-set cancel (seed {seed:#x})"
-                );
-            }
-        }
-    }
-
-    /// Mid-search cancellation: a pre-set token must make the shared
-    /// search report every rule as skipped (no partial match sets leak
-    /// out of incomplete branches), at any thread count.
-    #[test]
-    fn prop_trie_cancellation_skips_all(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let eg = random_egraph(&mut rng);
-        let patterns: Vec<Pattern<SymbolLang>> =
-            PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
         let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let prog = RuleSetProgram::compile(&refs);
         let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
         let token = CancelToken::new();
         token.cancel();
         for threads in [1usize, 3] {
-            let slots = prog.search(&eg, &directives, &token, None, threads);
-            assert!(slots.iter().all(Option::is_none), "seed {seed:#x}");
+            let slots = search_rules(&refs, &eg, &directives, &token, None, threads);
+            assert!(
+                slots.iter().all(Option::is_none),
+                "slots leaked under a pre-set cancel at {threads} threads (seed {seed:#x})"
+            );
         }
     }
 }

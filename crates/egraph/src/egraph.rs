@@ -81,12 +81,6 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     /// Scratch buffer reused across [`EGraph::rebuild`] calls to avoid
     /// re-allocating the live-id worklist every iteration.
     scratch_ids: Vec<Id>,
-    /// Mutation epoch: incremented by every state change ([`EGraph::add`]
-    /// of a new node, a merging [`EGraph::union`], node removal in
-    /// [`EGraph::retain_nodes`]). Derived read-side structures — the
-    /// relational backend's per-operator tuple stores — key their caches
-    /// on this counter so a merge invalidates them.
-    version: u64,
 }
 
 impl<L: Language, N: Analysis<L> + Default> Default for EGraph<L, N> {
@@ -113,7 +107,6 @@ where
             n_live_classes: self.n_live_classes,
             n_nodes: self.n_nodes,
             scratch_ids: Vec::new(),
-            version: self.version,
         }
     }
 }
@@ -144,17 +137,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             n_live_classes: 0,
             n_nodes: 0,
             scratch_ids: Vec::new(),
-            version: 0,
         }
-    }
-
-    /// The mutation epoch: a counter bumped by every state change (new
-    /// e-node, merging union, node removal). Two reads of the same
-    /// version observe an identical e-graph, so derived structures (the
-    /// relational backend's tuple stores) can be cached keyed on it and
-    /// are automatically invalidated by any merge.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// The classes containing at least one e-node with `op`'s
@@ -277,7 +260,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }));
         self.n_live_classes += 1;
         self.n_nodes += 1;
-        self.version += 1;
         self.memo.insert(enode, id);
         self.clean = false;
         N::modify(self, id);
@@ -319,7 +301,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         self.unionfind.union_roots(to, from);
         self.n_unions += 1;
         self.n_live_classes -= 1;
-        self.version += 1;
         self.clean = false;
 
         let from_class = self.classes[from.index()]
@@ -463,9 +444,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             });
         }
         self.n_nodes -= removed;
-        if removed > 0 {
-            self.version += 1;
-        }
         removed
     }
 
@@ -689,29 +667,6 @@ mod tests {
         // must mention it exactly once.
         let f = SymbolLang::leaf("f").discriminant();
         assert_eq!(eg.classes_with_op(&f).len(), 1);
-    }
-
-    #[test]
-    fn version_bumps_on_every_mutation() {
-        let mut eg = EG::default();
-        let v0 = eg.version();
-        let a = eg.add(SymbolLang::leaf("a"));
-        let b = eg.add(SymbolLang::leaf("b"));
-        assert!(eg.version() > v0);
-        let v_add = eg.version();
-        // Re-adding an existing node is a no-op: version unchanged.
-        eg.add(SymbolLang::leaf("a"));
-        assert_eq!(eg.version(), v_add);
-        eg.union(a, b);
-        assert!(eg.version() > v_add);
-        let v_union = eg.version();
-        // A no-op union leaves the version alone.
-        eg.union(a, b);
-        assert_eq!(eg.version(), v_union);
-        eg.rebuild();
-        let v_clean = eg.version();
-        eg.rebuild();
-        assert_eq!(eg.version(), v_clean, "idle rebuild must not bump");
     }
 
     #[test]

@@ -8,13 +8,12 @@
 //!   e-classes, and deferred congruence-closure rebuilding.
 //! * [`Language`] — the trait describing the operators of a term
 //!   language, plus [`RecExpr`] for concrete terms.
-//! * [`Pattern`] — s-expression patterns with variables (`?x`) and a
-//!   backtracking e-matcher.
+//! * [`Pattern`] — s-expression patterns with variables (`?x`), each
+//!   compiled once into an e-matching VM program ([`machine`]).
 //! * [`Rewrite`] / [`Runner`] — rewrite rules and a saturation driver
 //!   with iteration, node, and time limits plus backoff scheduling.
-//! * [`SearchBackend`] / [`SearchBackendKind`] — pluggable e-matching
-//!   strategies (per-pattern VM, shared-prefix trie, generic-join
-//!   relational), all match-set-equal.
+//!   Each iteration searches every rule on its own program, rules
+//!   spread over a work-stealing thread pool ([`search_rules`]).
 //! * [`Extractor`] — cost-based term extraction with pluggable
 //!   [`CostFunction`]s.
 //!
@@ -40,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 mod cancel;
 #[cfg(test)]
 mod differential;
@@ -51,18 +49,16 @@ mod language;
 pub mod machine;
 mod pattern;
 mod recexpr;
-mod relational;
 mod rewrite;
 mod runner;
 mod symbol;
 mod unionfind;
 
-pub use crate::backend::{make_backend, BackendSearch, SearchBackend, SearchBackendKind};
 pub use crate::cancel::CancelToken;
 pub use crate::egraph::{EClass, EGraph};
 pub use crate::extract::{AstDepth, AstSize, CostFunction, Extractor};
 pub use crate::language::{Analysis, DidMerge, FromOp, FromOpError, Language, SymbolLang};
-pub use crate::machine::{RuleDirective, RuleSetProgram};
+pub use crate::machine::{search_rules, RuleDirective};
 pub use crate::pattern::{
     ENodeOrVar, ParsePatternError, Pattern, SearchMatches, Subst, Var, MATCH_WORK_BUDGET,
     MAX_SUBSTS_PER_CLASS,

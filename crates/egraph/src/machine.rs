@@ -21,20 +21,23 @@
 //! allocates or clones a substitution while searching: bindings live in
 //! the register bank, and a [`Subst`] is materialized only for each
 //! *surviving* match. The work budget
-//! ([`MATCH_WORK_BUDGET`]), the per-class
-//! match cap ([`MAX_SUBSTS_PER_CLASS`]),
+//! ([`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET)), the per-class
+//! match cap ([`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS)),
 //! and a cooperative [`CancelToken`] are all enforced *inside* the VM
 //! loop, so cancellation latency is bounded by
 //! [`CANCEL_CHECK_QUANTUM`] e-node visits rather than by a whole rule
 //! search.
+//!
+//! [`search_rules`] drives a whole ruleset: one program per rule, rules
+//! spread over a work-stealing thread pool.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::cancel::past;
 use crate::pattern::ENodeOrVar;
 use crate::{
     Analysis, CancelToken, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var,
-    MATCH_WORK_BUDGET, MAX_SUBSTS_PER_CLASS,
 };
 
 /// A register index in the VM's register bank.
@@ -324,8 +327,8 @@ impl Machine<'_> {
     }
 }
 
-/// What a scheduler wants done with one rule during a shared
-/// multi-pattern search (see [`RuleSetProgram::search`]).
+/// What a scheduler wants done with one rule during an iteration's
+/// search (see [`search_rules`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuleDirective {
     /// Do not search the rule at all this iteration (e.g. a backoff
@@ -338,1096 +341,119 @@ pub enum RuleDirective {
     Limit(usize),
 }
 
-/// One rule's match emission point in the trie: when execution reaches
-/// the node holding this leaf, the register bank satisfies the rule's
-/// whole program.
-struct RuleLeaf {
-    rule: usize,
-    subst_template: Vec<(Var, Reg)>,
-}
-
-/// A trie node: one shared instruction, the nodes that continue it,
-/// and the rules whose programs end exactly here.
-struct TrieNode<L> {
-    instruction: Instruction<L>,
-    children: Vec<usize>,
-    outputs: Vec<RuleLeaf>,
-}
-
-/// A top-level execution unit of the trie. `Ops` branches cover every
-/// rule whose program starts with a `Bind`/`Lookup` on the same root
-/// operator (driven over `classes_with_op`); each var-rooted (`Scan`)
-/// pattern is its own branch driven over all classes.
-struct Branch<D> {
-    kind: BranchKind<D>,
-    /// The rules this branch searches, in ascending rule index.
-    rules: Vec<usize>,
-}
-
-/// One step of a node's precomputed child-execution plan. Sibling
-/// `Bind`s that scan the *same* register are merged into one pass over
-/// the class's e-nodes — each e-node is dispatched to the (at most
-/// one) member whose operator it carries — instead of one full scan
-/// per sibling. This is where multi-pattern sharing pays beyond the
-/// common prefix: the e-node list is walked once for the whole fan.
-///
-/// Merging never changes results: distinct members always test
-/// distinct (operator, arity) keys (identical ones would have been
-/// deduplicated into one trie node), so each e-node continues into
-/// exactly the member a solo run would have matched it against, in
-/// the same class-order the solo scan uses.
-enum ChildGroup<L> {
-    /// A child executed on its own: any non-`Bind` child, or a `Bind`
-    /// with no same-register sibling (byte-identical to the solo VM,
-    /// including the budget counting).
-    Single(u32),
-    /// Two or more sibling `Bind`s scanning register `i`, in child
-    /// (= first-rule) order. Member data is copied out of the trie
-    /// nodes into this contiguous array so the per-e-node dispatch
-    /// loop walks one cache line instead of chasing trie indices.
-    MergedBinds {
-        i: Reg,
-        members: Vec<MergedMember<L>>,
-    },
-}
-
-/// One `Bind` participating in a merged sibling scan: the trie node
-/// it stands for, plus a copy of that node's pattern e-node and
-/// output-register base (the only fields the dispatch loop reads).
-struct MergedMember<L> {
-    node: u32,
-    pat: L,
-    out: Reg,
-}
-
-enum BranchKind<D> {
-    Ops { disc: D, roots: Vec<usize> },
-    Scan,
-}
-
-/// A whole ruleset's LHS patterns compiled into one shared matcher: a
-/// trie over instruction prefixes, executed once per root-op bucket
-/// per iteration instead of once per rule.
-///
-/// The per-pattern compiler already assigns registers canonically
-/// (DFS preorder, registers handed out per `Bind` in instruction
-/// order), so two programs with structurally identical prefixes emit
-/// *identical* instruction prefixes — the trie only has to normalize
-/// the parts of an instruction that are incidentally
-/// pattern-specific: `Bind` child ids (which index the private
-/// pattern AST and are never read by the VM) are zeroed, and `Lookup`
-/// term indices are remapped into one shared deduplicated
-/// ground-term table.
-///
-/// # Exactness
-///
-/// [`RuleSetProgram::search`] returns, for every rule, exactly the
-/// match set [`Pattern::search_with_limit_and_token`] would return —
-/// including every truncation cap:
-///
-/// * **Emission order.** A rule's root-to-leaf path through the trie
-///   is its exact solo instruction sequence over the same registers,
-///   so the shared executor reaches the rule's emission point in the
-///   same order, with the same register banks, as the solo VM.
-/// * **Per-class subst cap.** Emission for a rule stops after
-///   [`MAX_SUBSTS_PER_CLASS`] substitutions in a class; the solo VM
-///   stops after the same prefix of the same emission sequence. The
-///   cap also prunes exploration per rule: a capped rule's
-///   emission-node-to-root path is deactivated (live-leaf refcounts,
-///   restored at the class boundary), so trie nodes serving only
-///   capped rules are skipped — the solo VM's `SubstLimit` abort,
-///   applied rule by rule while the others keep exploring. Once
-///   *every* rule of the branch is capped or masked, the class walk
-///   aborts outright (and a match-explosive class can't burn the
-///   shared budget and trigger the per-rule fallback).
-/// * **Match-limit (backoff) caps.** [`RuleDirective::Limit`] masks a
-///   rule at a class boundary once its total exceeds the limit —
-///   keeping the boundary class whole, like the per-pattern driver's
-///   "finish the class, then break".
-/// * **Work budget.** Each `(branch, class)` pair gets one fresh
-///   [`MATCH_WORK_BUDGET`], like each `(rule, class)` pair does solo.
-///   A live rule's solo visits are a subset of the shared visits (its
-///   path is walked with the same register states; a *capped* rule's
-///   solo run aborts at the cap, so pruning its path loses no
-///   coverage), so if the shared budget *completes*, no solo run
-///   could have been truncated and
-///   the shared result is exact. If the shared budget *exhausts*, the
-///   class's shared results are discarded and every active rule is
-///   re-run solo on that class with its own fresh budget — byte-exact
-///   per-pattern truncation, so no rule ever observes fewer visits
-///   than it got under per-pattern search.
-/// * **Cancellation.** The shared budget counter polls the
-///   [`CancelToken`] every [`CANCEL_CHECK_QUANTUM`] visits (same
-///   check, same counter discipline as the solo VM), so the latency
-///   bound holds mid-trie. A cancel or deadline trip makes the whole
-///   branch report *skipped* (`None` slots) rather than returning
-///   partial match sets — the driver counts those rules in
-///   `rules_skipped` so a trip is never silently under-reported.
-pub struct RuleSetProgram<L: Language> {
-    nodes: Vec<TrieNode<L>>,
-    branches: Vec<Branch<L::Discriminant>>,
-    ground_terms: Vec<RecExpr<L>>,
-    /// Each rule's standalone program (for the budget-exhaustion
-    /// fallback and `Scan` substitution templates).
-    programs: Vec<Program<L>>,
-    /// `rule index -> local slot within its branch` (every rule
-    /// belongs to exactly one branch).
-    rule_slot: Vec<usize>,
-    /// Flat execution tables, built once after compilation. The solo
-    /// VM walks one small contiguous instruction vector; to keep the
-    /// shared executor's per-step memory behaviour comparable, the hot
-    /// per-node data lives in dense arrays indexed by node id (instead
-    /// of being read through [`TrieNode`]s and nested `Vec`s):
-    /// `instr[n]` is node `n`'s instruction, `plan_range[n]` /
-    /// `out_range[n]` are its slices of the shared `plan_pool` /
-    /// `leaf_pool`.
-    instr: Vec<Instruction<L>>,
-    plan_range: Vec<(u32, u32)>,
-    out_range: Vec<(u32, u32)>,
-    /// Per branch: the root nodes' execution plan, as a `plan_pool`
-    /// range (empty for `Scan` branches).
-    root_plan_range: Vec<(u32, u32)>,
-    plan_pool: Vec<ChildGroup<L>>,
-    leaf_pool: Vec<RuleLeaf>,
-    /// Per node: its parent node id (`u32::MAX` at branch roots) —
-    /// the path walked when a rule's cap/mask event deactivates its
-    /// leaf-to-root chain in the live counts.
-    parent: Vec<u32>,
-    /// Per rule: the trie node its substitutions are emitted at
-    /// (`u32::MAX` for `Scan` rules, which never enter the trie).
-    rule_node: Vec<u32>,
-    /// Per rule: the branch it belongs to.
-    rule_branch: Vec<u32>,
-    n_regs: usize,
-}
-
-impl<L: Language> RuleSetProgram<L> {
-    /// Compiles the rules' already-compiled LHS programs into the
-    /// shared trie. Rule order is preserved everywhere results are
-    /// reported.
-    pub fn compile(patterns: &[&Pattern<L>]) -> Self {
-        let mut this = RuleSetProgram {
-            nodes: Vec::new(),
-            branches: Vec::new(),
-            ground_terms: Vec::new(),
-            programs: Vec::new(),
-            rule_slot: Vec::new(),
-            instr: Vec::new(),
-            plan_range: Vec::new(),
-            out_range: Vec::new(),
-            root_plan_range: Vec::new(),
-            plan_pool: Vec::new(),
-            leaf_pool: Vec::new(),
-            parent: Vec::new(),
-            rule_node: Vec::new(),
-            rule_branch: Vec::new(),
-            n_regs: 1,
-        };
-        for (rule, pattern) in patterns.iter().enumerate() {
-            let prog = pattern.program().clone();
-            this.n_regs = this.n_regs.max(prog.n_regs);
-            if prog.is_scan() {
-                this.rule_slot.push(0);
-                this.rule_node.push(u32::MAX);
-                this.branches.push(Branch {
-                    kind: BranchKind::Scan,
-                    rules: vec![rule],
-                });
-                this.rule_branch.push(this.branches.len() as u32 - 1);
-                this.programs.push(prog);
-                continue;
-            }
-            // Remap the program's private ground-term indices into the
-            // shared deduplicated table, so Lookups on *equal* terms
-            // collide in the trie and Lookups on different terms that
-            // happen to share a local index do not.
-            let remap: Vec<usize> = prog
-                .ground_terms
-                .iter()
-                .map(|t| match this.ground_terms.iter().position(|g| g == t) {
-                    Some(i) => i,
-                    None => {
-                        this.ground_terms.push(t.clone());
-                        this.ground_terms.len() - 1
-                    }
-                })
-                .collect();
-            let disc = match &prog.instructions[0] {
-                Instruction::Bind { node, .. } => node.discriminant(),
-                Instruction::Lookup { term, .. } => {
-                    let t = &prog.ground_terms[*term];
-                    t[t.root()].discriminant()
-                }
-                _ => unreachable!("non-Scan programs start with Bind or Lookup"),
-            };
-            let branch = match this
-                .branches
-                .iter()
-                .position(|b| matches!(&b.kind, BranchKind::Ops { disc: d, .. } if *d == disc))
-            {
-                Some(b) => b,
-                None => {
-                    this.branches.push(Branch {
-                        kind: BranchKind::Ops {
-                            disc,
-                            roots: Vec::new(),
-                        },
-                        rules: Vec::new(),
-                    });
-                    this.branches.len() - 1
-                }
-            };
-            // Thread the program's instructions into the trie,
-            // creating nodes only where no identical prefix exists.
-            // `None` = still at the branch roots.
-            let mut cursor: Option<usize> = None;
-            for instruction in &prog.instructions {
-                let canonical = match instruction {
-                    // `Bind` child ids index the pattern's private AST
-                    // and are never read by the executor (only the
-                    // operator and arity are); zero them so
-                    // structurally identical Binds from different
-                    // patterns compare equal.
-                    Instruction::Bind { node, i, out } => Instruction::Bind {
-                        node: node.map_children(|_| Id::from_index(0)),
-                        i: *i,
-                        out: *out,
-                    },
-                    Instruction::Lookup { term, i } => Instruction::Lookup {
-                        term: remap[*term],
-                        i: *i,
-                    },
-                    other => other.clone(),
-                };
-                let siblings: &[usize] = match cursor {
-                    None => {
-                        let BranchKind::Ops { roots, .. } = &this.branches[branch].kind else {
-                            unreachable!()
-                        };
-                        roots
-                    }
-                    Some(n) => &this.nodes[n].children,
-                };
-                let next = match siblings
-                    .iter()
-                    .copied()
-                    .find(|&id| this.nodes[id].instruction == canonical)
-                {
-                    Some(id) => id,
-                    None => {
-                        this.nodes.push(TrieNode {
-                            instruction: canonical,
-                            children: Vec::new(),
-                            outputs: Vec::new(),
-                        });
-                        let id = this.nodes.len() - 1;
-                        match cursor {
-                            None => {
-                                this.parent.push(u32::MAX);
-                                let BranchKind::Ops { roots, .. } = &mut this.branches[branch].kind
-                                else {
-                                    unreachable!()
-                                };
-                                roots.push(id);
-                            }
-                            Some(n) => {
-                                this.parent.push(n as u32);
-                                this.nodes[n].children.push(id);
-                            }
-                        }
-                        id
-                    }
-                };
-                cursor = Some(next);
-            }
-            let last = cursor.expect("non-Scan programs are non-empty");
-            this.nodes[last].outputs.push(RuleLeaf {
-                rule,
-                subst_template: prog.subst_template.clone(),
-            });
-            this.rule_node.push(last as u32);
-            this.rule_branch.push(branch as u32);
-            this.rule_slot.push(this.branches[branch].rules.len());
-            this.branches[branch].rules.push(rule);
-            this.programs.push(prog);
-        }
-        // Freeze the trie into the flat execution tables (the
-        // `TrieNode`s stay around for the per-search active-subtree
-        // computation, which is not per-step work).
-        for n in &this.nodes {
-            let plan_start = this.plan_pool.len() as u32;
-            this.plan_pool
-                .extend(plan_children(&this.nodes, &n.children));
-            this.plan_range
-                .push((plan_start, this.plan_pool.len() as u32));
-            let leaf_start = this.leaf_pool.len() as u32;
-            this.leaf_pool.extend(n.outputs.iter().map(|l| RuleLeaf {
-                rule: l.rule,
-                subst_template: l.subst_template.clone(),
-            }));
-            this.out_range
-                .push((leaf_start, this.leaf_pool.len() as u32));
-            this.instr.push(n.instruction.clone());
-        }
-        for b in &this.branches {
-            let start = this.plan_pool.len() as u32;
-            if let BranchKind::Ops { roots, .. } = &b.kind {
-                this.plan_pool.extend(plan_children(&this.nodes, roots));
-            }
-            this.root_plan_range
-                .push((start, this.plan_pool.len() as u32));
-        }
-        this
-    }
-
-    /// Number of compiled rules.
-    pub fn n_rules(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Number of top-level branches (root-op buckets plus one per
-    /// var-rooted pattern).
-    pub fn n_branches(&self) -> usize {
-        self.branches.len()
-    }
-
-    /// Number of shared trie nodes — compare against
-    /// [`RuleSetProgram::total_rule_instructions`] to see how much
-    /// prefix sharing the ruleset exhibits.
-    pub fn n_trie_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Sum of the rules' standalone instruction counts (what a
-    /// per-pattern search walks).
-    pub fn total_rule_instructions(&self) -> usize {
-        self.programs.iter().map(|p| p.instructions.len()).sum()
-    }
-
-    /// Resolves the shared ground-term table once per search. A term
-    /// absent from the e-graph resolves to `None`, which simply
-    /// disables the `Lookup` edges that test it (those rules cannot
-    /// match anywhere).
-    fn resolve_shared_ground<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<Option<Id>> {
-        self.ground_terms
-            .iter()
-            .map(|t| egraph.lookup_expr(t).map(|id| egraph.find(id)))
-            .collect()
-    }
-
-    /// Computes, for branch `b`, how many of each node's subtree
-    /// leaves belong to a currently-unmasked rule. A node with count
-    /// zero leads nowhere that can still emit, so the walk skips it —
-    /// this is how `Skip` directives, match-limit masking, and (within
-    /// one class) the per-rule subst cap all prune the trie. Children
-    /// always have larger ids than their parent, so one reverse pass
-    /// suffices; nodes of other branches end up at zero, which is
-    /// fine — branch `b`'s walk never reaches them.
-    fn branch_live_counts(&self, b: usize, masked: &[bool]) -> Vec<u32> {
-        let mut live = vec![0u32; self.nodes.len()];
-        for i in (0..self.nodes.len()).rev() {
-            let n = &self.nodes[i];
-            let own: u32 = n
-                .outputs
-                .iter()
-                .filter(|leaf| {
-                    self.rule_branch[leaf.rule] == b as u32 && !masked[self.rule_slot[leaf.rule]]
-                })
-                .count() as u32;
-            live[i] = own + n.children.iter().map(|&c| live[c]).sum::<u32>();
-        }
-        live
-    }
-
-    /// Removes one live leaf (rule `rule`, which just got masked for
-    /// the rest of the branch) from every node on its
-    /// emission-node-to-root path. `O(path length)`.
-    fn deactivate_rule_path(parent: &[u32], rule_node: &[u32], rule: usize, node_live: &mut [u32]) {
-        let mut n = rule_node[rule];
-        while n != u32::MAX {
-            node_live[n as usize] -= 1;
-            n = parent[n as usize];
-        }
-    }
-
-    /// Searches the whole e-graph with every rule at once, serially
-    /// over the branches. Returns one slot per rule, in rule order:
-    /// `Some((matches, elapsed))` for searched rules (empty matches
-    /// for [`RuleDirective::Skip`]), `None` for rules whose branch was
-    /// cut short by cancellation or the deadline (= skipped; see the
-    /// type-level docs). Per-rule `elapsed` is the branch wall-clock
-    /// split evenly over the branch's searched rules, so the slots
-    /// always sum to at most the whole search's wall-clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph is not clean, or if `directives` does not
-    /// have one entry per compiled rule.
-    pub fn search_serial<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        directives: &[RuleDirective],
-        cancel: &CancelToken,
-        deadline: Option<Instant>,
-    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>> {
-        assert!(
-            egraph.is_clean(),
-            "search requires a clean (rebuilt) e-graph"
-        );
-        assert_eq!(
-            directives.len(),
-            self.programs.len(),
-            "one directive per compiled rule"
-        );
-        let ground = self.resolve_shared_ground(egraph);
-        let mut slots: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
-        slots.resize_with(self.programs.len(), || None);
-        for b in 0..self.branches.len() {
-            if cancel.is_cancelled() || past(deadline) {
-                break;
-            }
-            let Some((results, elapsed)) =
-                self.search_branch(egraph, b, directives, &ground, cancel, deadline)
-            else {
-                break;
-            };
-            fill_slots(&mut slots, directives, results, elapsed);
-        }
-        slots
-    }
-
-    /// Like [`RuleSetProgram::search_serial`], fanning the branches
-    /// out over `threads` scoped workers (work stealing — branch costs
-    /// vary by orders of magnitude). Branches own disjoint rule sets
-    /// and the per-branch work is identical to serial, so the slots
-    /// are byte-identical at any thread count (short of a mid-search
-    /// cancel/deadline trip, where the *set* of skipped rules may
-    /// differ — same as the per-rule parallel search).
-    pub fn search<N>(
-        &self,
-        egraph: &EGraph<L, N>,
-        directives: &[RuleDirective],
-        cancel: &CancelToken,
-        deadline: Option<Instant>,
-        threads: usize,
-    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
-    where
-        L: Sync,
-        L::Discriminant: Sync,
-        N: Analysis<L> + Sync,
-        N::Data: Sync,
-    {
-        if threads <= 1 || self.branches.len() <= 1 {
-            return self.search_serial(egraph, directives, cancel, deadline);
-        }
-        assert!(
-            egraph.is_clean(),
-            "search requires a clean (rebuilt) e-graph"
-        );
-        assert_eq!(
-            directives.len(),
-            self.programs.len(),
-            "one directive per compiled rule"
-        );
-        let ground = self.resolve_shared_ground(egraph);
-        let mut slots: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
-        slots.resize_with(self.programs.len(), || None);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(self.branches.len()))
-                .map(|_| {
-                    let (next, ground) = (&next, &ground);
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= self.branches.len() {
-                                break;
-                            }
-                            if cancel.is_cancelled() || past(deadline) {
-                                break;
-                            }
-                            match self
-                                .search_branch(egraph, b, directives, ground, cancel, deadline)
-                            {
-                                Some(r) => done.push(r),
-                                None => break,
-                            }
-                        }
-                        done
-                    })
-                })
-                .collect();
-            // Join *every* worker before reacting to any panic (see
-            // the runner's parallel search for why: a second panic
-            // during unwind would abort the process).
-            let mut panicked = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(done) => {
-                        for (results, elapsed) in done {
-                            fill_slots(&mut slots, directives, results, elapsed);
-                        }
-                    }
-                    Err(payload) => panicked = panicked.or(Some(payload)),
-                }
-            }
-            if let Some(payload) = panicked {
-                std::panic::resume_unwind(payload);
-            }
-        });
-        slots
-    }
-
-    /// Runs one branch to completion. Returns the per-rule match sets
-    /// (rule index, matches) plus the branch's wall-clock, or `None`
-    /// if a cancel/deadline trip left the branch incomplete.
-    #[allow(clippy::type_complexity)]
-    fn search_branch<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        b: usize,
-        directives: &[RuleDirective],
-        ground: &[Option<Id>],
-        cancel: &CancelToken,
-        deadline: Option<Instant>,
-    ) -> Option<(Vec<(usize, Vec<SearchMatches>)>, Duration)> {
-        let start = Instant::now();
-        let branch = &self.branches[b];
-        let per_rule = match &branch.kind {
-            BranchKind::Ops { .. } => {
-                self.search_ops_branch(egraph, b, directives, ground, cancel, deadline)?
-            }
-            BranchKind::Scan => {
-                let rule = branch.rules[0];
-                match directives[rule] {
-                    RuleDirective::Skip => vec![Vec::new()],
-                    RuleDirective::Limit(limit) => {
-                        vec![self.search_scan_branch(egraph, rule, limit, cancel, deadline)?]
-                    }
-                }
-            }
-        };
-        Some((
-            branch.rules.iter().copied().zip(per_rule).collect(),
-            start.elapsed(),
-        ))
-    }
-
-    /// Drives a root-op branch over `classes_with_op`, walking the
-    /// shared trie once per class and demultiplexing surviving
-    /// substitutions into per-rule match sets (see the type-level
-    /// exactness notes).
-    fn search_ops_branch<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        b: usize,
-        directives: &[RuleDirective],
-        ground: &[Option<Id>],
-        cancel: &CancelToken,
-        deadline: Option<Instant>,
-    ) -> Option<Vec<Vec<SearchMatches>>> {
-        let branch = &self.branches[b];
-        let root_plan = self.root_plan_range[b];
-        let BranchKind::Ops { disc, .. } = &branch.kind else {
-            unreachable!()
-        };
-        let rules = &branch.rules;
-        let n_local = rules.len();
-        let mut out: Vec<Vec<SearchMatches>> = Vec::new();
-        out.resize_with(n_local, Vec::new);
-        // A masked rule takes no further classes: banned from the
-        // start (Skip), over its match limit, or — within one class —
-        // over the per-class subst cap (that one is tracked in
-        // `found`, reset per class).
-        let mut masked = vec![false; n_local];
-        for (slot, &rule) in masked.iter_mut().zip(rules) {
-            *slot = directives[rule] == RuleDirective::Skip;
-        }
-        if masked.iter().all(|&m| m) {
-            return Some(out);
-        }
-        let mut totals = vec![0usize; n_local];
-        let mut found = vec![0usize; n_local];
-        // Per-node count of live (unmasked, uncapped) subtree leaves:
-        // zero means nothing below can emit, so the walk skips the
-        // node. Masking decrements a rule's root path for the rest of
-        // the branch; a per-class cap decrements it for the rest of
-        // the class (undone at the boundary via `cap_undo`).
-        let mut node_live = self.branch_live_counts(b, &masked);
-        let mut cap_undo: Vec<u32> = Vec::new();
-        let mut class_substs: Vec<Vec<Subst>> = Vec::new();
-        class_substs.resize_with(n_local, Vec::new);
-        let mut regs: Vec<Id> = Vec::new();
-        let mut fallback_regs: Vec<Id> = Vec::new();
-        // Per-rule resolved ground tables, built lazily if the
-        // fallback path ever runs.
-        let mut solo_ground: Vec<Option<Option<Vec<Id>>>> = vec![None; n_local];
-        for &id in egraph.classes_with_op(disc) {
-            if cancel.is_cancelled() || past(deadline) {
-                return None;
-            }
-            if masked.iter().all(|&m| m) {
-                break;
-            }
-            let id = egraph.find(id);
-            found.iter_mut().for_each(|f| *f = 0);
-            regs.clear();
-            regs.resize(self.n_regs, Id::from_index(0));
-            regs[0] = id;
-            let mut budget = MATCH_WORK_BUDGET;
-            let live = masked.iter().filter(|&&m| !m).count();
-            let mut machine = MultiMachine {
-                instr: &self.instr,
-                plan_range: &self.plan_range,
-                out_range: &self.out_range,
-                plan_pool: &self.plan_pool,
-                leaf_pool: &self.leaf_pool,
-                parent: &self.parent,
-                regs: &mut regs,
-                ground,
-                node_live: &mut node_live,
-                cap_undo: &mut cap_undo,
-                rule_slot: &self.rule_slot,
-                masked: &masked,
-                found: &mut found,
-                live,
-                out: &mut class_substs,
-                cancel,
-            };
-            let outcome = machine.run_plan(egraph, root_plan, &mut budget);
-            // Caps are per class: restore the live counts the emitters
-            // decremented before the next class (or before the masking
-            // pass below, which applies its own permanent decrements).
-            for &n in &cap_undo {
-                node_live[n as usize] += 1;
-            }
-            cap_undo.clear();
-            match outcome {
-                RunOutcome::Cancelled => return None,
-                RunOutcome::BudgetExhausted => {
-                    // The shared budget starved this class: discard its
-                    // shared results and re-run each active rule alone
-                    // with a fresh per-rule budget — reproducing
-                    // per-pattern truncation exactly, so sharing never
-                    // costs a rule visits.
-                    for (local, &rule) in rules.iter().enumerate() {
-                        if masked[local] {
-                            continue;
-                        }
-                        class_substs[local].clear();
-                        let resolved = solo_ground[local].get_or_insert_with(|| {
-                            self.programs[rule].resolve_ground_terms(egraph)
-                        });
-                        let Some(resolved) = resolved.as_ref() else {
-                            continue;
-                        };
-                        let mut solo_budget = MATCH_WORK_BUDGET;
-                        let solo_outcome = self.programs[rule].run(
-                            egraph,
-                            id,
-                            resolved,
-                            &mut fallback_regs,
-                            &mut class_substs[local],
-                            &mut solo_budget,
-                            MAX_SUBSTS_PER_CLASS,
-                            cancel,
-                        );
-                        if solo_outcome == RunOutcome::Cancelled {
-                            return None;
-                        }
-                    }
-                }
-                _ => {}
-            }
-            // Package the class per rule (canonicalize, sort, dedup —
-            // identical to the per-pattern path) and apply match-limit
-            // masking at the class boundary.
-            for local in 0..n_local {
-                if masked[local] {
-                    continue;
-                }
-                if !class_substs[local].is_empty() {
-                    let mut substs = std::mem::take(&mut class_substs[local]);
-                    for s in &mut substs {
-                        s.canonicalize(egraph);
-                    }
-                    substs.sort_unstable();
-                    substs.dedup();
-                    totals[local] += substs.len();
-                    out[local].push(SearchMatches { eclass: id, substs });
-                }
-                if let RuleDirective::Limit(limit) = directives[rules[local]] {
-                    if totals[local] > limit {
-                        masked[local] = true;
-                        Self::deactivate_rule_path(
-                            &self.parent,
-                            &self.rule_node,
-                            rules[local],
-                            &mut node_live,
-                        );
-                    }
-                }
-            }
-        }
-        Some(out)
-    }
-
-    /// Drives one var-rooted (`Scan`) pattern over every class — same
-    /// enumeration as [`Pattern::search_with_limit_and_token`].
-    fn search_scan_branch<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        rule: usize,
-        limit: usize,
-        cancel: &CancelToken,
-        deadline: Option<Instant>,
-    ) -> Option<Vec<SearchMatches>> {
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        for class in egraph.classes() {
-            if cancel.is_cancelled() || past(deadline) {
-                return None;
-            }
-            out.push(SearchMatches {
-                eclass: class.id,
-                substs: vec![self.programs[rule].subst_for_class(class.id)],
-            });
-            total += 1;
-            if total > limit {
-                break;
-            }
-        }
-        Some(out)
-    }
-}
-
-pub(crate) fn past(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() > d)
-}
-
-/// Partitions a sibling set into execution groups: non-`Bind` children
-/// stay single (in child order), then `Bind` children grouped by the
-/// register they scan (groups in first-occurrence order; a group of
-/// one collapses back to `Single`). Group order is free — sibling
-/// subtrees lead to disjoint rule sets, so no rule's emission sequence
-/// spans two groups.
-fn plan_children<L: Language>(nodes: &[TrieNode<L>], children: &[usize]) -> Vec<ChildGroup<L>> {
-    let mut plan = Vec::new();
-    let mut binds: Vec<(Reg, Vec<MergedMember<L>>)> = Vec::new();
-    for &c in children {
-        match &nodes[c].instruction {
-            Instruction::Bind { node, i, out } => {
-                let member = MergedMember {
-                    node: c as u32,
-                    pat: node.clone(),
-                    out: *out,
-                };
-                match binds.iter_mut().find(|(r, _)| *r == *i) {
-                    Some((_, members)) => members.push(member),
-                    None => binds.push((*i, vec![member])),
-                }
-            }
-            _ => plan.push(ChildGroup::Single(c as u32)),
-        }
-    }
-    for (i, members) in binds {
-        plan.push(if members.len() == 1 {
-            ChildGroup::Single(members[0].node)
-        } else {
-            ChildGroup::MergedBinds { i, members }
-        });
-    }
-    plan
-}
-
-/// Writes one completed branch's results into the per-rule slots,
-/// splitting the branch's wall-clock evenly over its searched
-/// (non-`Skip`) rules.
-fn fill_slots(
-    slots: &mut [Option<(Vec<SearchMatches>, Duration)>],
+/// Searches every pattern under its directive — each rule on its own
+/// compiled [`Program`], rules fanned out over at most `threads`
+/// work-stealing workers — and returns per-rule slots in rule-index
+/// order: `Some((matches, elapsed))` for a searched rule (empty and
+/// zero-time for [`RuleDirective::Skip`]), `None` for a rule whose
+/// search a cancel request or the deadline interrupted, or that no
+/// worker claimed after such a trip. Slots are identical at any thread
+/// count, short of those interruptions.
+pub fn search_rules<L, N>(
+    patterns: &[&Pattern<L>],
+    egraph: &EGraph<L, N>,
     directives: &[RuleDirective],
-    results: Vec<(usize, Vec<SearchMatches>)>,
-    elapsed: Duration,
-) {
-    let searched = results
-        .iter()
-        .filter(|(rule, _)| directives[*rule] != RuleDirective::Skip)
-        .count();
-    let share = if searched > 0 {
-        elapsed / searched as u32
-    } else {
-        Duration::ZERO
-    };
-    for (rule, matches) in results {
-        let elapsed = if directives[rule] == RuleDirective::Skip {
-            Duration::ZERO
-        } else {
-            share
-        };
-        slots[rule] = Some((matches, elapsed));
-    }
+    cancel: &CancelToken,
+    deadline: Option<Instant>,
+    threads: usize,
+) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
+where
+    L: Language + Sync,
+    L::Discriminant: Sync,
+    N: Analysis<L> + Sync,
+    N::Data: Sync,
+{
+    assert_eq!(directives.len(), patterns.len());
+    search_rules_slots(
+        patterns.len(),
+        threads,
+        cancel,
+        deadline,
+        |i| match directives[i] {
+            RuleDirective::Skip => Some((Vec::new(), Duration::ZERO)),
+            RuleDirective::Limit(limit) => {
+                let start = Instant::now();
+                let matches = patterns[i].search_interruptible(egraph, limit, cancel, deadline)?;
+                Some((matches, start.elapsed()))
+            }
+        },
+    )
 }
 
-/// The shared-trie executor: like [`Machine`], but a node's
-/// instruction may be continued by several children, and complete
-/// register banks are demultiplexed into per-rule output vectors via
-/// the leaves.
-struct MultiMachine<'a, L: Language> {
-    instr: &'a [Instruction<L>],
-    plan_range: &'a [(u32, u32)],
-    out_range: &'a [(u32, u32)],
-    plan_pool: &'a [ChildGroup<L>],
-    leaf_pool: &'a [RuleLeaf],
-    parent: &'a [u32],
-    regs: &'a mut Vec<Id>,
-    ground: &'a [Option<Id>],
-    /// Per-node live-leaf counts (see `search_ops_branch`): a rule
-    /// hitting its per-class cap decrements its root path here, so
-    /// subtrees that can no longer emit for anyone are pruned from
-    /// the walk — the solo VM's `SubstLimit` abort, per rule.
-    node_live: &'a mut [u32],
-    /// Node ids decremented by per-class cap events, for the driver
-    /// to revert at the class boundary.
-    cap_undo: &'a mut Vec<u32>,
-    rule_slot: &'a [usize],
-    masked: &'a [bool],
-    /// Per local rule: substitutions emitted for the current class
-    /// (caps emission at [`MAX_SUBSTS_PER_CLASS`]).
-    found: &'a mut [usize],
-    /// How many rules can still emit for the current class (neither
-    /// masked nor at the per-class cap). The solo VM aborts its class
-    /// scan the moment *its* rule hits the cap; the shared walk does
-    /// the same the moment its *last* live rule does — exploring
-    /// further could not emit anything for anyone.
-    live: usize,
-    out: &'a mut [Vec<Subst>],
-    cancel: &'a CancelToken,
-}
-
-impl<L: Language> MultiMachine<'_, L> {
-    /// Executes the trie node's instruction against the current
-    /// registers, emitting at its leaves and descending into its
-    /// active children. The budget/cancel discipline is byte-for-byte
-    /// the solo [`Machine`]'s: one decrement per e-node visit, token
-    /// polled every [`CANCEL_CHECK_QUANTUM`] decrements.
-    fn exec<N: Analysis<L>>(
-        &mut self,
-        egraph: &EGraph<L, N>,
-        node: usize,
-        budget: &mut usize,
-    ) -> RunOutcome {
-        let instr = self.instr;
-        match &instr[node] {
-            Instruction::Bind {
-                node: pat_node,
-                i,
-                out: out_reg,
-            } => {
-                let class = egraph.eclass(self.regs[*i as usize]);
-                for enode in class.iter() {
-                    if *budget == 0 {
-                        return RunOutcome::BudgetExhausted;
-                    }
-                    *budget -= 1;
-                    if budget.is_multiple_of(CANCEL_CHECK_QUANTUM) && self.cancel.is_cancelled() {
-                        return RunOutcome::Cancelled;
-                    }
-                    if !pat_node.matches(enode) {
-                        continue;
-                    }
-                    let base = *out_reg as usize;
-                    for (k, &child) in enode.children().iter().enumerate() {
-                        self.regs[base + k] = child;
-                    }
-                    match self.emit_and_descend(egraph, node, budget) {
-                        RunOutcome::Complete => {}
-                        stop => return stop,
-                    }
-                    // A cap event below may have killed this whole
-                    // subtree; scanning further e-nodes could not
-                    // emit anything.
-                    if self.node_live[node] == 0 {
-                        break;
-                    }
-                }
-                RunOutcome::Complete
-            }
-            Instruction::Compare { i, j } => {
-                if egraph.find(self.regs[*i as usize]) == egraph.find(self.regs[*j as usize]) {
-                    self.emit_and_descend(egraph, node, budget)
-                } else {
-                    RunOutcome::Complete
-                }
-            }
-            Instruction::Lookup { term, i } => {
-                if self.ground[*term] == Some(egraph.find(self.regs[*i as usize])) {
-                    self.emit_and_descend(egraph, node, budget)
-                } else {
-                    RunOutcome::Complete
-                }
-            }
-            Instruction::Scan { .. } => {
-                unreachable!("Scan patterns are separate branches, never trie nodes")
-            }
-        }
-    }
-
-    /// After `node`'s instruction succeeded: materialize a
-    /// substitution for every rule ending here (unless the rule is
-    /// masked or at its per-class cap — the others keep exploring),
-    /// then walk the node's child plan.
-    fn emit_and_descend<N: Analysis<L>>(
-        &mut self,
-        egraph: &EGraph<L, N>,
-        node: usize,
-        budget: &mut usize,
-    ) -> RunOutcome {
-        let (leaf_start, leaf_end) = self.out_range[node];
-        if leaf_start != leaf_end {
-            let leaf_pool = self.leaf_pool;
-            for leaf in &leaf_pool[leaf_start as usize..leaf_end as usize] {
-                let local = self.rule_slot[leaf.rule];
-                if self.masked[local] || self.found[local] >= MAX_SUBSTS_PER_CLASS {
-                    continue;
-                }
-                self.out[local].push(Subst::from_pairs(
-                    leaf.subst_template
-                        .iter()
-                        .map(|&(v, r)| (v, self.regs[r as usize]))
-                        .collect(),
-                ));
-                self.found[local] += 1;
-                if self.found[local] == MAX_SUBSTS_PER_CLASS {
-                    // Prune this rule's path for the rest of the
-                    // class — it can't emit again, so nodes serving
-                    // only it are dead weight (the solo VM stops its
-                    // whole scan here; this is that abort, per rule).
-                    // The rule emits exactly here, so the path starts
-                    // at the current node.
-                    let mut n = node as u32;
-                    while n != u32::MAX {
-                        self.node_live[n as usize] -= 1;
-                        self.cap_undo.push(n);
-                        n = self.parent[n as usize];
-                    }
-                    // Any leaf left in this loop is capped or masked
-                    // too once `live` hits zero, so returning here
-                    // skips no emission.
-                    self.live -= 1;
-                    if self.live == 0 {
-                        return RunOutcome::SubstLimit;
-                    }
-                }
-            }
-        }
-        self.run_plan(egraph, self.plan_range[node], budget)
-    }
-
-    /// Executes one child plan (a `plan_pool` range): singles run the
-    /// solo discipline, merged groups share a single scan of the
-    /// class's e-nodes.
-    fn run_plan<N: Analysis<L>>(
-        &mut self,
-        egraph: &EGraph<L, N>,
-        range: (u32, u32),
-        budget: &mut usize,
-    ) -> RunOutcome {
-        let plan_pool = self.plan_pool;
-        for group in &plan_pool[range.0 as usize..range.1 as usize] {
-            let outcome = match group {
-                ChildGroup::Single(c) => {
-                    let c = *c as usize;
-                    if self.node_live[c] == 0 {
-                        continue;
-                    }
-                    self.exec(egraph, c, budget)
-                }
-                ChildGroup::MergedBinds { i, members } => {
-                    self.merged_scan(egraph, *i, members, budget)
-                }
-            };
-            match outcome {
-                RunOutcome::Complete => {}
-                stop => return stop,
-            }
-        }
-        RunOutcome::Complete
-    }
-
-    /// One pass over the class in register `i` serving every active
-    /// member `Bind`: each e-node is dispatched to the (at most one —
-    /// members carry distinct operator keys) member that matches it.
-    ///
-    /// The work budget is decremented once per (e-node, active member)
-    /// pair — exactly the decrements the members' separate solo scans
-    /// would make — so a completed shared search still dominates every
-    /// rule's solo visit count and the budget-exactness argument in
-    /// the type-level docs is unchanged. The cancel token is polled
-    /// every e-node here (merged scans progress the counter in steps,
-    /// so the solo path's modulo check could skip a quantum boundary);
-    /// that is at least as responsive as the solo discipline.
-    fn merged_scan<N: Analysis<L>>(
-        &mut self,
-        egraph: &EGraph<L, N>,
-        i: Reg,
-        members: &[MergedMember<L>],
-        budget: &mut usize,
-    ) -> RunOutcome {
-        let mut active = members
-            .iter()
-            .filter(|m| self.node_live[m.node as usize] > 0)
-            .count();
-        if active == 0 {
-            return RunOutcome::Complete;
-        }
-        let class = egraph.eclass(self.regs[i as usize]);
-        for enode in class.iter() {
-            if *budget < active {
-                return RunOutcome::BudgetExhausted;
-            }
-            *budget -= active;
-            if self.cancel.is_cancelled() {
-                return RunOutcome::Cancelled;
-            }
-            for member in members {
-                if !member.pat.matches(enode) {
-                    continue;
-                }
-                if self.node_live[member.node as usize] > 0 {
-                    let base = member.out as usize;
-                    for (k, &child) in enode.children().iter().enumerate() {
-                        self.regs[base + k] = child;
-                    }
-                    let caps_before = self.cap_undo.len();
-                    match self.emit_and_descend(egraph, member.node as usize, budget) {
-                        RunOutcome::Complete => {}
-                        stop => return stop,
-                    }
-                    // A cap event below may have deactivated members;
-                    // refresh the per-e-node charge (each live rule's
-                    // solo visits stay dominated, and a capped rule's
-                    // solo run aborted at its cap, so dropping its
-                    // charge loses nothing).
-                    if self.cap_undo.len() != caps_before {
-                        active = members
-                            .iter()
-                            .filter(|m| self.node_live[m.node as usize] > 0)
-                            .count();
-                        if active == 0 {
-                            return RunOutcome::Complete;
-                        }
-                    }
-                }
-                // An e-node carries one operator: no other member can
-                // match it (identical canonical instructions dedupe
-                // into one trie node), so the rest of the walk would
-                // only fail the `matches` test.
+/// The work-stealing fan-out behind [`search_rules`]: workers claim
+/// rule indices from an atomic counter, check the cancel token and
+/// deadline before every claim, and results land in rule-index slots.
+/// `search_one` returns `None` when its rule's search was cut short
+/// (the slot stays `None` = skipped, and the worker stops claiming).
+/// Panics from workers are re-raised exactly once, after *all* workers
+/// joined.
+pub(crate) fn search_rules_slots<F>(
+    n_rules: usize,
+    threads: usize,
+    cancel: &CancelToken,
+    deadline: Option<Instant>,
+    search_one: F,
+) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
+where
+    F: Fn(usize) -> Option<(Vec<SearchMatches>, Duration)> + Sync,
+{
+    let mut slots: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
+    slots.resize_with(n_rules, || None);
+    if threads <= 1 || n_rules <= 1 {
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if cancel.is_cancelled() || past(deadline) {
                 break;
             }
+            match search_one(i) {
+                Some(result) => *slot = Some(result),
+                None => break,
+            }
         }
-        RunOutcome::Complete
+        return slots;
     }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(n_rules))
+            .map(|_| {
+                let (next, search_one) = (&next, &search_one);
+                scope.spawn(move || {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n_rules || cancel.is_cancelled() || past(deadline) {
+                            break;
+                        }
+                        match search_one(i) {
+                            Some(result) => done.push((i, result)),
+                            None => break,
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        // Join *every* worker before reacting to any panic: unwinding
+        // out of this loop on the first `Err` would hit the scope's
+        // implicit join of the remaining workers, and a second panic
+        // during that unwind aborts the process. Re-raise one payload
+        // cleanly instead — the layer above (the service's per-job
+        // `catch_unwind`) turns it into a typed outcome.
+        let mut panicked = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, result) in done {
+                        slots[i] = Some(result);
+                    }
+                }
+                Err(payload) => panicked = panicked.or(Some(payload)),
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+    });
+    slots
 }
 
 /// Computes, for each pattern node, whether its subtree is ground
@@ -1457,7 +483,7 @@ pub(crate) fn extract_ground_term<L: Language>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{Pattern, SymbolLang};
 
@@ -1513,31 +539,35 @@ mod tests {
     type EG = EGraph<SymbolLang, ()>;
 
     /// Builds a workload whose search does lots of *failing*
-    /// backtracking (so neither the per-class match cap nor the work
-    /// budget stops it early): `n_roots` classes `(g A_i B_i)` where
-    /// `A_i`/`B_i` each hold `width` f-nodes over disjoint leaves, and
-    /// the nonlinear probe `(g (f ?x) (f ?x))` never closes.
-    fn explosive_workload(n_roots: usize, width: usize) -> (EG, Pattern<SymbolLang>) {
+    /// backtracking (so the per-class match cap never stops it): two
+    /// classes `A`/`B` each holding `width` f-nodes over disjoint
+    /// leaves, `n_roots` classes `(g A B t_r)` told apart by a tag
+    /// leaf, and the nonlinear probe `(g (f ?x) (f ?x) ?t)` that never
+    /// closes. Each root costs ~`width²` e-node visits (up to the work
+    /// budget) but adds only two e-nodes, so searching dwarfs every
+    /// other cost of the e-graph.
+    pub(crate) fn explosive_workload(n_roots: usize, width: usize) -> (EG, Pattern<SymbolLang>) {
         let mut eg = EG::default();
+        let side = |tag: &str, eg: &mut EG| {
+            let fs: Vec<_> = (0..width)
+                .map(|i| {
+                    let leaf = eg.add(SymbolLang::leaf(format!("{tag}{i}")));
+                    eg.add(SymbolLang::new("f", vec![leaf]))
+                })
+                .collect();
+            for w in fs.windows(2) {
+                eg.union(w[0], w[1]);
+            }
+            fs[0]
+        };
+        let a = side("a", &mut eg);
+        let b = side("b", &mut eg);
         for r in 0..n_roots {
-            let side = |tag: &str, eg: &mut EG| {
-                let fs: Vec<_> = (0..width)
-                    .map(|i| {
-                        let leaf = eg.add(SymbolLang::leaf(format!("{tag}{r}_{i}")));
-                        eg.add(SymbolLang::new("f", vec![leaf]))
-                    })
-                    .collect();
-                for w in fs.windows(2) {
-                    eg.union(w[0], w[1]);
-                }
-                fs[0]
-            };
-            let a = side("a", &mut eg);
-            let b = side("b", &mut eg);
-            eg.add(SymbolLang::new("g", vec![a, b]));
+            let tag = eg.add(SymbolLang::leaf(format!("t{r}")));
+            eg.add(SymbolLang::new("g", vec![a, b, tag]));
         }
         eg.rebuild();
-        (eg, pat("(g (f ?x) (f ?x))"))
+        (eg, pat("(g (f ?x) (f ?x) ?t)"))
     }
 
     #[test]
@@ -1591,8 +621,9 @@ mod tests {
         let (eg, p) = explosive_workload(10, 60);
         let token = CancelToken::new();
         token.cancel();
-        let matches: Vec<SearchMatches> = p.search_with_limit_and_token(&eg, usize::MAX, &token);
-        assert!(matches.is_empty());
+        assert!(p
+            .search_interruptible(&eg, usize::MAX, &token, None)
+            .is_none());
     }
 
     #[test]
@@ -1612,8 +643,8 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         assert!(p
-            .search_with_limit_and_token(&eg, usize::MAX, &token)
-            .is_empty());
+            .search_interruptible(&eg, usize::MAX, &token, None)
+            .is_none());
     }
 
     /// Per-rule `(eclass, substs)` view for equality assertions.
@@ -1624,115 +655,32 @@ mod tests {
             .collect()
     }
 
-    /// Asserts the shared trie reproduces every pattern's per-pattern
-    /// match set exactly, at the given thread counts.
-    fn assert_trie_matches_per_pattern(eg: &EG, pats: &[Pattern<SymbolLang>], threads: &[usize]) {
-        let refs: Vec<&Pattern<SymbolLang>> = pats.iter().collect();
-        let prog = RuleSetProgram::compile(&refs);
-        let directives = vec![RuleDirective::Limit(usize::MAX); pats.len()];
-        for &t in threads {
-            let slots = prog.search(eg, &directives, &CancelToken::new(), None, t);
-            for (pattern, slot) in pats.iter().zip(&slots) {
-                let (matches, _) = slot
-                    .as_ref()
-                    .expect("no rule may be skipped without cancel");
-                assert_eq!(
-                    flat(matches),
-                    flat(&pattern.search(eg)),
-                    "trie vs per-pattern VM diverged for `{pattern}` at {t} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn trie_shares_structurally_common_prefixes() {
-        let p1 = pat("(f (g ?a ?b) ?c)");
-        let p2 = pat("(f (g ?a ?b) (g ?a ?b))");
-        let prog = RuleSetProgram::compile(&[&p1, &p2]);
-        assert_eq!(prog.n_branches(), 1);
-        // The `(f (g ?a ?b) ...` prefix (Bind f, Bind g) must be
-        // stored once, even though the two patterns' ASTs assign
-        // different ids to the shared nodes.
-        assert!(
-            prog.n_trie_nodes() < prog.total_rule_instructions(),
-            "expected prefix sharing: {} trie nodes vs {} total instructions",
-            prog.n_trie_nodes(),
-            prog.total_rule_instructions()
-        );
-    }
-
-    #[test]
-    fn trie_distinguishes_different_ground_terms() {
-        // Both Lookups get local term index 0 in their own programs;
-        // the shared table must keep them apart.
-        let mut eg = EG::default();
-        let a = eg.add(SymbolLang::leaf("a"));
-        let b = eg.add(SymbolLang::leaf("b"));
-        let x = eg.add(SymbolLang::leaf("x"));
-        eg.add(SymbolLang::new("f", vec![a, x]));
-        eg.add(SymbolLang::new("f", vec![b, x]));
-        eg.rebuild();
-        let pats = [pat("(f a ?x)"), pat("(f b ?x)"), pat("(f c ?x)")];
-        assert_trie_matches_per_pattern(&eg, &pats, &[1, 2]);
-    }
-
-    #[test]
-    fn trie_handles_compare_divergence_and_scan_mix() {
-        let mut eg = EG::default();
-        for i in 0..6 {
-            let l = eg.add(SymbolLang::leaf(format!("l{i}")));
-            let r = eg.add(SymbolLang::leaf(format!("r{}", i / 2)));
-            let f = eg.add(SymbolLang::new("f", vec![l, r]));
-            if i % 2 == 0 {
-                eg.add(SymbolLang::new("f", vec![f, f]));
-            }
-        }
-        eg.rebuild();
-        let pats = [
-            // Shared Bind prefix, diverging on Compare vs nothing.
-            pat("(f ?x ?x)"),
-            pat("(f ?x ?y)"),
-            // Var-rooted Scan mixed with bound-root patterns.
-            pat("?x"),
-            // Nested shape sharing the same root op.
-            pat("(f (f ?a ?b) ?c)"),
-            // Identical LHS registered twice (two rules, same trie leaf).
-            pat("(f ?x ?y)"),
-        ];
-        assert_trie_matches_per_pattern(&eg, &pats, &[1, 2, 5]);
-    }
-
-    #[test]
-    fn shared_budget_exhaustion_falls_back_to_exact_per_rule_search() {
-        // The explosive probe alone blows MATCH_WORK_BUDGET on this
-        // class (400×400 backtracking visits), so both the shared walk
-        // and the solo run truncate — the fallback must make the
-        // shared result byte-identical anyway, and the cheap rule
-        // sharing the branch must still see its full match set (no
-        // budget starvation from sharing).
-        let (eg, explosive) = explosive_workload(1, 400);
-        let cheap = pat("(g ?a ?b)");
-        let pats = [explosive, cheap];
-        assert_trie_matches_per_pattern(&eg, &pats, &[1]);
-    }
-
     #[test]
     fn skip_directive_prunes_but_keeps_other_rules_exact() {
         let (eg, explosive) = explosive_workload(2, 40);
-        let cheap = pat("(g ?a ?b)");
-        let prog = RuleSetProgram::compile(&[&explosive, &cheap]);
+        let cheap = pat("(g ?a ?b ?t)");
         let directives = [RuleDirective::Skip, RuleDirective::Limit(usize::MAX)];
-        let slots = prog.search_serial(&eg, &directives, &CancelToken::new(), None);
-        let (skipped, skipped_time) = slots[0].as_ref().unwrap();
-        assert!(skipped.is_empty(), "a Skip rule yields no matches");
-        assert_eq!(*skipped_time, std::time::Duration::ZERO);
-        let (matches, _) = slots[1].as_ref().unwrap();
-        assert_eq!(flat(matches), flat(&pat("(g ?a ?b)").search(&eg)));
+        for threads in [1, 2] {
+            let slots = search_rules(
+                &[&explosive, &cheap],
+                &eg,
+                &directives,
+                &CancelToken::new(),
+                None,
+                threads,
+            );
+            let (skipped, skipped_time) = slots[0].as_ref().unwrap();
+            assert!(skipped.is_empty(), "a Skip rule yields no matches");
+            assert_eq!(*skipped_time, Duration::ZERO);
+            let (matches, _) = slots[1].as_ref().unwrap();
+            assert_eq!(flat(matches), flat(&cheap.search_oracle(&eg)));
+        }
     }
 
     #[test]
     fn match_limit_directive_masks_at_class_boundary() {
+        // Ten classes with one match each: a limit stops the search
+        // once the total *exceeds* it, so the boundary class is kept.
         let mut eg = EG::default();
         for i in 0..10 {
             let a = eg.add(SymbolLang::leaf(format!("a{i}")));
@@ -1741,84 +689,21 @@ mod tests {
         }
         eg.rebuild();
         let p = pat("(g ?x ?y)");
-        let prog = RuleSetProgram::compile(&[&p]);
         for limit in [0usize, 3, 9, 100] {
-            let slots = prog.search_serial(
+            let slots = search_rules(
+                &[&p],
                 &eg,
                 &[RuleDirective::Limit(limit)],
                 &CancelToken::new(),
                 None,
+                1,
             );
             let (matches, _) = slots[0].as_ref().unwrap();
+            assert_eq!(matches.len(), (limit + 1).min(10), "limit={limit}");
             assert_eq!(
                 flat(matches),
-                flat(&p.search_with_limit(&eg, limit)),
+                flat(&p.search_oracle_with_limit(&eg, limit)),
                 "limit={limit}"
-            );
-        }
-    }
-
-    #[test]
-    fn cancelled_token_stops_shared_trie_within_one_quantum() {
-        let (eg, explosive) = explosive_workload(1, 400);
-        let cheap = pat("(g ?a ?b)");
-        let prog = RuleSetProgram::compile(&[&explosive, &cheap]);
-        let class = *eg
-            .classes_with_op(&SymbolLang::leaf("g").discriminant())
-            .first()
-            .unwrap();
-        let token = CancelToken::new();
-        token.cancel();
-        let ground = prog.resolve_shared_ground(&eg);
-        let masked = vec![false, false];
-        let mut node_live = prog.branch_live_counts(0, &masked);
-        let mut cap_undo = Vec::new();
-        let mut regs = vec![Id::from_index(0); prog.n_regs];
-        regs[0] = eg.find(class);
-        let mut found = vec![0usize; 2];
-        let mut outs = vec![Vec::new(), Vec::new()];
-        let mut machine = MultiMachine {
-            instr: &prog.instr,
-            plan_range: &prog.plan_range,
-            out_range: &prog.out_range,
-            plan_pool: &prog.plan_pool,
-            leaf_pool: &prog.leaf_pool,
-            parent: &prog.parent,
-            regs: &mut regs,
-            ground: &ground,
-            node_live: &mut node_live,
-            cap_undo: &mut cap_undo,
-            rule_slot: &prog.rule_slot,
-            masked: &masked,
-            found: &mut found,
-            live: 2,
-            out: &mut outs,
-            cancel: &token,
-        };
-        let start_budget = 10_000usize;
-        let mut budget = start_budget;
-        let outcome = machine.run_plan(&eg, prog.root_plan_range[0], &mut budget);
-        assert_eq!(outcome, RunOutcome::Cancelled);
-        let work_done = start_budget - budget;
-        assert!(
-            work_done <= CANCEL_CHECK_QUANTUM,
-            "a set token must stop the shared trie within one quantum, did {work_done} visits"
-        );
-    }
-
-    #[test]
-    fn pre_cancelled_shared_search_skips_every_rule() {
-        let (eg, explosive) = explosive_workload(4, 40);
-        let cheap = pat("(g ?a ?b)");
-        let prog = RuleSetProgram::compile(&[&explosive, &cheap]);
-        let directives = vec![RuleDirective::Limit(usize::MAX); 2];
-        let token = CancelToken::new();
-        token.cancel();
-        for threads in [1, 4] {
-            let slots = prog.search(&eg, &directives, &token, None, threads);
-            assert!(
-                slots.iter().all(Option::is_none),
-                "a pre-set token must report every rule as skipped"
             );
         }
     }
@@ -1826,23 +711,32 @@ mod tests {
     #[test]
     fn expired_deadline_skips_every_rule() {
         let (eg, explosive) = explosive_workload(4, 40);
-        let prog = RuleSetProgram::compile(&[&explosive]);
+        let cheap = pat("(g ?a ?b ?t)");
         // `past` requires strictly-greater, so an already-elapsed
         // instant is an expired deadline by the next check.
         let deadline = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
-        let slots = prog.search_serial(
-            &eg,
-            &[RuleDirective::Limit(usize::MAX)],
-            &CancelToken::new(),
-            Some(deadline),
-        );
-        assert!(slots.iter().all(Option::is_none));
+        let directives = [RuleDirective::Limit(usize::MAX); 2];
+        for threads in [1, 2] {
+            let slots = search_rules(
+                &[&explosive, &cheap],
+                &eg,
+                &directives,
+                &CancelToken::new(),
+                Some(deadline),
+                threads,
+            );
+            assert!(slots.iter().all(Option::is_none), "threads={threads}");
+        }
+        // The driver checks the deadline per class too, not only
+        // before a rule is claimed.
+        assert!(explosive
+            .search_interruptible(&eg, usize::MAX, &CancelToken::new(), Some(deadline))
+            .is_none());
     }
 
     #[test]
     fn mid_search_cancellation_stops_promptly() {
-        use std::time::{Duration, Instant};
         let (eg, p) = explosive_workload(80, 200);
         let start = Instant::now();
         let full = p.search(&eg);
@@ -1858,10 +752,10 @@ mod tests {
             })
         };
         let start = Instant::now();
-        let cancelled = p.search_with_limit_and_token(&eg, usize::MAX, &token);
+        let cancelled = p.search_interruptible(&eg, usize::MAX, &token, None);
         let cancelled_time = start.elapsed();
         canceller.join().unwrap();
-        assert!(cancelled.is_empty());
+        assert!(cancelled.is_none_or(|m| m.is_empty()));
         // Only discriminating when the full search is slow enough for
         // the 5 ms cancel to land mid-flight.
         if full_time > Duration::from_millis(50) {

@@ -7,7 +7,9 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::time::Instant;
 
+use crate::cancel::past;
 use crate::machine::{Program, RunOutcome};
 use crate::recexpr::{parse_sexp, Sexp};
 use crate::{
@@ -258,36 +260,41 @@ impl<L: Language> Pattern<L> {
         egraph: &EGraph<L, N>,
         limit: usize,
     ) -> Vec<SearchMatches> {
-        self.search_with_limit_and_token(egraph, limit, &CancelToken::new())
+        self.search_interruptible(egraph, limit, &CancelToken::new(), None)
+            .expect("a search without cancel token or deadline runs to completion")
     }
 
-    /// Like [`Pattern::search_with_limit`], with a cooperative
-    /// [`CancelToken`] checked *inside* the matching VM (every
-    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] e-node visits), so a
-    /// cancellation request stops even a single explosive rule search
-    /// promptly. Matches found before the cancellation are returned.
+    /// Like [`Pattern::search_with_limit`], but interruptible: the
+    /// [`CancelToken`] is polled *inside* the matching VM (every
+    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] e-node visits) and both
+    /// it and `deadline` are checked before every candidate class, so
+    /// even a single explosive rule search stops promptly. Returns
+    /// `None` if the search was interrupted — a partial match set is
+    /// never returned.
     ///
     /// # Panics
     ///
     /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
-    pub fn search_with_limit_and_token<N: Analysis<L>>(
+    pub(crate) fn search_interruptible<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         limit: usize,
         cancel: &CancelToken,
-    ) -> Vec<SearchMatches> {
+        deadline: Option<Instant>,
+    ) -> Option<Vec<SearchMatches>> {
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
         );
+        let interrupted = || cancel.is_cancelled() || past(deadline);
         let mut out = Vec::new();
         let mut total = 0usize;
         if self.program.is_scan() {
             // A bare-variable pattern matches every class with the
             // root variable bound to it (the VM's `Scan`).
             for class in egraph.classes() {
-                if cancel.is_cancelled() {
-                    break;
+                if interrupted() {
+                    return None;
                 }
                 out.push(SearchMatches {
                     eclass: class.id,
@@ -298,12 +305,12 @@ impl<L: Language> Pattern<L> {
                     break;
                 }
             }
-            return out;
+            return Some(out);
         }
         // Ground subterms resolve once per search; a missing one means
         // the pattern cannot match anywhere.
         let Some(ground) = self.program.resolve_ground_terms(egraph) else {
-            return out;
+            return Some(out);
         };
         let root_disc = match &self.ast[self.ast.root()] {
             ENodeOrVar::ENode(n) => n.discriminant(),
@@ -316,19 +323,22 @@ impl<L: Language> Pattern<L> {
             // The in-VM poll only triggers on budget quanta *within* a
             // class; checking here too keeps cancellation latency
             // bounded across runs of small classes.
-            if cancel.is_cancelled() {
-                break;
+            if interrupted() {
+                return None;
             }
             let (m, outcome) = self.run_vm_on_class(egraph, id, &ground, &mut regs, cancel);
+            if outcome == RunOutcome::Cancelled {
+                return None;
+            }
             if let Some(m) = m {
                 total += m.substs.len();
                 out.push(m);
             }
-            if outcome == RunOutcome::Cancelled || total > limit {
+            if total > limit {
                 break;
             }
         }
-        out
+        Some(out)
     }
 
     /// Searches one e-class for matches.
@@ -357,10 +367,8 @@ impl<L: Language> Pattern<L> {
     }
 
     /// Runs the compiled program on one candidate class and packages
-    /// surviving matches (canonicalized, sorted, deduplicated). Shared
-    /// with the relational backend, whose per-class confirmation step
-    /// must reproduce the per-pattern truncation byte for byte.
-    pub(crate) fn run_vm_on_class<N: Analysis<L>>(
+    /// surviving matches (canonicalized, sorted, deduplicated).
+    fn run_vm_on_class<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         eclass: Id,
@@ -436,21 +444,39 @@ impl<L: Language> Pattern<L> {
     ///
     /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
     pub fn search_oracle<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
+        self.search_oracle_with_limit(egraph, usize::MAX)
+    }
+
+    /// [`Pattern::search_oracle`] with the VM driver's limit semantics
+    /// (see [`Pattern::search_with_limit`]): classes in the same order,
+    /// stopping once more than `limit` substitutions were collected,
+    /// the boundary class kept whole.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
+    pub(crate) fn search_oracle_with_limit<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        limit: usize,
+    ) -> Vec<SearchMatches> {
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
         );
+        let candidates: Vec<Id> = match &self.ast[self.ast.root()] {
+            ENodeOrVar::ENode(root) => egraph.classes_with_op(&root.discriminant()).to_vec(),
+            ENodeOrVar::Var(_) => egraph.classes().map(|c| c.id).collect(),
+        };
         let mut out = Vec::new();
-        match &self.ast[self.ast.root()] {
-            ENodeOrVar::ENode(root) => {
-                for &id in egraph.classes_with_op(&root.discriminant()) {
-                    out.extend(self.search_eclass_oracle(egraph, id));
-                }
+        let mut total = 0usize;
+        for id in candidates {
+            if let Some(m) = self.search_eclass_oracle(egraph, id) {
+                total += m.substs.len();
+                out.push(m);
             }
-            ENodeOrVar::Var(_) => {
-                for class in egraph.classes() {
-                    out.extend(self.search_eclass_oracle(egraph, class.id));
-                }
+            if total > limit {
+                break;
             }
         }
         out

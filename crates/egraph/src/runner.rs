@@ -2,13 +2,12 @@
 //! statistics.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::backend::{make_backend, SearchBackend, SearchBackendKind};
 use crate::hash::FxHashMap;
-use crate::machine::RuleDirective;
+use crate::machine::{search_rules, RuleDirective};
 use crate::{Analysis, CancelToken, EGraph, Id, Language, RecExpr, Rewrite, SearchMatches, Symbol};
 
 /// Why a [`Runner`] stopped.
@@ -97,24 +96,14 @@ pub struct Iteration {
     pub apply_time: Duration,
     /// Time spent rebuilding.
     pub rebuild_time: Duration,
-    /// Time the search backend spent (re)building shared index
-    /// structures this iteration — the relational backend's
-    /// per-operator tuple stores. Zero for backends without a build
-    /// step and on iterations served from a still-valid cache. Counted
-    /// inside [`Iteration::search_time`] (the build happens in the
-    /// search phase); reported separately so backend comparisons can
-    /// attribute it.
-    pub relation_build_time: Duration,
     /// Unions performed by congruence repair during rebuild.
     pub n_rebuilds: usize,
     /// Rules *not* searched this iteration because the time limit or a
-    /// cancel request tripped mid-search. Skipped rules contribute no
-    /// matches and leave their [`RuleProfile`]s untouched, so per-rule
-    /// accounting only reflects searches that actually ran. Under the
-    /// shared multi-pattern search, a trip *mid-trie* reports every
-    /// rule of each not-fully-searched branch as skipped (partial
-    /// branch results are discarded), so the count never under-reports
-    /// which rules missed their search.
+    /// cancel request tripped mid-search. A rule whose own search the
+    /// trip interrupted counts as skipped too: its partial matches are
+    /// discarded. Skipped rules contribute no matches and leave their
+    /// [`RuleProfile`]s untouched, so per-rule accounting only reflects
+    /// searches that ran to completion.
     pub rules_skipped: usize,
 }
 
@@ -142,33 +131,21 @@ impl Default for RunnerLimits {
 /// Controls how often each rule is searched — the hook that implements
 /// backoff scheduling.
 ///
-/// The protocol is split into a read-only search and a mutable
-/// post-merge accounting step so the runner can fan
-/// [`RewriteScheduler::search_rewrite`] calls out across threads (the
-/// search phase only reads the e-graph): every rule of an iteration is
-/// searched first, then [`RewriteScheduler::finish_rewrite`] runs
-/// serially in rule-index order over the collected results. The split
-/// is behavior-preserving because each rule only consults its own
-/// stats, and a ban recorded during iteration `i` cannot start before
-/// iteration `i + 1`. `Send + Sync` is a supertrait so scheduler
-/// objects can be shared with the search workers.
-pub trait RewriteScheduler<L: Language, N: Analysis<L>>: Send + Sync {
-    /// Searches `rewrite` during `iteration`, possibly skipping or
-    /// truncating matches. `cancel` is the runner's cancellation
-    /// token; implementations should thread it into the search so a
-    /// request interrupts even a single explosive rule. Takes `&self`:
-    /// the runner may call this concurrently for different rules.
-    fn search_rewrite(
-        &self,
-        iteration: usize,
-        egraph: &EGraph<L, N>,
-        rewrite: &Rewrite<L, N>,
-        cancel: &CancelToken,
-    ) -> Vec<SearchMatches> {
-        let _ = iteration;
-        rewrite
-            .searcher()
-            .search_with_limit_and_token(egraph, usize::MAX, cancel)
+/// The protocol is split into a read-only directive and a mutable
+/// post-merge accounting step so the runner can fan the searches out
+/// across threads (the search phase only reads the e-graph): every
+/// rule of an iteration is searched as its
+/// [`RewriteScheduler::search_directive`] asks, then
+/// [`RewriteScheduler::finish_rewrite`] runs serially in rule-index
+/// order over the collected results. The split is behavior-preserving
+/// because each rule only consults its own stats, and a ban recorded
+/// during iteration `i` cannot start before iteration `i + 1`.
+pub trait RewriteScheduler<L: Language, N: Analysis<L>> {
+    /// Says how to search `rewrite` during `iteration`: skip it, or
+    /// search it with a substitution limit (default: no limit).
+    fn search_directive(&self, iteration: usize, rewrite: &Rewrite<L, N>) -> RuleDirective {
+        let _ = (iteration, rewrite);
+        RuleDirective::Limit(usize::MAX)
     }
 
     /// Records the outcome of one rule's search and returns the match
@@ -193,35 +170,13 @@ pub trait RewriteScheduler<L: Language, N: Analysis<L>>: Send + Sync {
         let _ = iteration;
         true
     }
-
-    /// Describes this scheduler's search of one rule this iteration,
-    /// *if* it is expressible as "skip, or search with a substitution
-    /// limit". When every rule answers `Some`, the runner may drive
-    /// the shared multi-pattern trie ([`RuleSetProgram`]) instead of
-    /// per-rule [`RewriteScheduler::search_rewrite`] calls — the match
-    /// sets handed to [`RewriteScheduler::finish_rewrite`] are
-    /// identical either way (see [`RuleSetProgram`]'s exactness
-    /// notes). Schedulers with bespoke search logic keep the default
-    /// `None`, which forces the per-rule path.
-    fn search_directive(&self, iteration: usize, rewrite: &Rewrite<L, N>) -> Option<RuleDirective> {
-        let _ = (iteration, rewrite);
-        None
-    }
 }
 
 /// A scheduler that always searches every rule exhaustively.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimpleScheduler;
 
-impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for SimpleScheduler {
-    fn search_directive(
-        &self,
-        _iteration: usize,
-        _rewrite: &Rewrite<L, N>,
-    ) -> Option<RuleDirective> {
-        Some(RuleDirective::Limit(usize::MAX))
-    }
-}
+impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for SimpleScheduler {}
 
 /// Exponential-backoff scheduler (like `egg`'s `BackoffScheduler`).
 ///
@@ -263,17 +218,6 @@ impl BackoffScheduler {
             ban_length: self.default_ban_length,
         })
     }
-
-    /// Read-only view of a rule's current (banned_until, allowed match
-    /// budget) — for the concurrent search phase, which must not touch
-    /// the stats table. Absent entries read as the defaults
-    /// `rule_stats` would install.
-    fn limits(&self, name: Symbol) -> (usize, usize) {
-        match self.stats.get(&name) {
-            Some(s) => (s.banned_until, s.match_limit << s.times_banned),
-            None => (0, self.default_match_limit),
-        }
-    }
 }
 
 impl Default for BackoffScheduler {
@@ -283,22 +227,21 @@ impl Default for BackoffScheduler {
 }
 
 impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for BackoffScheduler {
-    fn search_rewrite(
-        &self,
-        iteration: usize,
-        egraph: &EGraph<L, N>,
-        rewrite: &Rewrite<L, N>,
-        cancel: &CancelToken,
-    ) -> Vec<SearchMatches> {
-        let (banned_until, allowed) = self.limits(rewrite.name());
+    /// Skips a banned rule; otherwise bounds its search, so an
+    /// explosive rule costs at most `allowed` substitutions before
+    /// `finish_rewrite` bans it. Reads the stats table without
+    /// touching it: absent entries read as the defaults `rule_stats`
+    /// would install.
+    fn search_directive(&self, iteration: usize, rewrite: &Rewrite<L, N>) -> RuleDirective {
+        let (banned_until, allowed) = match self.stats.get(&rewrite.name()) {
+            Some(s) => (s.banned_until, s.match_limit << s.times_banned),
+            None => (0, self.default_match_limit),
+        };
         if iteration < banned_until {
-            return vec![];
+            RuleDirective::Skip
+        } else {
+            RuleDirective::Limit(allowed)
         }
-        // Bounded search: an explosive rule costs at most `allowed`
-        // substitutions before `finish_rewrite` bans it.
-        rewrite
-            .searcher()
-            .search_with_limit_and_token(egraph, allowed, cancel)
     }
 
     fn finish_rewrite(
@@ -325,15 +268,6 @@ impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for BackoffScheduler {
 
     fn can_stop(&mut self, iteration: usize) -> bool {
         self.stats.values().all(|s| iteration >= s.banned_until)
-    }
-
-    fn search_directive(&self, iteration: usize, rewrite: &Rewrite<L, N>) -> Option<RuleDirective> {
-        let (banned_until, allowed) = self.limits(rewrite.name());
-        Some(if iteration < banned_until {
-            RuleDirective::Skip
-        } else {
-            RuleDirective::Limit(allowed)
-        })
     }
 }
 
@@ -368,7 +302,6 @@ pub struct Runner<L: Language, N: Analysis<L> = ()> {
     cancel: CancelToken,
     iteration_hook: Option<IterationHook>,
     search_threads: usize,
-    backend: SearchBackendKind,
 }
 
 impl<L: Language, N: Analysis<L> + Default> Default for Runner<L, N> {
@@ -403,7 +336,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             cancel: CancelToken::new(),
             iteration_hook: None,
             search_threads: 1,
-            backend: SearchBackendKind::default(),
         }
     }
 
@@ -453,7 +385,8 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
 
     /// Attaches a shared cancellation flag. When another thread sets it,
     /// the run stops with [`StopReason::Cancelled`] at the next check
-    /// point (iteration boundary or between rules within an iteration).
+    /// point (iteration boundary, between rules, or inside a rule's
+    /// search).
     pub fn with_cancellation(mut self, flag: Arc<AtomicBool>) -> Self {
         self.cancel = CancelToken::from_flag(flag);
         self
@@ -485,35 +418,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         self
     }
 
-    /// Selects the e-matching strategy driving each iteration's rule
-    /// search (default [`SearchBackendKind::SharedTrie`]). The backend
-    /// is only engaged when the scheduler answers
-    /// `RewriteScheduler::search_directive` for every rule;
-    /// schedulers with bespoke search logic fall back to per-rule
-    /// `RewriteScheduler::search_rewrite` calls regardless of the
-    /// selection. Match sets are byte-identical across backends, so
-    /// this is a pure performance knob.
-    pub fn with_search_backend(mut self, backend: SearchBackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Enables or disables the shared multi-pattern search.
-    ///
-    /// Deprecated alias (since the search-backend refactor; will be
-    /// removed one release later): forwards to
-    /// [`Runner::with_search_backend`] with
-    /// [`SearchBackendKind::SharedTrie`] (`true`, the default) or
-    /// [`SearchBackendKind::PerPatternVm`] (`false`), which preserve
-    /// this knob's two historical behaviors byte for byte.
-    pub fn with_shared_search(self, enabled: bool) -> Self {
-        self.with_search_backend(if enabled {
-            SearchBackendKind::SharedTrie
-        } else {
-            SearchBackendKind::PerPatternVm
-        })
-    }
-
     /// Runs saturation with `rules` until a stop condition; returns
     /// `self` with statistics filled in.
     pub fn run(mut self, rules: &[Rewrite<L, N>]) -> Self
@@ -523,6 +427,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         N: Sync,
         N::Data: Sync,
     {
+        let patterns: Vec<_> = rules.iter().map(|r| r.searcher()).collect();
         let start = Instant::now();
         self.egraph.rebuild();
         let threads = match self.search_threads {
@@ -532,10 +437,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             n => n,
         }
         .min(rules.len().max(1));
-        // The selected backend is instantiated lazily, once per run,
-        // the first iteration the scheduler's directives allow it
-        // (compiling the trie / relational query plans exactly once).
-        let mut backend: Option<Box<dyn SearchBackend<L, N> + '_>> = None;
+        let deadline = start.checked_add(self.limits.time_limit);
         for iteration in 0..self.limits.iter_limit {
             if self.cancel.is_cancelled() {
                 self.stop_reason = Some(StopReason::Cancelled);
@@ -543,36 +445,23 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             }
             let search_start = Instant::now();
             // Search phase (time limit and cancellation enforced per
-            // rule — or per trie branch and class under the shared
-            // search — not only per iteration, so one explosive rule
-            // cannot stall the run or delay a cancel request). The
-            // searches only read the e-graph; scheduler state and
-            // profiles are updated afterwards, serially, in rule-index
-            // order, so the fan-out below never changes results.
-            let directives: Option<Vec<RuleDirective>> = rules
+            // rule and per candidate class, not only per iteration, so
+            // one explosive rule cannot stall the run or delay a cancel
+            // request). The searches only read the e-graph; scheduler
+            // state and profiles are updated afterwards, serially, in
+            // rule-index order, so the fan-out never changes results.
+            let directives: Vec<RuleDirective> = rules
                 .iter()
                 .map(|r| self.scheduler.search_directive(iteration, r))
                 .collect();
-            let (searched, relation_build_time) = match directives {
-                Some(directives) => {
-                    let backend = backend.get_or_insert_with(|| {
-                        let patterns: Vec<_> = rules.iter().map(|r| r.searcher()).collect();
-                        make_backend(self.backend, patterns)
-                    });
-                    let deadline = start.checked_add(self.limits.time_limit);
-                    let result =
-                        backend.search(&self.egraph, &directives, &self.cancel, deadline, threads);
-                    (result.slots, result.relation_build)
-                }
-                // A scheduler with bespoke search logic (any rule's
-                // directive is `None`) forces the legacy per-rule
-                // scheduler-driven path, whatever backend is selected.
-                None if threads > 1 => (
-                    self.search_parallel(rules, iteration, start, threads),
-                    Duration::ZERO,
-                ),
-                None => (self.search_serial(rules, iteration, start), Duration::ZERO),
-            };
+            let searched = search_rules(
+                &patterns,
+                &self.egraph,
+                &directives,
+                &self.cancel,
+                deadline,
+                threads,
+            );
             let search_time = search_start.elapsed();
 
             // Merge phase: serial, rule-index order, regardless of how
@@ -642,7 +531,6 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                 merge_time,
                 apply_time,
                 rebuild_time,
-                relation_build_time,
                 n_rebuilds,
                 rules_skipped,
             });
@@ -670,111 +558,12 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         self.stop_reason = Some(StopReason::IterLimit(self.limits.iter_limit));
         self
     }
-
-    /// Serial search phase: one rule at a time on the calling thread.
-    /// Breaks out as soon as the time limit or a cancel request trips —
-    /// the remaining rules stay `None` (skipped), instead of being
-    /// scanned just to push empty match vecs.
-    fn search_serial(
-        &self,
-        rules: &[Rewrite<L, N>],
-        iteration: usize,
-        start: Instant,
-    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>> {
-        let mut searched: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
-        searched.resize_with(rules.len(), || None);
-        for (slot, rule) in searched.iter_mut().zip(rules) {
-            if start.elapsed() > self.limits.time_limit || self.cancel.is_cancelled() {
-                break;
-            }
-            let rule_start = Instant::now();
-            let matches =
-                self.scheduler
-                    .search_rewrite(iteration, &self.egraph, rule, &self.cancel);
-            *slot = Some((matches, rule_start.elapsed()));
-        }
-        searched
-    }
-
-    /// Parallel search phase: `threads` scoped workers pull rule
-    /// indices from a shared atomic counter (work stealing — rule
-    /// costs vary by orders of magnitude) and search against the
-    /// shared immutable e-graph. Results land in per-rule slots, so
-    /// the caller's merge runs in rule-index order no matter which
-    /// worker searched what. Each worker checks the time limit and the
-    /// cancel token before every rule it claims.
-    fn search_parallel(
-        &self,
-        rules: &[Rewrite<L, N>],
-        iteration: usize,
-        start: Instant,
-        threads: usize,
-    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
-    where
-        L: Sync,
-        L::Discriminant: Sync,
-        N: Sync,
-        N::Data: Sync,
-    {
-        let next = AtomicUsize::new(0);
-        let egraph = &self.egraph;
-        let scheduler = &*self.scheduler;
-        let cancel = &self.cancel;
-        let time_limit = self.limits.time_limit;
-        let mut searched: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
-        searched.resize_with(rules.len(), || None);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let next = &next;
-                    scope.spawn(move || {
-                        let mut found = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= rules.len() {
-                                break;
-                            }
-                            if start.elapsed() > time_limit || cancel.is_cancelled() {
-                                break;
-                            }
-                            let rule_start = Instant::now();
-                            let matches =
-                                scheduler.search_rewrite(iteration, egraph, &rules[i], cancel);
-                            found.push((i, matches, rule_start.elapsed()));
-                        }
-                        found
-                    })
-                })
-                .collect();
-            // Join *every* worker before reacting to any panic.
-            // Unwinding out of this loop on the first Err would hit
-            // the scope's implicit join of the remaining threads; if
-            // one of those also panicked, panic-during-unwind aborts
-            // the whole process. Collect first, then re-raise one
-            // payload cleanly — the layer above (the service's
-            // per-job catch_unwind) turns it into a typed outcome.
-            let mut panicked = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(found) => {
-                        for (i, matches, elapsed) in found {
-                            searched[i] = Some((matches, elapsed));
-                        }
-                    }
-                    Err(payload) => panicked = panicked.or(Some(payload)),
-                }
-            }
-            if let Some(payload) = panicked {
-                std::panic::resume_unwind(payload);
-            }
-        });
-        searched
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::search_rules_slots;
     use crate::{AstSize, Extractor, SymbolLang};
 
     type RW = Rewrite<SymbolLang, ()>;
@@ -935,78 +724,82 @@ mod tests {
         }
     }
 
-    /// Cancels the shared token partway through an iteration's search
-    /// phase (after `after` rule searches), from inside a worker.
-    struct CancelMidSearch {
-        token: crate::CancelToken,
-        after: usize,
-        searches: AtomicUsize,
+    #[test]
+    fn deadline_mid_rule_skips_the_interrupted_rule() {
+        // The explosive probe takes far longer than the time limit, so
+        // the deadline trips while its search runs: the rule must count
+        // as skipped and its partial search must not reach a profile.
+        let (egraph, probe) = crate::machine::tests::explosive_workload(400, 200);
+        let rules = vec![
+            RW::new("probe", probe, "?x".parse().unwrap()),
+            RW::parse("cheap", "(g ?a ?b ?t)", "(g ?b ?a ?t)").unwrap(),
+        ];
+        for threads in [1, 2] {
+            let runner = Runner::default()
+                .with_egraph(egraph.clone())
+                .with_time_limit(Duration::from_millis(20))
+                .with_node_limit(usize::MAX)
+                .with_search_threads(threads)
+                .run(&rules);
+            assert!(matches!(runner.stop_reason, Some(StopReason::TimeLimit(_))));
+            let iteration = &runner.iterations[0];
+            assert!(iteration.rules_skipped >= 1, "threads={threads}");
+            assert!(
+                !runner.rule_profiles.contains_key(&Symbol::from("probe")),
+                "threads={threads}: an interrupted search must leave no profile"
+            );
+        }
     }
 
-    impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for CancelMidSearch {
-        fn search_rewrite(
-            &self,
-            _iteration: usize,
-            egraph: &EGraph<L, N>,
-            rewrite: &Rewrite<L, N>,
-            cancel: &CancelToken,
-        ) -> Vec<SearchMatches> {
-            if self.searches.fetch_add(1, Ordering::Relaxed) + 1 >= self.after {
-                self.token.cancel();
-            }
-            rewrite
-                .searcher()
-                .search_with_limit_and_token(egraph, usize::MAX, cancel)
+    /// A search closure for the fan-out that runs a real pattern search
+    /// and calls `hook` with the number of searches started so far.
+    fn counting_search<'a>(
+        egraph: &'a EGraph<SymbolLang, ()>,
+        rules: &'a [RW],
+        cancel: &'a CancelToken,
+        hook: impl Fn(usize) + Sync + 'a,
+    ) -> impl Fn(usize) -> Option<(Vec<SearchMatches>, Duration)> + Sync + 'a {
+        let searches = std::sync::atomic::AtomicUsize::new(0);
+        move |i| {
+            hook(searches.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1);
+            let matches =
+                rules[i]
+                    .searcher()
+                    .search_interruptible(egraph, usize::MAX, cancel, None)?;
+            Some((matches, Duration::ZERO))
         }
+    }
+
+    fn search_fixture() -> EGraph<SymbolLang, ()> {
+        let mut egraph = EGraph::default();
+        // Every rule's root operator occurs, so a search that starts
+        // after the trip has a class to be interrupted on.
+        egraph.add_expr(&"(* (+ a (+ b (+ c 0))) 1)".parse().unwrap());
+        egraph.rebuild();
+        egraph
     }
 
     #[test]
     fn parallel_mid_search_cancellation_stops_the_run() {
-        let token = crate::CancelToken::new();
-        let expr = "(+ a (+ b (+ c (+ d (+ e f)))))".parse().unwrap();
-        let runner = Runner::default()
-            .with_expr(&expr)
-            .with_scheduler(CancelMidSearch {
-                token: token.clone(),
-                after: 2,
-                searches: AtomicUsize::new(0),
-            })
-            .with_iter_limit(50)
-            .with_node_limit(1_000_000)
-            .with_cancellation(token.flag())
-            .with_search_threads(4)
-            .run(&math_rules());
-        assert_eq!(runner.stop_reason, Some(StopReason::Cancelled));
-        assert!(runner.iterations.len() <= 1);
-        if let Some(iter) = runner.iterations.first() {
-            // At least the rules claimed after the trip were skipped
-            // (workers check the token before every claim, so with 7
-            // rules and a trip after 2 searches some must remain).
-            assert!(iter.rules_skipped > 0, "expected skipped rules");
-        }
-    }
-
-    /// Panics from inside one worker's rule search after `after`
-    /// searches, leaving the other workers running normally.
-    struct PanicMidSearch {
-        after: usize,
-        searches: AtomicUsize,
-    }
-
-    impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for PanicMidSearch {
-        fn search_rewrite(
-            &self,
-            _iteration: usize,
-            egraph: &EGraph<L, N>,
-            rewrite: &Rewrite<L, N>,
-            cancel: &CancelToken,
-        ) -> Vec<SearchMatches> {
-            if self.searches.fetch_add(1, Ordering::Relaxed) + 1 >= self.after {
-                panic!("scheduler exploded on purpose");
-            }
-            rewrite
-                .searcher()
-                .search_with_limit_and_token(egraph, usize::MAX, cancel)
+        // The token trips inside the second rule search; every rule
+        // claimed after it (workers check before each claim) and the
+        // interrupted one itself must come back skipped.
+        let egraph = search_fixture();
+        let rules = math_rules();
+        for threads in [1, 4] {
+            let token = CancelToken::new();
+            let search = counting_search(&egraph, &rules, &token, |started| {
+                if started >= 2 {
+                    token.cancel();
+                }
+            });
+            let slots = search_rules_slots(rules.len(), threads, &token, None, search);
+            // Only the first search started before the trip.
+            let skipped = slots.iter().filter(|s| s.is_none()).count();
+            assert!(
+                skipped >= rules.len() - 1,
+                "threads={threads}: only {skipped} rules skipped"
+            );
         }
     }
 
@@ -1020,88 +813,20 @@ mod tests {
         // must observe an unwind carrying the original payload.
         for threads in [1, 4] {
             let result = std::panic::catch_unwind(|| {
-                let expr: RecExpr<SymbolLang> = "(+ a (+ b (+ c (+ d (+ e f)))))".parse().unwrap();
-                Runner::default()
-                    .with_expr(&expr)
-                    .with_scheduler(PanicMidSearch {
-                        after: 2,
-                        searches: AtomicUsize::new(0),
-                    })
-                    .with_search_threads(threads)
-                    .run(&math_rules())
+                let (egraph, rules, cancel) = (search_fixture(), math_rules(), CancelToken::new());
+                let search = counting_search(&egraph, &rules, &cancel, |started| {
+                    if started >= 2 {
+                        panic!("search exploded on purpose");
+                    }
+                });
+                search_rules_slots(rules.len(), threads, &cancel, None, search)
             });
-            let payload = result.expect_err("the scheduler panic must propagate");
+            let payload = result.expect_err("the search panic must propagate");
             let message = payload
                 .downcast_ref::<&str>()
                 .copied()
                 .expect("payload should be the original &str");
-            assert_eq!(
-                message, "scheduler exploded on purpose",
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn shared_search_is_identical_to_per_pattern() {
-        let expr: RecExpr<SymbolLang> = "(* (+ a (+ b (+ c (+ d 0)))) 1)".parse().unwrap();
-        // Tight backoff so bans fire: the shared trie must reproduce
-        // the per-pattern ban schedule (and everything downstream of
-        // it) exactly, at every thread count.
-        let run_with = |shared: bool, threads: usize| {
-            Runner::default()
-                .with_expr(&expr)
-                .with_scheduler(BackoffScheduler::new(4, 2))
-                .with_iter_limit(12)
-                .with_node_limit(20_000)
-                .with_shared_search(shared)
-                .with_search_threads(threads)
-                .run(&math_rules())
-        };
-        let baseline = run_with(false, 1);
-        for (shared, threads) in [(true, 1), (true, 2), (true, 4)] {
-            let candidate = run_with(shared, threads);
-            assert_eq!(
-                candidate.stop_reason, baseline.stop_reason,
-                "shared={shared} threads={threads}"
-            );
-            assert_eq!(candidate.iterations.len(), baseline.iterations.len());
-            for (c, b) in candidate.iterations.iter().zip(&baseline.iterations) {
-                assert_eq!(c.egraph_nodes, b.egraph_nodes);
-                assert_eq!(c.egraph_classes, b.egraph_classes);
-                assert_eq!(c.applied, b.applied);
-                assert_eq!(c.total_matches, b.total_matches);
-                assert_eq!(c.rules_skipped, 0);
-            }
-            let (b_cost, b_best) =
-                Extractor::new(&baseline.egraph, AstSize).find_best(baseline.roots[0]);
-            let (c_cost, c_best) =
-                Extractor::new(&candidate.egraph, AstSize).find_best(candidate.roots[0]);
-            assert_eq!(c_cost, b_cost);
-            assert_eq!(c_best.to_string(), b_best.to_string());
-        }
-    }
-
-    #[test]
-    fn shared_search_matches_simple_scheduler_too() {
-        let expr: RecExpr<SymbolLang> = "(+ a (+ b (+ c 0)))".parse().unwrap();
-        let run_with = |shared: bool| {
-            Runner::default()
-                .with_expr(&expr)
-                .with_scheduler(SimpleScheduler)
-                .with_iter_limit(4)
-                .with_node_limit(50_000)
-                .with_shared_search(shared)
-                .run(&math_rules())
-        };
-        let per_pattern = run_with(false);
-        let shared = run_with(true);
-        assert_eq!(shared.stop_reason, per_pattern.stop_reason);
-        assert_eq!(shared.iterations.len(), per_pattern.iterations.len());
-        for (s, p) in shared.iterations.iter().zip(&per_pattern.iterations) {
-            assert_eq!(s.egraph_nodes, p.egraph_nodes);
-            assert_eq!(s.applied, p.applied);
-            assert_eq!(s.total_matches, p.total_matches);
+            assert_eq!(message, "search exploded on purpose", "threads={threads}");
         }
     }
 
@@ -1112,21 +837,18 @@ mod tests {
         // exceed the reported search phase time (it used to, because
         // `search_time` silently included the post-join merge loop).
         let expr: RecExpr<SymbolLang> = "(* (+ a (+ b (+ c (+ d 0)))) 1)".parse().unwrap();
-        for shared in [true, false] {
-            let runner = Runner::default()
-                .with_expr(&expr)
-                .with_iter_limit(8)
-                .with_node_limit(20_000)
-                .with_shared_search(shared)
-                .run(&math_rules());
-            let phase_total: Duration = runner.iterations.iter().map(|i| i.search_time).sum();
-            let rule_total: Duration = runner.rule_profiles.values().map(|p| p.search_time).sum();
-            assert!(
-                rule_total <= phase_total,
-                "shared={shared}: per-rule search times ({rule_total:?}) exceed the \
-                 search phase total ({phase_total:?})"
-            );
-        }
+        let runner = Runner::default()
+            .with_expr(&expr)
+            .with_iter_limit(8)
+            .with_node_limit(20_000)
+            .run(&math_rules());
+        let phase_total: Duration = runner.iterations.iter().map(|i| i.search_time).sum();
+        let rule_total: Duration = runner.rule_profiles.values().map(|p| p.search_time).sum();
+        assert!(
+            rule_total <= phase_total,
+            "per-rule search times ({rule_total:?}) exceed the search phase total \
+             ({phase_total:?})"
+        );
     }
 
     #[test]

@@ -13,9 +13,6 @@
 //!   --search-threads N threads for each job's in-saturation rule search
 //!                      (default 1 = serial; 0 = one per CPU; results are
 //!                      byte-identical at any value, works with --serial too)
-//!   --search-backend B e-matching strategy: per-pattern | shared-trie
-//!                      (default) | relational; results are byte-identical
-//!                      across backends, only the timing differs
 //!   --serial           run inline on one thread, bypassing the pool and cache
 //!   --deadline-ms N    per-job deadline; expired jobs are cancelled
 //!   --params P         default | small | lightweight
@@ -41,7 +38,7 @@ use std::time::Duration;
 
 use boole::json::{Json, ToJson};
 use boole::telemetry::{Telemetry, TelemetrySink};
-use boole::{BooleParams, SearchBackendKind};
+use boole::BooleParams;
 use boole_service::{
     run_spec_serial_observed, GenSpec, JobOutcome, JobSpec, Service, ServiceConfig, ShedPolicy,
 };
@@ -68,7 +65,6 @@ impl TelemetrySinkArg {
 struct Options {
     workers: Option<usize>,
     search_threads: Option<usize>,
-    search_backend: Option<SearchBackendKind>,
     serial: bool,
     deadline: Option<Duration>,
     params: BooleParams,
@@ -89,7 +85,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
     let mut opts = Options {
         workers: None,
         search_threads: None,
-        search_backend: None,
         serial: false,
         deadline: None,
         params: BooleParams::default(),
@@ -116,14 +111,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
                 opts.search_threads = Some(
                     v.parse()
                         .map_err(|e| format!("bad --search-threads: {e}"))?,
-                );
-                i += 2;
-            }
-            "--search-backend" => {
-                let v = args.get(i + 1).ok_or("--search-backend needs a value")?;
-                opts.search_backend = Some(
-                    v.parse()
-                        .map_err(|e| format!("bad --search-backend: {e}"))?,
                 );
                 i += 2;
             }
@@ -233,9 +220,6 @@ fn make_spec(source_spec: JobSpec, opts: &Options) -> JobSpec {
         // Per-spec, not via ServiceConfig, so --serial (which bypasses
         // the service) honors the flag identically.
         params = params.with_search_threads(threads);
-    }
-    if let Some(backend) = opts.search_backend {
-        params = params.with_search_backend(backend);
     }
     let mut spec = source_spec.with_params(params);
     if let Some(deadline) = opts.deadline {
@@ -361,7 +345,6 @@ fn usage() -> String {
      netlists: .aag (ASCII AIGER), .aig (binary AIGER), .blif, .v (structural Verilog);\n\
      \x20         batch mixes formats freely\n\
      options: --workers N --search-threads N --serial --deadline-ms N\n\
-     \x20        --search-backend per-pattern|shared-trie|relational\n\
      \x20        --params default|small|lightweight\n\
      \x20        --cache-dir DIR --no-cache --no-timing --compact\n\
      \x20        --max-retries N (transient-failure retry budget)\n\
@@ -594,49 +577,9 @@ mod tests {
     }
 
     #[test]
-    fn search_backend_flag_parses_all_names_and_aliases() {
-        for (value, expected) in [
-            ("per-pattern", SearchBackendKind::PerPatternVm),
-            ("per-pattern-vm", SearchBackendKind::PerPatternVm),
-            ("shared-trie", SearchBackendKind::SharedTrie),
-            ("trie", SearchBackendKind::SharedTrie),
-            ("relational", SearchBackendKind::Relational),
-        ] {
-            let (opts, positional) =
-                parse_args(&strings(&["csa:4", "--search-backend", value])).unwrap();
-            assert_eq!(opts.search_backend, Some(expected), "value {value}");
-            assert_eq!(positional, strings(&["csa:4"]));
-        }
-        // Composes with the orthogonal search knobs and --serial.
-        let (opts, _) = parse_args(&strings(&[
-            "--serial",
-            "--search-backend",
-            "relational",
-            "--search-threads",
-            "2",
-        ]))
-        .unwrap();
-        assert!(opts.serial);
-        assert_eq!(opts.search_backend, Some(SearchBackendKind::Relational));
-        assert_eq!(opts.search_threads, Some(2));
-
-        assert!(parse_args(&strings(&["--search-backend"]))
-            .err()
-            .unwrap()
-            .contains("needs a value"));
-        let err = parse_args(&strings(&["--search-backend", "quantum"]))
-            .err()
-            .unwrap();
-        assert!(err.contains("bad --search-backend"), "got: {err}");
-        assert!(err.contains("quantum"), "got: {err}");
-    }
-
-    #[test]
     fn old_cli_invocations_parse_byte_identically() {
-        // Deprecation pin: every pre-refactor invocation (no
-        // --search-backend flag) must keep parsing exactly as before —
-        // same options, same positionals, same default backend (the
-        // shared trie, via SaturateParams' effective_backend).
+        // Options interleave with positionals, and the spec carries
+        // the parsed search-thread count.
         let (opts, positional) = parse_args(&strings(&[
             "csa:4",
             "--workers",
@@ -648,14 +591,9 @@ mod tests {
         .unwrap();
         assert_eq!(opts.workers, Some(2));
         assert_eq!(opts.search_threads, Some(4));
-        assert_eq!(opts.search_backend, None);
         assert_eq!(positional, strings(&["csa:4", "booth:4"]));
         let spec = make_spec(JobSpec::generated(GenSpec::parse("csa:4").unwrap()), &opts);
-        assert_eq!(
-            spec.params.saturate.effective_backend(),
-            SearchBackendKind::SharedTrie,
-        );
-        assert!(spec.params.saturate.shared_search);
+        assert_eq!(spec.params.saturate.search_threads, 4);
     }
 
     #[test]

@@ -333,7 +333,6 @@ mod tests {
                 merge_time: Duration::ZERO,
                 apply_time: Duration::ZERO,
                 rebuild_time: Duration::ZERO,
-                relation_build_time: Duration::ZERO,
                 total_matches: 0,
                 rules: Vec::new(),
             },

@@ -468,10 +468,6 @@ impl JobOutcome {
             pairs.push(("merge_ms".to_owned(), Json::duration_ms(sat.merge_time)));
             pairs.push(("apply_ms".to_owned(), Json::duration_ms(sat.apply_time)));
             pairs.push(("rebuild_ms".to_owned(), Json::duration_ms(sat.rebuild_time)));
-            pairs.push((
-                "relation_build_ms".to_owned(),
-                Json::duration_ms(sat.relation_build_time),
-            ));
             pairs.push(("total_matches".to_owned(), Json::from(sat.total_matches)));
         }
         Json::Obj(pairs)
@@ -584,7 +580,6 @@ mod tests {
                             merge_time: Duration::ZERO,
                             apply_time: Duration::ZERO,
                             rebuild_time: Duration::ZERO,
-                            relation_build_time: Duration::ZERO,
                             total_matches: n1 + n2,
                             rules: Vec::new(),
                         },

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use boole::json::{Json, ToJson};
 use boole::telemetry::{CacheTier, EventKind, TelemetrySink};
-use boole::{BoolE, CancelToken, PhaseEvent, SearchBackendKind};
+use boole::{BoolE, CancelToken, PhaseEvent};
 use egraph::hash::FxHashMap;
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
@@ -102,13 +102,6 @@ pub struct ServiceConfig {
     /// Results are byte-identical at any setting, so this never
     /// affects cache keys or reproducibility.
     pub search_threads: Option<usize>,
-    /// When set, every accepted job's saturation search runs on this
-    /// backend, overriding whatever the spec's params carry — the
-    /// operator-policy companion to [`ServiceConfig::search_threads`].
-    /// All backends produce byte-identical results, so this never
-    /// affects cache keys or reproducibility. `None` (the default)
-    /// leaves each spec's own `SaturateParams.search_backend` alone.
-    pub search_backend: Option<SearchBackendKind>,
     /// Overload behavior of [`Service::submit`]; the default blocks.
     pub shed_policy: ShedPolicy,
     /// Retry budget for transiently-failing jobs (I/O errors loading a
@@ -139,7 +132,6 @@ impl Default for ServiceConfig {
             cache_dir: None,
             telemetry: None,
             search_threads: None,
-            search_backend: None,
             shed_policy: ShedPolicy::Block,
             max_retries: 2,
             retry_base: Duration::from_millis(25),
@@ -179,13 +171,6 @@ impl ServiceConfig {
     /// [`ServiceConfig::search_threads`].
     pub fn with_search_threads(mut self, threads: usize) -> Self {
         self.search_threads = Some(threads);
-        self
-    }
-
-    /// Runs every job's saturation search on `backend`. See
-    /// [`ServiceConfig::search_backend`].
-    pub fn with_search_backend(mut self, backend: SearchBackendKind) -> Self {
-        self.search_backend = Some(backend);
         self
     }
 
@@ -581,7 +566,6 @@ pub struct Service {
     watchdog: Option<JoinHandle<()>>,
     next_id: AtomicU64,
     search_threads: Option<usize>,
-    search_backend: Option<SearchBackendKind>,
     shed_policy: ShedPolicy,
 }
 
@@ -647,7 +631,6 @@ impl Service {
             watchdog: Some(watchdog),
             next_id: AtomicU64::new(1),
             search_threads: config.search_threads,
-            search_backend: config.search_backend,
             shed_policy: config.shed_policy,
         }
     }
@@ -661,10 +644,6 @@ impl Service {
         spec.params = std::mem::take(&mut spec.params).with_cancel_token(cancel.clone());
         if let Some(threads) = self.search_threads {
             spec.params.saturate.search_threads = threads;
-        }
-        if let Some(backend) = self.search_backend {
-            spec.params.saturate =
-                std::mem::take(&mut spec.params.saturate).with_search_backend(backend);
         }
         Arc::new(JobState {
             id,
@@ -680,8 +659,19 @@ impl Service {
         })
     }
 
-    /// Accounts an accepted job: deadline registration + counters +
-    /// the `job_submitted` event.
+    /// Publishes a job's `job_submitted` event. Callers publish it
+    /// before the job can reach a worker, whose `job_started` must
+    /// follow it in the stream.
+    fn publish_submitted(&self, state: &JobState) {
+        if let Some(telemetry) = &self.shared.telemetry {
+            telemetry.events.publish(EventKind::JobSubmitted {
+                job: state.id,
+                label: state.label.clone(),
+            });
+        }
+    }
+
+    /// Accounts an accepted job: deadline registration + counters.
     fn register(&self, deadline: Option<Duration>, state: &Arc<JobState>) {
         if let Some(deadline) = deadline {
             // Poison recovery: the heap is valid after any partial
@@ -699,10 +689,6 @@ impl Service {
             .submitted
             .fetch_add(1, Ordering::Relaxed);
         if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.events.publish(EventKind::JobSubmitted {
-                job: state.id,
-                label: state.label.clone(),
-            });
             telemetry.metrics.counter("jobs_submitted").inc();
             telemetry.metrics.gauge("queue_depth").add(1);
         }
@@ -728,14 +714,16 @@ impl Service {
     fn submit_with_policy(&self, mut spec: JobSpec, policy: ShedPolicy) -> JobHandle {
         let state = self.make_state(&mut spec);
         let deadline = spec.deadline;
-        match faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT) {
+        let injected = match faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT) {
             Some(FaultAction::Panic) => {
                 panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
             }
-            Some(FaultAction::Error | FaultAction::Corrupt) => {
-                return self.reject(&state, RejectReason::Injected);
-            }
-            None => {}
+            Some(FaultAction::Error | FaultAction::Corrupt) => true,
+            None => false,
+        };
+        self.publish_submitted(&state);
+        if injected {
+            return self.reject(&state, RejectReason::Injected);
         }
         let sender = self.sender.as_ref().expect("service alive");
         match policy {
@@ -785,9 +773,9 @@ impl Service {
 
     /// Resolves a job as terminally rejected without queueing it.
     /// Rejected jobs still count as submitted (so the accounting
-    /// invariant `submitted == terminal outcomes` holds) and emit the
-    /// usual submitted/done event pair, but never touch the deadline
-    /// heap or the queue-depth gauge.
+    /// invariant `submitted == terminal outcomes` holds) and close the
+    /// caller's `job_submitted` event with the usual `job_done`, but
+    /// never touch the deadline heap or the queue-depth gauge.
     fn reject(&self, state: &Arc<JobState>, reason: RejectReason) -> JobHandle {
         self.shared
             .counters
@@ -796,10 +784,6 @@ impl Service {
         self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         let outcome = state.finalize(JobVerdict::Rejected { reason }, false);
         if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.events.publish(EventKind::JobSubmitted {
-                job: state.id,
-                label: state.label.clone(),
-            });
             telemetry.metrics.counter("jobs_submitted").inc();
             publish_job_done(telemetry, &outcome);
         }
@@ -835,6 +819,7 @@ impl Service {
             .try_send((spec, Arc::clone(&state)))
         {
             Ok(()) => {
+                self.publish_submitted(&state);
                 self.register(deadline, &state);
                 Ok(JobHandle { state })
             }
@@ -1247,7 +1232,6 @@ fn execute_job(
                 nodes,
                 classes,
                 matches,
-                relation_build,
             } => {
                 telemetry.events.publish(EventKind::Iteration {
                     job: job_id,
@@ -1256,7 +1240,6 @@ fn execute_job(
                     nodes: *nodes,
                     classes: *classes,
                     matches: *matches,
-                    relation_build: *relation_build,
                 });
                 telemetry.metrics.gauge("egraph_nodes").set(*nodes as i64);
                 telemetry
@@ -1326,8 +1309,7 @@ fn execute_job(
     };
     let summary = Arc::new(ResultSummary::from(&result));
     if let Some(telemetry) = telemetry {
-        // Per-rule search-time profile into the histogram the
-        // relational-matching work will be measured against.
+        // Per-rule search-time profile into its histogram.
         let hist = telemetry.metrics.histogram("rule_search_ms");
         for rule in &summary.saturation.rules {
             hist.observe(rule.search_time);
