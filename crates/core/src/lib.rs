@@ -41,9 +41,7 @@ pub use extract::{extract_dag, DagChoice, DagExtraction};
 pub use json::{FromJson, Json, JsonError, ToJson};
 pub use lang::{BoolLang, BoolOp};
 pub use pair::{pair_full_adders, PairStats};
-pub use pipeline::{
-    BoolE, BooleParams, BooleResult, Cancelled, Phase, PhaseCallback, PhaseEvent, RecoveredFa,
-};
+pub use pipeline::{BoolE, BooleParams, BooleResult, Cancelled, Phase, RecoveredFa};
 pub use reconstruct::reconstruct_aig;
 pub use saturate::{
     saturate, saturate_observed, IterationObserver, RuleSummary, SaturateParams, SaturationStats,

@@ -3,7 +3,6 @@
 //! reconstruction.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -15,7 +14,8 @@ use crate::extract::extract_dag;
 use crate::pair::{pair_full_adders, PairStats};
 use crate::reconstruct::reconstruct_aig;
 pub use crate::reconstruct::RecoveredFa;
-use crate::saturate::{SaturateParams, SaturationStats};
+use crate::saturate::{IterationObserver, SaturateParams, SaturationStats};
+use crate::telemetry::{EventKind, TelemetrySink};
 
 /// A stage of the BoolE pipeline, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,40 +59,6 @@ impl fmt::Display for Phase {
         f.write_str(self.name())
     }
 }
-
-/// Progress notification emitted by [`BoolE::try_run`] around each
-/// pipeline phase.
-#[derive(Debug, Clone)]
-pub enum PhaseEvent {
-    /// The phase is about to run.
-    Started(Phase),
-    /// The phase completed, taking `elapsed`.
-    Finished {
-        /// Which phase finished.
-        phase: Phase,
-        /// Wall-clock time the phase took.
-        elapsed: Duration,
-    },
-    /// One saturation iteration completed (emitted between the
-    /// [`Phase::Saturate`] `Started`/`Finished` pair — fine-grained
-    /// progress for the longest phase).
-    Iteration {
-        /// Which ruleset phase is running (`"r1"` or `"r2"`).
-        ruleset: &'static str,
-        /// Zero-based iteration index within the ruleset phase.
-        index: usize,
-        /// E-nodes after the iteration.
-        nodes: usize,
-        /// E-classes after the iteration.
-        classes: usize,
-        /// Substitutions found this iteration (post-scheduling).
-        matches: usize,
-    },
-}
-
-/// Observer callback for [`PhaseEvent`]s. Must be `Send + Sync`: the
-/// service invokes it from worker threads.
-pub type PhaseCallback = Arc<dyn Fn(&PhaseEvent) + Send + Sync>;
 
 /// Error returned by [`BoolE::try_run`] when the run's [`CancelToken`]
 /// fired before the pipeline completed.
@@ -153,15 +119,8 @@ impl BooleParams {
         self
     }
 
-    /// Attaches a shared cancellation flag, plumbed through to both
-    /// saturation phases and checked between pipeline phases.
-    pub fn with_cancellation(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.saturate.cancel = CancelToken::from_flag(flag);
-        self
-    }
-
-    /// Attaches a [`CancelToken`] (equivalent to
-    /// [`BooleParams::with_cancellation`]).
+    /// Attaches a [`CancelToken`], plumbed through to both saturation
+    /// phases and checked between pipeline phases.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.saturate.cancel = token;
         self
@@ -212,19 +171,11 @@ impl BooleResult {
 /// // Pre-mapping, the full adder tree is recovered completely.
 /// assert_eq!(result.exact_fa_count(), aig::gen::csa_fa_upper_bound(3));
 /// ```
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct BoolE {
     params: BooleParams,
-    on_phase: Option<PhaseCallback>,
-}
-
-impl fmt::Debug for BoolE {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BoolE")
-            .field("params", &self.params)
-            .field("on_phase", &self.on_phase.as_ref().map(|_| "<callback>"))
-            .finish()
-    }
+    /// Where progress events go, and the job id they are tagged with.
+    telemetry: Option<(TelemetrySink, u64)>,
 }
 
 impl BoolE {
@@ -232,22 +183,20 @@ impl BoolE {
     pub fn new(params: BooleParams) -> Self {
         Self {
             params,
-            on_phase: None,
+            telemetry: None,
         }
     }
 
-    /// Registers an observer invoked with a [`PhaseEvent`] before and
-    /// after every pipeline phase (from the thread running the
-    /// pipeline).
-    pub fn with_phase_callback(mut self, callback: PhaseCallback) -> Self {
-        self.on_phase = Some(callback);
+    /// Publishes the run's progress on `sink`, tagged with `job`:
+    /// `phase_started`/`phase_finished` around every pipeline phase
+    /// (plus the `phase_<name>_ms` histograms) and one `iteration`
+    /// event per saturation iteration (plus the `egraph_nodes`/
+    /// `egraph_classes` gauges). Events are published from the thread
+    /// running the pipeline; telemetry is passive, so attaching it
+    /// never changes the result.
+    pub fn with_telemetry(mut self, sink: TelemetrySink, job: u64) -> Self {
+        self.telemetry = Some((sink, job));
         self
-    }
-
-    fn emit(&self, event: PhaseEvent) {
-        if let Some(cb) = &self.on_phase {
-            cb(&event);
-        }
     }
 
     /// Runs one phase with progress events, bailing out first if the
@@ -262,13 +211,25 @@ impl BoolE {
         if cancel.is_cancelled() {
             return Err(Cancelled { phase });
         }
-        self.emit(PhaseEvent::Started(phase));
+        if let Some((sink, job)) = &self.telemetry {
+            sink.events.publish(EventKind::PhaseStarted {
+                job: *job,
+                phase: phase.name(),
+            });
+        }
         let start = Instant::now();
         let out = f();
-        self.emit(PhaseEvent::Finished {
-            phase,
-            elapsed: start.elapsed(),
-        });
+        if let Some((sink, job)) = &self.telemetry {
+            let elapsed = start.elapsed();
+            sink.events.publish(EventKind::PhaseFinished {
+                job: *job,
+                phase: phase.name(),
+                elapsed,
+            });
+            sink.metrics
+                .histogram(&format!("phase_{phase}_ms"))
+                .observe(elapsed);
+        }
         Ok(out)
     }
 
@@ -301,24 +262,30 @@ impl BoolE {
     fn run_pipeline(&self, netlist: &Aig, cancel: &CancelToken) -> Result<BooleResult, Cancelled> {
         let start = Instant::now();
         let net = self.phase(Phase::Convert, cancel, || aig_to_egraph(netlist))?;
-        // Forward per-iteration progress through the phase callback, so
-        // observers see saturation advance inside its Started/Finished
-        // bracket. The observer is passive: attaching it cannot change
-        // the run.
-        let observer: Option<crate::saturate::IterationObserver> =
-            self.on_phase.clone().map(|cb| {
-                Arc::new(
-                    move |ruleset: &'static str, index: usize, it: &egraph::Iteration| {
-                        cb(&PhaseEvent::Iteration {
-                            ruleset,
-                            index,
-                            nodes: it.egraph_nodes,
-                            classes: it.egraph_classes,
-                            matches: it.total_matches,
-                        });
-                    },
-                ) as crate::saturate::IterationObserver
-            });
+        // Publish per-iteration progress, so observers see saturation
+        // advance inside its phase_started/phase_finished bracket.
+        let observer = self.telemetry.clone().map(|(sink, job)| {
+            Arc::new(move |ruleset, index, it: &egraph::Iteration| {
+                sink.events.publish(EventKind::Iteration {
+                    job,
+                    ruleset,
+                    index,
+                    nodes: it.egraph_nodes,
+                    classes: it.egraph_classes,
+                    matches: it.total_matches,
+                    search_time: it.search_time,
+                    merge_time: it.merge_time,
+                    apply_time: it.apply_time,
+                    rebuild_time: it.rebuild_time,
+                });
+                sink.metrics
+                    .gauge("egraph_nodes")
+                    .set(it.egraph_nodes as i64);
+                sink.metrics
+                    .gauge("egraph_classes")
+                    .set(it.egraph_classes as i64);
+            }) as IterationObserver
+        });
         let (mut net, saturation) = self.phase(Phase::Saturate, cancel, || {
             crate::saturate::saturate_observed(net, &self.params.saturate, observer)
         })?;
@@ -439,24 +406,39 @@ mod tests {
         assert!(random_equiv_check(&mapped, &result.reconstructed, 8, 0xEA));
     }
 
-    #[test]
-    fn phase_events_cover_all_phases_in_order() {
-        use std::sync::Mutex;
-        let events: Arc<Mutex<Vec<String>>> = Arc::default();
-        let sink = Arc::clone(&events);
-        let engine = BoolE::new(BooleParams::small()).with_phase_callback(Arc::new(move |e| {
-            let tag = match e {
-                PhaseEvent::Started(p) => format!("start:{p}"),
-                PhaseEvent::Finished { phase, .. } => format!("end:{phase}"),
-                // Iteration events interleave inside the saturate
-                // bracket; this test checks the coarse structure only.
-                PhaseEvent::Iteration { .. } => return,
-            };
-            sink.lock().unwrap().push(tag);
-        }));
+    /// Runs `csa:3` with telemetry attached and tags every published
+    /// event as `start:<phase>`, `end:<phase>` or `iter:<ruleset>:<index>`.
+    fn event_tags() -> Vec<String> {
+        use crate::telemetry::Telemetry;
+        let sink = Arc::new(Telemetry::new());
+        let engine = BoolE::new(BooleParams::small()).with_telemetry(Arc::clone(&sink), 7);
         let result = engine.try_run(&csa_multiplier(3)).unwrap();
         assert!(result.exact_fa_count() >= 1);
-        let seen = events.lock().unwrap().clone();
+        sink.events
+            .drain()
+            .into_iter()
+            .map(|e| match e.kind {
+                EventKind::PhaseStarted { job: 7, phase } => format!("start:{phase}"),
+                EventKind::PhaseFinished { job: 7, phase, .. } => format!("end:{phase}"),
+                EventKind::Iteration {
+                    job: 7,
+                    ruleset,
+                    index,
+                    ..
+                } => format!("iter:{ruleset}:{index}"),
+                kind => panic!("unexpected pipeline event {kind:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn phase_events_cover_all_phases_in_order() {
+        // Iteration events interleave inside the saturate bracket; this
+        // test checks the coarse structure only.
+        let seen: Vec<String> = event_tags()
+            .into_iter()
+            .filter(|t| !t.starts_with("iter:"))
+            .collect();
         let expected: Vec<String> = Phase::ALL
             .iter()
             .flat_map(|p| [format!("start:{p}"), format!("end:{p}")])
@@ -466,19 +448,7 @@ mod tests {
 
     #[test]
     fn iteration_events_arrive_inside_the_saturate_bracket() {
-        use std::sync::Mutex;
-        let events: Arc<Mutex<Vec<String>>> = Arc::default();
-        let sink = Arc::clone(&events);
-        let engine = BoolE::new(BooleParams::small()).with_phase_callback(Arc::new(move |e| {
-            let tag = match e {
-                PhaseEvent::Started(p) => format!("start:{p}"),
-                PhaseEvent::Finished { phase, .. } => format!("end:{phase}"),
-                PhaseEvent::Iteration { ruleset, index, .. } => format!("iter:{ruleset}:{index}"),
-            };
-            sink.lock().unwrap().push(tag);
-        }));
-        engine.try_run(&csa_multiplier(3)).unwrap();
-        let seen = events.lock().unwrap().clone();
+        let seen = event_tags();
         let start = seen.iter().position(|t| t == "start:saturate").unwrap();
         let end = seen.iter().position(|t| t == "end:saturate").unwrap();
         let iters: Vec<usize> = seen

@@ -95,6 +95,14 @@ pub enum EventKind {
         classes: usize,
         /// Substitutions found this iteration (post-scheduling).
         matches: usize,
+        /// Time the iteration spent in the rule-search fan-out.
+        search_time: Duration,
+        /// Time spent merging search results after the fan-out joined.
+        merge_time: Duration,
+        /// Time spent applying matches.
+        apply_time: Duration,
+        /// Time spent rebuilding (congruence repair).
+        rebuild_time: Duration,
     },
     /// A cache tier answered a lookup.
     CacheHit {
@@ -210,10 +218,7 @@ impl TelemetryEvent {
             } => {
                 push("job", Json::Int(*job as i64));
                 push("phase", Json::str(*phase));
-                push(
-                    "elapsed_us",
-                    Json::Int(i64::try_from(elapsed.as_micros()).unwrap_or(i64::MAX)),
-                );
+                push("elapsed_us", micros(*elapsed));
             }
             EventKind::Iteration {
                 job,
@@ -222,6 +227,10 @@ impl TelemetryEvent {
                 nodes,
                 classes,
                 matches,
+                search_time,
+                merge_time,
+                apply_time,
+                rebuild_time,
             } => {
                 push("job", Json::Int(*job as i64));
                 push("ruleset", Json::str(*ruleset));
@@ -229,6 +238,10 @@ impl TelemetryEvent {
                 push("nodes", Json::Int(*nodes as i64));
                 push("classes", Json::Int(*classes as i64));
                 push("matches", Json::Int(*matches as i64));
+                push("search_us", micros(*search_time));
+                push("merge_us", micros(*merge_time));
+                push("apply_us", micros(*apply_time));
+                push("rebuild_us", micros(*rebuild_time));
             }
             EventKind::CacheHit { job, tier } => {
                 push("job", Json::Int(*job as i64));
@@ -247,10 +260,7 @@ impl TelemetryEvent {
             } => {
                 push("job", Json::Int(*job as i64));
                 push("attempt", Json::Int(i64::from(*attempt)));
-                push(
-                    "delay_us",
-                    Json::Int(i64::try_from(delay.as_micros()).unwrap_or(i64::MAX)),
-                );
+                push("delay_us", micros(*delay));
             }
             EventKind::JobDone {
                 job,
@@ -265,6 +275,11 @@ impl TelemetryEvent {
         }
         Json::Obj(fields)
     }
+}
+
+/// A duration as whole microseconds (the `_us` fields of event lines).
+fn micros(d: Duration) -> Json {
+    Json::Int(i64::try_from(d.as_micros()).unwrap_or(i64::MAX))
 }
 
 #[derive(Debug)]
@@ -820,6 +835,10 @@ mod tests {
                 nodes: 100,
                 classes: 40,
                 matches: 17,
+                search_time: Duration::from_micros(900),
+                merge_time: Duration::from_micros(30),
+                apply_time: Duration::from_micros(200),
+                rebuild_time: Duration::from_micros(100),
             },
             EventKind::CacheHit {
                 job: 1,

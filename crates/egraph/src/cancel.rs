@@ -35,17 +35,6 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Wraps an existing shared flag (e.g. one owned by a service's
-    /// job table).
-    pub fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        CancelToken { flag }
-    }
-
-    /// The shared flag backing this token.
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.flag)
-    }
-
     /// Requests cancellation. Idempotent; never blocks.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
@@ -75,14 +64,6 @@ mod tests {
         // Idempotent.
         b.cancel();
         assert!(a.is_cancelled());
-    }
-
-    #[test]
-    fn from_flag_aliases_the_arc() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let token = CancelToken::from_flag(Arc::clone(&flag));
-        flag.store(true, Ordering::Relaxed);
-        assert!(token.is_cancelled());
     }
 
     #[test]

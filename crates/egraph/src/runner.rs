@@ -2,8 +2,6 @@
 //! statistics.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::hash::FxHashMap;
@@ -383,16 +381,9 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         self
     }
 
-    /// Attaches a shared cancellation flag. When another thread sets it,
-    /// the run stops with [`StopReason::Cancelled`] at the next check
-    /// point (iteration boundary, between rules, or inside a rule's
-    /// search).
-    pub fn with_cancellation(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = CancelToken::from_flag(flag);
-        self
-    }
-
-    /// Attaches a [`CancelToken`] (equivalent to [`Runner::with_cancellation`]).
+    /// Attaches a [`CancelToken`]. When another thread cancels it, the
+    /// run stops with [`StopReason::Cancelled`] at the next check point
+    /// (iteration boundary, between rules, or inside a rule's search).
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -635,7 +626,7 @@ mod tests {
         let expr = "(+ a (+ b (+ c d)))".parse().unwrap();
         let runner = Runner::default()
             .with_expr(&expr)
-            .with_cancellation(token.flag())
+            .with_cancel_token(token)
             .run(&math_rules());
         assert_eq!(runner.stop_reason, Some(StopReason::Cancelled));
         assert!(runner.iterations.is_empty());

@@ -61,7 +61,7 @@ pub mod site {
     /// treated as `error`; `panic` panics inside the worker's
     /// panic-isolation boundary.
     pub const WORKER_PIPELINE: &str = "worker.pipeline";
-    /// Job admission (`submit`/`try_submit`/`submit_timeout`).
+    /// Job admission (`submit`).
     /// `error`/`corrupt` reject the job as shed
     /// ([`RejectReason::Injected`]); `panic` unwinds the submitter.
     ///

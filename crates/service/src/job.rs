@@ -201,9 +201,8 @@ impl JobSpec {
 pub enum JobStatus {
     /// Waiting in the bounded queue.
     Queued,
-    /// Picked up by a worker; the inner phase is populated once the
-    /// pipeline starts reporting progress.
-    Running(Option<Phase>),
+    /// Picked up by a worker.
+    Running,
     /// Finished with a result (fresh or cached).
     Completed,
     /// Cancelled (explicitly or by deadline) before completing.
@@ -224,7 +223,7 @@ impl JobStatus {
     pub fn name(&self) -> &'static str {
         match self {
             JobStatus::Queued => "queued",
-            JobStatus::Running(_) => "running",
+            JobStatus::Running => "running",
             JobStatus::Completed => "completed",
             JobStatus::Cancelled => "cancelled",
             JobStatus::Failed => "failed",
@@ -235,7 +234,7 @@ impl JobStatus {
 
     /// Whether the job has reached a terminal state.
     pub fn is_terminal(&self) -> bool {
-        !matches!(self, JobStatus::Queued | JobStatus::Running(_))
+        !matches!(self, JobStatus::Queued | JobStatus::Running)
     }
 }
 

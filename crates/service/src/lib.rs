@@ -55,6 +55,6 @@ pub use job::{
 };
 pub use service::{
     run_spec_serial, run_spec_serial_observed, JobHandle, Service, ServiceConfig, ServiceStats,
-    ShedPolicy, SubmitError,
+    ShedPolicy,
 };
 pub use store::{DiskStats, DiskStore, STORE_FORMAT_VERSION};

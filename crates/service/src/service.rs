@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use boole::json::{Json, ToJson};
 use boole::telemetry::{CacheTier, EventKind, TelemetrySink};
-use boole::{BoolE, CancelToken, PhaseEvent};
+use boole::{BoolE, CancelToken};
 use egraph::hash::FxHashMap;
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
@@ -39,45 +39,13 @@ pub enum ShedPolicy {
     Timeout(Duration),
 }
 
-/// Why [`Service::try_submit`] handed a spec back instead of queueing
-/// it. Each variant carries the spec untouched so the caller can retry
-/// (or not) without cloning up front.
-#[derive(Debug)]
-pub enum SubmitError {
-    /// The bounded queue is full right now; retrying later can
-    /// succeed.
-    QueueFull(JobSpec),
-    /// The worker channel is closed — the service is shutting down, so
-    /// retrying can never succeed.
-    ShuttingDown(JobSpec),
-    /// The `queue.accept` failpoint fired (fault-injection runs only).
-    Injected(JobSpec),
-}
-
-impl SubmitError {
-    /// Recovers the spec for resubmission.
-    pub fn into_spec(self) -> JobSpec {
-        match self {
-            SubmitError::QueueFull(spec)
-            | SubmitError::ShuttingDown(spec)
-            | SubmitError::Injected(spec) => spec,
-        }
-    }
-
-    /// True when a later retry could succeed (the queue was merely
-    /// full); false when the service is gone for good.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, SubmitError::QueueFull(_) | SubmitError::Injected(_))
-    }
-}
-
 /// Tuning knobs for a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing pipelines (>= 1).
     pub num_workers: usize,
-    /// Bounded queue depth; [`Service::submit`] blocks, and
-    /// [`Service::try_submit`] fails fast, once this many jobs wait.
+    /// Bounded queue depth; once this many jobs wait,
+    /// [`Service::submit`] applies the configured [`ShedPolicy`].
     pub queue_capacity: usize,
     /// In-memory result-cache capacity in entries. 0 disables the
     /// memory tier (every lookup falls through); the disk tier and
@@ -202,7 +170,7 @@ impl ServiceConfig {
 /// Aggregate service counters (see also [`CacheStats`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Jobs accepted by `submit`/`try_submit`.
+    /// Jobs submitted, including those rejected at admission.
     pub submitted: u64,
     /// Jobs that completed with a result.
     pub completed: u64,
@@ -659,18 +627,6 @@ impl Service {
         })
     }
 
-    /// Publishes a job's `job_submitted` event. Callers publish it
-    /// before the job can reach a worker, whose `job_started` must
-    /// follow it in the stream.
-    fn publish_submitted(&self, state: &JobState) {
-        if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.events.publish(EventKind::JobSubmitted {
-                job: state.id,
-                label: state.label.clone(),
-            });
-        }
-    }
-
     /// Accounts an accepted job: deadline registration + counters.
     fn register(&self, deadline: Option<Duration>, state: &Arc<JobState>) {
         if let Some(deadline) = deadline {
@@ -700,18 +656,7 @@ impl Service {
     /// racing a shutdown — come back with a handle that is *already*
     /// terminal ([`JobVerdict::Rejected`]); the caller never observes
     /// a hang or a panic.
-    pub fn submit(&self, spec: JobSpec) -> JobHandle {
-        self.submit_with_policy(spec, self.shed_policy)
-    }
-
-    /// Submits a job, waiting at most `timeout` for queue room before
-    /// rejecting with [`RejectReason::Timeout`] — a per-call override
-    /// of the configured shed policy.
-    pub fn submit_timeout(&self, spec: JobSpec, timeout: Duration) -> JobHandle {
-        self.submit_with_policy(spec, ShedPolicy::Timeout(timeout))
-    }
-
-    fn submit_with_policy(&self, mut spec: JobSpec, policy: ShedPolicy) -> JobHandle {
+    pub fn submit(&self, mut spec: JobSpec) -> JobHandle {
         let state = self.make_state(&mut spec);
         let deadline = spec.deadline;
         let injected = match faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT) {
@@ -721,12 +666,19 @@ impl Service {
             Some(FaultAction::Error | FaultAction::Corrupt) => true,
             None => false,
         };
-        self.publish_submitted(&state);
+        // Published before the job can reach a worker, whose
+        // `job_started` must follow it in the stream.
+        if let Some(telemetry) = &self.shared.telemetry {
+            telemetry.events.publish(EventKind::JobSubmitted {
+                job: state.id,
+                label: state.label.clone(),
+            });
+        }
         if injected {
             return self.reject(&state, RejectReason::Injected);
         }
         let sender = self.sender.as_ref().expect("service alive");
-        match policy {
+        match self.shed_policy {
             ShedPolicy::Block => {
                 if sender.send((spec, Arc::clone(&state))).is_err() {
                     // Workers gone: racing a shutdown. Resolve the job
@@ -789,42 +741,6 @@ impl Service {
         }
         JobHandle {
             state: Arc::clone(state),
-        }
-    }
-
-    /// Submits a job unless the queue is full (non-blocking); the
-    /// error distinguishes a transient full queue (retry later) from a
-    /// shutdown in progress (give up), and hands the spec back
-    /// untouched either way.
-    // The Err payload deliberately carries the (large,
-    // netlist-carrying) spec itself so callers can retry without
-    // cloning up front.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, mut spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        let state = self.make_state(&mut spec);
-        let deadline = spec.deadline;
-        match faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT) {
-            Some(FaultAction::Panic) => {
-                panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
-            }
-            Some(FaultAction::Error | FaultAction::Corrupt) => {
-                return Err(SubmitError::Injected(spec));
-            }
-            None => {}
-        }
-        match self
-            .sender
-            .as_ref()
-            .expect("service alive")
-            .try_send((spec, Arc::clone(&state)))
-        {
-            Ok(()) => {
-                self.publish_submitted(&state);
-                self.register(deadline, &state);
-                Ok(JobHandle { state })
-            }
-            Err(TrySendError::Full((spec, _))) => Err(SubmitError::QueueFull(spec)),
-            Err(TrySendError::Disconnected((spec, _))) => Err(SubmitError::ShuttingDown(spec)),
         }
     }
 
@@ -1090,7 +1006,7 @@ fn execute_job(
     if state.cancel.is_cancelled() {
         return state.finalize(JobVerdict::Cancelled { phase: None }, false);
     }
-    state.set_status(JobStatus::Running(None));
+    state.set_status(JobStatus::Running);
     let max_retries = shared.map_or(0, |s| s.max_retries);
     let retry_base = shared.map_or(Duration::from_millis(25), |s| s.retry_base);
     // Loading happens before fingerprinting, so a flaky read retries
@@ -1200,55 +1116,10 @@ fn execute_job(
             .gauge("search_threads")
             .set(threads as i64);
     }
-    let progress = Arc::clone(state);
-    let phase_sink = telemetry.cloned();
-    let job_id = state.id;
-    let engine = BoolE::new(spec.params.clone()).with_phase_callback(Arc::new(move |event| {
-        if let PhaseEvent::Started(phase) = event {
-            progress.set_status(JobStatus::Running(Some(*phase)));
-        }
-        let Some(telemetry) = &phase_sink else { return };
-        match event {
-            PhaseEvent::Started(phase) => {
-                telemetry.events.publish(EventKind::PhaseStarted {
-                    job: job_id,
-                    phase: phase.name(),
-                });
-            }
-            PhaseEvent::Finished { phase, elapsed } => {
-                telemetry.events.publish(EventKind::PhaseFinished {
-                    job: job_id,
-                    phase: phase.name(),
-                    elapsed: *elapsed,
-                });
-                telemetry
-                    .metrics
-                    .histogram(&format!("phase_{}_ms", phase.name()))
-                    .observe(*elapsed);
-            }
-            PhaseEvent::Iteration {
-                ruleset,
-                index,
-                nodes,
-                classes,
-                matches,
-            } => {
-                telemetry.events.publish(EventKind::Iteration {
-                    job: job_id,
-                    ruleset,
-                    index: *index,
-                    nodes: *nodes,
-                    classes: *classes,
-                    matches: *matches,
-                });
-                telemetry.metrics.gauge("egraph_nodes").set(*nodes as i64);
-                telemetry
-                    .metrics
-                    .gauge("egraph_classes")
-                    .set(*classes as i64);
-            }
-        }
-    }));
+    let mut engine = BoolE::new(spec.params.clone());
+    if let Some(telemetry) = telemetry {
+        engine = engine.with_telemetry(Arc::clone(telemetry), state.id);
+    }
     let faults_ref = shared.and_then(|s| s.faults.as_ref());
     // The attempt loop. Retries run under the same flight leadership
     // (the guard stays held), so followers keep waiting through a
@@ -1515,7 +1386,7 @@ mod tests {
         // panicking waiter turned all of these into panics too.
         assert!(matches!(handle.status(), JobStatus::Queued));
         assert!(!state.is_terminal());
-        state.set_status(JobStatus::Running(None));
+        state.set_status(JobStatus::Running);
         let outcome = state.finalize(JobVerdict::Failed("boom".to_owned()), false);
         assert!(outcome.status().is_terminal());
         assert!(matches!(handle.wait().verdict, JobVerdict::Failed(_)));

@@ -20,7 +20,7 @@ use boole::BooleParams;
 use boole_service::faults::site;
 use boole_service::{
     FaultAction, FaultPolicy, FaultRegistry, GenSpec, JobHandle, JobSpec, JobStatus, JobVerdict,
-    RejectReason, Service, ServiceConfig, ShedPolicy, SubmitError, Trigger,
+    RejectReason, Service, ServiceConfig, ShedPolicy, Trigger,
 };
 use proptest::prelude::*;
 
@@ -181,16 +181,22 @@ fn queue_full_races_under_shed_policy_resolve_every_job_terminally() {
 }
 
 #[test]
-fn submit_timeout_rejects_after_the_bounded_wait() {
+fn timeout_policy_rejects_after_the_bounded_wait() {
     let service = Service::new(
         ServiceConfig::default()
             .with_workers(1)
-            .with_queue_capacity(1),
+            .with_queue_capacity(1)
+            .with_shed_policy(ShedPolicy::Timeout(Duration::from_millis(5))),
     );
     // Fill the worker and the queue with jobs that outlive the wait.
+    // The policy bounds every submit, so the second one goes in only
+    // once the worker has taken the first off the one-deep queue.
     let running = service.submit(spec("csa:4"));
+    while running.status() == JobStatus::Queued {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let queued = service.submit(spec("wallace:4"));
-    let rejected = service.submit_timeout(spec("booth:4"), Duration::from_millis(5));
+    let rejected = service.submit(spec("booth:4"));
     let outcome = rejected.wait();
     assert_eq!(outcome.status(), JobStatus::Rejected);
     assert!(matches!(
@@ -210,7 +216,7 @@ fn submit_timeout_rejects_after_the_bounded_wait() {
 }
 
 #[test]
-fn injected_admission_faults_reject_typed_on_both_submit_paths() {
+fn injected_admission_faults_reject_typed() {
     let faults = Arc::new(FaultRegistry::new());
     faults.configure(
         site::QUEUE_ACCEPT,
@@ -221,7 +227,7 @@ fn injected_admission_faults_reject_typed_on_both_submit_paths() {
             .with_workers(1)
             .with_faults(Arc::clone(&faults)),
     );
-    // Blocking path: the handle comes back already terminal.
+    // The handle comes back already terminal.
     let outcome = service.submit(spec("csa:3")).wait();
     assert!(matches!(
         outcome.verdict,
@@ -229,21 +235,11 @@ fn injected_admission_faults_reject_typed_on_both_submit_paths() {
             reason: RejectReason::Injected
         }
     ));
-    // Non-blocking path: a typed error carrying the spec back.
-    faults.configure(
-        site::QUEUE_ACCEPT,
-        policy(Trigger::Nth(1), FaultAction::Error),
-    );
-    let Err(err) = service.try_submit(spec("csa:3")) else {
-        panic!("the armed queue.accept failpoint must reject try_submit");
-    };
-    assert!(matches!(err, SubmitError::Injected(_)));
-    assert!(err.is_retryable());
-    // The recovered spec resubmits cleanly once the failpoint is spent.
-    let retried = service.submit(err.into_spec()).wait();
+    // The same spec resubmits cleanly once the failpoint is spent.
+    let retried = service.submit(spec("csa:3")).wait();
     assert!(retried.summary().is_some());
     let stats = service.shutdown();
-    assert_eq!(stats.submitted, 2, "try_submit rejection never counts");
+    assert_eq!(stats.submitted, 2, "a rejected submit still counts");
     assert_eq!(stats.shed, 1);
     assert_balanced(&stats);
 }

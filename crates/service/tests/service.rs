@@ -339,7 +339,7 @@ fn explicit_cancel_stops_a_large_job_mid_saturation() {
 
     // Wait until the pipeline is actually running, then cancel.
     let start = Instant::now();
-    while !matches!(job.status(), JobStatus::Running(_)) {
+    while !matches!(job.status(), JobStatus::Running) {
         assert!(
             start.elapsed() < Duration::from_secs(30),
             "job never started"

@@ -1,12 +1,13 @@
 //! Event-stream invariants: phase bracketing per job, gapless sequence
 //! numbers (modulo explicit `dropped` markers), terminal events under
-//! cancellation, and serial/pooled stream parity.
+//! cancellation, serial/pooled stream parity, and the NDJSON rendering
+//! of the pipeline's own events and metrics.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use boole::telemetry::{EventKind, Telemetry, TelemetryEvent, TelemetrySink};
-use boole::BooleParams;
+use boole::{BooleParams, Json};
 use boole_service::{run_spec_serial_observed, GenSpec, JobSpec, Service, ServiceConfig};
 
 fn sink() -> TelemetrySink {
@@ -259,4 +260,90 @@ fn tiny_bus_drops_under_backpressure_but_accounts_for_every_seq() {
         telemetry.events.dropped_total(),
         "markers must account for exactly the dropped events"
     );
+}
+
+/// Renders every event as its NDJSON line, strict-parses it back, and
+/// checks the pipeline-published fields: per job, the iteration phase
+/// times never add up to more than the saturate phase that contains
+/// them.
+fn assert_lines_parse_and_iterations_fit_saturate(events: &[TelemetryEvent]) {
+    let mut iteration_us: std::collections::BTreeMap<i64, i64> = Default::default();
+    let mut saturate_us: std::collections::BTreeMap<i64, i64> = Default::default();
+    for event in events {
+        let line = event.to_json().to_string();
+        let parsed =
+            Json::parse(&line).unwrap_or_else(|e| panic!("event line must parse: {e}: {line}"));
+        assert_eq!(parsed.to_string(), line, "round trip must be exact");
+        let int = |key: &str| {
+            parsed
+                .field(key)
+                .and_then(Json::as_int)
+                .unwrap_or_else(|| panic!("{key} missing from {line}"))
+        };
+        match parsed.field("event").and_then(Json::as_str) {
+            Some("iteration") => {
+                let spent = ["search_us", "merge_us", "apply_us", "rebuild_us"]
+                    .iter()
+                    .map(|key| int(key))
+                    .sum::<i64>();
+                *iteration_us.entry(int("job")).or_default() += spent;
+            }
+            Some("phase_finished")
+                if parsed.field("phase").and_then(Json::as_str) == Some("saturate") =>
+            {
+                saturate_us.insert(int("job"), int("elapsed_us"));
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(
+        iteration_us.keys().collect::<Vec<_>>(),
+        saturate_us.keys().collect::<Vec<_>>(),
+        "every saturating job reports iterations"
+    );
+    for (job, spent) in &iteration_us {
+        assert!(
+            *spent <= saturate_us[job],
+            "job {job}: iteration phase times {spent}us exceed saturate's {}us",
+            saturate_us[job]
+        );
+    }
+}
+
+/// The pipeline's metrics land in the snapshot `--metrics` writes.
+fn assert_pipeline_metrics(telemetry: &Telemetry) {
+    let snapshot = telemetry.metrics_snapshot();
+    let histograms = snapshot.field("histograms").unwrap();
+    let gauges = snapshot.field("gauges").unwrap();
+    assert!(
+        histograms.field("phase_saturate_ms").is_some(),
+        "{snapshot}"
+    );
+    assert!(gauges.field("egraph_nodes").is_some(), "{snapshot}");
+    assert!(gauges.field("egraph_classes").is_some(), "{snapshot}");
+}
+
+#[test]
+fn event_lines_strict_parse_and_iteration_times_fit_saturate() {
+    let specs = ["csa:3", "wallace:3"];
+
+    let pooled = sink();
+    let service = Service::new(config(2, &pooled));
+    service.run_batch(specs.iter().map(|t| spec(t)));
+    service.shutdown();
+    pooled.events.close();
+    let events = pooled.events.drain();
+    assert_stream_invariants(&events);
+    assert_lines_parse_and_iterations_fit_saturate(&events);
+    assert_pipeline_metrics(&pooled);
+
+    let serial = sink();
+    for (i, text) in specs.iter().enumerate() {
+        run_spec_serial_observed(spec(text), i as u64 + 1, Some(&serial));
+    }
+    serial.events.close();
+    let events = serial.events.drain();
+    assert_stream_invariants(&events);
+    assert_lines_parse_and_iterations_fit_saturate(&events);
+    assert_pipeline_metrics(&serial);
 }
