@@ -93,10 +93,9 @@ struct RoundReport {
 fn chaos_round(seed: u64, round: u64, jobs: usize) -> RoundReport {
     let mut rng = seed ^ round.wrapping_mul(0x517c_c1b7_2722_0a95);
     let faults = random_faults(&mut rng);
-    let shed_policy = match below(&mut rng, 3) {
+    let shed_policy = match below(&mut rng, 2) {
         0 => ShedPolicy::Block,
-        1 => ShedPolicy::Shed,
-        _ => ShedPolicy::Timeout(Duration::from_millis(2)),
+        _ => ShedPolicy::Shed,
     };
     let cache_dir = (below(&mut rng, 2) == 0).then(|| temp_dir(splitmix64(&mut rng)));
     let mut config = ServiceConfig::default()

@@ -53,7 +53,7 @@ impl CacheTier {
 /// The typed payload of a [`TelemetryEvent`].
 #[derive(Debug, Clone)]
 pub enum EventKind {
-    /// A job entered the service queue (or the serial runner's list).
+    /// A job entered the service queue.
     JobSubmitted {
         /// Service-assigned job id.
         job: u64,

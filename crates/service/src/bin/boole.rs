@@ -9,11 +9,11 @@
 //!                                         booth:8:mapped, wallace:4:dch)
 //!
 //! options (interleave freely with positional arguments):
-//!   --workers N        worker threads (default: min(cpus, 4))
+//!   --workers N        worker threads (default: min(cpus, 4); results are
+//!                      byte-identical at any value)
 //!   --search-threads N threads for each job's in-saturation rule search
 //!                      (default 1 = serial; 0 = one per CPU; results are
-//!                      byte-identical at any value, works with --serial too)
-//!   --serial           run inline on one thread, bypassing the pool and cache
+//!                      byte-identical at any value)
 //!   --deadline-ms N    per-job deadline; expired jobs are cancelled
 //!   --params P         default | small | lightweight
 //!   --cache-dir DIR    persistent result cache; hits survive across runs
@@ -39,9 +39,7 @@ use std::time::Duration;
 use boole::json::{Json, ToJson};
 use boole::telemetry::{Telemetry, TelemetrySink};
 use boole::BooleParams;
-use boole_service::{
-    run_spec_serial_observed, GenSpec, JobOutcome, JobSpec, Service, ServiceConfig, ShedPolicy,
-};
+use boole_service::{GenSpec, JobSpec, Service, ServiceConfig, ShedPolicy};
 
 /// Where a telemetry stream or snapshot goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,7 +63,6 @@ impl TelemetrySinkArg {
 struct Options {
     workers: Option<usize>,
     search_threads: Option<usize>,
-    serial: bool,
     deadline: Option<Duration>,
     params: BooleParams,
     cache_dir: Option<PathBuf>,
@@ -85,7 +82,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
     let mut opts = Options {
         workers: None,
         search_threads: None,
-        serial: false,
         deadline: None,
         params: BooleParams::default(),
         cache_dir: None,
@@ -144,10 +140,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
                 opts.shed = true;
                 i += 1;
             }
-            "--serial" => {
-                opts.serial = true;
-                i += 1;
-            }
             "--no-cache" => {
                 opts.use_cache = false;
                 i += 1;
@@ -183,20 +175,8 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
             }
         }
     }
-    if opts.serial && opts.cache_dir.is_some() {
-        return Err("--serial bypasses the cache; drop it or --cache-dir".to_owned());
-    }
-    if opts.serial && opts.workers.is_some() {
-        return Err("--serial runs one job at a time; drop it or --workers".to_owned());
-    }
     if !opts.use_cache && opts.cache_dir.is_some() {
         return Err("--no-cache disables all cache tiers; drop it or --cache-dir".to_owned());
-    }
-    if opts.serial && opts.shed {
-        return Err("--serial has no queue to shed from; drop it or --shed".to_owned());
-    }
-    if opts.serial && opts.max_retries.is_some() {
-        return Err("--serial bypasses the retrying pool; drop it or --max-retries".to_owned());
     }
     // With a `-` sink, telemetry shares stdout with the result document;
     // requiring --compact keeps stdout line-oriented (every line is one
@@ -217,8 +197,6 @@ fn make_spec(source_spec: JobSpec, opts: &Options) -> JobSpec {
     // load, which would make results non-reproducible and cache-hostile.
     let mut params = opts.params.clone().without_time_limit();
     if let Some(threads) = opts.search_threads {
-        // Per-spec, not via ServiceConfig, so --serial (which bypasses
-        // the service) honors the flag identically.
         params = params.with_search_threads(threads);
     }
     let mut spec = source_spec.with_params(params);
@@ -271,35 +249,25 @@ fn execute(specs: Vec<JobSpec>, opts: &Options) -> Result<(Json, bool), String> 
         _ => None,
     };
 
-    let (outcomes, stats): (Vec<std::sync::Arc<JobOutcome>>, Option<Json>) = if opts.serial {
-        let outcomes = specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, spec)| run_spec_serial_observed(spec, i as u64 + 1, telemetry.as_ref()))
-            .collect();
-        (outcomes, None)
-    } else {
-        let mut config = ServiceConfig::default();
-        if let Some(workers) = opts.workers {
-            config = config.with_workers(workers);
-        }
-        if let Some(dir) = &opts.cache_dir {
-            config = config.with_cache_dir(dir);
-        }
-        if let Some(telemetry) = &telemetry {
-            config = config.with_telemetry(Arc::clone(telemetry));
-        }
-        if let Some(retries) = opts.max_retries {
-            config = config.with_max_retries(retries);
-        }
-        if opts.shed {
-            config = config.with_shed_policy(ShedPolicy::Shed);
-        }
-        let service = Service::new(config);
-        let outcomes = service.run_batch(specs);
-        let stats = service.shutdown();
-        (outcomes, Some(stats.to_json()))
-    };
+    let mut config = ServiceConfig::default();
+    if let Some(workers) = opts.workers {
+        config = config.with_workers(workers);
+    }
+    if let Some(dir) = &opts.cache_dir {
+        config = config.with_cache_dir(dir);
+    }
+    if let Some(telemetry) = &telemetry {
+        config = config.with_telemetry(Arc::clone(telemetry));
+    }
+    if let Some(retries) = opts.max_retries {
+        config = config.with_max_retries(retries);
+    }
+    if opts.shed {
+        config = config.with_shed_policy(ShedPolicy::Shed);
+    }
+    let service = Service::new(config);
+    let outcomes = service.run_batch(specs);
+    let stats = service.shutdown();
 
     if let Some(telemetry) = &telemetry {
         telemetry.events.close();
@@ -333,9 +301,7 @@ fn execute(specs: Vec<JobSpec>, opts: &Options) -> Result<(Json, bool), String> 
     }));
     let mut pairs = vec![("jobs".to_owned(), jobs)];
     if opts.timing {
-        if let Some(stats) = stats {
-            pairs.push(("service".to_owned(), stats));
-        }
+        pairs.push(("service".to_owned(), stats.to_json()));
     }
     Ok((Json::Obj(pairs), any_failed))
 }
@@ -344,7 +310,7 @@ fn usage() -> String {
     "usage: boole <run <netlist> | batch <dir> | gen <spec>...> [options]\n\
      netlists: .aag (ASCII AIGER), .aig (binary AIGER), .blif, .v (structural Verilog);\n\
      \x20         batch mixes formats freely\n\
-     options: --workers N --search-threads N --serial --deadline-ms N\n\
+     options: --workers N --search-threads N --deadline-ms N\n\
      \x20        --params default|small|lightweight\n\
      \x20        --cache-dir DIR --no-cache --no-timing --compact\n\
      \x20        --max-retries N (transient-failure retry budget)\n\
@@ -534,14 +500,6 @@ mod tests {
             .err()
             .unwrap()
             .contains("bad --workers"));
-        assert!(parse_args(&strings(&["--serial", "--cache-dir", "/tmp/c"]))
-            .err()
-            .unwrap()
-            .contains("--serial"));
-        assert!(parse_args(&strings(&["--serial", "--workers", "2"]))
-            .err()
-            .unwrap()
-            .contains("--serial"));
         assert!(
             parse_args(&strings(&["--no-cache", "--cache-dir", "/tmp/c"]))
                 .err()
@@ -551,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn search_threads_flag_parses_and_composes_with_serial() {
+    fn search_threads_flag_parses_and_composes_with_workers() {
         let (opts, positional) = parse_args(&strings(&["csa:4", "--search-threads", "4"])).unwrap();
         assert_eq!(opts.search_threads, Some(4));
         assert_eq!(positional, strings(&["csa:4"]));
@@ -560,10 +518,10 @@ mod tests {
         let (opts, _) = parse_args(&strings(&["--search-threads", "0"])).unwrap();
         assert_eq!(opts.search_threads, Some(0));
 
-        // --serial disables the job *scheduler*; in-saturation search
+        // One worker runs one job at a time; in-saturation search
         // parallelism is orthogonal and stays available.
-        let (opts, _) = parse_args(&strings(&["--serial", "--search-threads", "2"])).unwrap();
-        assert!(opts.serial);
+        let (opts, _) = parse_args(&strings(&["--workers", "1", "--search-threads", "2"])).unwrap();
+        assert_eq!(opts.workers, Some(1));
         assert_eq!(opts.search_threads, Some(2));
 
         assert!(parse_args(&strings(&["--search-threads"]))
@@ -597,7 +555,7 @@ mod tests {
     }
 
     #[test]
-    fn robustness_flags_parse_and_conflict_with_serial() {
+    fn robustness_flags_parse() {
         let (opts, positional) =
             parse_args(&strings(&["csa:4", "--max-retries", "5", "--shed"])).unwrap();
         assert_eq!(opts.max_retries, Some(5));
@@ -616,15 +574,6 @@ mod tests {
             .err()
             .unwrap()
             .contains("bad --max-retries"));
-        // The serial path has no queue and no retrying pool.
-        assert!(parse_args(&strings(&["--serial", "--shed"]))
-            .err()
-            .unwrap()
-            .contains("--serial"));
-        assert!(parse_args(&strings(&["--serial", "--max-retries", "1"]))
-            .err()
-            .unwrap()
-            .contains("--serial"));
     }
 
     #[test]
@@ -674,8 +623,8 @@ mod tests {
         // A file sink never touches stdout, so pretty output stays legal.
         assert!(parse_args(&strings(&["--events", "/tmp/e.ndjson"])).is_ok());
         assert!(parse_args(&strings(&["--metrics", "/tmp/m.json"])).is_ok());
-        // Telemetry is orthogonal to scheduling: --serial must stream too.
-        assert!(parse_args(&strings(&["--serial", "--events", "-", "--compact"])).is_ok());
+        // Telemetry is orthogonal to scheduling: one worker streams too.
+        assert!(parse_args(&strings(&["--workers", "1", "--events", "-", "--compact"])).is_ok());
     }
 
     #[test]

@@ -18,8 +18,6 @@ pub enum JobSource {
     /// parsed structure feeds the same structural fingerprint, so
     /// isomorphic netlists share a cache entry across formats.
     File(PathBuf),
-    /// ASCII AIGER text.
-    AagText(String),
     /// A generated arithmetic benchmark.
     Generate(GenSpec),
 }
@@ -160,12 +158,6 @@ impl JobSpec {
         }
     }
 
-    /// A job over an `.aag` file (alias of [`JobSpec::file`], kept for
-    /// the original AIGER-only API).
-    pub fn aag_file(path: impl Into<PathBuf>) -> Self {
-        Self::file(path)
-    }
-
     /// A job over a generated benchmark.
     pub fn generated(spec: GenSpec) -> Self {
         JobSpec {
@@ -279,9 +271,9 @@ impl From<&BooleResult> for ResultSummary {
 }
 
 /// Canonical (deterministic) JSON: every field is a pure function of
-/// the netlist and parameters, so concurrent and serial executions of
-/// the same batch serialize byte-identically. Wall-clock timings are
-/// exposed separately via [`JobOutcome::timing_json`].
+/// the netlist and parameters, so a batch serializes byte-identically
+/// at any worker count. Wall-clock timings are exposed separately via
+/// [`JobOutcome::timing_json`].
 impl ToJson for ResultSummary {
     fn to_json(&self) -> Json {
         Json::obj([
@@ -353,8 +345,6 @@ impl FromJson for ResultSummary {
 pub enum RejectReason {
     /// The bounded queue was at capacity under a shedding policy.
     QueueFull,
-    /// The queue stayed full for the whole admission timeout.
-    Timeout,
     /// The worker pool is shutting down; the job can never run.
     ShuttingDown,
     /// The `queue.accept` failpoint fired (chaos testing).
@@ -366,7 +356,6 @@ impl RejectReason {
     pub fn name(self) -> &'static str {
         match self {
             RejectReason::QueueFull => "queue_full",
-            RejectReason::Timeout => "timeout",
             RejectReason::ShuttingDown => "shutting_down",
             RejectReason::Injected => "injected",
         }
@@ -444,7 +433,7 @@ impl JobOutcome {
     /// rather than in the canonical JSON because it depends on what
     /// ran earlier — two jobs over isomorphic netlists race for the
     /// one cache miss, so including it canonically would break the
-    /// byte-identical serial-vs-concurrent contract.
+    /// byte-identical-at-any-worker-count contract.
     pub fn timing_json(&self) -> Json {
         let mut pairs = vec![
             ("from_cache".to_owned(), Json::from(self.from_cache)),

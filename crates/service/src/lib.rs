@@ -53,8 +53,5 @@ pub use job::{
     GenFamily, GenPrep, GenSpec, JobOutcome, JobSource, JobSpec, JobStatus, JobVerdict,
     RejectReason, ResultSummary,
 };
-pub use service::{
-    run_spec_serial, run_spec_serial_observed, JobHandle, Service, ServiceConfig, ServiceStats,
-    ShedPolicy,
-};
+pub use service::{JobHandle, Service, ServiceConfig, ServiceStats, ShedPolicy};
 pub use store::{DiskStats, DiskStore, STORE_FORMAT_VERSION};

@@ -35,8 +35,6 @@ pub enum ShedPolicy {
     /// [`JobVerdict::Rejected`] outcome instead of blocking forever —
     /// the overload behavior a network tier needs.
     Shed,
-    /// Wait up to the duration for room, then reject.
-    Timeout(Duration),
 }
 
 /// Tuning knobs for a [`Service`].
@@ -180,8 +178,8 @@ pub struct ServiceStats {
     pub failed: u64,
     /// Jobs whose pipeline panicked (isolated; the worker survived).
     pub panicked: u64,
-    /// Jobs rejected at admission (queue full under a shed/timeout
-    /// policy, submit during shutdown, or an injected admission fault).
+    /// Jobs rejected at admission (queue full under the shed policy,
+    /// submit during shutdown, or an injected admission fault).
     pub shed: u64,
     /// Individual retry attempts across all jobs (a job retried twice
     /// contributes two).
@@ -651,11 +649,11 @@ impl Service {
     }
 
     /// Submits a job. Queue-full behavior follows the configured
-    /// [`ShedPolicy`]: block (the default), reject immediately, or
-    /// reject after a bounded wait. Rejected jobs — including submits
-    /// racing a shutdown — come back with a handle that is *already*
-    /// terminal ([`JobVerdict::Rejected`]); the caller never observes
-    /// a hang or a panic.
+    /// [`ShedPolicy`]: block (the default) or reject immediately.
+    /// Rejected jobs — including submits racing a shutdown — come back
+    /// with a handle that is *already* terminal
+    /// ([`JobVerdict::Rejected`]); the caller never observes a hang or
+    /// a panic.
     pub fn submit(&self, mut spec: JobSpec) -> JobHandle {
         let state = self.make_state(&mut spec);
         let deadline = spec.deadline;
@@ -695,29 +693,6 @@ impl Service {
                     return self.reject(&state, RejectReason::ShuttingDown);
                 }
             },
-            ShedPolicy::Timeout(timeout) => {
-                // std's SyncSender has no send_timeout, so poll
-                // try_send until the deadline. The 500us pause bounds
-                // the busy-wait without adding meaningful latency at
-                // job-queue timescales.
-                let give_up_at = Instant::now() + timeout;
-                let mut pending = (spec, Arc::clone(&state));
-                loop {
-                    match sender.try_send(pending) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            if Instant::now() >= give_up_at {
-                                return self.reject(&state, RejectReason::Timeout);
-                            }
-                            pending = back;
-                            std::thread::sleep(Duration::from_micros(500));
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            return self.reject(&state, RejectReason::ShuttingDown);
-                        }
-                    }
-                }
-            }
         }
         self.register(deadline, &state);
         JobHandle { state }
@@ -873,7 +848,7 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
         // catch is the last-resort net for panics in the cache/flight
         // bookkeeping around it.)
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(&spec, &state, Some(shared), shared.telemetry.as_ref())
+            execute_job(&spec, &state, shared)
         }));
         let outcome = run.unwrap_or_else(|payload| {
             state.finalize(
@@ -903,8 +878,8 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
     }
 }
 
-/// Publishes a job's terminal event and outcome metrics. Shared by the
-/// pooled and serial paths, so both emit the same stream shape.
+/// Publishes a job's terminal event and outcome metrics, for jobs that
+/// ran on a worker and for jobs rejected at admission alike.
 fn publish_job_done(telemetry: &TelemetrySink, outcome: &JobOutcome) {
     telemetry.events.publish(EventKind::JobDone {
         job: outcome.job_id,
@@ -952,8 +927,6 @@ enum ErrorClass {
 fn load_netlist(source: &JobSource) -> Result<aig::Aig, (String, ErrorClass)> {
     match source {
         JobSource::Netlist(aig) => Ok(aig.clone()),
-        JobSource::AagText(text) => aig::aiger::from_aag(text)
-            .map_err(|e| (format!("parse error: {e:?}"), ErrorClass::Permanent)),
         JobSource::File(path) => aig::read_netlist(path).map_err(|e| {
             // Only the OS-level read is environmental; a file that
             // *parses* wrong will parse wrong again.
@@ -992,23 +965,15 @@ fn join_or_lead<'a>(shared: &'a Shared, key: CacheKey) -> FlightRole<'a> {
     }
 }
 
-/// Runs one job to a terminal outcome. With `shared`, the two-tier
-/// result cache is consulted/populated, concurrent identical
-/// submissions are deduplicated to one pipeline run, and pipeline
-/// counters are maintained; without it (the standalone serial path)
-/// the pipeline always runs.
-fn execute_job(
-    spec: &JobSpec,
-    state: &Arc<JobState>,
-    shared: Option<&Shared>,
-    telemetry: Option<&TelemetrySink>,
-) -> Arc<JobOutcome> {
+/// Runs one job to a terminal outcome. Unless the spec opts out, the
+/// two-tier result cache is consulted/populated and concurrent
+/// identical submissions are deduplicated to one pipeline run.
+fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<JobOutcome> {
     if state.cancel.is_cancelled() {
         return state.finalize(JobVerdict::Cancelled { phase: None }, false);
     }
     state.set_status(JobStatus::Running);
-    let max_retries = shared.map_or(0, |s| s.max_retries);
-    let retry_base = shared.map_or(Duration::from_millis(25), |s| s.retry_base);
+    let telemetry = shared.telemetry.as_ref();
     // Loading happens before fingerprinting, so a flaky read retries
     // here rather than surfacing as a spurious cache miss.
     let netlist = {
@@ -1017,10 +982,10 @@ fn execute_job(
             match load_netlist(&spec.source) {
                 Ok(netlist) => break netlist,
                 Err((err, class)) => {
-                    if class == ErrorClass::Permanent || attempt >= max_retries {
+                    if class == ErrorClass::Permanent || attempt >= shared.max_retries {
                         return state.finalize(JobVerdict::Failed(err), false);
                     }
-                    if !note_retry(state, shared, telemetry, attempt, retry_base) {
+                    if !note_retry(state, shared, attempt) {
                         return state.finalize(JobVerdict::Cancelled { phase: None }, false);
                     }
                     attempt += 1;
@@ -1045,7 +1010,7 @@ fn execute_job(
     // The loop re-enters when a leader gives up without publishing
     // (cancelled/failed/panicked) — some waiting job then becomes the
     // new leader, so one doomed leader never strands the rest.
-    let guard = if let Some(shared) = shared.filter(|_| spec.use_cache) {
+    let guard = if spec.use_cache {
         loop {
             if state.cancel.is_cancelled() {
                 return state.finalize(JobVerdict::Cancelled { phase: None }, false);
@@ -1095,12 +1060,10 @@ fn execute_job(
     } else {
         None
     };
-    if let Some(shared) = shared {
-        shared
-            .counters
-            .pipelines_run
-            .fetch_add(1, Ordering::Relaxed);
-    }
+    shared
+        .counters
+        .pipelines_run
+        .fetch_add(1, Ordering::Relaxed);
     if let Some(telemetry) = telemetry {
         // Resolved thread count of the pipeline about to run (0 means
         // one per CPU), so dashboards can correlate search_ms drops
@@ -1120,7 +1083,6 @@ fn execute_job(
     if let Some(telemetry) = telemetry {
         engine = engine.with_telemetry(Arc::clone(telemetry), state.id);
     }
-    let faults_ref = shared.and_then(|s| s.faults.as_ref());
     // The attempt loop. Retries run under the same flight leadership
     // (the guard stays held), so followers keep waiting through a
     // retry instead of racing to run the pipeline themselves; a
@@ -1134,7 +1096,7 @@ fn execute_job(
             // exactly where a real pipeline bug would fire;
             // Error/Corrupt model a transiently-failing pipeline and
             // feed the retry path.
-            match faults::check(faults_ref, site::WORKER_PIPELINE) {
+            match faults::check(shared.faults.as_ref(), site::WORKER_PIPELINE) {
                 Some(FaultAction::Panic) => {
                     panic!("{}", FaultRegistry::injected(site::WORKER_PIPELINE))
                 }
@@ -1157,10 +1119,10 @@ fn execute_job(
                 );
             }
             Ok(Err(transient)) => {
-                if attempt >= max_retries {
+                if attempt >= shared.max_retries {
                     return state.finalize(JobVerdict::Failed(transient), false);
                 }
-                if !note_retry(state, shared, telemetry, attempt, retry_base) {
+                if !note_retry(state, shared, attempt) {
                     return state.finalize(JobVerdict::Cancelled { phase: None }, false);
                 }
                 attempt += 1;
@@ -1186,7 +1148,7 @@ fn execute_job(
             hist.observe(rule.search_time);
         }
     }
-    if let Some(shared) = shared.filter(|_| spec.use_cache) {
+    if spec.use_cache {
         shared.cache.insert(cache_key, Arc::clone(&summary));
         if let Some(store) = &shared.store {
             store.put(&cache_key, &summary);
@@ -1234,19 +1196,11 @@ fn backoff_pause(cancel: &CancelToken, delay: Duration) -> bool {
 /// Accounts one retry — the per-job counter, the service-wide counter,
 /// the `job_retry` event — then sleeps the backoff. Returns false when
 /// the job was cancelled while backing off.
-fn note_retry(
-    state: &JobState,
-    shared: Option<&Shared>,
-    telemetry: Option<&TelemetrySink>,
-    attempt: u32,
-    base: Duration,
-) -> bool {
-    let delay = backoff_delay(base, attempt, state.id);
+fn note_retry(state: &JobState, shared: &Shared, attempt: u32) -> bool {
+    let delay = backoff_delay(shared.retry_base, attempt, state.id);
     state.retries.fetch_add(1, Ordering::Relaxed);
-    if let Some(shared) = shared {
-        shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(telemetry) = telemetry {
+    shared.counters.retried.fetch_add(1, Ordering::Relaxed);
+    if let Some(telemetry) = &shared.telemetry {
         telemetry.events.publish(EventKind::JobRetry {
             job: state.id,
             attempt: attempt + 1,
@@ -1273,71 +1227,6 @@ fn publish_cache_lookup(telemetry: Option<&TelemetrySink>, job: u64, tier: Cache
         (CacheTier::Disk, false) => "cache_disk_misses",
     };
     telemetry.metrics.counter(counter).inc();
-}
-
-/// Runs a spec inline on the calling thread with no pool and no cache —
-/// the reference serial path (`boole --serial`, determinism tests).
-/// A `deadline` on the spec is still honored, via a one-shot timer
-/// thread standing in for the service's watchdog.
-pub fn run_spec_serial(spec: JobSpec) -> Arc<JobOutcome> {
-    run_spec_serial_observed(spec, 0, None)
-}
-
-/// [`run_spec_serial`] with a caller-assigned job id and an optional
-/// telemetry sink. Emits the same submitted/started/phase/done event
-/// stream a pooled worker would, so `--serial` runs can be diffed
-/// against concurrent ones event-for-event.
-pub fn run_spec_serial_observed(
-    mut spec: JobSpec,
-    job_id: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> Arc<JobOutcome> {
-    let cancel = CancelToken::new();
-    spec.params = spec.params.with_cancel_token(cancel.clone());
-    let state = Arc::new(JobState {
-        id: job_id,
-        label: spec.label.clone(),
-        cancel: cancel.clone(),
-        cell: Mutex::new(JobCell {
-            status: JobStatus::Queued,
-            outcome: None,
-        }),
-        done: Condvar::new(),
-        submitted_at: Instant::now(),
-        retries: AtomicU32::new(0),
-    });
-    if let Some(telemetry) = telemetry {
-        telemetry.events.publish(EventKind::JobSubmitted {
-            job: job_id,
-            label: spec.label.clone(),
-        });
-        telemetry.metrics.counter("jobs_submitted").inc();
-        telemetry
-            .events
-            .publish(EventKind::JobStarted { job: job_id });
-        telemetry.metrics.gauge("in_flight_jobs").add(1);
-    }
-    // `disarm` going out of scope (dropping the sender) wakes the
-    // timer early so it never outlives the job it guards.
-    let timer = spec.deadline.map(|deadline| {
-        let (disarm, armed) = mpsc::channel::<()>();
-        let handle = std::thread::spawn(move || {
-            if let Err(mpsc::RecvTimeoutError::Timeout) = armed.recv_timeout(deadline) {
-                cancel.cancel();
-            }
-        });
-        (disarm, handle)
-    });
-    let outcome = execute_job(&spec, &state, None, telemetry);
-    if let Some((disarm, handle)) = timer {
-        drop(disarm);
-        let _ = handle.join();
-    }
-    if let Some(telemetry) = telemetry {
-        publish_job_done(telemetry, &outcome);
-        telemetry.metrics.gauge("in_flight_jobs").add(-1);
-    }
-    outcome
 }
 
 #[cfg(test)]

@@ -33,11 +33,11 @@ fn gen_batch_json_is_identical_across_serial_and_four_workers() {
         );
         String::from_utf8(output.stdout).expect("utf8 json")
     };
-    let serial = run(&["--serial"]);
+    let serial = run(&["--workers", "1", "--no-cache"]);
     let concurrent = run(&["--workers", "4"]);
     assert_eq!(
         serial, concurrent,
-        "batch JSON must be byte-identical between serial and 4-worker runs"
+        "batch JSON must be byte-identical between 1-worker cache-less and 4-worker runs"
     );
     assert!(serial.contains("\"status\":\"completed\""));
 }
@@ -84,8 +84,8 @@ fn event_stream_is_strict_ndjson_and_leaves_results_byte_identical() {
     assert!(streamed.contains("\"event\":\"job_done\""));
     assert!(streamed.contains("\"counters\""));
 
-    // A --serial run streams the same event vocabulary.
-    let serial = run(&["--serial", "--events", "-"]);
+    // A 1-worker cache-less run streams the same event vocabulary.
+    let serial = run(&["--workers", "1", "--no-cache", "--events", "-"]);
     assert!(serial.contains("\"event\":\"phase_finished\""));
     assert_eq!(serial.lines().last(), plain.lines().last());
 }

@@ -1,39 +1,53 @@
-//! Integration tests for the batch-reasoning service: concurrent ==
-//! serial determinism, cache behavior, and cooperative cancellation.
+//! Integration tests for the batch-reasoning service: pooled results
+//! match the bare pipeline byte for byte, cache behavior, and
+//! cooperative cancellation.
 
 use std::time::{Duration, Instant};
 
 use boole::json::ToJson;
-use boole::BooleParams;
+use boole::{BoolE, BooleParams};
 use boole_service::{
-    run_spec_serial, GenSpec, JobSpec, JobStatus, JobVerdict, Service, ServiceConfig,
+    GenSpec, JobSpec, JobStatus, JobVerdict, ResultSummary, Service, ServiceConfig,
 };
 
 /// Eight distinct jobs mixing families, widths, and preparations.
+const MIXED: [&str; 8] = [
+    "csa:2",
+    "csa:3",
+    "csa:4",
+    "booth:4",
+    "wallace:3",
+    "wallace:4",
+    "csa:3:mapped",
+    "csa:3:dch",
+];
+
+/// No wall-clock stop: under CPU contention a time-bound phase stops
+/// at a load-dependent point, which would break the byte-identical
+/// contract this file asserts.
+fn params() -> BooleParams {
+    BooleParams::small().without_time_limit()
+}
+
 fn mixed_specs() -> Vec<JobSpec> {
-    [
-        "csa:2",
-        "csa:3",
-        "csa:4",
-        "booth:4",
-        "wallace:3",
-        "wallace:4",
-        "csa:3:mapped",
-        "csa:3:dch",
-    ]
-    .iter()
-    .map(|text| {
-        // No wall-clock stop: under CPU contention a time-bound phase
-        // stops at a load-dependent point, which would break the
-        // byte-identical contract this file asserts.
-        JobSpec::generated(GenSpec::parse(text).unwrap())
-            .with_params(BooleParams::small().without_time_limit())
-    })
-    .collect()
+    MIXED
+        .iter()
+        .map(|text| JobSpec::generated(GenSpec::parse(text).unwrap()).with_params(params()))
+        .collect()
+}
+
+/// The reference document for a generated job: the `BoolE` pipeline
+/// itself, run on the calling thread with no service code in the way.
+fn pipeline_json(text: &str, params: BooleParams) -> String {
+    let netlist = GenSpec::parse(text).unwrap().build();
+    ResultSummary::from(&BoolE::new(params).run(&netlist))
+        .to_json()
+        .to_string()
 }
 
 #[test]
 fn four_worker_batch_matches_serial_byte_for_byte() {
+    // The reference is the pipeline run inline, one job after another.
     let service = Service::new(ServiceConfig {
         num_workers: 4,
         queue_capacity: 16,
@@ -48,16 +62,15 @@ fn four_worker_batch_matches_serial_byte_for_byte() {
     assert_eq!(stats.submitted, 8);
     assert_eq!(stats.completed, 8);
 
-    let serial: Vec<_> = mixed_specs().into_iter().map(run_spec_serial).collect();
-    assert_eq!(concurrent.len(), serial.len());
-    for (c, s) in concurrent.iter().zip(&serial) {
-        assert_eq!(c.label, s.label);
+    assert_eq!(concurrent.len(), MIXED.len());
+    for (c, text) in concurrent.iter().zip(MIXED) {
+        assert_eq!(c.label, *text);
         // The canonical JSON excludes wall-clock timing by contract;
         // everything else must agree byte-for-byte.
         assert_eq!(
-            c.to_json().to_string(),
-            s.to_json().to_string(),
-            "job {} diverged between 4-worker and serial execution",
+            c.summary().unwrap().to_json().to_string(),
+            pipeline_json(text, params()),
+            "job {} diverged between the 4-worker service and the pipeline",
             c.label
         );
         assert!(c.summary().unwrap().exact_fa_count >= 1 || c.label == "csa:2");
@@ -66,17 +79,10 @@ fn four_worker_batch_matches_serial_byte_for_byte() {
 
 #[test]
 fn duplicate_netlists_serialize_identically_across_modes() {
-    // Two identical jobs: concurrently the second may be served from
-    // cache, serially it never is. The canonical JSON must not leak
-    // that difference.
-    let specs = || {
-        (0..2)
-            .map(|_| {
-                JobSpec::generated(GenSpec::parse("csa:3").unwrap())
-                    .with_params(BooleParams::small().without_time_limit())
-            })
-            .collect::<Vec<_>>()
-    };
+    // Two identical jobs: with the cache one of them is served from
+    // it, without the cache neither is. The canonical JSON must not
+    // leak that difference.
+    let spec = || JobSpec::generated(GenSpec::parse("csa:3").unwrap()).with_params(params());
     let service = Service::new(ServiceConfig {
         num_workers: 2,
         queue_capacity: 4,
@@ -86,11 +92,13 @@ fn duplicate_netlists_serialize_identically_across_modes() {
         search_threads: None,
         ..ServiceConfig::default()
     });
-    let concurrent = service.run_batch(specs());
+    let cached = service.run_batch([spec(), spec()]);
+    let uncached = service.run_batch([spec().without_cache(), spec().without_cache()]);
     service.shutdown();
-    let serial: Vec<_> = specs().into_iter().map(run_spec_serial).collect();
-    for (c, s) in concurrent.iter().zip(&serial) {
-        assert_eq!(c.to_json().to_string(), s.to_json().to_string());
+    assert_eq!(cached.iter().filter(|o| o.from_cache).count(), 1);
+    assert!(uncached.iter().all(|o| !o.from_cache));
+    for (c, u) in cached.iter().zip(&uncached) {
+        assert_eq!(c.to_json().to_string(), u.to_json().to_string());
     }
 }
 
@@ -98,27 +106,35 @@ fn duplicate_netlists_serialize_identically_across_modes() {
 fn search_threads_never_change_the_canonical_result_json() {
     // The parallel in-saturation rule search must be invisible in the
     // result document: whatever thread count the operator configures,
-    // the canonical JSON stays byte-identical to the serial oracle's.
-    let spec = |threads: Option<usize>| {
-        let mut params = BooleParams::small().without_time_limit();
-        if let Some(threads) = threads {
-            params = params.with_search_threads(threads);
-        }
-        JobSpec::generated(GenSpec::parse("wallace:4").unwrap()).with_params(params)
+    // the canonical JSON stays byte-identical to the single-threaded
+    // pipeline's.
+    let oracle_json = pipeline_json("wallace:4", params());
+    let spec = |params: BooleParams| {
+        JobSpec::generated(GenSpec::parse("wallace:4").unwrap())
+            .with_params(params)
+            .without_cache()
     };
-    let oracle = run_spec_serial(spec(None));
-    let oracle_json = oracle.to_json().to_string();
-    assert!(oracle.summary().is_some(), "oracle job failed");
-
-    // Via the per-spec knob on the serial path.
+    let service = Service::new(ServiceConfig {
+        num_workers: 1,
+        queue_capacity: 4,
+        cache_capacity: 4,
+        cache_dir: None,
+        telemetry: None,
+        search_threads: None,
+        ..ServiceConfig::default()
+    });
+    // Via the per-spec knob.
     for threads in [2, 5] {
-        let parallel = run_spec_serial(spec(Some(threads)));
+        let outcome = service
+            .submit(spec(params().with_search_threads(threads)))
+            .wait();
         assert_eq!(
-            parallel.to_json().to_string(),
+            outcome.summary().unwrap().to_json().to_string(),
             oracle_json,
             "per-spec search_threads={threads} changed the result JSON"
         );
     }
+    service.shutdown();
 
     // Via the service-wide operator override.
     let service = Service::new(ServiceConfig {
@@ -130,25 +146,13 @@ fn search_threads_never_change_the_canonical_result_json() {
         search_threads: Some(3),
         ..ServiceConfig::default()
     });
-    let outcome = service.submit(spec(None)).wait();
+    let outcome = service.submit(spec(params())).wait();
     service.shutdown();
     assert!(!outcome.from_cache);
     assert_eq!(
-        outcome.to_json().to_string(),
+        outcome.summary().unwrap().to_json().to_string(),
         oracle_json,
         "ServiceConfig::search_threads changed the result JSON"
-    );
-}
-
-#[test]
-fn serial_path_honors_deadline() {
-    let spec = JobSpec::generated(GenSpec::parse("csa:8").unwrap())
-        .with_deadline(Duration::from_millis(1));
-    let outcome = run_spec_serial(spec);
-    assert!(
-        matches!(outcome.verdict, JobVerdict::Cancelled { .. }),
-        "serial deadline must cancel, got {:?}",
-        outcome.status()
     );
 }
 
@@ -406,17 +410,16 @@ fn failed_sources_are_reported_not_panicked() {
         search_threads: None,
         ..ServiceConfig::default()
     });
-    let missing = service.submit(JobSpec::aag_file("/nonexistent/never.aag"));
+    let missing = service.submit(JobSpec::file("/nonexistent/never.aag"));
     let outcome = missing.wait();
     assert!(matches!(outcome.verdict, JobVerdict::Failed(_)));
-    let garbled = service.submit(JobSpec {
-        label: "garbled".to_owned(),
-        source: boole_service::JobSource::AagText("not an aiger file".to_owned()),
-        params: BooleParams::small(),
-        deadline: None,
-        use_cache: true,
-    });
-    assert!(matches!(garbled.wait().verdict, JobVerdict::Failed(_)));
+    let path = std::env::temp_dir().join(format!("boole-garbled-{}.aag", std::process::id()));
+    std::fs::write(&path, "not an aiger file").unwrap();
+    let garbled = service.submit(JobSpec::file(&path)).wait();
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(garbled.verdict, JobVerdict::Failed(_)));
+    // A parse error fails the same way every time: no retry budget spent.
+    assert_eq!(garbled.retries, 0);
     let stats = service.shutdown();
     assert_eq!(stats.failed, 2);
 }

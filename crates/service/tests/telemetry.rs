@@ -1,14 +1,14 @@
 //! Event-stream invariants: phase bracketing per job, gapless sequence
 //! numbers (modulo explicit `dropped` markers), terminal events under
-//! cancellation, serial/pooled stream parity, and the NDJSON rendering
-//! of the pipeline's own events and metrics.
+//! cancellation, and the NDJSON rendering of the pipeline's own events
+//! and metrics.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use boole::telemetry::{EventKind, Telemetry, TelemetryEvent, TelemetrySink};
 use boole::{BooleParams, Json};
-use boole_service::{run_spec_serial_observed, GenSpec, JobSpec, Service, ServiceConfig};
+use boole_service::{GenSpec, JobSpec, Service, ServiceConfig};
 
 fn sink() -> TelemetrySink {
     Arc::new(Telemetry::new())
@@ -151,55 +151,9 @@ fn pooled_batch_stream_is_bracketed_and_gapless() {
 }
 
 #[test]
-fn serial_stream_is_bracketed_and_matches_pooled_per_job() {
-    let specs = ["csa:2", "csa:3", "wallace:3"];
-
-    let serial = sink();
-    for (i, text) in specs.iter().enumerate() {
-        run_spec_serial_observed(spec(text), i as u64 + 1, Some(&serial));
-    }
-    serial.events.close();
-    let serial_events = serial.events.drain();
-    assert_stream_invariants(&serial_events);
-
-    let pooled = sink();
-    let service = Service::new(config(1, &pooled));
-    service.run_batch(specs.iter().map(|t| spec(t)));
-    service.shutdown();
-    pooled.events.close();
-    let pooled_events = pooled.events.drain();
-    assert_stream_invariants(&pooled_events);
-
-    // Per job, the serial stream is the pooled stream minus the cache
-    // probes the serial path (cache-less by construction) never makes.
-    let shape = |events: &[TelemetryEvent], job: u64| -> Vec<String> {
-        events
-            .iter()
-            .filter(|e| job_of(&e.kind) == Some(job))
-            .filter_map(|e| match &e.kind {
-                EventKind::CacheHit { .. } | EventKind::CacheMiss { .. } => None,
-                EventKind::PhaseStarted { phase, .. } => Some(format!("phase_started:{phase}")),
-                EventKind::PhaseFinished { phase, .. } => Some(format!("phase_finished:{phase}")),
-                EventKind::Iteration { ruleset, index, .. } => {
-                    Some(format!("iteration:{ruleset}:{index}"))
-                }
-                kind => Some(kind.name().to_owned()),
-            })
-            .collect()
-    };
-    for job in 1..=specs.len() as u64 {
-        assert_eq!(
-            shape(&serial_events, job),
-            shape(&pooled_events, job),
-            "job {job}: serial and pooled streams diverged"
-        );
-    }
-}
-
-#[test]
 fn deadline_doomed_job_still_emits_terminal_event() {
-    // Pooled: a job whose deadline expires mid-saturation must still
-    // close its stream with job_done { status: "cancelled" }.
+    // A job whose deadline expires mid-saturation must still close its
+    // stream with job_done { status: "cancelled" }.
     let telemetry = sink();
     let service = Service::new(config(1, &telemetry));
     let doomed = JobSpec::generated(GenSpec::parse("csa:8").unwrap())
@@ -216,20 +170,6 @@ fn deadline_doomed_job_still_emits_terminal_event() {
         })
         .collect::<Vec<_>>();
     assert_eq!(terminal, ["cancelled"], "events: {events:?}");
-
-    // Serial path: same guarantee.
-    let serial = sink();
-    let doomed = JobSpec::generated(GenSpec::parse("csa:8").unwrap())
-        .with_deadline(Duration::from_millis(1));
-    run_spec_serial_observed(doomed, 1, Some(&serial));
-    serial.events.close();
-    let events = serial.events.drain();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(&e.kind, EventKind::JobDone { status, .. } if status == "cancelled")),
-        "events: {events:?}"
-    );
 }
 
 #[test]
@@ -325,25 +265,13 @@ fn assert_pipeline_metrics(telemetry: &Telemetry) {
 
 #[test]
 fn event_lines_strict_parse_and_iteration_times_fit_saturate() {
-    let specs = ["csa:3", "wallace:3"];
-
-    let pooled = sink();
-    let service = Service::new(config(2, &pooled));
-    service.run_batch(specs.iter().map(|t| spec(t)));
+    let telemetry = sink();
+    let service = Service::new(config(2, &telemetry));
+    service.run_batch(vec![spec("csa:3"), spec("wallace:3")]);
     service.shutdown();
-    pooled.events.close();
-    let events = pooled.events.drain();
+    telemetry.events.close();
+    let events = telemetry.events.drain();
     assert_stream_invariants(&events);
     assert_lines_parse_and_iterations_fit_saturate(&events);
-    assert_pipeline_metrics(&pooled);
-
-    let serial = sink();
-    for (i, text) in specs.iter().enumerate() {
-        run_spec_serial_observed(spec(text), i as u64 + 1, Some(&serial));
-    }
-    serial.events.close();
-    let events = serial.events.drain();
-    assert_stream_invariants(&events);
-    assert_lines_parse_and_iterations_fit_saturate(&events);
-    assert_pipeline_metrics(&serial);
+    assert_pipeline_metrics(&telemetry);
 }
