@@ -13,12 +13,8 @@
 //! * every submitted job reaches exactly one terminal status within the
 //!   round budget — no handle hangs, no worker dies permanently;
 //! * `submitted == completed + cancelled + failed + panicked + shed`;
-//! * `shutdown` drains: after it returns, every handle is terminal;
-//! * a dedicated heal round: injected disk-write corruption must read
-//!   as a miss for a fresh service on the same directory, then serve a
-//!   clean hit after the rewrite.
+//! * `shutdown` drains: after it returns, every handle is terminal.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,10 +45,6 @@ fn spec(text: &str) -> JobSpec {
         .with_params(BooleParams::lightweight().without_time_limit())
 }
 
-fn temp_dir(tag: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("boole-chaosbench-{tag}-{}", std::process::id()))
-}
-
 /// A randomly-armed registry. Panic is never installed at
 /// `queue.accept`: that failpoint fires on the submitter's thread
 /// (this harness), outside any worker's panic-isolation boundary.
@@ -72,9 +64,8 @@ fn random_faults(rng: &mut u64) -> Arc<FaultRegistry> {
                 seed: splitmix64(rng),
             },
         };
-        let action = match below(rng, 3) {
+        let action = match below(rng, 2) {
             0 if name != site::QUEUE_ACCEPT => FaultAction::Panic,
-            1 => FaultAction::Corrupt,
             _ => FaultAction::Error,
         };
         faults.configure(name, FaultPolicy { trigger, action });
@@ -97,18 +88,15 @@ fn chaos_round(seed: u64, round: u64, jobs: usize) -> RoundReport {
         0 => ShedPolicy::Block,
         _ => ShedPolicy::Shed,
     };
-    let cache_dir = (below(&mut rng, 2) == 0).then(|| temp_dir(splitmix64(&mut rng)));
-    let mut config = ServiceConfig::default()
-        .with_workers(1 + below(&mut rng, 3) as usize)
-        .with_queue_capacity(1 + below(&mut rng, 4) as usize)
-        .with_shed_policy(shed_policy)
-        .with_max_retries(below(&mut rng, 3) as u32)
-        .with_retry_base(Duration::from_millis(1))
-        .with_faults(Arc::clone(&faults));
-    if let Some(dir) = &cache_dir {
-        config = config.with_cache_dir(dir);
-    }
-    let service = Service::new(config);
+    let service = Service::new(
+        ServiceConfig::default()
+            .with_workers(1 + below(&mut rng, 3) as usize)
+            .with_queue_capacity(1 + below(&mut rng, 4) as usize)
+            .with_shed_policy(shed_policy)
+            .with_max_retries(below(&mut rng, 3) as u32)
+            .with_retry_base(Duration::from_millis(1))
+            .with_faults(Arc::clone(&faults)),
+    );
 
     // Duplicates on purpose: single-flight leadership must survive
     // injected panics (followers re-elect, nobody hangs).
@@ -151,63 +139,11 @@ fn chaos_round(seed: u64, round: u64, jobs: usize) -> RoundReport {
         stats.completed + stats.cancelled + stats.failed + stats.panicked + stats.shed,
         "accounting violated (seed {seed}, round {round}): {stats:?}"
     );
-    if let Some(dir) = cache_dir {
-        std::fs::remove_dir_all(&dir).ok();
-    }
     RoundReport {
         stats,
         faults_fired: faults.fired_total(),
         elapsed: start.elapsed(),
     }
-}
-
-/// The heal invariant: a service whose every disk write was corrupted
-/// leaves a cache a fresh service reads as misses, reruns, and repairs
-/// durably.
-fn heal_round(seed: u64) {
-    let dir = temp_dir(seed ^ 0x4ea1_0000_0000_0000);
-    std::fs::remove_dir_all(&dir).ok();
-    let faults = Arc::new(FaultRegistry::new());
-    faults.configure(
-        site::DISK_WRITE,
-        FaultPolicy {
-            trigger: Trigger::Always,
-            action: FaultAction::Corrupt,
-        },
-    );
-    let service = Service::new(
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_cache_dir(&dir)
-            .with_faults(faults),
-    );
-    assert!(service.submit(spec("csa:3")).wait().summary().is_some());
-    service.shutdown();
-
-    let service = Service::new(
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_cache_dir(&dir),
-    );
-    let outcome = service.submit(spec("csa:3")).wait();
-    assert!(
-        !outcome.from_cache,
-        "heal violated (seed {seed}): corrupt entry served as a hit"
-    );
-    assert!(outcome.summary().is_some());
-    service.shutdown();
-
-    let service = Service::new(
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_cache_dir(&dir),
-    );
-    assert!(
-        service.submit(spec("csa:3")).wait().from_cache,
-        "heal violated (seed {seed}): rewritten entry not served as a hit"
-    );
-    service.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn main() {
@@ -261,7 +197,6 @@ fn main() {
             );
         }
     }
-    heal_round(seed);
     if as_json {
         println!(
             "{}",
@@ -272,7 +207,6 @@ fn main() {
                 ("jobs_per_round", Json::from(jobs)),
                 ("jobs_total", Json::from(totals.0 as usize)),
                 ("faults_fired_total", Json::from(totals.1 as usize)),
-                ("heal_round", Json::str("ok")),
                 ("invariants", Json::str("ok")),
                 ("rows", Json::arr(rows)),
             ])
@@ -280,7 +214,7 @@ fn main() {
         );
     } else {
         println!(
-            "all invariants held: {} jobs terminal, {} faults fired, disk heal ok",
+            "all invariants held: {} jobs terminal, {} faults fired",
             totals.0, totals.1
         );
     }

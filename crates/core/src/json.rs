@@ -1,5 +1,4 @@
-//! A hand-rolled JSON round-trip layer (no serde) for machine-readable
-//! output and the service's persistent result store.
+//! A hand-rolled JSON layer (no serde) for machine-readable output.
 //!
 //! The workspace is dependency-free by design, so results are
 //! serialized through a tiny document model: build a [`Json`] value,
@@ -8,10 +7,10 @@
 //! output is byte-stable across runs — the service's batch mode relies
 //! on that to compare concurrent and serial results.
 //!
-//! The inverse direction is [`Json::parse`] (a recursive-descent
-//! parser over the same grammar the writer emits) plus the [`FromJson`]
-//! trait, which rebuilds result types from parsed documents. Canonical
-//! documents round-trip exactly: `Json::parse(&doc.to_string())`
+//! The inverse direction is [`Json::parse`], a recursive-descent
+//! parser over the same grammar the writer emits, used to strict-check
+//! and read back emitted documents. Canonical documents round-trip
+//! exactly: `Json::parse(&doc.to_string())`
 //! returns `doc` for every document the writer produces that contains
 //! no non-integral finite floats (the only lossy corner: `Float(2.0)`
 //! prints as `2`, which re-parses as `Int(2)`; canonical result
@@ -107,20 +106,11 @@ impl Json {
     }
 }
 
-/// An error from [`Json::parse`] or a [`FromJson`] conversion.
+/// An error from [`Json::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Human-readable description; parse errors include a byte offset.
     pub message: String,
-}
-
-impl JsonError {
-    /// Builds an error from any displayable message.
-    pub fn new(message: impl Into<String>) -> JsonError {
-        JsonError {
-            message: message.into(),
-        }
-    }
 }
 
 impl std::fmt::Display for JsonError {
@@ -131,9 +121,8 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Accessors used by [`FromJson`] implementations. All return `None`
-/// on a variant mismatch; the `expect_*` variants wrap that in a
-/// [`JsonError`] naming the field for store-corruption diagnostics.
+/// The parser and read accessors. Accessors return `None` on a variant
+/// mismatch.
 impl Json {
     /// Parses a JSON document. The whole input must be one value
     /// (trailing non-whitespace is an error). Nesting is limited to
@@ -187,14 +176,6 @@ impl Json {
         }
     }
 
-    /// The boolean value, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The string value, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -210,48 +191,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// [`Json::field`] with a descriptive error on absence.
-    pub fn expect_field(&self, key: &str) -> Result<&Json, JsonError> {
-        self.field(key)
-            .ok_or_else(|| JsonError::new(format!("missing object field {key:?}")))
-    }
-
-    /// [`Json::as_usize`] with a descriptive error, for field `name`.
-    pub fn expect_usize(&self, name: &str) -> Result<usize, JsonError> {
-        self.as_usize()
-            .ok_or_else(|| JsonError::new(format!("field {name:?} is not a non-negative integer")))
-    }
-}
-
-/// Checks that `json` is an object holding exactly the keys in
-/// `expected` (any order, no duplicates, no extras) and returns the
-/// values in `expected` order. [`FromJson`] impls use this to reject
-/// stale or corrupt store documents instead of filling defaults.
-pub fn expect_exact_fields<'a, const N: usize>(
-    json: &'a Json,
-    expected: [&str; N],
-) -> Result<[&'a Json; N], JsonError> {
-    let Json::Obj(pairs) = json else {
-        return Err(JsonError::new("expected a JSON object"));
-    };
-    for (key, _) in pairs {
-        if !expected.contains(&key.as_str()) {
-            return Err(JsonError::new(format!("unexpected object field {key:?}")));
-        }
-    }
-    let mut values = [json; N];
-    for (slot, key) in values.iter_mut().zip(expected) {
-        let mut found = pairs.iter().filter(|(k, _)| k == key);
-        *slot = found
-            .next()
-            .map(|(_, v)| v)
-            .ok_or_else(|| JsonError::new(format!("missing object field {key:?}")))?;
-        if found.next().is_some() {
-            return Err(JsonError::new(format!("duplicate object field {key:?}")));
-        }
-    }
-    Ok(values)
 }
 
 struct Parser<'a> {
@@ -261,7 +200,9 @@ struct Parser<'a> {
 
 impl Parser<'_> {
     fn error(&self, message: &str) -> JsonError {
-        JsonError::new(format!("{message} at byte {}", self.pos))
+        JsonError {
+            message: format!("{message} at byte {}", self.pos),
+        }
     }
 
     fn skip_ws(&mut self) {
@@ -601,138 +542,6 @@ pub trait ToJson {
     fn to_json(&self) -> Json;
 }
 
-/// Types reconstructible from their canonical JSON representation.
-///
-/// Implementations are strict: a document with missing, duplicate,
-/// extra, or mistyped fields is rejected, so the service's persistent
-/// store treats any format drift as a cache miss instead of loading a
-/// half-right result. For every value `v` whose canonical document
-/// omits wall-clock fields, `from_json(&v.to_json())` re-serializes
-/// byte-identically to `v.to_json()`.
-pub trait FromJson: Sized {
-    /// Rebuilds a value from a [`Json`] document.
-    fn from_json(json: &Json) -> Result<Self, JsonError>;
-}
-
-impl FromJson for StopReason {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        match json {
-            Json::Str(s) if s == "saturated" => Ok(StopReason::Saturated),
-            Json::Str(s) if s == "cancelled" => Ok(StopReason::Cancelled),
-            Json::Obj(pairs) if pairs.len() == 1 => {
-                let (key, value) = &pairs[0];
-                match key.as_str() {
-                    "iter_limit" => Ok(StopReason::IterLimit(value.expect_usize("iter_limit")?)),
-                    "node_limit" => Ok(StopReason::NodeLimit(value.expect_usize("node_limit")?)),
-                    "time_limit_ms" => {
-                        let ms = value.as_f64().ok_or_else(|| {
-                            JsonError::new("field \"time_limit_ms\" is not a duration")
-                        })?;
-                        // try_: a negative, non-finite, or
-                        // Duration-overflowing value in a corrupt store
-                        // record must be a conversion error (= cache
-                        // miss), never a panic.
-                        Duration::try_from_secs_f64(ms / 1e3)
-                            .map(StopReason::TimeLimit)
-                            .map_err(|_| JsonError::new("field \"time_limit_ms\" is out of range"))
-                    }
-                    other => Err(JsonError::new(format!("unknown stop reason {other:?}"))),
-                }
-            }
-            _ => Err(JsonError::new("malformed stop reason")),
-        }
-    }
-}
-
-impl FromJson for SaturationStats {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let [nodes_after_r1, nodes_after_r2, classes, r1_stop, r2_stop, r1_iterations, r2_iterations, pruned, total_matches, cancelled] =
-            expect_exact_fields(
-                json,
-                [
-                    "nodes_after_r1",
-                    "nodes_after_r2",
-                    "classes",
-                    "r1_stop",
-                    "r2_stop",
-                    "r1_iterations",
-                    "r2_iterations",
-                    "pruned",
-                    "total_matches",
-                    "cancelled",
-                ],
-            )?;
-        let stats = SaturationStats {
-            nodes_after_r1: nodes_after_r1.expect_usize("nodes_after_r1")?,
-            nodes_after_r2: nodes_after_r2.expect_usize("nodes_after_r2")?,
-            classes: classes.expect_usize("classes")?,
-            r1_stop: StopReason::from_json(r1_stop)?,
-            r2_stop: StopReason::from_json(r2_stop)?,
-            r1_iterations: r1_iterations.expect_usize("r1_iterations")?,
-            r2_iterations: r2_iterations.expect_usize("r2_iterations")?,
-            pruned: pruned.expect_usize("pruned")?,
-            // Wall-clock phase times are deliberately absent from the
-            // canonical document (see `ToJson`); a summary reloaded
-            // from the persistent store reports zero phase times.
-            search_time: Duration::ZERO,
-            merge_time: Duration::ZERO,
-            apply_time: Duration::ZERO,
-            rebuild_time: Duration::ZERO,
-            total_matches: total_matches.expect_usize("total_matches")?,
-            // Per-rule profiles are struct-only like the phase times.
-            rules: Vec::new(),
-        };
-        let claimed = cancelled
-            .as_bool()
-            .ok_or_else(|| JsonError::new("field \"cancelled\" is not a boolean"))?;
-        if claimed != stats.was_cancelled() {
-            return Err(JsonError::new(
-                "field \"cancelled\" contradicts the stop reasons",
-            ));
-        }
-        Ok(stats)
-    }
-}
-
-impl FromJson for PairStats {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let [fa_inserted, xor3_triples, maj_triples] =
-            expect_exact_fields(json, ["fa_inserted", "xor3_triples", "maj_triples"])?;
-        Ok(PairStats {
-            fa_inserted: fa_inserted.expect_usize("fa_inserted")?,
-            xor3_triples: xor3_triples.expect_usize("xor3_triples")?,
-            maj_triples: maj_triples.expect_usize("maj_triples")?,
-        })
-    }
-}
-
-fn lit_from_json(json: &Json, name: &str) -> Result<aig::Lit, JsonError> {
-    let raw = json
-        .as_int()
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| JsonError::new(format!("field {name:?} is not a raw literal")))?;
-    Ok(aig::Lit(raw))
-}
-
-impl FromJson for crate::pipeline::RecoveredFa {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        let [inputs, sum, carry] = expect_exact_fields(json, ["inputs", "sum", "carry"])?;
-        let items = inputs
-            .as_array()
-            .filter(|items| items.len() == 3)
-            .ok_or_else(|| JsonError::new("field \"inputs\" is not a 3-literal array"))?;
-        Ok(crate::pipeline::RecoveredFa {
-            inputs: [
-                lit_from_json(&items[0], "inputs")?,
-                lit_from_json(&items[1], "inputs")?,
-                lit_from_json(&items[2], "inputs")?,
-            ],
-            sum: lit_from_json(sum, "sum")?,
-            carry: lit_from_json(carry, "carry")?,
-        })
-    }
-}
-
 impl ToJson for StopReason {
     fn to_json(&self) -> Json {
         match self {
@@ -929,63 +738,6 @@ mod tests {
         assert!(Json::parse(&deep).is_err());
     }
 
-    #[test]
-    fn exact_fields_is_order_insensitive_but_strict() {
-        let doc = Json::obj([("b", Json::Int(2)), ("a", Json::Int(1))]);
-        let [a, b] = expect_exact_fields(&doc, ["a", "b"]).unwrap();
-        assert_eq!((a, b), (&Json::Int(1), &Json::Int(2)));
-        assert!(expect_exact_fields(&doc, ["a"]).is_err(), "extra field");
-        assert!(expect_exact_fields(&doc, ["a", "b", "c"]).is_err());
-        let dup = Json::Obj(vec![
-            ("a".to_owned(), Json::Int(1)),
-            ("a".to_owned(), Json::Int(2)),
-        ]);
-        assert!(expect_exact_fields(&dup, ["a"]).is_err(), "duplicate");
-        assert!(expect_exact_fields(&Json::Int(3), ["a"]).is_err());
-    }
-
-    #[test]
-    fn stop_reason_round_trips() {
-        let reasons = [
-            StopReason::Saturated,
-            StopReason::Cancelled,
-            StopReason::IterLimit(7),
-            StopReason::NodeLimit(100_000),
-            StopReason::TimeLimit(Duration::from_millis(250)),
-        ];
-        for reason in reasons {
-            let doc = reason.to_json();
-            let back = StopReason::from_json(&Json::parse(&doc.to_string()).unwrap()).unwrap();
-            assert_eq!(
-                back.to_json().to_string(),
-                doc.to_string(),
-                "{reason:?} did not round-trip"
-            );
-        }
-        assert!(StopReason::from_json(&Json::str("exploded")).is_err());
-        assert!(StopReason::from_json(&Json::obj([("warp_limit", Json::Int(1))])).is_err());
-        assert!(StopReason::from_json(&Json::obj([("time_limit_ms", Json::Float(-1.0))])).is_err());
-        // Finite but Duration-overflowing: an error, never a panic —
-        // a corrupt store record must degrade to a miss.
-        assert!(StopReason::from_json(&Json::obj([("time_limit_ms", Json::Float(1e30))])).is_err());
-    }
-
-    #[test]
-    fn saturation_stats_reject_contradictory_cancelled_flag() {
-        let aig = aig::gen::csa_multiplier(3);
-        let result = crate::BoolE::new(crate::BooleParams::small()).run(&aig);
-        let mut doc = result.saturation.to_json();
-        let Json::Obj(pairs) = &mut doc else {
-            panic!("stats serialize as an object")
-        };
-        let flag = pairs
-            .iter_mut()
-            .find(|(k, _)| k == "cancelled")
-            .expect("cancelled field");
-        flag.1 = Json::Bool(true); // stops say otherwise
-        assert!(SaturationStats::from_json(&doc).is_err());
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
@@ -1004,28 +756,6 @@ mod tests {
             proptest::prop_assert_eq!(&parsed, &doc);
         }
 
-        #[test]
-        fn stats_documents_round_trip(
-            stats in arb_saturation_stats(),
-            pairing in arb_pair_stats(),
-            fa in arb_recovered_fa(),
-        ) {
-            let doc = stats.to_json();
-            let back = SaturationStats::from_json(&Json::parse(&doc.to_string()).unwrap())
-                .expect("canonical stats must parse");
-            proptest::prop_assert_eq!(back.to_json().to_string(), doc.to_string());
-
-            let doc = pairing.to_json();
-            let back = PairStats::from_json(&Json::parse(&doc.to_string()).unwrap()).unwrap();
-            proptest::prop_assert_eq!(back.to_json().to_string(), doc.to_string());
-
-            let doc = fa.to_json();
-            let back = crate::pipeline::RecoveredFa::from_json(
-                &Json::parse(&doc.to_string()).unwrap(),
-            )
-            .unwrap();
-            proptest::prop_assert_eq!(back.to_json().to_string(), doc.to_string());
-        }
     }
 
     /// Random canonical-shaped documents: every variant, but floats are
@@ -1065,68 +795,6 @@ mod tests {
             0..8,
         )
         .prop_map(|chars| chars.into_iter().collect())
-    }
-
-    fn arb_stop_reason() -> impl proptest::Strategy<Value = StopReason> {
-        use proptest::Strategy as _;
-        proptest::prop_oneof![
-            proptest::Just(StopReason::Saturated),
-            proptest::Just(StopReason::Cancelled),
-            (0usize..1000).prop_map(StopReason::IterLimit),
-            (0usize..1_000_000).prop_map(StopReason::NodeLimit),
-            // Whole milliseconds survive the f64-ms encoding exactly.
-            (0u64..100_000).prop_map(|ms| StopReason::TimeLimit(Duration::from_millis(ms))),
-        ]
-    }
-
-    fn arb_saturation_stats() -> impl proptest::Strategy<Value = SaturationStats> {
-        use proptest::Strategy as _;
-        (
-            (0usize..10_000, 0usize..10_000, 0usize..10_000),
-            (arb_stop_reason(), arb_stop_reason()),
-            (0usize..100, 0usize..100, 0usize..10_000, 0usize..1_000_000),
-        )
-            .prop_map(|((n1, n2, classes), (r1, r2), (i1, i2, pruned, matches))| {
-                SaturationStats {
-                    nodes_after_r1: n1,
-                    nodes_after_r2: n2,
-                    classes,
-                    r1_stop: r1,
-                    r2_stop: r2,
-                    r1_iterations: i1,
-                    r2_iterations: i2,
-                    pruned,
-                    search_time: Duration::ZERO,
-                    merge_time: Duration::ZERO,
-                    apply_time: Duration::ZERO,
-                    rebuild_time: Duration::ZERO,
-                    total_matches: matches,
-                    rules: Vec::new(),
-                }
-            })
-    }
-
-    fn arb_pair_stats() -> impl proptest::Strategy<Value = PairStats> {
-        use proptest::Strategy as _;
-        (0usize..1000, 0usize..1000, 0usize..1000).prop_map(|(fa, xor3, maj)| PairStats {
-            fa_inserted: fa,
-            xor3_triples: xor3,
-            maj_triples: maj,
-        })
-    }
-
-    fn arb_recovered_fa() -> impl proptest::Strategy<Value = crate::pipeline::RecoveredFa> {
-        use proptest::Strategy as _;
-        (
-            (0u32..10_000, 0u32..10_000, 0u32..10_000),
-            0u32..10_000,
-            0u32..10_000,
-        )
-            .prop_map(|((a, b, c), sum, carry)| crate::pipeline::RecoveredFa {
-                inputs: [aig::Lit(a), aig::Lit(b), aig::Lit(c)],
-                sum: aig::Lit(sum),
-                carry: aig::Lit(carry),
-            })
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod telemetry;
 pub use convert::{aig_to_egraph, NetlistEGraph};
 pub use egraph::CancelToken;
 pub use extract::{extract_dag, DagChoice, DagExtraction};
-pub use json::{FromJson, Json, JsonError, ToJson};
+pub use json::{Json, JsonError, ToJson};
 pub use lang::{BoolLang, BoolOp};
 pub use pair::{pair_full_adders, PairStats};
 pub use pipeline::{BoolE, BooleParams, BooleResult, Cancelled, Phase, RecoveredFa};
@@ -47,5 +47,5 @@ pub use saturate::{
     saturate, saturate_observed, IterationObserver, RuleSummary, SaturateParams, SaturationStats,
 };
 pub use telemetry::{
-    CacheTier, EventBus, EventKind, MetricsRegistry, Telemetry, TelemetryEvent, TelemetrySink,
+    EventBus, EventKind, MetricsRegistry, Telemetry, TelemetryEvent, TelemetrySink,
 };

@@ -144,7 +144,7 @@ pub struct SaturationStats {
     /// Per-rule accounting merged across both phases, sorted by rule
     /// name. Struct-only, like the wall-clock fields above: excluded
     /// from the canonical JSON document (per-rule timings are
-    /// machine-dependent) and restored empty by `FromJson`.
+    /// machine-dependent).
     pub rules: Vec<RuleSummary>,
 }
 

@@ -31,25 +31,6 @@ use crate::json::Json;
 /// Default bound of the event ring (events held between drains).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4096;
 
-/// Which cache tier answered (or failed to answer) a lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheTier {
-    /// The in-memory result-cache tier.
-    Memory,
-    /// The persistent disk tier.
-    Disk,
-}
-
-impl CacheTier {
-    /// Stable lowercase name used in event payloads.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheTier::Memory => "memory",
-            CacheTier::Disk => "disk",
-        }
-    }
-}
-
 /// The typed payload of a [`TelemetryEvent`].
 #[derive(Debug, Clone)]
 pub enum EventKind {
@@ -104,29 +85,20 @@ pub enum EventKind {
         /// Time spent rebuilding (congruence repair).
         rebuild_time: Duration,
     },
-    /// A cache tier answered a lookup.
+    /// The result cache answered a lookup.
     CacheHit {
         /// Service-assigned job id.
         job: u64,
-        /// Which tier hit.
-        tier: CacheTier,
     },
-    /// A cache tier had no usable record.
+    /// The result cache had no record for a lookup.
     CacheMiss {
         /// Service-assigned job id.
         job: u64,
-        /// Which tier missed.
-        tier: CacheTier,
     },
-    /// The in-memory cache evicted an entry to make room.
+    /// The result cache evicted an entry to make room.
     CacheEvicted {
         /// Entries evicted in this insertion's eviction pass.
         entries: u64,
-    },
-    /// A persistent-cache write failed (disk full, permissions, …).
-    DiskWriteError {
-        /// The I/O error, rendered.
-        message: String,
     },
     /// A job's transient failure is being retried after a backoff
     /// delay (the service's bounded-retry policy).
@@ -145,7 +117,7 @@ pub enum EventKind {
         job: u64,
         /// Terminal status name (`completed`, `failed`, `cancelled`).
         status: String,
-        /// Whether the result was served from a cache tier.
+        /// Whether the result was served from the result cache.
         from_cache: bool,
     },
     /// Marker standing in for `count` events dropped under
@@ -169,7 +141,6 @@ impl EventKind {
             EventKind::CacheHit { .. } => "cache_hit",
             EventKind::CacheMiss { .. } => "cache_miss",
             EventKind::CacheEvicted { .. } => "cache_evicted",
-            EventKind::DiskWriteError { .. } => "disk_write_error",
             EventKind::JobRetry { .. } => "job_retry",
             EventKind::JobDone { .. } => "job_done",
             EventKind::Dropped { .. } => "dropped",
@@ -243,16 +214,10 @@ impl TelemetryEvent {
                 push("apply_us", micros(*apply_time));
                 push("rebuild_us", micros(*rebuild_time));
             }
-            EventKind::CacheHit { job, tier } => {
-                push("job", Json::Int(*job as i64));
-                push("tier", Json::str(tier.name()));
-            }
-            EventKind::CacheMiss { job, tier } => {
-                push("job", Json::Int(*job as i64));
-                push("tier", Json::str(tier.name()));
+            EventKind::CacheHit { job } | EventKind::CacheMiss { job } => {
+                push("job", Json::Int(*job as i64))
             }
             EventKind::CacheEvicted { entries } => push("entries", Json::Int(*entries as i64)),
-            EventKind::DiskWriteError { message } => push("message", Json::str(message.clone())),
             EventKind::JobRetry {
                 job,
                 attempt,
@@ -840,18 +805,9 @@ mod tests {
                 apply_time: Duration::from_micros(200),
                 rebuild_time: Duration::from_micros(100),
             },
-            EventKind::CacheHit {
-                job: 1,
-                tier: CacheTier::Memory,
-            },
-            EventKind::CacheMiss {
-                job: 1,
-                tier: CacheTier::Disk,
-            },
+            EventKind::CacheHit { job: 1 },
+            EventKind::CacheMiss { job: 1 },
             EventKind::CacheEvicted { entries: 2 },
-            EventKind::DiskWriteError {
-                message: "disk full: \"/tmp/x\"".into(),
-            },
             EventKind::JobDone {
                 job: 1,
                 status: "completed".into(),
@@ -877,7 +833,7 @@ mod tests {
     fn metrics_snapshot_is_deterministic_and_parseable() {
         let metrics = MetricsRegistry::new();
         metrics.counter("jobs_completed").add(3);
-        metrics.counter("cache_memory_hits").inc();
+        metrics.counter("cache_hits").inc();
         metrics.gauge("queue_depth").set(5);
         metrics.gauge("queue_depth").add(-2);
         let h = metrics.histogram("job_ms");
@@ -888,7 +844,7 @@ mod tests {
         let parsed = Json::parse(&text).expect("snapshot must strict-parse");
         assert_eq!(parsed.to_string(), text);
         // Deterministic: same mutations, same rendering order.
-        assert!(text.find("cache_memory_hits").unwrap() < text.find("jobs_completed").unwrap());
+        assert!(text.find("cache_hits").unwrap() < text.find("jobs_completed").unwrap());
         assert_eq!(metrics.gauge("queue_depth").get(), 3);
         assert_eq!(metrics.histogram("job_ms").count(), 2);
     }

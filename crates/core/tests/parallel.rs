@@ -74,9 +74,9 @@ proptest! {
         let serial_nodes = serial_net.egraph.total_number_of_nodes();
         for threads in [2, extra_threads] {
             let (net, stats) = run(threads);
-            // The canonical JSON document — what job results, the
-            // cache, and the disk store are built from — must be
-            // byte-identical to the serial oracle's.
+            // The canonical JSON document — what job results and
+            // the cache are built from — must be byte-identical to
+            // the serial oracle's.
             prop_assert_eq!(
                 stats.to_json().to_string(),
                 serial_json.clone(),

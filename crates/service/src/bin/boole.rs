@@ -16,8 +16,7 @@
 //!                      byte-identical at any value)
 //!   --deadline-ms N    per-job deadline; expired jobs are cancelled
 //!   --params P         default | small | lightweight
-//!   --cache-dir DIR    persistent result cache; hits survive across runs
-//!   --no-cache         skip the structural-hash result cache
+//!   --no-cache         skip the in-memory structural-hash result cache
 //!   --max-retries N    retry budget for transient failures, with
 //!                      exponential backoff (default 2)
 //!   --shed             reject jobs (terminal "rejected" outcome) instead of
@@ -65,7 +64,6 @@ struct Options {
     search_threads: Option<usize>,
     deadline: Option<Duration>,
     params: BooleParams,
-    cache_dir: Option<PathBuf>,
     use_cache: bool,
     timing: bool,
     pretty: bool,
@@ -84,7 +82,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
         search_threads: None,
         deadline: None,
         params: BooleParams::default(),
-        cache_dir: None,
         use_cache: true,
         timing: true,
         pretty: true,
@@ -124,11 +121,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
                     "lightweight" => BooleParams::lightweight(),
                     other => return Err(format!("unknown --params {other:?}")),
                 };
-                i += 2;
-            }
-            "--cache-dir" => {
-                let v = args.get(i + 1).ok_or("--cache-dir needs a value")?;
-                opts.cache_dir = Some(PathBuf::from(v));
                 i += 2;
             }
             "--max-retries" => {
@@ -174,9 +166,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
                 i += 1;
             }
         }
-    }
-    if !opts.use_cache && opts.cache_dir.is_some() {
-        return Err("--no-cache disables all cache tiers; drop it or --cache-dir".to_owned());
     }
     // With a `-` sink, telemetry shares stdout with the result document;
     // requiring --compact keeps stdout line-oriented (every line is one
@@ -253,9 +242,6 @@ fn execute(specs: Vec<JobSpec>, opts: &Options) -> Result<(Json, bool), String> 
     if let Some(workers) = opts.workers {
         config = config.with_workers(workers);
     }
-    if let Some(dir) = &opts.cache_dir {
-        config = config.with_cache_dir(dir);
-    }
     if let Some(telemetry) = &telemetry {
         config = config.with_telemetry(Arc::clone(telemetry));
     }
@@ -312,7 +298,7 @@ fn usage() -> String {
      \x20         batch mixes formats freely\n\
      options: --workers N --search-threads N --deadline-ms N\n\
      \x20        --params default|small|lightweight\n\
-     \x20        --cache-dir DIR --no-cache --no-timing --compact\n\
+     \x20        --no-cache --no-timing --compact\n\
      \x20        --max-retries N (transient-failure retry budget)\n\
      \x20        --shed (reject instead of block when the queue is full)\n\
      \x20        --events -|FILE (NDJSON event stream) --metrics -|FILE (final snapshot;\n\
@@ -472,17 +458,13 @@ mod tests {
         let (opts, positional) = parse_args(&strings(&[
             "--compact",
             "wallace:3",
-            "--cache-dir",
-            "/tmp/c",
+            "--no-cache",
             "--no-timing",
         ]))
         .unwrap();
         assert!(!opts.pretty);
         assert!(!opts.timing);
-        assert_eq!(
-            opts.cache_dir.as_deref(),
-            Some(std::path::Path::new("/tmp/c"))
-        );
+        assert!(!opts.use_cache);
         assert_eq!(positional, strings(&["wallace:3"]));
     }
 
@@ -500,12 +482,6 @@ mod tests {
             .err()
             .unwrap()
             .contains("bad --workers"));
-        assert!(
-            parse_args(&strings(&["--no-cache", "--cache-dir", "/tmp/c"]))
-                .err()
-                .unwrap()
-                .contains("--no-cache")
-        );
     }
 
     #[test]

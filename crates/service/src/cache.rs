@@ -1,4 +1,4 @@
-//! The in-memory tier of the structural-hash result cache.
+//! The structural-hash result cache: one in-memory LRU.
 
 use std::sync::{Arc, Mutex};
 
@@ -34,20 +34,12 @@ pub struct CacheStats {
 }
 
 /// A bounded, thread-safe map from [`CacheKey`] to completed
-/// [`ResultSummary`]s.
+/// [`ResultSummary`]s with least-recently-used eviction.
 ///
-/// Eviction is cost-aware (the GreedyDual algorithm): each entry
-/// carries a priority `clock + cost`, where the cost is its
-/// `pipeline_runtime` — what a miss on this entry would make the
-/// service pay again — and `clock` is an inflation value that rises to
-/// the victim's priority on every eviction. Hits and re-insertions
-/// re-price the entry at the *current* clock, so recency still
-/// matters: an expensive result survives a stream of one-off cheap
-/// submissions, but once the clock has inflated past its cost an
-/// untouched expensive entry ages out too. Among equal-cost entries
-/// (ties broken by last-use stamp) the policy degenerates to exact
-/// LRU. The victim search is a scan — O(capacity), irrelevant next to
-/// the saturation runs the cache fronts, and dependency-free.
+/// Every get or insert stamps the entry with a logical clock; at
+/// capacity the entry with the oldest stamp goes. The victim search is
+/// a scan — O(capacity), irrelevant next to the saturation runs the
+/// cache fronts, and dependency-free.
 ///
 /// All counters live under the same lock as the map, so a
 /// [`CacheStats`] snapshot is consistent: `insertions == entries +
@@ -67,11 +59,8 @@ struct CacheInner {
     // Keys are already-uniform fingerprints, so the e-graph's fast
     // FxHash hasher is safe and skips SipHash on every job lookup.
     map: FxHashMap<CacheKey, Entry>,
-    /// Monotonic logical clock; bumped on every touch. Tie-breaker for
-    /// equal priorities (= exact LRU among equal costs).
+    /// Monotonic logical clock; bumped on every touch.
     tick: u64,
-    /// GreedyDual inflation value: the priority of the last victim.
-    clock: f64,
     hits: u64,
     misses: u64,
     insertions: u64,
@@ -82,16 +71,6 @@ struct Entry {
     summary: Arc<ResultSummary>,
     /// The logical time of the last get/insert touching this entry.
     last_used: u64,
-    /// GreedyDual priority: clock at last touch + recompute cost.
-    priority: f64,
-}
-
-/// The eviction cost of a summary, in milliseconds of saturation the
-/// service would pay to recompute it. The +1 floor keeps entries with
-/// sub-millisecond (or disk-restored zero) runtimes ordered by
-/// recency rather than collapsing to priority ≈ clock.
-fn recompute_cost(summary: &ResultSummary) -> f64 {
-    summary.pipeline_runtime.as_secs_f64() * 1e3 + 1.0
 }
 
 impl ResultCache {
@@ -103,7 +82,6 @@ impl ResultCache {
             inner: Mutex::new(CacheInner {
                 map: FxHashMap::default(),
                 tick: 0,
-                clock: 0.0,
                 hits: 0,
                 misses: 0,
                 insertions: 0,
@@ -128,18 +106,15 @@ impl ResultCache {
         self
     }
 
-    /// Looks up `key`, counting a hit or miss. A hit re-prices the
-    /// entry at the current clock (most-recently-used among its cost
-    /// class).
+    /// Looks up `key`, counting a hit or miss. A hit makes the entry
+    /// the most recently used.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<ResultSummary>> {
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.tick += 1;
         let tick = inner.tick;
-        let clock = inner.clock;
         match inner.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
-                entry.priority = clock + recompute_cost(&entry.summary);
                 let summary = Arc::clone(&entry.summary);
                 inner.hits += 1;
                 Some(summary)
@@ -151,10 +126,9 @@ impl ResultCache {
         }
     }
 
-    /// Stores `summary` under `key`, evicting the lowest-priority
-    /// (cheapest-to-recompute, least-recently-touched) entry if at
-    /// capacity. Re-inserting an existing key refreshes the value and
-    /// re-prices the entry without counting a new insertion.
+    /// Stores `summary` under `key`, evicting the least recently used
+    /// entry if at capacity. Re-inserting an existing key refreshes the
+    /// value and promotes the entry without counting a new insertion.
     pub fn insert(&self, key: CacheKey, summary: Arc<ResultSummary>) {
         if self.capacity == 0 {
             return;
@@ -170,7 +144,6 @@ impl ResultCache {
         inner.tick += 1;
         let entry = Entry {
             last_used: inner.tick,
-            priority: inner.clock + recompute_cost(&summary),
             summary,
         };
         let fresh = inner.map.insert(key, entry).is_none();
@@ -178,23 +151,15 @@ impl ResultCache {
         if fresh {
             inner.insertions += 1;
             while inner.map.len() > self.capacity {
-                let (victim, priority) = inner
+                let victim = inner
                     .map
                     .iter()
-                    .min_by(|(_, a), (_, b)| {
-                        a.priority
-                            .total_cmp(&b.priority)
-                            .then(a.last_used.cmp(&b.last_used))
-                    })
-                    .map(|(k, e)| (*k, e.priority))
+                    .min_by_key(|(_, e)| e.last_used)
+                    .map(|(k, _)| *k)
                     .expect("non-empty map over capacity");
                 inner.map.remove(&victim);
                 inner.evictions += 1;
                 evicted += 1;
-                // Inflate: everything cheaper than the victim would
-                // also have been evicted, so future entries must beat
-                // this price to outlive the present working set.
-                inner.clock = inner.clock.max(priority);
             }
         }
         drop(inner);
@@ -309,95 +274,11 @@ mod tests {
         assert_eq!(cache.stats().evictions, 2);
     }
 
-    /// A hand-built summary whose only meaningful field is the
-    /// recompute cost, so eviction-order tests control it exactly.
-    fn summary_with_runtime_ms(ms: u64) -> Arc<ResultSummary> {
-        use std::time::Duration;
-        Arc::new(ResultSummary {
-            exact_fa_count: 0,
-            inputs: 0,
-            outputs: 0,
-            ands: 0,
-            fas: Vec::new(),
-            original_fas: Vec::new(),
-            saturation: boole::SaturationStats {
-                nodes_after_r1: 0,
-                nodes_after_r2: 0,
-                classes: 0,
-                r1_stop: egraph::StopReason::Saturated,
-                r2_stop: egraph::StopReason::Saturated,
-                r1_iterations: 0,
-                r2_iterations: 0,
-                pruned: 0,
-                search_time: Duration::ZERO,
-                merge_time: Duration::ZERO,
-                apply_time: Duration::ZERO,
-                rebuild_time: Duration::ZERO,
-                total_matches: 0,
-                rules: Vec::new(),
-            },
-            pairing: boole::PairStats::default(),
-            pipeline_runtime: Duration::from_millis(ms),
-        })
-    }
-
-    #[test]
-    fn cheap_entries_evict_before_expensive_older_ones() {
-        let cache = ResultCache::new(2);
-        // An expensive result inserted first, then a cheap one.
-        cache.insert(key(100), summary_with_runtime_ms(500));
-        cache.insert(key(1), summary_with_runtime_ms(0));
-        // A third (cheap) insertion must evict the *cheap* entry, not
-        // the older-but-expensive one: under pure LRU key(100) would
-        // go; cost-awareness keeps it.
-        cache.insert(key(2), summary_with_runtime_ms(0));
-        assert!(
-            cache.get(&key(100)).is_some(),
-            "expensive entry must survive a cheap one-off"
-        );
-        assert!(cache.get(&key(1)).is_none(), "cheap entry is the victim");
-        assert!(cache.get(&key(2)).is_some());
-    }
-
-    #[test]
-    fn untouched_expensive_entries_age_out_eventually() {
-        let cache = ResultCache::new(2);
-        // Cost 5 ms ⇒ priority 0 + 6. A stream of one-off cheap
-        // entries (cost 1) inflates the clock (roughly 1 per two
-        // evictions in this pattern); once it reaches 6 the untouched
-        // expensive entry is the minimum and goes.
-        cache.insert(key(100), summary_with_runtime_ms(5));
-        for i in 0..20 {
-            cache.insert(key(i), summary_with_runtime_ms(0));
-        }
-        assert!(
-            cache.get(&key(100)).is_none(),
-            "an inflating clock must age out even expensive entries"
-        );
-        // The cache still holds exactly `capacity` of the cheap ones.
-        assert_eq!(cache.stats().entries, 2);
-    }
-
-    #[test]
-    fn touched_expensive_entry_outlives_the_stream() {
-        let cache = ResultCache::new(2);
-        cache.insert(key(100), summary_with_runtime_ms(5));
-        for i in 0..20 {
-            cache.insert(key(i), summary_with_runtime_ms(0));
-            // A periodic hit re-prices the expensive entry at the
-            // current clock, so it never becomes the minimum.
-            assert!(
-                cache.get(&key(100)).is_some(),
-                "re-priced expensive entry must survive insertion {i}"
-            );
-        }
-    }
-
     #[test]
     fn concurrent_snapshots_are_internally_consistent() {
         use std::sync::atomic::{AtomicBool, Ordering};
         let cache = Arc::new(ResultCache::new(8));
-        let summary = summary_with_runtime_ms(1);
+        let summary = dummy_summary();
         let stop = Arc::new(AtomicBool::new(false));
         let writers: Vec<_> = (0..4)
             .map(|t| {
@@ -453,9 +334,10 @@ mod tests {
     fn evictions_are_reported_to_telemetry() {
         let telemetry = Arc::new(boole::Telemetry::new());
         let cache = ResultCache::new(1).with_telemetry(Some(Arc::clone(&telemetry)));
-        cache.insert(key(1), summary_with_runtime_ms(1));
+        let summary = dummy_summary();
+        cache.insert(key(1), Arc::clone(&summary));
         assert!(telemetry.events.drain().is_empty(), "no eviction yet");
-        cache.insert(key(2), summary_with_runtime_ms(1));
+        cache.insert(key(2), summary);
         let events = telemetry.events.drain();
         assert!(
             events

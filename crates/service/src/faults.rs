@@ -2,8 +2,8 @@
 //!
 //! A [`FaultRegistry`] is a table of named **failpoints** — places in
 //! the service where an operator (usually a chaos test) can make the
-//! real world go wrong on purpose: a disk read that fails, a cache
-//! write that lands corrupted, a pipeline that panics mid-job. Every
+//! real world go wrong on purpose: a submission that is refused, a
+//! cache insertion that is lost, a pipeline that panics mid-job. Every
 //! failpoint site in the service calls [`FaultRegistry::hit`] with its
 //! [`site`] name; the registry consults the site's configured
 //! [`Trigger`] and either stays silent (`None`) or hands back the
@@ -28,7 +28,7 @@
 //! be parsed from a compact text form (see [`FaultRegistry::parse`]):
 //!
 //! ```text
-//! disk.write=corrupt@nth:1;worker.pipeline=panic@every:3;queue.accept=error@prob:1/4:seed:7
+//! cache.insert=error@nth:1;worker.pipeline=panic@every:3;queue.accept=error@prob:1/4:seed:7
 //! ```
 
 use std::fmt;
@@ -41,61 +41,33 @@ use egraph::hash::FxHashMap;
 /// constants (rather than free strings at each call site) keeps the
 /// set greppable and lets the chaos harness enumerate every site.
 pub mod site {
-    /// A persistent-cache record read ([`DiskStore::get`]'s file
-    /// read). `error`/`corrupt` degrade the lookup to a miss; `panic`
-    /// unwinds the reader.
-    ///
-    /// [`DiskStore::get`]: crate::DiskStore::get
-    pub const DISK_READ: &str = "disk.read";
-    /// A persistent-cache record write (the temp-file write).
-    /// `error` takes the counted write-failure path; `corrupt` writes
-    /// a torn record **that is counted as a successful write** — the
-    /// insidious case the read-side validation must absorb; `panic`
-    /// unwinds the writer.
-    pub const DISK_WRITE: &str = "disk.write";
-    /// The atomic rename publishing a persistent-cache record.
-    /// `error`/`corrupt` take the write-failure path; `panic` unwinds.
-    pub const DISK_RENAME: &str = "disk.rename";
     /// The pipeline execution inside a worker. `error` injects a
-    /// transient failure (retried under `max_retries`); `corrupt` is
-    /// treated as `error`; `panic` panics inside the worker's
-    /// panic-isolation boundary.
+    /// transient failure (retried under `max_retries`); `panic` panics
+    /// inside the worker's panic-isolation boundary.
     pub const WORKER_PIPELINE: &str = "worker.pipeline";
     /// Job admission (`submit`).
-    /// `error`/`corrupt` reject the job as shed
+    /// `error` rejects the job as shed
     /// ([`RejectReason::Injected`]); `panic` unwinds the submitter.
     ///
     /// [`RejectReason::Injected`]: crate::RejectReason::Injected
     pub const QUEUE_ACCEPT: &str = "queue.accept";
-    /// An in-memory result-cache insertion. `error`/`corrupt` drop
-    /// the insertion silently (the entry is simply not cached);
-    /// `panic` unwinds the inserter.
+    /// A result-cache insertion. `error` drops the insertion silently
+    /// (the entry is simply not cached); `panic` unwinds the inserter.
     pub const CACHE_INSERT: &str = "cache.insert";
 
     /// Every site, for enumeration by chaos harnesses.
-    pub const ALL: &[&str] = &[
-        DISK_READ,
-        DISK_WRITE,
-        DISK_RENAME,
-        WORKER_PIPELINE,
-        QUEUE_ACCEPT,
-        CACHE_INSERT,
-    ];
+    pub const ALL: &[&str] = &[WORKER_PIPELINE, QUEUE_ACCEPT, CACHE_INSERT];
 }
 
 /// What a triggered failpoint makes its site do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Return the site's typed error (an injected I/O failure, a
-    /// transient pipeline failure, a shed rejection — whatever the
-    /// site's real failure mode is).
+    /// Return the site's typed error (a transient pipeline failure, a
+    /// shed rejection, a dropped insertion — whatever the site's real
+    /// failure mode is).
     Error,
     /// Panic at the site, exercising the panic-isolation boundaries.
     Panic,
-    /// Produce corrupted output instead of failing: `disk.write`
-    /// writes a torn record; sites with no output to corrupt treat
-    /// this as [`FaultAction::Error`].
-    Corrupt,
 }
 
 impl FaultAction {
@@ -105,7 +77,6 @@ impl FaultAction {
         match self {
             FaultAction::Error => "error",
             FaultAction::Panic => "panic",
-            FaultAction::Corrupt => "corrupt",
         }
     }
 }
@@ -284,7 +255,7 @@ impl FaultRegistry {
     }
 
     /// Parses a compact schedule: `;`-separated `site=action@trigger`
-    /// clauses, where `action` is `error|panic|corrupt` and `trigger`
+    /// clauses, where `action` is `error|panic` and `trigger`
     /// is `nth:N`, `every:K`, `always`, or `prob:N/D[:seed:S]`
     /// (seed defaults to 0). Unknown sites are rejected so schedule
     /// typos fail loudly instead of injecting nothing.
@@ -307,7 +278,6 @@ impl FaultRegistry {
             let action = match action {
                 "error" => FaultAction::Error,
                 "panic" => FaultAction::Panic,
-                "corrupt" => FaultAction::Corrupt,
                 other => return Err(format!("unknown fault action {other:?}")),
             };
             let trigger = parse_trigger(trigger)?;
@@ -396,22 +366,22 @@ mod tests {
         for s in site::ALL {
             assert_eq!(registry.hit(s), None);
         }
-        assert_eq!(registry.hits(site::DISK_READ), 0);
+        assert_eq!(registry.hits(site::QUEUE_ACCEPT), 0);
         assert_eq!(registry.fired_total(), 0);
     }
 
     #[test]
     fn nth_fires_exactly_once() {
         let registry = FaultRegistry::new();
-        registry.configure(site::DISK_WRITE, policy(Trigger::Nth(3)));
+        registry.configure(site::CACHE_INSERT, policy(Trigger::Nth(3)));
         let fired: Vec<bool> = (0..6)
-            .map(|_| registry.hit(site::DISK_WRITE).is_some())
+            .map(|_| registry.hit(site::CACHE_INSERT).is_some())
             .collect();
         assert_eq!(fired, [false, false, true, false, false, false]);
-        assert_eq!(registry.hits(site::DISK_WRITE), 6);
-        assert_eq!(registry.fired(site::DISK_WRITE), 1);
+        assert_eq!(registry.hits(site::CACHE_INSERT), 6);
+        assert_eq!(registry.fired(site::CACHE_INSERT), 1);
         // Other sites stay silent.
-        assert_eq!(registry.hit(site::DISK_READ), None);
+        assert_eq!(registry.hit(site::QUEUE_ACCEPT), None);
     }
 
     #[test]
@@ -432,7 +402,7 @@ mod tests {
         let draw = |seed: u64| -> Vec<bool> {
             let registry = FaultRegistry::new();
             registry.configure(
-                site::DISK_READ,
+                site::QUEUE_ACCEPT,
                 policy(Trigger::Probability {
                     numerator: 1,
                     denominator: 2,
@@ -440,7 +410,7 @@ mod tests {
                 }),
             );
             (0..64)
-                .map(|_| registry.hit(site::DISK_READ).is_some())
+                .map(|_| registry.hit(site::QUEUE_ACCEPT).is_some())
                 .collect()
         };
         assert_eq!(draw(42), draw(42), "same seed must replay identically");
@@ -455,7 +425,7 @@ mod tests {
     #[test]
     fn one_seed_decorrelates_across_sites() {
         let registry = FaultRegistry::new();
-        for s in [site::DISK_READ, site::DISK_WRITE] {
+        for s in [site::QUEUE_ACCEPT, site::CACHE_INSERT] {
             registry.configure(
                 s,
                 policy(Trigger::Probability {
@@ -466,10 +436,10 @@ mod tests {
             );
         }
         let a: Vec<bool> = (0..64)
-            .map(|_| registry.hit(site::DISK_READ).is_some())
+            .map(|_| registry.hit(site::QUEUE_ACCEPT).is_some())
             .collect();
         let b: Vec<bool> = (0..64)
-            .map(|_| registry.hit(site::DISK_WRITE).is_some())
+            .map(|_| registry.hit(site::CACHE_INSERT).is_some())
             .collect();
         assert_ne!(a, b, "per-site streams must not mirror each other");
     }
@@ -477,11 +447,11 @@ mod tests {
     #[test]
     fn reconfigure_resets_site_state() {
         let registry = FaultRegistry::new();
-        registry.configure(site::DISK_WRITE, policy(Trigger::Nth(1)));
-        assert!(registry.hit(site::DISK_WRITE).is_some());
-        registry.configure(site::DISK_WRITE, policy(Trigger::Nth(1)));
+        registry.configure(site::CACHE_INSERT, policy(Trigger::Nth(1)));
+        assert!(registry.hit(site::CACHE_INSERT).is_some());
+        registry.configure(site::CACHE_INSERT, policy(Trigger::Nth(1)));
         assert!(
-            registry.hit(site::DISK_WRITE).is_some(),
+            registry.hit(site::CACHE_INSERT).is_some(),
             "counter must reset"
         );
     }
@@ -489,19 +459,21 @@ mod tests {
     #[test]
     fn parse_round_trips_every_clause_form() {
         let registry = FaultRegistry::parse(
-            "disk.write=corrupt@nth:1; worker.pipeline=panic@every:3;\
-             queue.accept=error@prob:1/4:seed:7;cache.insert=error@always",
+            "cache.insert=error@nth:1; worker.pipeline=panic@every:3;\
+             queue.accept=error@prob:1/4:seed:7",
         )
         .unwrap();
-        assert_eq!(registry.hit(site::DISK_WRITE), Some(FaultAction::Corrupt));
-        assert_eq!(registry.hit(site::DISK_WRITE), None);
+        assert_eq!(registry.hit(site::CACHE_INSERT), Some(FaultAction::Error));
+        assert_eq!(registry.hit(site::CACHE_INSERT), None);
         assert_eq!(registry.hit(site::WORKER_PIPELINE), None);
         assert_eq!(registry.hit(site::WORKER_PIPELINE), None);
         assert_eq!(
             registry.hit(site::WORKER_PIPELINE),
             Some(FaultAction::Panic)
         );
-        assert_eq!(registry.hit(site::CACHE_INSERT), Some(FaultAction::Error));
+        let always = FaultRegistry::parse("cache.insert=panic@always").unwrap();
+        assert_eq!(always.hit(site::CACHE_INSERT), Some(FaultAction::Panic));
+        assert_eq!(always.hit(site::CACHE_INSERT), Some(FaultAction::Panic));
         // The empty schedule parses to an un-armed registry.
         assert_eq!(FaultRegistry::parse("").unwrap().fired_total(), 0);
     }
@@ -509,16 +481,17 @@ mod tests {
     #[test]
     fn parse_rejects_malformed_schedules() {
         for bad in [
-            "disk.write",                       // no action
-            "disk.write=error",                 // no trigger
-            "disk.teleport=error@nth:1",        // unknown site
-            "disk.write=explode@nth:1",         // unknown action
-            "disk.write=error@nth:0",           // nth is 1-based
-            "disk.write=error@every:0",         // k >= 1
-            "disk.write=error@prob:1/0",        // zero denominator
-            "disk.write=error@prob:1",          // not a fraction
-            "disk.write=error@sometimes",       // unknown trigger
-            "disk.write=error@prob:1/2:seed:x", // bad seed
+            "cache.insert",                       // no action
+            "cache.insert=error",                 // no trigger
+            "cache.teleport=error@nth:1",         // unknown site
+            "cache.insert=explode@nth:1",         // unknown action
+            "worker.pipeline=corrupt@nth:1",      // unknown action
+            "cache.insert=error@nth:0",           // nth is 1-based
+            "cache.insert=error@every:0",         // k >= 1
+            "cache.insert=error@prob:1/0",        // zero denominator
+            "cache.insert=error@prob:1",          // not a fraction
+            "cache.insert=error@sometimes",       // unknown trigger
+            "cache.insert=error@prob:1/2:seed:x", // bad seed
         ] {
             assert!(
                 FaultRegistry::parse(bad).is_err(),

@@ -27,10 +27,8 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// Parses the 32-hex-digit form [`Display`](fmt::Display) emits. The
-/// persistent store round-trips keys through this to validate that a
-/// record on disk really belongs to the key that hashed to its file
-/// name, and it gives future shard routers a wire format for free.
+/// Parses the 32-hex-digit form [`Display`](fmt::Display) emits (its
+/// inverse).
 impl std::str::FromStr for Fingerprint {
     type Err = String;
 

@@ -8,13 +8,11 @@
 //!   bounded job queue. [`Service::submit`] returns a [`JobHandle`]
 //!   for status polling, cooperative cancellation, and blocking waits.
 //! * [`fingerprint_aig`] — a canonical topological hash over an AIG's
-//!   gates and outputs; the two-tier result cache keyed on it answers
-//!   resubmitted/isomorphic netlists without a saturation run. The
-//!   memory tier ([`ResultCache`]) evicts cost-aware (cheap-to-recompute
-//!   first); the optional disk tier ([`DiskStore`], enabled by
-//!   [`ServiceConfig`]'s `cache_dir`) persists results across process
-//!   lifetimes. Concurrent identical submissions are single-flighted:
-//!   one pipeline runs, the rest coalesce onto its result.
+//!   gates and outputs; the in-memory LRU result cache
+//!   ([`ResultCache`]) keyed on it answers resubmitted/isomorphic
+//!   netlists without a saturation run. Concurrent identical
+//!   submissions are single-flighted: one pipeline runs, the rest
+//!   coalesce onto its result.
 //! * Per-job deadlines: a watchdog thread cancels a job's
 //!   [`CancelToken`](boole::CancelToken) when its deadline passes; the
 //!   runner observes it between rules, so runaway jobs die without
@@ -22,7 +20,7 @@
 //! * Robustness: panicking pipelines are isolated per job (the worker
 //!   survives, the handle resolves as [`JobStatus::Panicked`]),
 //!   transient failures retry with exponential backoff, overload can
-//!   shed instead of block ([`ShedPolicy`]), and every I/O and
+//!   shed instead of block ([`ShedPolicy`]), and every cache and
 //!   scheduling edge carries a named failpoint ([`FaultRegistry`]) so
 //!   chaos tests can drive rare error paths deterministically.
 //!
@@ -44,7 +42,6 @@ pub mod faults;
 mod fingerprint;
 mod job;
 mod service;
-mod store;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use faults::{FaultAction, FaultPolicy, FaultRegistry, InjectedFault, Trigger};
@@ -54,4 +51,3 @@ pub use job::{
     RejectReason, ResultSummary,
 };
 pub use service::{JobHandle, Service, ServiceConfig, ServiceStats, ShedPolicy};
-pub use store::{DiskStats, DiskStore, STORE_FORMAT_VERSION};

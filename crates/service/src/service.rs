@@ -1,10 +1,9 @@
 //! The concurrent batch-reasoning engine: a std-only worker pool with a
 //! bounded queue, per-job deadlines enforced by a watchdog thread, and
-//! the two-tier (memory + disk) structural-hash result cache with
-//! single-flight deduplication.
+//! the in-memory structural-hash result cache with single-flight
+//! deduplication.
 
 use std::collections::BinaryHeap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -12,7 +11,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use boole::json::{Json, ToJson};
-use boole::telemetry::{CacheTier, EventKind, TelemetrySink};
+use boole::telemetry::{EventKind, TelemetrySink};
 use boole::{BoolE, CancelToken};
 use egraph::hash::FxHashMap;
 
@@ -22,7 +21,6 @@ use crate::fingerprint::{fingerprint_aig, fingerprint_params};
 use crate::job::{
     JobOutcome, JobSource, JobSpec, JobStatus, JobVerdict, RejectReason, ResultSummary,
 };
-use crate::store::{DiskStats, DiskStore};
 
 /// What [`Service::submit`] does when the bounded queue is full.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -45,15 +43,10 @@ pub struct ServiceConfig {
     /// Bounded queue depth; once this many jobs wait,
     /// [`Service::submit`] applies the configured [`ShedPolicy`].
     pub queue_capacity: usize,
-    /// In-memory result-cache capacity in entries. 0 disables the
-    /// memory tier (every lookup falls through); the disk tier and
-    /// single-flight deduplication still apply to cache-enabled jobs.
+    /// Result-cache capacity in entries, evicted least recently used
+    /// first. 0 disables storage (every lookup misses); single-flight
+    /// deduplication still applies to cache-enabled jobs.
     pub cache_capacity: usize,
-    /// Directory for the persistent (disk) cache tier; `None` keeps
-    /// the cache memory-only. Results written here survive process
-    /// restarts and are shared by every service pointed at the same
-    /// directory.
-    pub cache_dir: Option<PathBuf>,
     /// Optional telemetry hub: every lifecycle, phase, iteration, and
     /// cache transition publishes an event here, and the metrics
     /// registry tracks counters/gauges/histograms. `None` (the
@@ -79,8 +72,7 @@ pub struct ServiceConfig {
     /// two seconds.
     pub retry_base: Duration,
     /// Fault-injection registry shared by every failpoint in this
-    /// service (disk tiers, cache insertion, queue admission, worker
-    /// pipelines). `None` — the default — compiles every failpoint
+    /// service (cache insertion, queue admission, worker pipelines). `None` — the default — compiles every failpoint
     /// down to one relaxed atomic load, leaving production behavior
     /// byte-identical.
     pub faults: Option<Arc<FaultRegistry>>,
@@ -95,7 +87,6 @@ impl Default for ServiceConfig {
             num_workers: parallelism.clamp(1, 4),
             queue_capacity: 64,
             cache_capacity: 256,
-            cache_dir: None,
             telemetry: None,
             search_threads: None,
             shed_policy: ShedPolicy::Block,
@@ -117,12 +108,6 @@ impl ServiceConfig {
     /// backlog a [`ShedPolicy`] guards).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
-        self
-    }
-
-    /// Enables the persistent cache tier under `dir`.
-    pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
         self
     }
 
@@ -189,37 +174,19 @@ pub struct ServiceStats {
     /// Jobs answered by another job's in-flight pipeline (single-flight
     /// deduplication) instead of running their own.
     pub coalesced: u64,
-    /// In-memory cache counters.
+    /// Result-cache counters.
     pub cache: CacheStats,
-    /// Disk-tier counters; `None` when no cache directory is
-    /// configured.
-    pub disk: Option<DiskStats>,
 }
 
 impl ToJson for ServiceStats {
     fn to_json(&self) -> Json {
-        let mut cache = vec![
-            ("hits".to_owned(), Json::Int(self.cache.hits as i64)),
-            ("misses".to_owned(), Json::Int(self.cache.misses as i64)),
-            (
-                "insertions".to_owned(),
-                Json::Int(self.cache.insertions as i64),
-            ),
-            (
-                "evictions".to_owned(),
-                Json::Int(self.cache.evictions as i64),
-            ),
-            ("entries".to_owned(), Json::from(self.cache.entries)),
-        ];
-        if let Some(disk) = &self.disk {
-            cache.push(("disk_hits".to_owned(), Json::Int(disk.hits as i64)));
-            cache.push(("disk_misses".to_owned(), Json::Int(disk.misses as i64)));
-            cache.push(("disk_writes".to_owned(), Json::Int(disk.writes as i64)));
-            cache.push((
-                "disk_write_errors".to_owned(),
-                Json::Int(disk.write_errors as i64),
-            ));
-        }
+        let cache = Json::obj([
+            ("hits", Json::Int(self.cache.hits as i64)),
+            ("misses", Json::Int(self.cache.misses as i64)),
+            ("insertions", Json::Int(self.cache.insertions as i64)),
+            ("evictions", Json::Int(self.cache.evictions as i64)),
+            ("entries", Json::from(self.cache.entries)),
+        ]);
         Json::obj([
             ("submitted", Json::Int(self.submitted as i64)),
             ("completed", Json::Int(self.completed as i64)),
@@ -230,7 +197,7 @@ impl ToJson for ServiceStats {
             ("retried", Json::Int(self.retried as i64)),
             ("pipelines_run", Json::Int(self.pipelines_run as i64)),
             ("coalesced", Json::Int(self.coalesced as i64)),
-            ("cache", Json::Obj(cache)),
+            ("cache", cache),
         ])
     }
 }
@@ -496,8 +463,6 @@ impl Drop for FlightGuard<'_> {
 
 struct Shared {
     cache: ResultCache,
-    /// Disk tier; `None` when no cache directory is configured.
-    store: Option<DiskStore>,
     /// Keys with a pipeline currently executing, for single-flight
     /// deduplication of concurrent identical submissions.
     flights: Mutex<FxHashMap<CacheKey, Arc<InFlight>>>,
@@ -536,32 +501,14 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the worker pool and watchdog. If a configured cache
-    /// directory cannot be created the disk tier is disabled with a
-    /// warning — a broken cache disk must not take the service down.
+    /// Starts the worker pool and watchdog.
     pub fn new(config: ServiceConfig) -> Self {
         let telemetry = config.telemetry.clone();
         let faults = config.faults.clone();
-        let store = config.cache_dir.as_ref().and_then(|dir| {
-            DiskStore::open(dir)
-                .map_err(|err| {
-                    eprintln!(
-                        "warning: cannot open cache dir {}: {err}; persistent cache disabled",
-                        dir.display()
-                    );
-                })
-                .ok()
-                .map(|store| {
-                    store
-                        .with_telemetry(telemetry.clone())
-                        .with_faults(faults.clone())
-                })
-        });
         let shared = Arc::new(Shared {
             cache: ResultCache::new(config.cache_capacity)
                 .with_telemetry(telemetry.clone())
                 .with_faults(faults.clone()),
-            store,
             flights: Mutex::new(FxHashMap::default()),
             counters: Counters::default(),
             watchdog: Mutex::new(WatchdogQueue::default()),
@@ -661,7 +608,7 @@ impl Service {
             Some(FaultAction::Panic) => {
                 panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
             }
-            Some(FaultAction::Error | FaultAction::Corrupt) => true,
+            Some(FaultAction::Error) => true,
             None => false,
         };
         // Published before the job can reach a worker, whose
@@ -740,7 +687,6 @@ impl Service {
             pipelines_run: c.pipelines_run.load(Ordering::Relaxed),
             coalesced: c.coalesced.load(Ordering::Relaxed),
             cache: self.shared.cache.stats(),
-            disk: self.shared.store.as_ref().map(DiskStore::stats),
         }
     }
 
@@ -966,7 +912,7 @@ fn join_or_lead<'a>(shared: &'a Shared, key: CacheKey) -> FlightRole<'a> {
 }
 
 /// Runs one job to a terminal outcome. Unless the spec opts out, the
-/// two-tier result cache is consulted/populated and concurrent
+/// result cache is consulted/populated and concurrent
 /// identical submissions are deduplicated to one pipeline run.
 fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<JobOutcome> {
     if state.cancel.is_cancelled() {
@@ -999,7 +945,7 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
     };
     // The cached path. Key ordering invariant: cache lookups happen
     // only while *holding* the key's flight entry, and a completing
-    // leader fills both cache tiers before retiring its entry — so a
+    // leader fills the cache before retiring its entry — so a
     // job that acquires leadership after a previous leader finished is
     // guaranteed to see that leader's result in the cache. This is
     // what makes "N concurrent identical submissions run saturation
@@ -1018,30 +964,10 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
             match join_or_lead(shared, cache_key) {
                 FlightRole::Leader(guard) => {
                     let looked_up = shared.cache.get(&cache_key);
-                    publish_cache_lookup(
-                        telemetry,
-                        state.id,
-                        CacheTier::Memory,
-                        looked_up.is_some(),
-                    );
+                    publish_cache_lookup(telemetry, state.id, looked_up.is_some());
                     if let Some(summary) = looked_up {
                         // Guard drop retires the (useless) flight.
                         return state.finalize(JobVerdict::Completed(summary), true);
-                    }
-                    if let Some(store) = &shared.store {
-                        let looked_up = store.get(&cache_key);
-                        publish_cache_lookup(
-                            telemetry,
-                            state.id,
-                            CacheTier::Disk,
-                            looked_up.is_some(),
-                        );
-                        if let Some(summary) = looked_up {
-                            // Promote to the memory tier so the next
-                            // hit skips the disk read and JSON parse.
-                            shared.cache.insert(cache_key, Arc::clone(&summary));
-                            return state.finalize(JobVerdict::Completed(summary), true);
-                        }
                     }
                     break Some(guard);
                 }
@@ -1094,13 +1020,13 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
             // One failpoint consultation per attempt, inside the
             // isolation boundary: Panic exercises the catch_unwind
             // exactly where a real pipeline bug would fire;
-            // Error/Corrupt model a transiently-failing pipeline and
+            // Error models a transiently-failing pipeline and
             // feed the retry path.
             match faults::check(shared.faults.as_ref(), site::WORKER_PIPELINE) {
                 Some(FaultAction::Panic) => {
                     panic!("{}", FaultRegistry::injected(site::WORKER_PIPELINE))
                 }
-                Some(FaultAction::Error | FaultAction::Corrupt) => {
+                Some(FaultAction::Error) => {
                     return Err(FaultRegistry::injected(site::WORKER_PIPELINE).to_string());
                 }
                 None => {}
@@ -1150,11 +1076,8 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
     }
     if spec.use_cache {
         shared.cache.insert(cache_key, Arc::clone(&summary));
-        if let Some(store) = &shared.store {
-            store.put(&cache_key, &summary);
-        }
     }
-    // Both tiers are populated before followers wake (and before late
+    // The cache is populated before followers wake (and before late
     // arrivals can miss the flight), so a released follower finds
     // either the flight result or a cache hit.
     if let Some(guard) = guard {
@@ -1211,21 +1134,15 @@ fn note_retry(state: &JobState, shared: &Shared, attempt: u32) -> bool {
     backoff_pause(&state.cancel, delay)
 }
 
-/// Publishes the cache hit/miss event and counter for one tier lookup.
-fn publish_cache_lookup(telemetry: Option<&TelemetrySink>, job: u64, tier: CacheTier, hit: bool) {
+/// Publishes the cache hit/miss event and counter for one lookup.
+fn publish_cache_lookup(telemetry: Option<&TelemetrySink>, job: u64, hit: bool) {
     let Some(telemetry) = telemetry else { return };
-    let kind = if hit {
-        EventKind::CacheHit { job, tier }
+    let (kind, counter) = if hit {
+        (EventKind::CacheHit { job }, "cache_hits")
     } else {
-        EventKind::CacheMiss { job, tier }
+        (EventKind::CacheMiss { job }, "cache_misses")
     };
     telemetry.events.publish(kind);
-    let counter = match (tier, hit) {
-        (CacheTier::Memory, true) => "cache_memory_hits",
-        (CacheTier::Memory, false) => "cache_memory_misses",
-        (CacheTier::Disk, true) => "cache_disk_hits",
-        (CacheTier::Disk, false) => "cache_disk_misses",
-    };
     telemetry.metrics.counter(counter).inc();
 }
 

@@ -32,7 +32,6 @@ fn cross_format_submissions_share_one_cache_entry() {
         num_workers: 1,
         queue_capacity: 8,
         cache_capacity: 8,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()

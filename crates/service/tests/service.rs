@@ -52,7 +52,6 @@ fn four_worker_batch_matches_serial_byte_for_byte() {
         num_workers: 4,
         queue_capacity: 16,
         cache_capacity: 64,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -87,7 +86,6 @@ fn duplicate_netlists_serialize_identically_across_modes() {
         num_workers: 2,
         queue_capacity: 4,
         cache_capacity: 4,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -118,7 +116,6 @@ fn search_threads_never_change_the_canonical_result_json() {
         num_workers: 1,
         queue_capacity: 4,
         cache_capacity: 4,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -141,7 +138,6 @@ fn search_threads_never_change_the_canonical_result_json() {
         num_workers: 1,
         queue_capacity: 4,
         cache_capacity: 4,
-        cache_dir: None,
         telemetry: None,
         search_threads: Some(3),
         ..ServiceConfig::default()
@@ -162,7 +158,6 @@ fn resubmitted_netlist_is_answered_from_cache_without_saturation() {
         num_workers: 2,
         queue_capacity: 8,
         cache_capacity: 8,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -209,6 +204,38 @@ fn resubmitted_netlist_is_answered_from_cache_without_saturation() {
 }
 
 #[test]
+fn full_cache_evicts_the_least_recently_used_result() {
+    // One worker runs csa:3, wallace:3, csa:3 in order. With room for
+    // one entry, wallace:3 evicts csa:3 and the resubmission reruns;
+    // with room for two, it is a hit and nothing is evicted.
+    let run = |cache_capacity: usize| {
+        let service = Service::new(ServiceConfig {
+            num_workers: 1,
+            cache_capacity,
+            ..ServiceConfig::default()
+        });
+        let outcomes: Vec<_> = ["csa:3", "wallace:3", "csa:3"]
+            .iter()
+            .map(|text| {
+                let spec = JobSpec::generated(GenSpec::parse(text).unwrap()).with_params(params());
+                service.submit(spec).wait()
+            })
+            .collect();
+        (outcomes[2].from_cache, service.shutdown())
+    };
+
+    let (third_from_cache, stats) = run(1);
+    assert!(!third_from_cache, "the evicted csa:3 result must rerun");
+    assert_eq!(stats.pipelines_run, 3);
+    assert_eq!(stats.cache.evictions, 2);
+
+    let (third_from_cache, stats) = run(2);
+    assert!(third_from_cache, "csa:3 must still be cached");
+    assert_eq!(stats.pipelines_run, 2);
+    assert_eq!(stats.cache.evictions, 0);
+}
+
+#[test]
 fn cold_cache_stampede_runs_saturation_exactly_once() {
     // Six identical jobs hit a cold cache on four workers: the
     // single-flight table must coalesce them onto one pipeline run.
@@ -218,7 +245,6 @@ fn cold_cache_stampede_runs_saturation_exactly_once() {
         num_workers: 4,
         queue_capacity: 16,
         cache_capacity: 16,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -256,7 +282,6 @@ fn cancelled_leader_does_not_strand_coalesced_followers() {
         num_workers: 3,
         queue_capacity: 16,
         cache_capacity: 16,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -288,7 +313,6 @@ fn one_ms_deadline_cancels_cooperatively_without_poisoning_the_pool() {
         num_workers: 2,
         queue_capacity: 8,
         cache_capacity: 8,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -325,7 +349,6 @@ fn explicit_cancel_stops_a_large_job_mid_saturation() {
         num_workers: 1,
         queue_capacity: 4,
         cache_capacity: 4,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -377,7 +400,6 @@ fn queued_jobs_cancel_before_running() {
         num_workers: 1,
         queue_capacity: 8,
         cache_capacity: 8,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()
@@ -405,7 +427,6 @@ fn failed_sources_are_reported_not_panicked() {
         num_workers: 1,
         queue_capacity: 4,
         cache_capacity: 4,
-        cache_dir: None,
         telemetry: None,
         search_threads: None,
         ..ServiceConfig::default()

@@ -36,9 +36,7 @@ fn job_of(kind: &EventKind) -> Option<u64> {
         | EventKind::CacheMiss { job, .. }
         | EventKind::JobRetry { job, .. }
         | EventKind::JobDone { job, .. } => Some(*job),
-        EventKind::CacheEvicted { .. }
-        | EventKind::DiskWriteError { .. }
-        | EventKind::Dropped { .. } => None,
+        EventKind::CacheEvicted { .. } | EventKind::Dropped { .. } => None,
     }
 }
 
@@ -122,9 +120,9 @@ fn assert_stream_invariants(events: &[TelemetryEvent]) {
                     assert_eq!(open_phase, None, "job {job} finished inside an open phase");
                     done = true;
                 }
-                EventKind::CacheEvicted { .. }
-                | EventKind::DiskWriteError { .. }
-                | EventKind::Dropped { .. } => unreachable!("not job-scoped"),
+                EventKind::CacheEvicted { .. } | EventKind::Dropped { .. } => {
+                    unreachable!("not job-scoped")
+                }
             }
         }
         assert!(done, "job {job} never reached a terminal job_done event");
