@@ -3,9 +3,9 @@
 //! Reads stdin line by line and runs every non-empty line through the
 //! repo's own strict parser (`boole::json::Json::parse`). Exits
 //! non-zero naming the first offending line. Used by the CI
-//! `events-smoke` step to prove that a `--events - --metrics -
-//! --compact` run keeps stdout fully line-parseable: telemetry events,
-//! the metrics snapshot, and the result document alike.
+//! `events-smoke` step to prove that an `--events - --compact` run
+//! keeps stdout fully line-parseable: telemetry events and the result
+//! document alike.
 
 use std::io::BufRead;
 

@@ -46,6 +46,4 @@ pub use reconstruct::reconstruct_aig;
 pub use saturate::{
     saturate, saturate_observed, IterationObserver, RuleSummary, SaturateParams, SaturationStats,
 };
-pub use telemetry::{
-    EventBus, EventKind, MetricsRegistry, Telemetry, TelemetryEvent, TelemetrySink,
-};
+pub use telemetry::{EventBus, EventKind, TelemetryEvent, TelemetrySink};

@@ -188,12 +188,10 @@ impl BoolE {
     }
 
     /// Publishes the run's progress on `sink`, tagged with `job`:
-    /// `phase_started`/`phase_finished` around every pipeline phase
-    /// (plus the `phase_<name>_ms` histograms) and one `iteration`
-    /// event per saturation iteration (plus the `egraph_nodes`/
-    /// `egraph_classes` gauges). Events are published from the thread
-    /// running the pipeline; telemetry is passive, so attaching it
-    /// never changes the result.
+    /// `phase_started`/`phase_finished` around every pipeline phase and
+    /// one `iteration` event per saturation iteration. Events are
+    /// published from the thread running the pipeline; telemetry is
+    /// passive, so attaching it never changes the result.
     pub fn with_telemetry(mut self, sink: TelemetrySink, job: u64) -> Self {
         self.telemetry = Some((sink, job));
         self
@@ -212,7 +210,7 @@ impl BoolE {
             return Err(Cancelled { phase });
         }
         if let Some((sink, job)) = &self.telemetry {
-            sink.events.publish(EventKind::PhaseStarted {
+            sink.publish(EventKind::PhaseStarted {
                 job: *job,
                 phase: phase.name(),
             });
@@ -220,15 +218,11 @@ impl BoolE {
         let start = Instant::now();
         let out = f();
         if let Some((sink, job)) = &self.telemetry {
-            let elapsed = start.elapsed();
-            sink.events.publish(EventKind::PhaseFinished {
+            sink.publish(EventKind::PhaseFinished {
                 job: *job,
                 phase: phase.name(),
-                elapsed,
+                elapsed: start.elapsed(),
             });
-            sink.metrics
-                .histogram(&format!("phase_{phase}_ms"))
-                .observe(elapsed);
         }
         Ok(out)
     }
@@ -266,7 +260,7 @@ impl BoolE {
         // advance inside its phase_started/phase_finished bracket.
         let observer = self.telemetry.clone().map(|(sink, job)| {
             Arc::new(move |ruleset, index, it: &egraph::Iteration| {
-                sink.events.publish(EventKind::Iteration {
+                sink.publish(EventKind::Iteration {
                     job,
                     ruleset,
                     index,
@@ -278,12 +272,6 @@ impl BoolE {
                     apply_time: it.apply_time,
                     rebuild_time: it.rebuild_time,
                 });
-                sink.metrics
-                    .gauge("egraph_nodes")
-                    .set(it.egraph_nodes as i64);
-                sink.metrics
-                    .gauge("egraph_classes")
-                    .set(it.egraph_classes as i64);
             }) as IterationObserver
         });
         let (mut net, saturation) = self.phase(Phase::Saturate, cancel, || {
@@ -409,13 +397,11 @@ mod tests {
     /// Runs `csa:3` with telemetry attached and tags every published
     /// event as `start:<phase>`, `end:<phase>` or `iter:<ruleset>:<index>`.
     fn event_tags() -> Vec<String> {
-        use crate::telemetry::Telemetry;
-        let sink = Arc::new(Telemetry::new());
+        let sink = Arc::new(crate::telemetry::EventBus::default());
         let engine = BoolE::new(BooleParams::small()).with_telemetry(Arc::clone(&sink), 7);
         let result = engine.try_run(&csa_multiplier(3)).unwrap();
         assert!(result.exact_fa_count() >= 1);
-        sink.events
-            .drain()
+        sink.drain()
             .into_iter()
             .map(|e| match e.kind {
                 EventKind::PhaseStarted { job: 7, phase } => format!("start:{phase}"),

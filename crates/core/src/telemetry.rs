@@ -1,13 +1,11 @@
-//! Out-of-band observability: a bounded structured event bus and a
-//! metrics registry, both snapshotable through the strict
-//! [`crate::json`] layer.
+//! Out-of-band observability: a bounded structured event bus whose
+//! events render through the strict [`crate::json`] layer.
 //!
 //! Everything in this module is *strictly out-of-band*: publishing an
-//! event or bumping a metric never blocks a worker (a full event ring
-//! drops the event and counts the drop), and nothing here feeds back
-//! into canonical result documents — the byte-identity guarantees of
-//! the pipeline and service layers are untouched whether telemetry is
-//! attached or not.
+//! event never blocks a worker (a full event ring drops the event and
+//! counts the drop), and nothing here feeds back into canonical result
+//! documents — the byte-identity guarantees of the pipeline and service
+//! layers are untouched whether telemetry is attached or not.
 //!
 //! # Event stream contract
 //!
@@ -21,8 +19,8 @@
 //! events have gapless sequence numbers, except immediately before a
 //! `dropped` marker, where the gap size equals the marker's count.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -393,247 +391,9 @@ impl EventBus {
     }
 }
 
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways (queue depth, in-flight
-/// jobs, live e-graph sizes).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: i64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `d` (may be negative).
-    pub fn add(&self, d: i64) {
-        self.0.fetch_add(d, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Default latency bucket upper bounds, in milliseconds. The final
-/// implicit `+inf` bucket catches everything beyond the last bound.
-pub const DEFAULT_LATENCY_BUCKETS_MS: [f64; 12] = [
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 1000.0, 5000.0,
-];
-
-/// A fixed-bucket latency histogram (cumulative, Prometheus-style:
-/// each bucket counts observations `<=` its upper bound).
-#[derive(Debug)]
-pub struct Histogram {
-    bounds_ms: Vec<f64>,
-    /// One count per bound, plus a trailing `+inf` bucket.
-    counts: Vec<AtomicU64>,
-    total: AtomicU64,
-    sum_us: AtomicU64,
-}
-
-impl Histogram {
-    /// Creates a histogram with the given upper bounds (milliseconds,
-    /// ascending). An `+inf` bucket is appended implicitly.
-    pub fn new(bounds_ms: &[f64]) -> Histogram {
-        Histogram {
-            bounds_ms: bounds_ms.to_vec(),
-            counts: (0..=bounds_ms.len()).map(|_| AtomicU64::new(0)).collect(),
-            total: AtomicU64::new(0),
-            sum_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, d: Duration) {
-        let ms = d.as_secs_f64() * 1e3;
-        let idx = self
-            .bounds_ms
-            .iter()
-            .position(|&b| ms <= b)
-            .unwrap_or(self.bounds_ms.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.total.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(
-            u64::try_from(d.as_micros()).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot as a strict-parseable JSON object. Bucket upper bounds
-    /// are emitted under `"le"`; the `+inf` bucket's bound is `null`.
-    pub fn to_json(&self) -> Json {
-        let mut buckets = Vec::with_capacity(self.counts.len());
-        for (i, count) in self.counts.iter().enumerate() {
-            let le = match self.bounds_ms.get(i) {
-                Some(&b) => Json::Float(b),
-                None => Json::Null,
-            };
-            buckets.push(Json::obj([
-                ("le_ms", le),
-                ("count", Json::Int(count.load(Ordering::Relaxed) as i64)),
-            ]));
-        }
-        Json::obj([
-            ("buckets", Json::Arr(buckets)),
-            ("count", Json::Int(self.count() as i64)),
-            (
-                "sum_ms",
-                Json::Float(self.sum_us.load(Ordering::Relaxed) as f64 / 1e3),
-            ),
-        ])
-    }
-}
-
-/// A registry of named counters, gauges, and histograms. Metrics are
-/// created on first use and snapshot in name order, so snapshots are
-/// deterministic given the same set of touched metrics.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// The counter named `name`, created zeroed on first use.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(
-            self.counters
-                .lock()
-                .unwrap()
-                .entry(name.to_owned())
-                .or_default(),
-        )
-    }
-
-    /// The gauge named `name`, created zeroed on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(
-            self.gauges
-                .lock()
-                .unwrap()
-                .entry(name.to_owned())
-                .or_default(),
-        )
-    }
-
-    /// The histogram named `name`, created with the default latency
-    /// buckets on first use.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .unwrap()
-                .entry(name.to_owned())
-                .or_insert_with(|| Arc::new(Histogram::new(&DEFAULT_LATENCY_BUCKETS_MS))),
-        )
-    }
-
-    /// Snapshots every touched metric into one strict-parseable JSON
-    /// document: `{"counters": {...}, "gauges": {...},
-    /// "histograms": {...}}`, each section keyed by metric name in
-    /// lexicographic order.
-    pub fn snapshot(&self) -> Json {
-        let counters = Json::Obj(
-            self.counters
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(name, c)| (name.clone(), Json::Int(c.get() as i64)))
-                .collect(),
-        );
-        let gauges = Json::Obj(
-            self.gauges
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(name, g)| (name.clone(), Json::Int(g.get())))
-                .collect(),
-        );
-        let histograms = Json::Obj(
-            self.histograms
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|(name, h)| (name.clone(), h.to_json()))
-                .collect(),
-        );
-        Json::obj([
-            ("counters", counters),
-            ("gauges", gauges),
-            ("histograms", histograms),
-        ])
-    }
-}
-
-/// The full telemetry surface handed around the service: an event bus
-/// plus a metrics registry. Cheaply shareable as a [`TelemetrySink`].
-#[derive(Debug, Default)]
-pub struct Telemetry {
-    /// The structured event bus.
-    pub events: EventBus,
-    /// The metrics registry.
-    pub metrics: MetricsRegistry,
-}
-
-impl Telemetry {
-    /// Creates a telemetry hub with the default event capacity.
-    pub fn new() -> Telemetry {
-        Telemetry::default()
-    }
-
-    /// Creates a telemetry hub bounding the event ring at `capacity`.
-    pub fn with_event_capacity(capacity: usize) -> Telemetry {
-        Telemetry {
-            events: EventBus::with_capacity(capacity),
-            metrics: MetricsRegistry::new(),
-        }
-    }
-
-    /// Final metrics snapshot, including the bus's own drop counter as
-    /// the `events_dropped` counter.
-    pub fn metrics_snapshot(&self) -> Json {
-        let dropped = self.metrics.counter("events_dropped");
-        let total = self.events.dropped_total();
-        dropped.add(total.saturating_sub(dropped.get()));
-        self.metrics.snapshot()
-    }
-}
-
-/// A shared handle to a [`Telemetry`] hub.
-pub type TelemetrySink = Arc<Telemetry>;
+/// A shared handle to an [`EventBus`]: the telemetry surface handed
+/// around the service.
+pub type TelemetrySink = Arc<EventBus>;
 
 #[cfg(test)]
 mod tests {
@@ -827,37 +587,5 @@ mod tests {
             assert_eq!(parsed.to_string(), line, "round trip must be exact");
             assert!(!line.contains('\n'), "one event is one line");
         }
-    }
-
-    #[test]
-    fn metrics_snapshot_is_deterministic_and_parseable() {
-        let metrics = MetricsRegistry::new();
-        metrics.counter("jobs_completed").add(3);
-        metrics.counter("cache_hits").inc();
-        metrics.gauge("queue_depth").set(5);
-        metrics.gauge("queue_depth").add(-2);
-        let h = metrics.histogram("job_ms");
-        h.observe(Duration::from_millis(3));
-        h.observe(Duration::from_secs(30)); // lands in +inf
-        let snap = metrics.snapshot();
-        let text = snap.to_string();
-        let parsed = Json::parse(&text).expect("snapshot must strict-parse");
-        assert_eq!(parsed.to_string(), text);
-        // Deterministic: same mutations, same rendering order.
-        assert!(text.find("cache_hits").unwrap() < text.find("jobs_completed").unwrap());
-        assert_eq!(metrics.gauge("queue_depth").get(), 3);
-        assert_eq!(metrics.histogram("job_ms").count(), 2);
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative_by_position() {
-        let h = Histogram::new(&[1.0, 10.0]);
-        h.observe(Duration::from_micros(500)); // <=1ms
-        h.observe(Duration::from_millis(5)); // <=10ms
-        h.observe(Duration::from_millis(50)); // +inf
-        let json = h.to_json().to_string();
-        assert!(json.contains("\"le_ms\":1"));
-        assert!(json.contains("\"le_ms\":null"));
-        assert_eq!(h.count(), 3);
     }
 }

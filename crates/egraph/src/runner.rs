@@ -41,7 +41,7 @@ impl fmt::Display for StopReason {
 /// scheduling caps), and how many applications changed the e-graph.
 /// The numbers are the rule-granular view of the aggregate
 /// [`Iteration`] statistics, and feed per-rule saturation profiles
-/// (`satbench`'s `top_rules`, the telemetry metrics registry).
+/// (`satbench`'s `top_rules`).
 #[derive(Debug, Clone, Default)]
 pub struct RuleProfile {
     /// Wall-clock time spent searching this rule, summed over all

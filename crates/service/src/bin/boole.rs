@@ -25,8 +25,6 @@
 //!   --compact          one-line JSON instead of pretty-printed
 //!   --events SINK      stream job/phase/cache events as NDJSON to `-`
 //!                      (stdout; requires --compact) or a file, as jobs run
-//!   --metrics SINK     write a final metrics snapshot (counters, gauges,
-//!                      histograms) to `-` (requires --compact) or a file
 //! ```
 
 use std::io::Write as _;
@@ -36,11 +34,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use boole::json::{Json, ToJson};
-use boole::telemetry::{Telemetry, TelemetrySink};
+use boole::telemetry::{EventBus, TelemetrySink};
 use boole::BooleParams;
 use boole_service::{GenSpec, JobSpec, Service, ServiceConfig, ShedPolicy};
 
-/// Where a telemetry stream or snapshot goes.
+/// Where the telemetry event stream goes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum TelemetrySinkArg {
     /// `-`: interleave with the result document on stdout.
@@ -68,7 +66,6 @@ struct Options {
     timing: bool,
     pretty: bool,
     events: Option<TelemetrySinkArg>,
-    metrics: Option<TelemetrySinkArg>,
     max_retries: Option<u32>,
     shed: bool,
 }
@@ -86,7 +83,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
         timing: true,
         pretty: true,
         events: None,
-        metrics: None,
         max_retries: None,
         shed: false,
     };
@@ -151,13 +147,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
                 opts.events = Some(TelemetrySinkArg::parse(v));
                 i += 2;
             }
-            "--metrics" => {
-                let v = args
-                    .get(i + 1)
-                    .ok_or("--metrics needs a sink: - for stdout, or a file path")?;
-                opts.metrics = Some(TelemetrySinkArg::parse(v));
-                i += 2;
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown option {other:?}"));
             }
@@ -173,9 +162,6 @@ fn parse_args(args: &[String]) -> Result<(Options, Vec<String>), String> {
     // fragment of a pretty-printed document.
     if opts.events == Some(TelemetrySinkArg::Stdout) && opts.pretty {
         return Err("--events - streams NDJSON on stdout; add --compact so every stdout line is one JSON value".to_owned());
-    }
-    if opts.metrics == Some(TelemetrySinkArg::Stdout) && opts.pretty {
-        return Err("--metrics - writes the snapshot to stdout; add --compact so every stdout line is one JSON value".to_owned());
     }
     Ok((opts, positional))
 }
@@ -212,20 +198,18 @@ fn open_sink(sink: &TelemetrySinkArg) -> Result<Box<dyn std::io::Write + Send>, 
 }
 
 fn execute(specs: Vec<JobSpec>, opts: &Options) -> Result<(Json, bool), String> {
-    let telemetry: Option<TelemetrySink> =
-        (opts.events.is_some() || opts.metrics.is_some()).then(|| Arc::new(Telemetry::new()));
-
     // The streamer drains the bounded event bus while jobs run, so a
     // worker never blocks on a slow sink (under backpressure the bus
     // drops events and accounts for them with a `dropped` marker).
     // Closing the bus after the batch makes `wait` return an empty
     // batch, which stops the thread.
-    let streamer = match (&opts.events, &telemetry) {
-        (Some(sink), Some(telemetry)) => {
+    let streamer = match &opts.events {
+        Some(sink) => {
             let mut writer = open_sink(sink)?;
-            let bus = Arc::clone(telemetry);
-            Some(std::thread::spawn(move || loop {
-                let events = bus.events.wait();
+            let telemetry: TelemetrySink = Arc::new(EventBus::default());
+            let bus = Arc::clone(&telemetry);
+            let handle = std::thread::spawn(move || loop {
+                let events = bus.wait();
                 if events.is_empty() {
                     break;
                 }
@@ -233,16 +217,17 @@ fn execute(specs: Vec<JobSpec>, opts: &Options) -> Result<(Json, bool), String> 
                     let _ = writeln!(writer, "{}", event.to_json());
                 }
                 let _ = writer.flush();
-            }))
+            });
+            Some((telemetry, handle))
         }
-        _ => None,
+        None => None,
     };
 
     let mut config = ServiceConfig::default();
     if let Some(workers) = opts.workers {
         config = config.with_workers(workers);
     }
-    if let Some(telemetry) = &telemetry {
+    if let Some((telemetry, _)) = &streamer {
         config = config.with_telemetry(Arc::clone(telemetry));
     }
     if let Some(retries) = opts.max_retries {
@@ -255,17 +240,9 @@ fn execute(specs: Vec<JobSpec>, opts: &Options) -> Result<(Json, bool), String> 
     let outcomes = service.run_batch(specs);
     let stats = service.shutdown();
 
-    if let Some(telemetry) = &telemetry {
-        telemetry.events.close();
-    }
-    if let Some(handle) = streamer {
+    if let Some((telemetry, handle)) = streamer {
+        telemetry.close();
         let _ = handle.join();
-    }
-    if let (Some(sink), Some(telemetry)) = (&opts.metrics, &telemetry) {
-        let mut writer = open_sink(sink)?;
-        writeln!(writer, "{}", telemetry.metrics_snapshot())
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("cannot write the metrics snapshot: {e}"))?;
     }
 
     let any_failed = outcomes.iter().any(|o| {
@@ -301,8 +278,8 @@ fn usage() -> String {
      \x20        --no-cache --no-timing --compact\n\
      \x20        --max-retries N (transient-failure retry budget)\n\
      \x20        --shed (reject instead of block when the queue is full)\n\
-     \x20        --events -|FILE (NDJSON event stream) --metrics -|FILE (final snapshot;\n\
-     \x20        a - sink shares stdout with the result document and needs --compact)\n\
+     \x20        --events -|FILE (NDJSON event stream; a - sink shares stdout\n\
+     \x20        with the result document and needs --compact)\n\
      \x20        (options and positional arguments may be interleaved)\n\
      gen specs: csa:N | booth:N | wallace:N, optional suffix :mapped or :dch"
         .to_owned()
@@ -554,30 +531,17 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse_and_interleave_with_positionals() {
-        let (opts, positional) = parse_args(&strings(&[
-            "csa:4",
-            "--events",
-            "/tmp/e.ndjson",
-            "booth:4",
-            "--metrics",
-            "/tmp/m.json",
-        ]))
-        .unwrap();
+        let (opts, positional) =
+            parse_args(&strings(&["csa:4", "--events", "/tmp/e.ndjson", "booth:4"])).unwrap();
         assert_eq!(
             opts.events,
             Some(TelemetrySinkArg::File(PathBuf::from("/tmp/e.ndjson")))
         );
-        assert_eq!(
-            opts.metrics,
-            Some(TelemetrySinkArg::File(PathBuf::from("/tmp/m.json")))
-        );
         assert_eq!(positional, strings(&["csa:4", "booth:4"]));
 
         // `-` sinks are fine once stdout is line-oriented.
-        let (opts, _) =
-            parse_args(&strings(&["--events", "-", "--metrics", "-", "--compact"])).unwrap();
+        let (opts, _) = parse_args(&strings(&["--events", "-", "--compact"])).unwrap();
         assert_eq!(opts.events, Some(TelemetrySinkArg::Stdout));
-        assert_eq!(opts.metrics, Some(TelemetrySinkArg::Stdout));
     }
 
     #[test]
@@ -586,19 +550,17 @@ mod tests {
             .err()
             .unwrap()
             .contains("--events needs a sink"));
-        assert!(parse_args(&strings(&["--metrics"]))
+        // The event stream is the only telemetry output.
+        assert!(parse_args(&strings(&["--metrics", "-", "--compact"]))
             .err()
             .unwrap()
-            .contains("--metrics needs a sink"));
+            .contains("unknown option"));
         // Streaming to stdout without --compact would interleave NDJSON
         // with a pretty-printed (multi-line) result document.
         let err = parse_args(&strings(&["--events", "-"])).err().unwrap();
         assert!(err.contains("--compact"), "got: {err}");
-        let err = parse_args(&strings(&["--metrics", "-"])).err().unwrap();
-        assert!(err.contains("--compact"), "got: {err}");
         // A file sink never touches stdout, so pretty output stays legal.
         assert!(parse_args(&strings(&["--events", "/tmp/e.ndjson"])).is_ok());
-        assert!(parse_args(&strings(&["--metrics", "/tmp/m.json"])).is_ok());
         // Telemetry is orthogonal to scheduling: one worker streams too.
         assert!(parse_args(&strings(&["--workers", "1", "--events", "-", "--compact"])).is_ok());
     }

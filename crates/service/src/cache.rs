@@ -165,10 +165,7 @@ impl ResultCache {
         drop(inner);
         if evicted > 0 {
             if let Some(telemetry) = &self.telemetry {
-                telemetry
-                    .events
-                    .publish(EventKind::CacheEvicted { entries: evicted });
-                telemetry.metrics.counter("cache_evictions").add(evicted);
+                telemetry.publish(EventKind::CacheEvicted { entries: evicted });
             }
         }
     }
@@ -332,20 +329,19 @@ mod tests {
 
     #[test]
     fn evictions_are_reported_to_telemetry() {
-        let telemetry = Arc::new(boole::Telemetry::new());
+        let telemetry = Arc::new(boole::EventBus::default());
         let cache = ResultCache::new(1).with_telemetry(Some(Arc::clone(&telemetry)));
         let summary = dummy_summary();
         cache.insert(key(1), Arc::clone(&summary));
-        assert!(telemetry.events.drain().is_empty(), "no eviction yet");
+        assert!(telemetry.drain().is_empty(), "no eviction yet");
         cache.insert(key(2), summary);
-        let events = telemetry.events.drain();
+        let events = telemetry.drain();
         assert!(
             events
                 .iter()
                 .any(|e| matches!(e.kind, EventKind::CacheEvicted { entries: 1 })),
             "eviction must publish an event: {events:?}"
         );
-        assert_eq!(telemetry.metrics.counter("cache_evictions").get(), 1);
     }
 
     #[test]

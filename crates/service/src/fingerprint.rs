@@ -27,22 +27,6 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-/// Parses the 32-hex-digit form [`Display`](fmt::Display) emits (its
-/// inverse).
-impl std::str::FromStr for Fingerprint {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
-            return Err(format!("expected 32 hex digits, got {s:?}"));
-        }
-        let lane = |range: std::ops::Range<usize>| {
-            u64::from_str_radix(&s[range], 16).expect("checked hex digits")
-        };
-        Ok(Fingerprint([lane(0..16), lane(16..32)]))
-    }
-}
-
 /// The standard splitmix64 finalizer: a cheap full-avalanche mix.
 fn splitmix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
@@ -249,13 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_display_parses_back() {
+    fn fingerprint_display_is_32_lowercase_hex_digits() {
         let fp = fingerprint_aig(&aig::gen::csa_multiplier(3));
         let text = fp.to_string();
         assert_eq!(text.len(), 32);
-        assert_eq!(text.parse::<Fingerprint>().unwrap(), fp);
-        assert!("short".parse::<Fingerprint>().is_err());
-        assert!("zz".repeat(16).parse::<Fingerprint>().is_err());
+        assert!(
+            text.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')),
+            "{text}"
+        );
     }
 
     #[test]

@@ -47,11 +47,11 @@ pub struct ServiceConfig {
     /// first. 0 disables storage (every lookup misses); single-flight
     /// deduplication still applies to cache-enabled jobs.
     pub cache_capacity: usize,
-    /// Optional telemetry hub: every lifecycle, phase, iteration, and
-    /// cache transition publishes an event here, and the metrics
-    /// registry tracks counters/gauges/histograms. `None` (the
-    /// default) makes every telemetry site a no-op; attaching a sink
-    /// never changes job results (telemetry is strictly out-of-band).
+    /// Optional telemetry event bus: every lifecycle, phase,
+    /// iteration, and cache transition publishes an event here. `None`
+    /// (the default) makes every telemetry site a no-op; attaching a
+    /// sink never changes job results (telemetry is strictly
+    /// out-of-band).
     pub telemetry: Option<TelemetrySink>,
     /// When set, every accepted job's saturation search fans out
     /// across this many threads (`0` = one per available CPU),
@@ -111,7 +111,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Attaches a telemetry hub (event bus + metrics registry).
+    /// Attaches a telemetry event bus.
     pub fn with_telemetry(mut self, telemetry: TelemetrySink) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -469,7 +469,7 @@ struct Shared {
     counters: Counters,
     watchdog: Mutex<WatchdogQueue>,
     watchdog_wake: Condvar,
-    /// Out-of-band event bus + metrics; `None` disables all telemetry.
+    /// Out-of-band event bus; `None` disables all telemetry.
     telemetry: Option<TelemetrySink>,
     /// Fault-injection registry; `None` disables every failpoint.
     faults: Option<Arc<FaultRegistry>>,
@@ -589,10 +589,6 @@ impl Service {
             .counters
             .submitted
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.metrics.counter("jobs_submitted").inc();
-            telemetry.metrics.gauge("queue_depth").add(1);
-        }
     }
 
     /// Submits a job. Queue-full behavior follows the configured
@@ -614,7 +610,7 @@ impl Service {
         // Published before the job can reach a worker, whose
         // `job_started` must follow it in the stream.
         if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.events.publish(EventKind::JobSubmitted {
+            telemetry.publish(EventKind::JobSubmitted {
                 job: state.id,
                 label: state.label.clone(),
             });
@@ -649,7 +645,7 @@ impl Service {
     /// Rejected jobs still count as submitted (so the accounting
     /// invariant `submitted == terminal outcomes` holds) and close the
     /// caller's `job_submitted` event with the usual `job_done`, but
-    /// never touch the deadline heap or the queue-depth gauge.
+    /// never touch the deadline heap.
     fn reject(&self, state: &Arc<JobState>, reason: RejectReason) -> JobHandle {
         self.shared
             .counters
@@ -658,7 +654,6 @@ impl Service {
         self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         let outcome = state.finalize(JobVerdict::Rejected { reason }, false);
         if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.metrics.counter("jobs_submitted").inc();
             publish_job_done(telemetry, &outcome);
         }
         JobHandle {
@@ -781,11 +776,7 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
             return; // channel closed: shutdown
         };
         if let Some(telemetry) = &shared.telemetry {
-            telemetry
-                .events
-                .publish(EventKind::JobStarted { job: state.id });
-            telemetry.metrics.gauge("queue_depth").add(-1);
-            telemetry.metrics.gauge("in_flight_jobs").add(1);
+            telemetry.publish(EventKind::JobStarted { job: state.id });
         }
         // A panicking job must not strand the JobHandle: convert the
         // panic into a terminal Panicked outcome so wait() always
@@ -819,31 +810,18 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
         // `execute_job`), so even a panicking pipeline emits one.
         if let Some(telemetry) = &shared.telemetry {
             publish_job_done(telemetry, &outcome);
-            telemetry.metrics.gauge("in_flight_jobs").add(-1);
         }
     }
 }
 
-/// Publishes a job's terminal event and outcome metrics, for jobs that
-/// ran on a worker and for jobs rejected at admission alike.
+/// Publishes a job's terminal event, for jobs that ran on a worker and
+/// for jobs rejected at admission alike.
 fn publish_job_done(telemetry: &TelemetrySink, outcome: &JobOutcome) {
-    telemetry.events.publish(EventKind::JobDone {
+    telemetry.publish(EventKind::JobDone {
         job: outcome.job_id,
         status: outcome.status().name().to_owned(),
         from_cache: outcome.from_cache,
     });
-    let counter = match outcome.status() {
-        JobStatus::Completed => "jobs_completed",
-        JobStatus::Cancelled => "jobs_cancelled",
-        JobStatus::Panicked => "jobs_panicked",
-        JobStatus::Rejected => "jobs_shed",
-        _ => "jobs_failed",
-    };
-    telemetry.metrics.counter(counter).inc();
-    telemetry
-        .metrics
-        .histogram("job_ms")
-        .observe(outcome.service_time);
 }
 
 /// Best-effort text from a panic payload (`&str` and `String` cover
@@ -875,9 +853,12 @@ fn load_netlist(source: &JobSource) -> Result<aig::Aig, (String, ErrorClass)> {
         JobSource::Netlist(aig) => Ok(aig.clone()),
         JobSource::File(path) => aig::read_netlist(path).map_err(|e| {
             // Only the OS-level read is environmental; a file that
-            // *parses* wrong will parse wrong again.
+            // *parses* wrong will parse wrong again, and a file that
+            // does not exist will still be missing after the backoff.
+            let missing =
+                std::fs::metadata(path).is_err_and(|m| m.kind() == std::io::ErrorKind::NotFound);
             let class = match e.kind {
-                aig::netlist::NetlistErrorKind::Io => ErrorClass::Transient,
+                aig::netlist::NetlistErrorKind::Io if !missing => ErrorClass::Transient,
                 _ => ErrorClass::Permanent,
             };
             (format!("cannot load {}: {e}", path.display()), class)
@@ -990,21 +971,6 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
         .counters
         .pipelines_run
         .fetch_add(1, Ordering::Relaxed);
-    if let Some(telemetry) = telemetry {
-        // Resolved thread count of the pipeline about to run (0 means
-        // one per CPU), so dashboards can correlate search_ms drops
-        // with the parallelism actually in effect.
-        let threads = match spec.params.saturate.search_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        };
-        telemetry
-            .metrics
-            .gauge("search_threads")
-            .set(threads as i64);
-    }
     let mut engine = BoolE::new(spec.params.clone());
     if let Some(telemetry) = telemetry {
         engine = engine.with_telemetry(Arc::clone(telemetry), state.id);
@@ -1067,13 +1033,6 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
         }
     };
     let summary = Arc::new(ResultSummary::from(&result));
-    if let Some(telemetry) = telemetry {
-        // Per-rule search-time profile into its histogram.
-        let hist = telemetry.metrics.histogram("rule_search_ms");
-        for rule in &summary.saturation.rules {
-            hist.observe(rule.search_time);
-        }
-    }
     if spec.use_cache {
         shared.cache.insert(cache_key, Arc::clone(&summary));
     }
@@ -1124,26 +1083,23 @@ fn note_retry(state: &JobState, shared: &Shared, attempt: u32) -> bool {
     state.retries.fetch_add(1, Ordering::Relaxed);
     shared.counters.retried.fetch_add(1, Ordering::Relaxed);
     if let Some(telemetry) = &shared.telemetry {
-        telemetry.events.publish(EventKind::JobRetry {
+        telemetry.publish(EventKind::JobRetry {
             job: state.id,
             attempt: attempt + 1,
             delay,
         });
-        telemetry.metrics.counter("jobs_retried").inc();
     }
     backoff_pause(&state.cancel, delay)
 }
 
-/// Publishes the cache hit/miss event and counter for one lookup.
+/// Publishes the cache hit/miss event for one lookup.
 fn publish_cache_lookup(telemetry: Option<&TelemetrySink>, job: u64, hit: bool) {
     let Some(telemetry) = telemetry else { return };
-    let (kind, counter) = if hit {
-        (EventKind::CacheHit { job }, "cache_hits")
+    telemetry.publish(if hit {
+        EventKind::CacheHit { job }
     } else {
-        (EventKind::CacheMiss { job }, "cache_misses")
-    };
-    telemetry.events.publish(kind);
-    telemetry.metrics.counter(counter).inc();
+        EventKind::CacheMiss { job }
+    });
 }
 
 #[cfg(test)]

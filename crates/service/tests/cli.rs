@@ -63,10 +63,10 @@ fn event_stream_is_strict_ndjson_and_leaves_results_byte_identical() {
     };
 
     let plain = run(&[]);
-    let streamed = run(&["--events", "-", "--metrics", "-"]);
+    let streamed = run(&["--events", "-"]);
 
-    // Every stdout line — events, metrics snapshot, result document —
-    // must survive the strict parser on its own.
+    // Every stdout line — events and result document — must survive
+    // the strict parser on its own.
     let lines: Vec<&str> = streamed.lines().collect();
     for line in &lines {
         boole::json::Json::parse(line)
@@ -82,7 +82,6 @@ fn event_stream_is_strict_ndjson_and_leaves_results_byte_identical() {
     );
     assert!(lines[0].contains("\"event\":\"job_submitted\""));
     assert!(streamed.contains("\"event\":\"job_done\""));
-    assert!(streamed.contains("\"counters\""));
 
     // A 1-worker cache-less run streams the same event vocabulary.
     let serial = run(&["--workers", "1", "--no-cache", "--events", "-"]);
@@ -91,17 +90,14 @@ fn event_stream_is_strict_ndjson_and_leaves_results_byte_identical() {
 }
 
 #[test]
-fn event_and_metrics_files_hold_the_stream_and_snapshot() {
+fn event_file_holds_the_stream() {
     let dir = std::env::temp_dir().join(format!("boole-ev-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let events_path = dir.join("events.ndjson");
-    let metrics_path = dir.join("metrics.json");
     let output = boole()
         .args(["gen", "csa:2", "--params", "small"])
         .arg("--events")
         .arg(&events_path)
-        .arg("--metrics")
-        .arg(&metrics_path)
         .output()
         .expect("spawn boole");
     assert!(output.status.success());
@@ -123,9 +119,6 @@ fn event_and_metrics_files_hold_the_stream_and_snapshot() {
     }
     assert_eq!(kinds.first().map(String::as_str), Some("job_submitted"));
     assert_eq!(kinds.last().map(String::as_str), Some("job_done"));
-
-    let metrics = boole::json::Json::parse(&std::fs::read_to_string(&metrics_path).unwrap());
-    assert!(metrics.is_ok(), "metrics snapshot must be strict JSON");
     std::fs::remove_dir_all(&dir).ok();
 }
 

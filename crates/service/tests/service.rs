@@ -434,6 +434,8 @@ fn failed_sources_are_reported_not_panicked() {
     let missing = service.submit(JobSpec::file("/nonexistent/never.aag"));
     let outcome = missing.wait();
     assert!(matches!(outcome.verdict, JobVerdict::Failed(_)));
+    // A missing file will still be missing after any backoff.
+    assert_eq!(outcome.retries, 0);
     let path = std::env::temp_dir().join(format!("boole-garbled-{}.aag", std::process::id()));
     std::fs::write(&path, "not an aiger file").unwrap();
     let garbled = service.submit(JobSpec::file(&path)).wait();

@@ -1,17 +1,17 @@
 //! Event-stream invariants: phase bracketing per job, gapless sequence
 //! numbers (modulo explicit `dropped` markers), terminal events under
-//! cancellation, and the NDJSON rendering of the pipeline's own events
-//! and metrics.
+//! cancellation, the NDJSON rendering of the pipeline's own events, and
+//! the stream's agreement with the service's stats block.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use boole::telemetry::{EventKind, Telemetry, TelemetryEvent, TelemetrySink};
+use boole::telemetry::{EventBus, EventKind, TelemetryEvent, TelemetrySink};
 use boole::{BooleParams, Json};
-use boole_service::{GenSpec, JobSpec, Service, ServiceConfig};
+use boole_service::{FaultRegistry, GenSpec, JobSpec, Service, ServiceConfig};
 
 fn sink() -> TelemetrySink {
-    Arc::new(Telemetry::new())
+    Arc::new(EventBus::default())
 }
 
 fn config(workers: usize, telemetry: &TelemetrySink) -> ServiceConfig {
@@ -137,10 +137,10 @@ fn pooled_batch_stream_is_bracketed_and_gapless() {
     // own pipeline, so each one must show the full phase bracket.
     service.run_batch(vec![spec("csa:2"), spec("csa:3"), spec("wallace:3")]);
     service.shutdown();
-    telemetry.events.close();
-    let events = telemetry.events.drain();
+    telemetry.close();
+    let events = telemetry.drain();
     assert_stream_invariants(&events);
-    assert_eq!(telemetry.events.dropped_total(), 0);
+    assert_eq!(telemetry.dropped_total(), 0);
     let done = events
         .iter()
         .filter(|e| matches!(e.kind, EventKind::JobDone { .. }))
@@ -158,8 +158,8 @@ fn deadline_doomed_job_still_emits_terminal_event() {
         .with_deadline(Duration::from_millis(1));
     service.run_batch(vec![doomed]);
     service.shutdown();
-    telemetry.events.close();
-    let events = telemetry.events.drain();
+    telemetry.close();
+    let events = telemetry.drain();
     let terminal = events
         .iter()
         .filter_map(|e| match &e.kind {
@@ -175,12 +175,12 @@ fn tiny_bus_drops_under_backpressure_but_accounts_for_every_seq() {
     // Nobody drains while the batch runs, so a 16-slot ring must drop;
     // the final drain still yields a gapless stream via its marker, and
     // the drop counter matches the markers' sum.
-    let telemetry: TelemetrySink = Arc::new(Telemetry::with_event_capacity(16));
+    let telemetry: TelemetrySink = Arc::new(EventBus::with_capacity(16));
     let service = Service::new(config(2, &telemetry));
     service.run_batch(vec![spec("csa:3"), spec("csa:4"), spec("wallace:4")]);
     service.shutdown();
-    telemetry.events.close();
-    let events = telemetry.events.drain();
+    telemetry.close();
+    let events = telemetry.drain();
 
     let mut expected_seq = 0u64;
     let mut marked = 0u64;
@@ -195,7 +195,7 @@ fn tiny_bus_drops_under_backpressure_but_accounts_for_every_seq() {
     assert!(marked > 0, "a 16-slot ring must have dropped something");
     assert_eq!(
         marked,
-        telemetry.events.dropped_total(),
+        telemetry.dropped_total(),
         "markers must account for exactly the dropped events"
     );
 }
@@ -248,28 +248,88 @@ fn assert_lines_parse_and_iterations_fit_saturate(events: &[TelemetryEvent]) {
     }
 }
 
-/// The pipeline's metrics land in the snapshot `--metrics` writes.
-fn assert_pipeline_metrics(telemetry: &Telemetry) {
-    let snapshot = telemetry.metrics_snapshot();
-    let histograms = snapshot.field("histograms").unwrap();
-    let gauges = snapshot.field("gauges").unwrap();
-    assert!(
-        histograms.field("phase_saturate_ms").is_some(),
-        "{snapshot}"
-    );
-    assert!(gauges.field("egraph_nodes").is_some(), "{snapshot}");
-    assert!(gauges.field("egraph_classes").is_some(), "{snapshot}");
-}
-
 #[test]
 fn event_lines_strict_parse_and_iteration_times_fit_saturate() {
     let telemetry = sink();
     let service = Service::new(config(2, &telemetry));
     service.run_batch(vec![spec("csa:3"), spec("wallace:3")]);
     service.shutdown();
-    telemetry.events.close();
-    let events = telemetry.events.drain();
+    telemetry.close();
+    let events = telemetry.drain();
     assert_stream_invariants(&events);
     assert_lines_parse_and_iterations_fit_saturate(&events);
-    assert_pipeline_metrics(&telemetry);
+}
+
+#[test]
+fn stream_counts_agree_with_the_stats_block() {
+    // One worker, a one-entry cache and a first pipeline attempt that
+    // fails transiently: the batch below exercises a retry, a hit,
+    // misses, evictions and a failure, and every count the stats block
+    // reports must be recoverable from the event stream alone.
+    let telemetry = sink();
+    let faults = FaultRegistry::parse("worker.pipeline=error@nth:1").unwrap();
+    let service = Service::new(
+        ServiceConfig {
+            num_workers: 1,
+            cache_capacity: 1,
+            ..ServiceConfig::default()
+        }
+        .with_telemetry(Arc::clone(&telemetry))
+        .with_faults(Arc::new(faults))
+        .with_retry_base(Duration::from_millis(1)),
+    );
+    for job in [
+        spec("csa:3"),
+        spec("csa:3"),
+        spec("wallace:3"),
+        spec("csa:3"),
+        JobSpec::file("/nonexistent/never.aag"),
+    ] {
+        service.submit(job).wait();
+    }
+    let stats = service.shutdown();
+    telemetry.close();
+    let events = telemetry.drain();
+    assert_stream_invariants(&events);
+
+    let count =
+        |pred: &dyn Fn(&EventKind) -> bool| events.iter().filter(|e| pred(&e.kind)).count() as u64;
+    let done =
+        |want: &str| count(&|k| matches!(k, EventKind::JobDone { status, .. } if status == want));
+    let stats_counts = (
+        stats.retried,
+        stats.cache.hits,
+        stats.cache.misses,
+        stats.cache.evictions,
+    );
+    assert_eq!(stats_counts, (1, 1, 3, 2), "the batch exercises every path");
+    assert_eq!(
+        count(&|k| matches!(k, EventKind::JobSubmitted { .. })),
+        stats.submitted
+    );
+    assert_eq!(done("completed"), stats.completed);
+    assert_eq!(done("failed"), stats.failed);
+    assert_eq!(done("cancelled"), stats.cancelled);
+    assert_eq!(done("panicked"), stats.panicked);
+    assert_eq!(done("rejected"), stats.shed);
+    assert_eq!(
+        count(&|k| matches!(k, EventKind::CacheHit { .. })),
+        stats.cache.hits
+    );
+    assert_eq!(
+        count(&|k| matches!(k, EventKind::CacheMiss { .. })),
+        stats.cache.misses
+    );
+    let evicted: u64 = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::CacheEvicted { entries } => Some(entries),
+            _ => None,
+        })
+        .sum();
+    assert_eq!(evicted, stats.cache.evictions);
+    assert_eq!(
+        count(&|k| matches!(k, EventKind::JobRetry { .. })),
+        stats.retried
+    );
 }
