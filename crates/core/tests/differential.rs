@@ -107,14 +107,7 @@ fn all_backends_match_on_full_ruleset() {
             .map(|r| flatten(r.searcher().search_oracle(eg)))
             .collect();
         for threads in [1usize, 2] {
-            let slots = search_rules(
-                &patterns,
-                eg,
-                &directives,
-                &CancelToken::new(),
-                None,
-                threads,
-            );
+            let slots = search_rules(&patterns, eg, &directives, &CancelToken::new(), threads);
             assert_eq!(slots.len(), rules.len());
             for ((rule, expected), slot) in rules.iter().zip(&oracle).zip(slots) {
                 let (matches, _) = slot.expect("no skip without cancel/deadline");

@@ -119,7 +119,7 @@ proptest! {
         let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
         let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
         for threads in [1usize, 2, 5] {
-            let slots = search_rules(&refs, &eg, &directives, &CancelToken::new(), None, threads);
+            let slots = search_rules(&refs, &eg, &directives, &CancelToken::new(), threads);
             for ((pat, p), slot) in PATTERNS.iter().zip(&patterns).zip(slots) {
                 let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
                 assert_eq!(
@@ -151,7 +151,7 @@ proptest! {
             })
             .collect();
         for threads in [1usize, 2] {
-            let slots = search_rules(&refs, &eg, &directives, &CancelToken::new(), None, threads);
+            let slots = search_rules(&refs, &eg, &directives, &CancelToken::new(), threads);
             for (((pat, p), directive), slot) in
                 PATTERNS.iter().zip(&patterns).zip(&directives).zip(slots)
             {
@@ -181,7 +181,7 @@ proptest! {
         let token = CancelToken::new();
         token.cancel();
         for threads in [1usize, 3] {
-            let slots = search_rules(&refs, &eg, &directives, &token, None, threads);
+            let slots = search_rules(&refs, &eg, &directives, &token, threads);
             assert!(
                 slots.iter().all(Option::is_none),
                 "slots leaked under a pre-set cancel at {threads} threads (seed {seed:#x})"

@@ -66,8 +66,7 @@ pub use crate::pattern::{
 pub use crate::recexpr::{ParseRecExprError, RecExpr};
 pub use crate::rewrite::{Applier, Condition, ConditionalApplier, Rewrite};
 pub use crate::runner::{
-    BackoffScheduler, Iteration, IterationHook, RuleProfile, Runner, RunnerLimits, SimpleScheduler,
-    StopReason,
+    BackoffScheduler, Iteration, IterationHook, RuleProfile, Runner, RunnerLimits, StopReason,
 };
 pub use crate::symbol::Symbol;
 pub use crate::unionfind::UnionFind;

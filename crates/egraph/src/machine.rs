@@ -34,7 +34,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::cancel::past;
 use crate::pattern::ENodeOrVar;
 use crate::{
     Analysis, CancelToken, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var,
@@ -346,15 +345,14 @@ pub enum RuleDirective {
 /// work-stealing workers — and returns per-rule slots in rule-index
 /// order: `Some((matches, elapsed))` for a searched rule (empty and
 /// zero-time for [`RuleDirective::Skip`]), `None` for a rule whose
-/// search a cancel request or the deadline interrupted, or that no
-/// worker claimed after such a trip. Slots are identical at any thread
-/// count, short of those interruptions.
+/// search the cancel token interrupted (a cancel request or its
+/// deadline), or that no worker claimed after such a trip. Slots are
+/// identical at any thread count, short of those interruptions.
 pub fn search_rules<L, N>(
     patterns: &[&Pattern<L>],
     egraph: &EGraph<L, N>,
     directives: &[RuleDirective],
     cancel: &CancelToken,
-    deadline: Option<Instant>,
     threads: usize,
 ) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
 where
@@ -364,25 +362,19 @@ where
     N::Data: Sync,
 {
     assert_eq!(directives.len(), patterns.len());
-    search_rules_slots(
-        patterns.len(),
-        threads,
-        cancel,
-        deadline,
-        |i| match directives[i] {
-            RuleDirective::Skip => Some((Vec::new(), Duration::ZERO)),
-            RuleDirective::Limit(limit) => {
-                let start = Instant::now();
-                let matches = patterns[i].search_interruptible(egraph, limit, cancel, deadline)?;
-                Some((matches, start.elapsed()))
-            }
-        },
-    )
+    search_rules_slots(patterns.len(), threads, cancel, |i| match directives[i] {
+        RuleDirective::Skip => Some((Vec::new(), Duration::ZERO)),
+        RuleDirective::Limit(limit) => {
+            let start = Instant::now();
+            let matches = patterns[i].search_interruptible(egraph, limit, cancel)?;
+            Some((matches, start.elapsed()))
+        }
+    })
 }
 
 /// The work-stealing fan-out behind [`search_rules`]: workers claim
-/// rule indices from an atomic counter, check the cancel token and
-/// deadline before every claim, and results land in rule-index slots.
+/// rule indices from an atomic counter, check the cancel token before
+/// every claim, and results land in rule-index slots.
 /// `search_one` returns `None` when its rule's search was cut short
 /// (the slot stays `None` = skipped, and the worker stops claiming).
 /// Panics from workers are re-raised exactly once, after *all* workers
@@ -391,7 +383,6 @@ pub(crate) fn search_rules_slots<F>(
     n_rules: usize,
     threads: usize,
     cancel: &CancelToken,
-    deadline: Option<Instant>,
     search_one: F,
 ) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
 where
@@ -401,7 +392,7 @@ where
     slots.resize_with(n_rules, || None);
     if threads <= 1 || n_rules <= 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
-            if cancel.is_cancelled() || past(deadline) {
+            if cancel.is_cancelled() {
                 break;
             }
             match search_one(i) {
@@ -420,7 +411,7 @@ where
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_rules || cancel.is_cancelled() || past(deadline) {
+                        if i >= n_rules || cancel.is_cancelled() {
                             break;
                         }
                         match search_one(i) {
@@ -621,9 +612,7 @@ pub(crate) mod tests {
         let (eg, p) = explosive_workload(10, 60);
         let token = CancelToken::new();
         token.cancel();
-        assert!(p
-            .search_interruptible(&eg, usize::MAX, &token, None)
-            .is_none());
+        assert!(p.search_interruptible(&eg, usize::MAX, &token).is_none());
     }
 
     #[test]
@@ -642,9 +631,7 @@ pub(crate) mod tests {
         assert_eq!(p.search(&eg).len(), 500);
         let token = CancelToken::new();
         token.cancel();
-        assert!(p
-            .search_interruptible(&eg, usize::MAX, &token, None)
-            .is_none());
+        assert!(p.search_interruptible(&eg, usize::MAX, &token).is_none());
     }
 
     /// Per-rule `(eclass, substs)` view for equality assertions.
@@ -666,7 +653,6 @@ pub(crate) mod tests {
                 &eg,
                 &directives,
                 &CancelToken::new(),
-                None,
                 threads,
             );
             let (skipped, skipped_time) = slots[0].as_ref().unwrap();
@@ -695,7 +681,6 @@ pub(crate) mod tests {
                 &eg,
                 &[RuleDirective::Limit(limit)],
                 &CancelToken::new(),
-                None,
                 1,
             );
             let (matches, _) = slots[0].as_ref().unwrap();
@@ -712,26 +697,19 @@ pub(crate) mod tests {
     fn expired_deadline_skips_every_rule() {
         let (eg, explosive) = explosive_workload(4, 40);
         let cheap = pat("(g ?a ?b ?t)");
-        // `past` requires strictly-greater, so an already-elapsed
+        // The deadline check is strictly-greater, so an already-elapsed
         // instant is an expired deadline by the next check.
-        let deadline = Instant::now();
+        let token = CancelToken::new().with_deadline(Instant::now());
         std::thread::sleep(Duration::from_millis(1));
         let directives = [RuleDirective::Limit(usize::MAX); 2];
         for threads in [1, 2] {
-            let slots = search_rules(
-                &[&explosive, &cheap],
-                &eg,
-                &directives,
-                &CancelToken::new(),
-                Some(deadline),
-                threads,
-            );
+            let slots = search_rules(&[&explosive, &cheap], &eg, &directives, &token, threads);
             assert!(slots.iter().all(Option::is_none), "threads={threads}");
         }
         // The driver checks the deadline per class too, not only
         // before a rule is claimed.
         assert!(explosive
-            .search_interruptible(&eg, usize::MAX, &CancelToken::new(), Some(deadline))
+            .search_interruptible(&eg, usize::MAX, &token)
             .is_none());
     }
 
@@ -752,7 +730,7 @@ pub(crate) mod tests {
             })
         };
         let start = Instant::now();
-        let cancelled = p.search_interruptible(&eg, usize::MAX, &token, None);
+        let cancelled = p.search_interruptible(&eg, usize::MAX, &token);
         let cancelled_time = start.elapsed();
         canceller.join().unwrap();
         assert!(cancelled.is_none_or(|m| m.is_empty()));

@@ -7,9 +7,7 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::time::Instant;
 
-use crate::cancel::past;
 use crate::machine::{Program, RunOutcome};
 use crate::recexpr::{parse_sexp, Sexp};
 use crate::{
@@ -260,17 +258,17 @@ impl<L: Language> Pattern<L> {
         egraph: &EGraph<L, N>,
         limit: usize,
     ) -> Vec<SearchMatches> {
-        self.search_interruptible(egraph, limit, &CancelToken::new(), None)
-            .expect("a search without cancel token or deadline runs to completion")
+        self.search_interruptible(egraph, limit, &CancelToken::new())
+            .expect("a search with a fresh cancel token runs to completion")
     }
 
     /// Like [`Pattern::search_with_limit`], but interruptible: the
     /// [`CancelToken`] is polled *inside* the matching VM (every
-    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] e-node visits) and both
-    /// it and `deadline` are checked before every candidate class, so
-    /// even a single explosive rule search stops promptly. Returns
-    /// `None` if the search was interrupted — a partial match set is
-    /// never returned.
+    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] e-node visits) and
+    /// before every candidate class, so even a single explosive rule
+    /// search stops promptly, whether the token's flag is set or its
+    /// deadline passes. Returns `None` if the search was interrupted —
+    /// a partial match set is never returned.
     ///
     /// # Panics
     ///
@@ -280,20 +278,18 @@ impl<L: Language> Pattern<L> {
         egraph: &EGraph<L, N>,
         limit: usize,
         cancel: &CancelToken,
-        deadline: Option<Instant>,
     ) -> Option<Vec<SearchMatches>> {
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
         );
-        let interrupted = || cancel.is_cancelled() || past(deadline);
         let mut out = Vec::new();
         let mut total = 0usize;
         if self.program.is_scan() {
             // A bare-variable pattern matches every class with the
             // root variable bound to it (the VM's `Scan`).
             for class in egraph.classes() {
-                if interrupted() {
+                if cancel.is_cancelled() {
                     return None;
                 }
                 out.push(SearchMatches {
@@ -323,7 +319,7 @@ impl<L: Language> Pattern<L> {
             // The in-VM poll only triggers on budget quanta *within* a
             // class; checking here too keeps cancellation latency
             // bounded across runs of small classes.
-            if interrupted() {
+            if cancel.is_cancelled() {
                 return None;
             }
             let (m, outcome) = self.run_vm_on_class(egraph, id, &ground, &mut regs, cancel);

@@ -81,7 +81,7 @@ pub struct Iteration {
     /// (after scheduling caps, before application).
     pub total_matches: usize,
     /// Time spent searching for matches — the search fan-out only.
-    /// The serial post-join merge (`RewriteScheduler::finish_rewrite`
+    /// The serial post-join merge (`BackoffScheduler` ban
     /// accounting plus [`RuleProfile`] bookkeeping) is reported
     /// separately as [`Iteration::merge_time`]; earlier versions
     /// folded it into `search_time`, silently inflating it.
@@ -126,62 +126,23 @@ impl Default for RunnerLimits {
     }
 }
 
-/// Controls how often each rule is searched — the hook that implements
-/// backoff scheduling.
-///
-/// The protocol is split into a read-only directive and a mutable
-/// post-merge accounting step so the runner can fan the searches out
-/// across threads (the search phase only reads the e-graph): every
-/// rule of an iteration is searched as its
-/// [`RewriteScheduler::search_directive`] asks, then
-/// [`RewriteScheduler::finish_rewrite`] runs serially in rule-index
-/// order over the collected results. The split is behavior-preserving
-/// because each rule only consults its own stats, and a ban recorded
-/// during iteration `i` cannot start before iteration `i + 1`.
-pub trait RewriteScheduler<L: Language, N: Analysis<L>> {
-    /// Says how to search `rewrite` during `iteration`: skip it, or
-    /// search it with a substitution limit (default: no limit).
-    fn search_directive(&self, iteration: usize, rewrite: &Rewrite<L, N>) -> RuleDirective {
-        let _ = (iteration, rewrite);
-        RuleDirective::Limit(usize::MAX)
-    }
-
-    /// Records the outcome of one rule's search and returns the match
-    /// set the apply phase should use (possibly discarding it — e.g. a
-    /// backoff ban). Called exactly once per searched rule per
-    /// iteration, serially, in rule-index order — regardless of how
-    /// many threads ran the searches — so scheduler state updates stay
-    /// deterministic.
-    fn finish_rewrite(
-        &mut self,
-        iteration: usize,
-        rewrite: &Rewrite<L, N>,
-        matches: Vec<SearchMatches>,
-    ) -> Vec<SearchMatches> {
-        let _ = (iteration, rewrite);
-        matches
-    }
-
-    /// Returns `true` if saturation can be trusted (no rule was banned
-    /// or truncated this iteration).
-    fn can_stop(&mut self, iteration: usize) -> bool {
-        let _ = iteration;
-        true
-    }
-}
-
-/// A scheduler that always searches every rule exhaustively.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimpleScheduler;
-
-impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for SimpleScheduler {}
-
-/// Exponential-backoff scheduler (like `egg`'s `BackoffScheduler`).
+/// Exponential-backoff scheduler (like `egg`'s `BackoffScheduler`):
+/// controls how often each rule is searched.
 ///
 /// A rule that yields more than `match_limit` total substitutions in one
 /// iteration is banned for `ban_length` iterations; each subsequent ban
 /// doubles both numbers for that rule. This keeps explosive rules (e.g.
 /// associativity) from starving the rest.
+/// `BackoffScheduler::new(usize::MAX, 1)` never bans.
+///
+/// The protocol is split into a read-only directive and a mutable
+/// post-merge accounting step so the runner can fan the searches out
+/// across threads (the search phase only reads the e-graph): every
+/// rule of an iteration is searched as `search_directive` asks, then
+/// `finish_rewrite` runs serially in rule-index order over the
+/// collected results. The split is behavior-preserving because each
+/// rule only consults its own stats, and a ban recorded during
+/// iteration `i` cannot start before iteration `i + 1`.
 #[derive(Debug, Clone)]
 pub struct BackoffScheduler {
     default_match_limit: usize,
@@ -216,21 +177,17 @@ impl BackoffScheduler {
             ban_length: self.default_ban_length,
         })
     }
-}
 
-impl Default for BackoffScheduler {
-    fn default() -> Self {
-        Self::new(1_000, 5)
-    }
-}
-
-impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for BackoffScheduler {
     /// Skips a banned rule; otherwise bounds its search, so an
     /// explosive rule costs at most `allowed` substitutions before
     /// `finish_rewrite` bans it. Reads the stats table without
     /// touching it: absent entries read as the defaults `rule_stats`
     /// would install.
-    fn search_directive(&self, iteration: usize, rewrite: &Rewrite<L, N>) -> RuleDirective {
+    fn search_directive<L: Language, N: Analysis<L>>(
+        &self,
+        iteration: usize,
+        rewrite: &Rewrite<L, N>,
+    ) -> RuleDirective {
         let (banned_until, allowed) = match self.stats.get(&rewrite.name()) {
             Some(s) => (s.banned_until, s.match_limit << s.times_banned),
             None => (0, self.default_match_limit),
@@ -242,7 +199,11 @@ impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for BackoffScheduler {
         }
     }
 
-    fn finish_rewrite(
+    /// Records the outcome of one rule's search and returns the match
+    /// set the apply phase should use (empty if the rule is banned).
+    /// Called exactly once per searched rule per iteration, serially,
+    /// in rule-index order, so scheduler state stays deterministic.
+    fn finish_rewrite<L: Language, N: Analysis<L>>(
         &mut self,
         iteration: usize,
         rewrite: &Rewrite<L, N>,
@@ -264,8 +225,16 @@ impl<L: Language, N: Analysis<L>> RewriteScheduler<L, N> for BackoffScheduler {
         matches
     }
 
-    fn can_stop(&mut self, iteration: usize) -> bool {
+    /// Returns `true` if saturation can be trusted (no rule is banned
+    /// at `iteration`).
+    fn can_stop(&self, iteration: usize) -> bool {
         self.stats.values().all(|s| iteration >= s.banned_until)
+    }
+}
+
+impl Default for BackoffScheduler {
+    fn default() -> Self {
+        Self::new(1_000, 5)
     }
 }
 
@@ -296,7 +265,7 @@ pub struct Runner<L: Language, N: Analysis<L> = ()> {
     /// in by [`Runner::run`]).
     pub rule_profiles: FxHashMap<Symbol, RuleProfile>,
     limits: RunnerLimits,
-    scheduler: Box<dyn RewriteScheduler<L, N>>,
+    scheduler: BackoffScheduler,
     cancel: CancelToken,
     iteration_hook: Option<IterationHook>,
     search_threads: usize,
@@ -330,7 +299,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             stop_reason: None,
             rule_profiles: FxHashMap::default(),
             limits: RunnerLimits::default(),
-            scheduler: Box::new(BackoffScheduler::default()),
+            scheduler: BackoffScheduler::default(),
             cancel: CancelToken::new(),
             iteration_hook: None,
             search_threads: 1,
@@ -376,14 +345,15 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
     }
 
     /// Replaces the scheduler.
-    pub fn with_scheduler(mut self, scheduler: impl RewriteScheduler<L, N> + 'static) -> Self {
-        self.scheduler = Box::new(scheduler);
+    pub fn with_scheduler(mut self, scheduler: BackoffScheduler) -> Self {
+        self.scheduler = scheduler;
         self
     }
 
-    /// Attaches a [`CancelToken`]. When another thread cancels it, the
-    /// run stops with [`StopReason::Cancelled`] at the next check point
-    /// (iteration boundary, between rules, or inside a rule's search).
+    /// Attaches a [`CancelToken`]. When another thread cancels it, or
+    /// its deadline passes, the run stops with [`StopReason::Cancelled`]
+    /// at the next check point (iteration boundary, between rules, or
+    /// inside a rule's search).
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -428,7 +398,12 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             n => n,
         }
         .min(rules.len().max(1));
-        let deadline = start.checked_add(self.limits.time_limit);
+        // One token carries both interrupts into the search and apply
+        // loops: the caller's cancel flag and this run's time limit.
+        let interrupt = match start.checked_add(self.limits.time_limit) {
+            Some(at) => self.cancel.with_deadline(at),
+            None => self.cancel.clone(),
+        };
         for iteration in 0..self.limits.iter_limit {
             if self.cancel.is_cancelled() {
                 self.stop_reason = Some(StopReason::Cancelled);
@@ -445,14 +420,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                 .iter()
                 .map(|r| self.scheduler.search_directive(iteration, r))
                 .collect();
-            let searched = search_rules(
-                &patterns,
-                &self.egraph,
-                &directives,
-                &self.cancel,
-                deadline,
-                threads,
-            );
+            let searched = search_rules(&patterns, &self.egraph, &directives, &interrupt, threads);
             let search_time = search_start.elapsed();
 
             // Merge phase: serial, rule-index order, regardless of how
@@ -489,8 +457,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             let mut apply_aborted = false;
             for (rule, matches) in rules.iter().zip(&all_matches) {
                 if self.egraph.total_number_of_nodes() > self.limits.node_limit
-                    || start.elapsed() > self.limits.time_limit
-                    || self.cancel.is_cancelled()
+                    || interrupt.is_cancelled()
                 {
                     apply_aborted = true;
                     break;
@@ -588,7 +555,7 @@ mod tests {
         let runner = Runner::default()
             .with_expr(&expr)
             .with_node_limit(50)
-            .with_scheduler(SimpleScheduler)
+            .with_scheduler(BackoffScheduler::new(usize::MAX, 1))
             .run(&math_rules());
         assert!(matches!(runner.stop_reason, Some(StopReason::NodeLimit(_))));
     }
@@ -623,6 +590,21 @@ mod tests {
     fn pre_cancelled_run_stops_before_first_iteration() {
         let token = crate::CancelToken::new();
         token.cancel();
+        let expr = "(+ a (+ b (+ c d)))".parse().unwrap();
+        let runner = Runner::default()
+            .with_expr(&expr)
+            .with_cancel_token(token)
+            .run(&math_rules());
+        assert_eq!(runner.stop_reason, Some(StopReason::Cancelled));
+        assert!(runner.iterations.is_empty());
+    }
+
+    #[test]
+    fn expired_token_deadline_stops_as_cancelled() {
+        // A deadline on the caller's token is a cancellation, not the
+        // runner's own time limit.
+        let token = CancelToken::new().with_deadline(Instant::now());
+        std::thread::sleep(Duration::from_millis(1));
         let expr = "(+ a (+ b (+ c d)))".parse().unwrap();
         let runner = Runner::default()
             .with_expr(&expr)
@@ -753,10 +735,9 @@ mod tests {
         let searches = std::sync::atomic::AtomicUsize::new(0);
         move |i| {
             hook(searches.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1);
-            let matches =
-                rules[i]
-                    .searcher()
-                    .search_interruptible(egraph, usize::MAX, cancel, None)?;
+            let matches = rules[i]
+                .searcher()
+                .search_interruptible(egraph, usize::MAX, cancel)?;
             Some((matches, Duration::ZERO))
         }
     }
@@ -784,7 +765,7 @@ mod tests {
                     token.cancel();
                 }
             });
-            let slots = search_rules_slots(rules.len(), threads, &token, None, search);
+            let slots = search_rules_slots(rules.len(), threads, &token, search);
             // Only the first search started before the trip.
             let skipped = slots.iter().filter(|s| s.is_none()).count();
             assert!(
@@ -810,7 +791,7 @@ mod tests {
                         panic!("search exploded on purpose");
                     }
                 });
-                search_rules_slots(rules.len(), threads, &cancel, None, search)
+                search_rules_slots(rules.len(), threads, &cancel, search)
             });
             let payload = result.expect_err("the search panic must propagate");
             let message = payload

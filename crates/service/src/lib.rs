@@ -13,10 +13,10 @@
 //!   netlists without a saturation run. Concurrent identical
 //!   submissions are single-flighted: one pipeline runs, the rest
 //!   coalesce onto its result.
-//! * Per-job deadlines: a watchdog thread cancels a job's
-//!   [`CancelToken`](boole::CancelToken) when its deadline passes; the
-//!   runner observes it between rules, so runaway jobs die without
-//!   poisoning the pool.
+//! * Per-job deadlines: a job's [`CancelToken`](boole::CancelToken)
+//!   carries its deadline and reads as cancelled once it passes; the
+//!   queue, the pipeline and the runner (down to the matching VM)
+//!   observe it, so runaway jobs die without poisoning the pool.
 //! * Robustness: panicking pipelines are isolated per job (the worker
 //!   survives, the handle resolves as [`JobStatus::Panicked`]),
 //!   transient failures retry with exponential backoff, overload can

@@ -1,9 +1,8 @@
 //! The concurrent batch-reasoning engine: a std-only worker pool with a
-//! bounded queue, per-job deadlines enforced by a watchdog thread, and
-//! the in-memory structural-hash result cache with single-flight
-//! deduplication.
+//! bounded queue, per-job deadlines carried by each job's
+//! [`CancelToken`], and the in-memory structural-hash result cache with
+//! single-flight deduplication.
 
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -230,8 +229,8 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Shared per-job record: the handle, the queue entry, and the
-/// watchdog all point at one of these.
+/// Shared per-job record: the handle and the queue entry both point at
+/// one of these.
 struct JobState {
     id: u64,
     label: String,
@@ -244,10 +243,6 @@ struct JobState {
 }
 
 impl JobState {
-    fn is_terminal(&self) -> bool {
-        lock_recover(&self.cell).status.is_terminal()
-    }
-
     fn set_status(&self, status: JobStatus) {
         let mut cell = lock_recover(&self.cell);
         if !cell.status.is_terminal() {
@@ -317,7 +312,11 @@ impl JobHandle {
 
     /// Like [`JobHandle::wait`] with a timeout; `None` on timeout.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Arc<JobOutcome>> {
-        let deadline = Instant::now() + timeout;
+        // An unrepresentable deadline (e.g. `Duration::MAX`) waits with
+        // no timeout.
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Some(self.wait());
+        };
         let mut cell = lock_recover(&self.state.cell);
         loop {
             if let Some(outcome) = &cell.outcome {
@@ -335,37 +334,6 @@ impl JobHandle {
             }
         }
     }
-}
-
-/// Min-heap entry for the deadline watchdog.
-struct DeadlineEntry {
-    due: Instant,
-    job: Arc<JobState>,
-}
-
-impl PartialEq for DeadlineEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due
-    }
-}
-impl Eq for DeadlineEntry {}
-impl PartialOrd for DeadlineEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DeadlineEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest due
-        // time on top.
-        other.due.cmp(&self.due)
-    }
-}
-
-#[derive(Default)]
-struct WatchdogQueue {
-    heap: BinaryHeap<DeadlineEntry>,
-    shutdown: bool,
 }
 
 /// The worker-shared end of the bounded job queue.
@@ -467,8 +435,6 @@ struct Shared {
     /// deduplication of concurrent identical submissions.
     flights: Mutex<FxHashMap<CacheKey, Arc<InFlight>>>,
     counters: Counters,
-    watchdog: Mutex<WatchdogQueue>,
-    watchdog_wake: Condvar,
     /// Out-of-band event bus; `None` disables all telemetry.
     telemetry: Option<TelemetrySink>,
     /// Fault-injection registry; `None` disables every failpoint.
@@ -494,14 +460,13 @@ pub struct Service {
     shared: Arc<Shared>,
     sender: Option<SyncSender<(JobSpec, Arc<JobState>)>>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
     next_id: AtomicU64,
     search_threads: Option<usize>,
     shed_policy: ShedPolicy,
 }
 
 impl Service {
-    /// Starts the worker pool and watchdog.
+    /// Starts the worker pool.
     pub fn new(config: ServiceConfig) -> Self {
         let telemetry = config.telemetry.clone();
         let faults = config.faults.clone();
@@ -511,8 +476,6 @@ impl Service {
                 .with_faults(faults.clone()),
             flights: Mutex::new(FxHashMap::default()),
             counters: Counters::default(),
-            watchdog: Mutex::new(WatchdogQueue::default()),
-            watchdog_wake: Condvar::new(),
             telemetry,
             faults,
             max_retries: config.max_retries,
@@ -530,30 +493,28 @@ impl Service {
                     .expect("spawn worker")
             })
             .collect();
-        let watchdog = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("boole-watchdog".to_owned())
-                .spawn(move || watchdog_loop(&shared))
-                .expect("spawn watchdog")
-        };
         Service {
             shared,
             sender: Some(sender),
             workers,
-            watchdog: Some(watchdog),
             next_id: AtomicU64::new(1),
             search_threads: config.search_threads,
             shed_policy: config.shed_policy,
         }
     }
 
-    /// Builds the job record and installs the per-job token in the
-    /// spec's params (replacing any token the caller left there),
-    /// plus the service-wide search-thread override, if configured.
+    /// Builds the job record and installs the per-job token — carrying
+    /// the spec's deadline, measured from now — in the spec's params
+    /// (replacing any token the caller left there), plus the
+    /// service-wide search-thread override, if configured.
     fn make_state(&self, spec: &mut JobSpec) -> Arc<JobState> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let cancel = CancelToken::new();
+        let submitted_at = Instant::now();
+        // A deadline too far out to represent is no deadline.
+        let cancel = match spec.deadline.and_then(|d| submitted_at.checked_add(d)) {
+            Some(at) => CancelToken::new().with_deadline(at),
+            None => CancelToken::new(),
+        };
         spec.params = std::mem::take(&mut spec.params).with_cancel_token(cancel.clone());
         if let Some(threads) = self.search_threads {
             spec.params.saturate.search_threads = threads;
@@ -567,28 +528,9 @@ impl Service {
                 outcome: None,
             }),
             done: Condvar::new(),
-            submitted_at: Instant::now(),
+            submitted_at,
             retries: AtomicU32::new(0),
         })
-    }
-
-    /// Accounts an accepted job: deadline registration + counters.
-    fn register(&self, deadline: Option<Duration>, state: &Arc<JobState>) {
-        if let Some(deadline) = deadline {
-            // Poison recovery: the heap is valid after any partial
-            // update, and a panicked deadline holder must not make
-            // every later submit panic too.
-            let mut queue = lock_recover(&self.shared.watchdog);
-            queue.heap.push(DeadlineEntry {
-                due: state.submitted_at + deadline,
-                job: Arc::clone(state),
-            });
-            self.shared.watchdog_wake.notify_one();
-        }
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Submits a job. Queue-full behavior follows the configured
@@ -599,7 +541,6 @@ impl Service {
     /// a panic.
     pub fn submit(&self, mut spec: JobSpec) -> JobHandle {
         let state = self.make_state(&mut spec);
-        let deadline = spec.deadline;
         let injected = match faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT) {
             Some(FaultAction::Panic) => {
                 panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
@@ -637,15 +578,17 @@ impl Service {
                 }
             },
         }
-        self.register(deadline, &state);
+        self.shared
+            .counters
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
         JobHandle { state }
     }
 
     /// Resolves a job as terminally rejected without queueing it.
     /// Rejected jobs still count as submitted (so the accounting
     /// invariant `submitted == terminal outcomes` holds) and close the
-    /// caller's `job_submitted` event with the usual `job_done`, but
-    /// never touch the deadline heap.
+    /// caller's `job_submitted` event with the usual `job_done`.
     fn reject(&self, state: &Arc<JobState>, reason: RejectReason) -> JobHandle {
         self.shared
             .counters
@@ -698,16 +641,6 @@ impl Service {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        {
-            // Recover rather than panic: shutdown must complete even
-            // if some deadline holder poisoned the watchdog lock.
-            let mut queue = lock_recover(&self.shared.watchdog);
-            queue.shutdown = true;
-            self.shared.watchdog_wake.notify_all();
-        }
-        if let Some(watchdog) = self.watchdog.take() {
-            let _ = watchdog.join();
-        }
     }
 }
 
@@ -715,46 +648,6 @@ impl Drop for Service {
     fn drop(&mut self) {
         if self.sender.is_some() || !self.workers.is_empty() {
             self.stop();
-        }
-    }
-}
-
-fn watchdog_loop(shared: &Shared) {
-    // Poison recovery throughout: the queue (a heap of Arcs plus a
-    // flag) is valid after any partial update, and the watchdog is a
-    // singleton — if it dies, no deadline ever fires again. It must
-    // survive anything the other threads do to this lock.
-    let mut queue = lock_recover(&shared.watchdog);
-    loop {
-        if queue.shutdown {
-            return;
-        }
-        let now = Instant::now();
-        while queue.heap.peek().is_some_and(|e| e.due <= now) {
-            let entry = queue.heap.pop().expect("peeked");
-            if !entry.job.is_terminal() {
-                entry.job.cancel.cancel();
-            }
-        }
-        // Entries whose jobs already finished are dead weight until
-        // their deadline; purge them so a long-deadline service does
-        // not accumulate completed jobs' states.
-        queue.heap.retain(|e| !e.job.is_terminal());
-        match queue.heap.peek().map(|e| e.due) {
-            Some(due) => {
-                let wait = due.saturating_duration_since(Instant::now());
-                let (next, _) = shared
-                    .watchdog_wake
-                    .wait_timeout(queue, wait)
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue = next;
-            }
-            None => {
-                queue = shared
-                    .watchdog_wake
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
         }
     }
 }
@@ -1147,7 +1040,7 @@ mod tests {
         // Every access used to `.expect("job cell poisoned")`: one
         // panicking waiter turned all of these into panics too.
         assert!(matches!(handle.status(), JobStatus::Queued));
-        assert!(!state.is_terminal());
+        assert!(!handle.status().is_terminal());
         state.set_status(JobStatus::Running);
         let outcome = state.finalize(JobVerdict::Failed("boom".to_owned()), false);
         assert!(outcome.status().is_terminal());

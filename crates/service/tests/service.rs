@@ -446,3 +446,63 @@ fn failed_sources_are_reported_not_panicked() {
     let stats = service.shutdown();
     assert_eq!(stats.failed, 2);
 }
+
+#[test]
+fn job_expiring_in_the_queue_resolves_without_running() {
+    // One worker, busy with a job that runs out its own deadline: the
+    // queued job's deadline passes while it waits, and nothing but its
+    // token says so.
+    let service = Service::new(ServiceConfig {
+        num_workers: 1,
+        queue_capacity: 8,
+        cache_capacity: 8,
+        telemetry: None,
+        search_threads: None,
+        ..ServiceConfig::default()
+    });
+    let blocker = service.submit(
+        JobSpec::generated(GenSpec::parse("csa:8").unwrap())
+            .with_deadline(Duration::from_millis(50)),
+    );
+    let queued = service.submit(
+        JobSpec::generated(GenSpec::parse("csa:3").unwrap())
+            .with_params(params())
+            .with_deadline(Duration::from_millis(1)),
+    );
+    let outcome = queued.wait();
+    assert!(
+        matches!(outcome.verdict, JobVerdict::Cancelled { phase: None }),
+        "expected cancellation before any phase, got {:?}",
+        outcome.verdict
+    );
+    blocker.wait();
+    let stats = service.shutdown();
+    assert_eq!(
+        stats.pipelines_run, 1,
+        "only the blocker may run a pipeline"
+    );
+}
+
+#[test]
+fn unrepresentable_deadline_means_no_deadline() {
+    let service = Service::new(ServiceConfig::default().with_workers(1));
+    let job = service.submit(
+        JobSpec::generated(GenSpec::parse("csa:3").unwrap())
+            .with_params(params())
+            .with_deadline(Duration::MAX),
+    );
+    assert!(job.wait().summary().is_some());
+    assert_eq!(job.status(), JobStatus::Completed);
+    let stats = service.shutdown();
+    assert_eq!((stats.submitted, stats.completed), (1, 1));
+}
+
+#[test]
+fn wait_timeout_with_an_unrepresentable_timeout_waits_for_the_outcome() {
+    let service = Service::new(ServiceConfig::default().with_workers(1));
+    let job =
+        service.submit(JobSpec::generated(GenSpec::parse("csa:3").unwrap()).with_params(params()));
+    let outcome = job.wait_timeout(Duration::MAX);
+    assert!(outcome.is_some_and(|o| o.summary().is_some()));
+    service.shutdown();
+}
