@@ -7,24 +7,27 @@
 //! `fst`, `snd`, and `fa` are selected atomically because the
 //! projections' only child is the FA tuple class itself.
 //!
-//! Two selections are computed:
+//! One improving worklist fixpoint computes one selection, and that
+//! selection stays acyclic at every step:
 //!
-//! * the **optimal** selection — an improving worklist fixpoint
-//!   (Algorithm 2). Its cost map can, in rare corner cases, become
-//!   mutually stale and cyclic (a child switching to a different,
-//!   larger FA set whose union with siblings shrinks).
-//! * a **safe** selection — rank-constrained (children must be
-//!   selected strictly earlier), acyclic by construction.
+//! * a class's **first** choice cannot close a cycle: a node is only
+//!   eligible once every child has a choice, so no selected node can
+//!   point at a class that has none yet;
+//! * **re-adopting** the current node to refresh its cost changes no
+//!   edge;
+//! * **switching** to a different node is allowed only if the class is
+//!   not reachable from that node's children through the current
+//!   selection.
 //!
-//! The reconstructor follows the optimal selection and downgrades an
-//! e-class to its safe choice only when it actually detects a cycle,
-//! so the quality of the optimal selection is kept wherever possible.
+//! Cost sets can go stale (a child switching to a different, larger FA
+//! set whose union with its siblings shrinks), so the realized FA count
+//! is the one [`crate::reconstruct_aig`] reports.
 //!
 //! Following the paper's memory optimization, cost sets store FA ids
 //! as `u16` when the e-graph has fewer than 65 536 classes and `u32`
 //! otherwise.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use egraph::{EGraph, Id, Language};
 
@@ -70,14 +73,6 @@ impl FaSet {
         self.len() == 0
     }
 
-    /// Iterates the ids as `usize`.
-    pub fn iter(&self) -> Box<dyn Iterator<Item = usize> + '_> {
-        match self {
-            FaSet::Small(v) => Box::new(v.iter().map(|&x| x as usize)),
-            FaSet::Large(v) => Box::new(v.iter().map(|&x| x as usize)),
-        }
-    }
-
     fn merge(&mut self, other: &FaSet) {
         match (self, other) {
             (FaSet::Small(a), FaSet::Small(b)) => merge_sorted(a, b),
@@ -120,50 +115,28 @@ fn merge_sorted<T: Ord + Copy>(a: &mut Vec<T>, b: &[T]) {
 pub struct DagChoice {
     /// The selected e-node (children are canonical class ids).
     pub node: BoolLang,
-    /// FA tuple classes reachable through the selection.
+    /// FA tuple classes reachable through the selection when this
+    /// choice was made (may be stale; see the module docs).
     pub fas: FaSet,
     /// Weighted-depth tie-breaker (max-plus over children; cannot
     /// saturate, unlike tree size).
     pub size: u64,
 }
 
-/// The result of DAG extraction: one choice per reachable e-class in
-/// each of the optimal and safe selections.
+/// The result of DAG extraction: one acyclic selection with one choice
+/// per e-class reachable from the leaves.
 #[derive(Debug)]
 pub struct DagExtraction {
     choices: HashMap<Id, DagChoice>,
-    safe: HashMap<Id, DagChoice>,
-    /// FA-id → e-class mapping used by the cost sets.
-    fa_index: Vec<Id>,
 }
 
 impl DagExtraction {
-    /// The optimal choice for `class`, if it was extractable.
+    /// The choice for `class`, if it was extractable.
     pub fn choice(&self, class: Id) -> Option<&DagChoice> {
         self.choices.get(&class)
     }
 
-    /// The guaranteed-acyclic fallback choice for `class`.
-    pub fn safe_choice(&self, class: Id) -> Option<&DagChoice> {
-        self.safe.get(&class)
-    }
-
-    /// The distinct FA tuple classes used by the optimal extraction of
-    /// `roots` (each counted once — the paper's exact-FA count; the
-    /// reconstructor reports the realized count, which matches except
-    /// when cycle downgrades occurred).
-    pub fn selected_fas(&self, egraph: &EGraph<BoolLang>, roots: &[Id]) -> Vec<Id> {
-        let mut merged: Vec<usize> = Vec::new();
-        for &root in roots {
-            if let Some(choice) = self.choices.get(&egraph.find(root)) {
-                let ids: Vec<usize> = choice.fas.iter().collect();
-                merge_sorted(&mut merged, &ids);
-            }
-        }
-        merged.into_iter().map(|i| self.fa_index[i]).collect()
-    }
-
-    /// Number of e-classes with an optimal choice.
+    /// Number of e-classes with a choice.
     pub fn len(&self) -> usize {
         self.choices.len()
     }
@@ -200,13 +173,12 @@ fn node_size(node: &BoolLang) -> u64 {
 pub fn extract_dag(egraph: &EGraph<BoolLang>) -> DagExtraction {
     assert!(egraph.is_clean(), "extraction requires a clean e-graph");
     // Index FA tuple classes for compact cost sets.
-    let fa_index: Vec<Id> = crate::pair::fa_classes(egraph);
-    let fa_pos: HashMap<Id, usize> = fa_index
-        .iter()
+    let fa_pos: HashMap<Id, usize> = crate::pair::fa_classes(egraph)
+        .into_iter()
         .enumerate()
-        .map(|(i, &id)| (id, i))
+        .map(|(i, id)| (id, i))
         .collect();
-    let small = fa_index.len() < u16::MAX as usize && egraph.num_classes() < u16::MAX as usize;
+    let small = fa_pos.len() < u16::MAX as usize && egraph.num_classes() < u16::MAX as usize;
 
     // Parent index: which classes reference a class as a child
     // (Algorithm 2's `node.parents()`).
@@ -221,79 +193,23 @@ pub fn extract_dag(egraph: &EGraph<BoolLang>) -> DagExtraction {
             }
         }
     }
-    let seed: Vec<Id> = egraph
+    let mut queue: VecDeque<Id> = egraph
         .classes()
         .filter(|class| class.iter().any(|n| n.is_leaf()))
         .map(|class| class.id)
         .collect();
-
-    // Optimal (unconstrained) fixpoint.
-    let mut choices: HashMap<Id, DagChoice> = HashMap::new();
-    drain(
-        egraph,
-        &parents,
-        &fa_pos,
-        small,
-        &mut choices,
-        None,
-        seed.clone(),
-    );
-
-    // Safe (rank-constrained, acyclic) selection.
-    let mut safe: HashMap<Id, DagChoice> = HashMap::new();
-    let mut ranks: HashMap<Id, u32> = HashMap::new();
-    drain(
-        egraph,
-        &parents,
-        &fa_pos,
-        small,
-        &mut safe,
-        Some(&mut ranks),
-        seed,
-    );
-
-    DagExtraction {
-        choices,
-        safe,
-        fa_index,
-    }
-}
-
-/// One improving-worklist drain. With `ranks`, selections are
-/// rank-constrained (children strictly earlier), which guarantees
-/// acyclicity at the cost of occasionally missing an adoption.
-fn drain(
-    egraph: &EGraph<BoolLang>,
-    parents: &HashMap<Id, Vec<Id>>,
-    fa_pos: &HashMap<Id, usize>,
-    small: bool,
-    choices: &mut HashMap<Id, DagChoice>,
-    mut ranks: Option<&mut HashMap<Id, u32>>,
-    seed: Vec<Id>,
-) {
-    let mut next_rank: u32 = 0;
-    let mut queue: std::collections::VecDeque<Id> = seed.into();
     let mut queued: HashSet<Id> = queue.iter().copied().collect();
+
+    let mut choices: HashMap<Id, DagChoice> = HashMap::new();
     while let Some(class_id) = queue.pop_front() {
         queued.remove(&class_id);
-        let class = egraph.eclass(class_id);
-        let my_rank = ranks
-            .as_ref()
-            .map(|r| r.get(&class_id).copied().unwrap_or(u32::MAX));
-        let mut best: Option<DagChoice> = choices.get(&class_id).cloned();
-        let mut improved = false;
-        for node in class.iter() {
-            // All children must be selected already (and, in ranked
-            // mode, strictly earlier).
+        let current = choices.get(&class_id).map(|c| &c.node);
+        let mut best: Option<DagChoice> = None;
+        for node in egraph.eclass(class_id).iter() {
+            // All children must be selected already.
             let eligible = node.children().iter().all(|&c| {
                 let c = egraph.find(c);
-                if c == class_id || !choices.contains_key(&c) {
-                    return false;
-                }
-                match (&ranks, my_rank) {
-                    (Some(r), Some(mine)) => r.get(&c).copied().unwrap_or(u32::MAX) < mine,
-                    _ => true,
-                }
+                c != class_id && choices.contains_key(&c)
             });
             if !eligible {
                 continue;
@@ -306,36 +222,28 @@ fn drain(
                 size = size.max(node_size(node) + child.size);
             }
             if let BoolLang::Fa(_) = node {
-                let pos = fa_pos[&egraph.find(class_id)];
-                fas.merge(&FaSet::singleton(pos, small));
+                fas.merge(&FaSet::singleton(fa_pos[&class_id], small));
             }
-            let better = match &best {
+            let incumbent = best.as_ref().or_else(|| choices.get(&class_id));
+            let better = match incumbent {
                 None => true,
                 Some(b) => fas.len() > b.fas.len() || (fas.len() == b.fas.len() && size < b.size),
             };
-            if better {
+            let switches = current.is_some_and(|cur| cur != node);
+            if better && !(switches && reaches(egraph, &choices, node, class_id)) {
                 best = Some(DagChoice {
                     node: node.clone(),
                     fas,
                     size,
                 });
-                improved = true;
             }
         }
-        if improved {
-            if let Some(r) = ranks.as_mut() {
-                r.entry(class_id).or_insert_with(|| {
-                    let v = next_rank;
-                    next_rank += 1;
-                    v
-                });
-            }
-            choices.insert(class_id, best.expect("improved implies chosen"));
+        if let Some(best) = best {
+            choices.insert(class_id, best);
             // Cost map update: re-enqueue the parents (Algorithm 2
-            // line 16). FA tuple classes are processed first: they only
-            // need their three inputs, so in ranked mode they are
-            // ranked before the XOR3/MAJ consumer classes that adopt
-            // their fst/snd projections.
+            // line 16). FA tuple classes go first: they only need their
+            // three inputs, and the XOR3/MAJ classes that adopt their
+            // fst/snd projections then find them selected.
             if let Some(ps) = parents.get(&class_id) {
                 for &p in ps {
                     if queued.insert(p) {
@@ -349,13 +257,58 @@ fn drain(
             }
         }
     }
+    DagExtraction { choices }
+}
+
+/// Whether `target` is reachable from `node`'s children through the
+/// current selection, i.e. whether selecting `node` for `target` would
+/// close a cycle. Iterative DFS: selections can be very deep.
+fn reaches(
+    egraph: &EGraph<BoolLang>,
+    choices: &HashMap<Id, DagChoice>,
+    node: &BoolLang,
+    target: Id,
+) -> bool {
+    let mut stack: Vec<Id> = node.children().iter().map(|&c| egraph.find(c)).collect();
+    let mut visited: HashSet<Id> = HashSet::new();
+    while let Some(class) = stack.pop() {
+        if class == target {
+            return true;
+        }
+        if visited.insert(class) {
+            stack.extend(
+                choices[&class]
+                    .node
+                    .children()
+                    .iter()
+                    .map(|&c| egraph.find(c)),
+            );
+        }
+    }
+    false
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pair::pair_full_adders;
+    use crate::reconstruct_aig;
     use egraph::RecExpr;
+
+    fn add(eg: &mut EGraph<BoolLang>, expr: &str) -> Id {
+        eg.add_expr(&expr.parse::<RecExpr<BoolLang>>().unwrap())
+    }
+
+    /// The number of FAs the reconstruction of `roots` realizes.
+    fn realized_fas(eg: &EGraph<BoolLang>, num_inputs: usize, roots: &[Id]) -> usize {
+        let ex = extract_dag(eg);
+        let outputs: Vec<(String, Id)> = roots
+            .iter()
+            .enumerate()
+            .map(|(k, &root)| (format!("o{k}"), root))
+            .collect();
+        reconstruct_aig(eg, &ex, num_inputs, &outputs).1.len()
+    }
 
     #[test]
     fn fa_set_merge_dedups() {
@@ -368,8 +321,8 @@ mod tests {
     #[test]
     fn extraction_prefers_fa_projections() {
         let mut eg: EGraph<BoolLang> = EGraph::default();
-        let sum = eg.add_expr(&"(^3 p q r)".parse::<RecExpr<BoolLang>>().unwrap());
-        let carry = eg.add_expr(&"(maj p q r)".parse::<RecExpr<BoolLang>>().unwrap());
+        let sum = add(&mut eg, "(^3 i0 i1 i2)");
+        let carry = add(&mut eg, "(maj i0 i1 i2)");
         eg.rebuild();
         pair_full_adders(&mut eg);
         let ex = extract_dag(&eg);
@@ -377,33 +330,30 @@ mod tests {
         let carry_choice = ex.choice(eg.find(carry)).unwrap();
         assert!(matches!(sum_choice.node, BoolLang::Snd(_)));
         assert!(matches!(carry_choice.node, BoolLang::Fst(_)));
-        let fas = ex.selected_fas(&eg, &[sum, carry]);
-        assert_eq!(fas.len(), 1, "shared FA counted once");
-        // The safe selection also adopts the FA here.
-        assert!(matches!(
-            ex.safe_choice(eg.find(sum)).unwrap().node,
-            BoolLang::Snd(_)
-        ));
+        assert_eq!(
+            realized_fas(&eg, 3, &[sum, carry]),
+            1,
+            "shared FA counted once"
+        );
     }
 
     #[test]
     fn shared_fa_counted_once_across_roots() {
         let mut eg: EGraph<BoolLang> = EGraph::default();
-        let sum = eg.add_expr(&"(^3 p q r)".parse::<RecExpr<BoolLang>>().unwrap());
-        let carry = eg.add_expr(&"(maj p q r)".parse::<RecExpr<BoolLang>>().unwrap());
+        let sum = add(&mut eg, "(^3 i0 i1 i2)");
+        let carry = add(&mut eg, "(maj i0 i1 i2)");
         // Two downstream users of the same FA outputs.
         let u1 = eg.add(BoolLang::And([sum, carry]));
         let u2 = eg.add(BoolLang::Or([sum, carry]));
         eg.rebuild();
         pair_full_adders(&mut eg);
-        let ex = extract_dag(&eg);
-        assert_eq!(ex.selected_fas(&eg, &[u1, u2]).len(), 1);
+        assert_eq!(realized_fas(&eg, 3, &[u1, u2]), 1);
     }
 
     #[test]
     fn unpaired_classes_extract_normally() {
         let mut eg: EGraph<BoolLang> = EGraph::default();
-        let root = eg.add_expr(&"(& (| p q) r)".parse::<RecExpr<BoolLang>>().unwrap());
+        let root = add(&mut eg, "(& (| p q) r)");
         eg.rebuild();
         let ex = extract_dag(&eg);
         let choice = ex.choice(eg.find(root)).unwrap();
@@ -415,16 +365,42 @@ mod tests {
     fn chained_fas_all_counted() {
         // carry of one FA feeds another FA.
         let mut eg: EGraph<BoolLang> = EGraph::default();
-        let c1 = eg.add_expr(&"(maj p q r)".parse::<RecExpr<BoolLang>>().unwrap());
-        eg.add_expr(&"(^3 p q r)".parse::<RecExpr<BoolLang>>().unwrap());
-        let s = eg.add(BoolLang::var("s"));
-        let t = eg.add(BoolLang::var("t"));
+        let c1 = add(&mut eg, "(maj i0 i1 i2)");
+        add(&mut eg, "(^3 i0 i1 i2)");
+        let s = eg.add(BoolLang::var("i3"));
+        let t = eg.add(BoolLang::var("i4"));
         let sum2 = eg.add(BoolLang::Xor3([c1, s, t]));
         let carry2 = eg.add(BoolLang::Maj([c1, s, t]));
         eg.rebuild();
         let stats = pair_full_adders(&mut eg);
         assert_eq!(stats.fa_inserted, 2);
+        assert_eq!(realized_fas(&eg, 5, &[sum2, carry2]), 2);
+    }
+
+    #[test]
+    fn switch_that_would_close_a_loop_is_refused() {
+        // A = i0 | i1 and B = s1 & i0, where s1 is FA1's sum. Merging
+        // A with (B & s2) and B with (A | i2) makes each class offer a
+        // node through the other. A adopts (B & s2) for FA2; B must
+        // then keep (s1 & i0) for FA1 rather than switch to (A | i2).
+        let mut eg: EGraph<BoolLang> = EGraph::default();
+        let s1 = add(&mut eg, "(^3 i0 i1 i2)");
+        add(&mut eg, "(maj i0 i1 i2)");
+        let s2 = add(&mut eg, "(^3 i3 i4 i5)");
+        add(&mut eg, "(maj i3 i4 i5)");
+        let i0 = add(&mut eg, "i0");
+        let i2 = add(&mut eg, "i2");
+        let a = add(&mut eg, "(| i0 i1)");
+        let b = eg.add(BoolLang::And([s1, i0]));
+        let b_s2 = eg.add(BoolLang::And([b, s2]));
+        let a_i2 = eg.add(BoolLang::Or([a, i2]));
+        eg.union(a, b_s2);
+        eg.union(b, a_i2);
+        eg.rebuild();
+        pair_full_adders(&mut eg);
         let ex = extract_dag(&eg);
-        assert_eq!(ex.selected_fas(&eg, &[sum2, carry2]).len(), 2);
+        let b_node = &ex.choice(eg.find(b)).unwrap().node;
+        assert_eq!(*b_node, BoolLang::And([eg.find(s1), eg.find(i0)]));
+        assert_eq!(realized_fas(&eg, 7, &[a]), 2);
     }
 }

@@ -1,7 +1,7 @@
 //! Conversion of an extracted e-graph DAG back into an AIG
 //! (part 4 of Figure 2).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use aig::{Aig, Lit};
 use egraph::{EGraph, Id, Language, Symbol};
@@ -29,8 +29,9 @@ pub struct RecoveredFa {
 ///
 /// # Panics
 ///
-/// Panics if a root has no extraction choice or a variable is not of
-/// the `i{k}` form with `k < num_inputs`.
+/// Panics if a root has no extraction choice, if the selection is
+/// cyclic (which [`crate::extract_dag`] rules out), or if a variable is
+/// not of the `i{k}` form with `k < num_inputs`.
 pub fn reconstruct_aig(
     egraph: &EGraph<BoolLang>,
     extraction: &DagExtraction,
@@ -47,7 +48,6 @@ pub fn reconstruct_aig(
         memo: HashMap::new(),
         fa_memo: HashMap::new(),
         fas: Vec::new(),
-        downgraded: std::collections::HashSet::new(),
     };
     let mut named: Vec<(String, Lit)> = Vec::new();
     for (name, root) in outputs {
@@ -70,79 +70,34 @@ struct Builder<'a> {
     /// FA tuple class -> (sum, carry) literals.
     fa_memo: HashMap<Id, (Lit, Lit)>,
     fas: Vec<RecoveredFa>,
-    /// Classes switched to the safe selection after a cycle was
-    /// detected through their optimal choice.
-    downgraded: std::collections::HashSet<Id>,
 }
 
 /// Work items of the iterative (stack-overflow-free) builder.
-enum Task {
+enum Task<'a> {
     Visit(Id),
-    Emit(Id),
+    Emit(Id, &'a BoolLang),
     VisitFa(Id),
-    EmitFa(Id),
+    EmitFa(Id, [Id; 3]),
 }
 
-impl Builder<'_> {
-    /// The effective choice for a class: the optimal selection unless
-    /// it was downgraded after a cycle detection.
-    fn effective_choice(&self, class: Id) -> &crate::extract::DagChoice {
-        if self.downgraded.contains(&class) {
-            self.extraction
-                .safe_choice(class)
-                .unwrap_or_else(|| panic!("no safe extraction choice for e-class {class}"))
-        } else {
-            self.extraction
-                .choice(class)
-                .unwrap_or_else(|| panic!("no extraction choice for e-class {class}"))
-        }
+impl<'a> Builder<'a> {
+    /// The e-node the extraction selected for `class`.
+    fn choice(&self, class: Id) -> &'a BoolLang {
+        &self
+            .extraction
+            .choice(class)
+            .unwrap_or_else(|| panic!("no extraction choice for e-class {class}"))
+            .node
     }
 
-    /// Builds the literal of `root`, iteratively (extraction DAGs of
-    /// saturated e-graphs can be very deep).
-    ///
-    /// If a cyclic selection is detected (possible in the optimal
-    /// selection's rare stale-cost corner cases), the offending class
-    /// is downgraded to the guaranteed-acyclic safe selection and the
-    /// walk restarts; completed work is memoized, so this terminates.
+    /// Builds the literal of `root` by one iterative post-order walk
+    /// over the extraction's choices (extraction DAGs of saturated
+    /// e-graphs can be very deep). Completed classes are memoized
+    /// across roots.
     fn build(&mut self, root: Id) -> Lit {
         let root = self.egraph.find(root);
-        loop {
-            match self.try_build(root) {
-                Ok(lit) => return lit,
-                Err((reentered, on_path)) => {
-                    // Downgrade one class on the cycle to its safe
-                    // choice. Prefer the re-entered class; if it is
-                    // already safe, the cycle must pass through some
-                    // other optimal choice (the safe selection alone is
-                    // acyclic), so pick the smallest such class.
-                    let victim = if !self.downgraded.contains(&reentered)
-                        && self.extraction.safe_choice(reentered).is_some()
-                    {
-                        Some(reentered)
-                    } else {
-                        let mut candidates: Vec<Id> = on_path
-                            .into_iter()
-                            .filter(|c| {
-                                !self.downgraded.contains(c)
-                                    && self.extraction.safe_choice(*c).is_some()
-                            })
-                            .collect();
-                        candidates.sort_unstable();
-                        candidates.first().copied()
-                    };
-                    let victim = victim.unwrap_or_else(|| {
-                        panic!("cannot break extraction cycle at e-class {reentered}")
-                    });
-                    self.downgraded.insert(victim);
-                }
-            }
-        }
-    }
-
-    fn try_build(&mut self, root: Id) -> Result<Lit, (Id, Vec<Id>)> {
         let mut stack = vec![Task::Visit(root)];
-        let mut visiting: std::collections::HashSet<Id> = std::collections::HashSet::new();
+        let mut visiting: HashSet<Id> = HashSet::new();
         while let Some(task) = stack.pop() {
             match task {
                 Task::Visit(class) => {
@@ -150,13 +105,13 @@ impl Builder<'_> {
                     if self.memo.contains_key(&class) {
                         continue;
                     }
-                    if !visiting.insert(class) {
-                        let path: Vec<Id> = visiting.iter().copied().collect();
-                        return Err((class, path));
-                    }
-                    let choice = self.effective_choice(class);
-                    stack.push(Task::Emit(class));
-                    match &choice.node {
+                    assert!(
+                        visiting.insert(class),
+                        "extraction selection is cyclic at e-class {class}"
+                    );
+                    let node = self.choice(class);
+                    stack.push(Task::Emit(class, node));
+                    match node {
                         BoolLang::Fst(fa) | BoolLang::Snd(fa) => {
                             stack.push(Task::VisitFa(self.egraph.find(*fa)));
                         }
@@ -167,15 +122,10 @@ impl Builder<'_> {
                         }
                     }
                 }
-                Task::Emit(class) => {
-                    let class = self.egraph.find(class);
+                Task::Emit(class, node) => {
                     visiting.remove(&class);
-                    if self.memo.contains_key(&class) {
-                        continue;
-                    }
-                    let choice = self.effective_choice(class).clone();
                     let get = |b: &Self, id: Id| -> Lit { b.memo[&b.egraph.find(id)] };
-                    let lit = match &choice.node {
+                    let lit = match node {
                         BoolLang::Const(b) => {
                             if *b {
                                 Lit::TRUE
@@ -214,28 +164,18 @@ impl Builder<'_> {
                     self.memo.insert(class, lit);
                 }
                 Task::VisitFa(fa_class) => {
-                    let fa_class = self.egraph.find(fa_class);
                     if self.fa_memo.contains_key(&fa_class) {
                         continue;
                     }
-                    let choice = self.effective_choice(fa_class);
-                    let BoolLang::Fa([a, b, c]) = choice.node else {
-                        panic!("fa class must select the fa node, got {:?}", choice.node)
+                    let &BoolLang::Fa(inputs) = self.choice(fa_class) else {
+                        panic!("fa class {fa_class} must select the fa node")
                     };
-                    stack.push(Task::EmitFa(fa_class));
-                    stack.push(Task::Visit(a));
-                    stack.push(Task::Visit(b));
-                    stack.push(Task::Visit(c));
+                    stack.push(Task::EmitFa(fa_class, inputs));
+                    for c in inputs {
+                        stack.push(Task::Visit(c));
+                    }
                 }
-                Task::EmitFa(fa_class) => {
-                    let fa_class = self.egraph.find(fa_class);
-                    if self.fa_memo.contains_key(&fa_class) {
-                        continue;
-                    }
-                    let choice = self.effective_choice(fa_class).clone();
-                    let BoolLang::Fa([a, b, c]) = choice.node else {
-                        unreachable!("checked at VisitFa")
-                    };
+                Task::EmitFa(fa_class, [a, b, c]) => {
                     let la = self.memo[&self.egraph.find(a)];
                     let lb = self.memo[&self.egraph.find(b)];
                     let lc = self.memo[&self.egraph.find(c)];
@@ -249,7 +189,7 @@ impl Builder<'_> {
                 }
             }
         }
-        Ok(self.memo[&root])
+        self.memo[&root]
     }
 
     fn input_lit(&self, sym: Symbol) -> Lit {

@@ -74,6 +74,9 @@ impl GenSpec {
         if bits < 2 {
             return Err(format!("bit-width must be >= 2, got {bits}"));
         }
+        if family == GenFamily::Booth && !bits.is_multiple_of(2) {
+            return Err(format!("booth width must be even, got {bits}"));
+        }
         let prep = match parts.next() {
             None => GenPrep::None,
             Some("mapped") => GenPrep::Mapped,
@@ -477,6 +480,7 @@ mod tests {
         assert!(GenSpec::parse("csa:1").is_err());
         assert!(GenSpec::parse("csa:4:optimized").is_err());
         assert!(GenSpec::parse("csa:4:mapped:extra").is_err());
+        assert!(GenSpec::parse("booth:5").is_err());
     }
 
     fn arb_summary() -> impl proptest::Strategy<Value = ResultSummary> {
