@@ -32,6 +32,11 @@
 //! the serial merge/bookkeeping of per-rule match sets is reported
 //! separately as `merge_ms`. Each rule's `search_ms` in `top_rules` is
 //! the measured time of that rule's own searches.
+//!
+//! `visits` (per run, in `totals` and per `top_rules` entry) counts the
+//! matcher's budget units: e-nodes the VM's `Bind`s visited plus
+//! hash-cons probes its `Build`s made. It is a work count, identical on
+//! every run, machine and thread count, not a time.
 
 use std::time::Instant;
 
@@ -127,6 +132,7 @@ fn record_json(r: &RunRecord) -> Json {
         ("saturate_ms", Json::from(r.wall_ms)),
         ("matches", Json::from(r.stats.total_matches)),
         ("matches_per_sec", Json::from(matches_per_sec)),
+        ("visits", Json::from(r.stats.search.visits)),
     ])
 }
 
@@ -135,7 +141,7 @@ fn record_json(r: &RunRecord) -> Json {
 /// "which rewrite is the engine spending its matcher budget on", which
 /// is where a scheduler or rule-set change shows up first.
 fn top_rules_json(records: &[RunRecord], top_k: usize) -> Json {
-    let mut agg: std::collections::BTreeMap<&str, (std::time::Duration, usize, usize)> =
+    let mut agg: std::collections::BTreeMap<&str, (std::time::Duration, usize, usize, usize)> =
         std::collections::BTreeMap::new();
     for record in records {
         for rule in &record.stats.rules {
@@ -143,23 +149,23 @@ fn top_rules_json(records: &[RunRecord], top_k: usize) -> Json {
             entry.0 += rule.search_time;
             entry.1 += rule.matches;
             entry.2 += rule.applications;
+            entry.3 += rule.search.visits;
         }
     }
     let mut rows: Vec<_> = agg.into_iter().collect();
     // Sort by search time descending, name-tiebroken for stable output.
     rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(b.0)));
-    Json::arr(
-        rows.into_iter()
-            .take(top_k)
-            .map(|(name, (search, matches, applications))| {
-                Json::obj([
-                    ("rule", Json::str(name)),
-                    ("search_ms", Json::from(ms(search))),
-                    ("matches", Json::from(matches)),
-                    ("applications", Json::from(applications)),
-                ])
-            }),
-    )
+    Json::arr(rows.into_iter().take(top_k).map(
+        |(name, (search, matches, applications, visits))| {
+            Json::obj([
+                ("rule", Json::str(name)),
+                ("search_ms", Json::from(ms(search))),
+                ("matches", Json::from(matches)),
+                ("applications", Json::from(applications)),
+                ("visits", Json::from(visits)),
+            ])
+        },
+    ))
 }
 
 /// Panics unless the two runs of the same config reached the same
@@ -178,6 +184,7 @@ fn assert_outcome_identical(parallel: &RunRecord, serial: &RunRecord) {
             st.r2_iterations,
             st.pruned,
             st.total_matches,
+            st.search,
         )
     };
     assert_eq!(
@@ -186,10 +193,10 @@ fn assert_outcome_identical(parallel: &RunRecord, serial: &RunRecord) {
         "parallel search diverged from the serial oracle on {:?}",
         parallel.cfg
     );
-    let per_rule = |st: &SaturationStats| -> Vec<(String, usize, usize)> {
+    let per_rule = |st: &SaturationStats| -> Vec<(String, usize, usize, usize)> {
         st.rules
             .iter()
-            .map(|r| (r.name.clone(), r.matches, r.applications))
+            .map(|r| (r.name.clone(), r.matches, r.applications, r.search.visits))
             .collect()
     };
     assert_eq!(
@@ -200,13 +207,15 @@ fn assert_outcome_identical(parallel: &RunRecord, serial: &RunRecord) {
     );
 }
 
-/// Per-phase wall-clock totals over one corpus pass, in milliseconds.
+/// Per-phase wall-clock totals over one corpus pass, in milliseconds,
+/// and the pass's matcher budget units.
 #[derive(Default)]
 struct Totals {
     search: f64,
     merge: f64,
     apply: f64,
     rebuild: f64,
+    visits: usize,
 }
 
 impl Totals {
@@ -216,6 +225,7 @@ impl Totals {
             ("merge_ms", Json::from(self.merge)),
             ("apply_ms", Json::from(self.apply)),
             ("rebuild_ms", Json::from(self.rebuild)),
+            ("visits", Json::from(self.visits)),
         ])
     }
 
@@ -224,6 +234,7 @@ impl Totals {
         self.merge += ms(r.stats.merge_time);
         self.apply += ms(r.stats.apply_time);
         self.rebuild += ms(r.stats.rebuild_time);
+        self.visits += r.stats.search.visits;
     }
 }
 
@@ -266,8 +277,8 @@ fn print_row(r: &RunRecord) {
 
 fn print_totals(totals: &Totals) {
     eprintln!(
-        "totals: search {:.1}ms  merge {:.1}ms  apply {:.1}ms  rebuild {:.1}ms",
-        totals.search, totals.merge, totals.apply, totals.rebuild
+        "totals: search {:.1}ms  merge {:.1}ms  apply {:.1}ms  rebuild {:.1}ms  visits {}",
+        totals.search, totals.merge, totals.apply, totals.rebuild, totals.visits
     );
 }
 
@@ -362,7 +373,9 @@ fn main() {
                  reported separately as merge_ms. top_rules search_ms is each \
                  rule's own measured search time. Compare like with like: the \
                  main pass vs comparison (same corpus, different threads), or \
-                 runs from the same machine.",
+                 runs from the same machine. visits counts matcher budget \
+                 units (Bind e-node visits plus Build hash-cons probes): a \
+                 deterministic work count, not a time.",
             ),
         ),
         ("totals", totals.json()),

@@ -271,6 +271,9 @@ impl BoolE {
                     merge_time: it.merge_time,
                     apply_time: it.apply_time,
                     rebuild_time: it.rebuild_time,
+                    visits: it.search.visits,
+                    budget_exhausted: it.search.budget_exhausted,
+                    capped: it.search.capped,
                 });
             }) as IterationObserver
         });

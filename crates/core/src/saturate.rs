@@ -7,7 +7,7 @@ use std::time::Duration;
 use egraph::hash::{FxHashMap, FxHashSet};
 use egraph::{
     BackoffScheduler, CancelToken, EGraph, Id, Iteration, Language, RuleProfile, Runner,
-    StopReason, Symbol,
+    SearchStats, StopReason, Symbol,
 };
 
 use crate::convert::NetlistEGraph;
@@ -141,6 +141,10 @@ pub struct SaturationStats {
     pub rebuild_time: Duration,
     /// Total substitutions found by the searchers across both phases.
     pub total_matches: usize,
+    /// Matcher budget units spent and truncations hit, summed over all
+    /// iterations of both phases. Deterministic, but struct-only like
+    /// `rules`: the canonical JSON document leaves it out.
+    pub search: SearchStats,
     /// Per-rule accounting merged across both phases, sorted by rule
     /// name. Struct-only, like the wall-clock fields above: excluded
     /// from the canonical JSON document (per-rule timings are
@@ -159,6 +163,8 @@ pub struct RuleSummary {
     pub matches: usize,
     /// Applications that changed the e-graph.
     pub applications: usize,
+    /// Matcher budget units spent and truncations hit.
+    pub search: SearchStats,
 }
 
 /// Observer invoked after each completed saturation iteration with the
@@ -223,6 +229,7 @@ pub fn saturate_observed(
     let mut apply_time = Duration::ZERO;
     let mut rebuild_time = Duration::ZERO;
     let mut total_matches = 0usize;
+    let mut search = SearchStats::default();
     let mut accumulate = |iterations: &[egraph::Iteration]| {
         for it in iterations {
             search_time += it.search_time;
@@ -230,6 +237,7 @@ pub fn saturate_observed(
             apply_time += it.apply_time;
             rebuild_time += it.rebuild_time;
             total_matches += it.total_matches;
+            search += it.search;
         }
     };
     accumulate(&runner1.iterations);
@@ -273,6 +281,7 @@ pub fn saturate_observed(
         apply_time,
         rebuild_time,
         total_matches,
+        search,
         rules,
     };
     (
@@ -303,6 +312,7 @@ fn merge_rule_profiles(
             search_time: p.search_time,
             matches: p.matches,
             applications: p.applications,
+            search: p.search,
         })
         .collect();
     rules.sort_by(|a, b| a.name.cmp(&b.name));

@@ -82,6 +82,14 @@ pub enum EventKind {
         apply_time: Duration,
         /// Time spent rebuilding (congruence repair).
         rebuild_time: Duration,
+        /// Matcher budget units the iteration's completed rule
+        /// searches spent.
+        visits: usize,
+        /// Candidate classes whose match run the work budget cut short.
+        budget_exhausted: usize,
+        /// Candidate classes whose match run stopped at the per-class
+        /// match cap.
+        capped: usize,
     },
     /// The result cache answered a lookup.
     CacheHit {
@@ -200,6 +208,9 @@ impl TelemetryEvent {
                 merge_time,
                 apply_time,
                 rebuild_time,
+                visits,
+                budget_exhausted,
+                capped,
             } => {
                 push("job", Json::Int(*job as i64));
                 push("ruleset", Json::str(*ruleset));
@@ -211,6 +222,9 @@ impl TelemetryEvent {
                 push("merge_us", micros(*merge_time));
                 push("apply_us", micros(*apply_time));
                 push("rebuild_us", micros(*rebuild_time));
+                push("visits", Json::Int(*visits as i64));
+                push("budget_exhausted", Json::Int(*budget_exhausted as i64));
+                push("capped", Json::Int(*capped as i64));
             }
             EventKind::CacheHit { job } | EventKind::CacheMiss { job } => {
                 push("job", Json::Int(*job as i64))
@@ -564,6 +578,9 @@ mod tests {
                 merge_time: Duration::from_micros(30),
                 apply_time: Duration::from_micros(200),
                 rebuild_time: Duration::from_micros(100),
+                visits: 5_000,
+                budget_exhausted: 1,
+                capped: 2,
             },
             EventKind::CacheHit { job: 1 },
             EventKind::CacheMiss { job: 1 },

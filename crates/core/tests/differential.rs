@@ -4,6 +4,11 @@
 //! same match sets on real netlist e-graphs as the legacy recursive
 //! matcher (`Pattern::search_oracle`, enabled via the egraph crate's
 //! `oracle` feature).
+//!
+//! The VM probes bound subterms through the hash-cons memo where the
+//! oracle scans them, so the two spend the work budget differently and
+//! are compared only with the budget out of play: every VM search here
+//! asserts, through its truncation count, that it never ran out.
 
 use boole::convert::aig_to_egraph;
 use boole::{rules, saturate, BoolLang, SaturateParams};
@@ -49,6 +54,31 @@ fn test_egraphs() -> Vec<EGraph<BoolLang>> {
         .collect()
 }
 
+/// Searches every pattern through the rule fan-out with no limit,
+/// asserting that no search hit the work budget; returns each
+/// pattern's matches in pattern order.
+fn search_within_budget(
+    patterns: &[&Pattern<BoolLang>],
+    eg: &EGraph<BoolLang>,
+    threads: usize,
+) -> Vec<Vec<SearchMatches>> {
+    let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
+    let slots = search_rules(patterns, eg, &directives, &CancelToken::new(), threads);
+    assert_eq!(slots.len(), patterns.len());
+    slots
+        .into_iter()
+        .zip(patterns)
+        .map(|(slot, p)| {
+            let searched = slot.expect("no skip without cancel/deadline");
+            assert_eq!(
+                searched.stats.budget_exhausted, 0,
+                "pattern {p} hit the work budget: VM and oracle are not comparable"
+            );
+            searched.matches
+        })
+        .collect()
+}
+
 fn flatten(matches: Vec<SearchMatches>) -> Vec<(Id, Vec<Subst>)> {
     let mut v: Vec<_> = matches.into_iter().map(|m| (m.eclass, m.substs)).collect();
     v.sort_unstable_by_key(|(id, _)| *id);
@@ -70,17 +100,22 @@ fn all_rule_patterns() -> Vec<(String, String)> {
 #[test]
 fn vm_matches_oracle_on_every_boole_rule_pattern() {
     let egraphs = test_egraphs();
-    let patterns = all_rule_patterns();
-    assert!(patterns.len() >= 2 * 197, "expected all 197 rules");
+    let specs = all_rule_patterns();
+    assert!(specs.len() >= 2 * 197, "expected all 197 rules");
+    let patterns: Vec<Pattern<BoolLang>> = specs
+        .iter()
+        .map(|(name, src)| {
+            src.parse()
+                .unwrap_or_else(|e| panic!("pattern {name} ({src}) must parse: {e}"))
+        })
+        .collect();
+    let refs: Vec<&Pattern<BoolLang>> = patterns.iter().collect();
     for (i, eg) in egraphs.iter().enumerate() {
-        for (name, src) in &patterns {
-            let p: Pattern<BoolLang> = src
-                .parse()
-                .unwrap_or_else(|e| panic!("pattern {name} ({src}) must parse: {e}"));
-            let vm = flatten(p.search(eg));
-            let oracle = flatten(p.search_oracle(eg));
+        let searched = search_within_budget(&refs, eg, 1);
+        for (((name, src), p), vm) in specs.iter().zip(&patterns).zip(searched) {
             assert_eq!(
-                vm, oracle,
+                flatten(vm),
+                flatten(p.search_oracle(eg)),
                 "match sets diverged for rule pattern {name} ({src}) on e-graph #{i}"
             );
         }
@@ -100,17 +135,14 @@ fn all_backends_match_on_full_ruleset() {
         .collect();
     assert!(rules.len() >= 197, "expected all 197 rules");
     let patterns: Vec<&Pattern<BoolLang>> = rules.iter().map(|r| r.searcher()).collect();
-    let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
     for (i, eg) in egraphs.iter().enumerate() {
         let oracle: Vec<_> = rules
             .iter()
             .map(|r| flatten(r.searcher().search_oracle(eg)))
             .collect();
         for threads in [1usize, 2] {
-            let slots = search_rules(&patterns, eg, &directives, &CancelToken::new(), threads);
-            assert_eq!(slots.len(), rules.len());
-            for ((rule, expected), slot) in rules.iter().zip(&oracle).zip(slots) {
-                let (matches, _) = slot.expect("no skip without cancel/deadline");
+            let searched = search_within_budget(&patterns, eg, threads);
+            for ((rule, expected), matches) in rules.iter().zip(&oracle).zip(searched) {
                 assert_eq!(
                     &flatten(matches),
                     expected,
@@ -128,7 +160,9 @@ fn vm_matches_oracle_through_rewrite_search() {
     // uses, modulo scheduling limits) agrees with the oracle as well.
     let egraphs = test_egraphs();
     let rules: Vec<egraph::Rewrite<BoolLang, ()>> = rules::r1_rules();
+    let patterns: Vec<&Pattern<BoolLang>> = rules.iter().map(|r| r.searcher()).collect();
     for eg in &egraphs {
+        search_within_budget(&patterns, eg, 1);
         for rule in &rules {
             let vm = flatten(rule.search(eg));
             let oracle = flatten(rule.searcher().search_oracle(eg));

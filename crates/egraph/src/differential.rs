@@ -3,6 +3,11 @@
 //! (kept as [`Pattern::search_oracle`]) on randomized e-graphs — pattern
 //! by pattern, and through the runner's rule fan-out ([`search_rules`])
 //! at any thread count, under scheduler directives and cancellation.
+//!
+//! The oracle charges the work budget by its own e-node visits, and
+//! the VM probes bound subterms the oracle scans, so the two may only
+//! be compared where the budget is out of play: every comparison
+//! asserts that no VM search ran out of it.
 
 use proptest::{proptest, ProptestConfig, TestRng};
 
@@ -84,9 +89,10 @@ proptest! {
         let eg = random_egraph(&mut rng);
         for pat in PATTERNS {
             let p: Pattern<SymbolLang> = pat.parse().unwrap();
-            let vm = flatten(p.search(&eg));
+            let (vm, stats) = p.search_interruptible(&eg, usize::MAX, &CancelToken::new()).unwrap();
+            assert_eq!(stats.budget_exhausted, 0, "pattern {pat} hit the budget (seed {seed:#x})");
             let oracle = flatten(p.search_oracle(&eg));
-            assert_eq!(vm, oracle, "pattern {pat} diverged (seed {seed:#x})");
+            assert_eq!(flatten(vm), oracle, "pattern {pat} diverged (seed {seed:#x})");
         }
     }
 
@@ -98,6 +104,10 @@ proptest! {
         let eg = random_egraph(&mut rng);
         for pat in ["(g ?x ?y)", "(f (g a b))", "(m ?a ?b ?a)", "?z"] {
             let p: Pattern<SymbolLang> = pat.parse().unwrap();
+            // The whole search runs every candidate class; the others
+            // fail within their own (small) node lists.
+            let (_, stats) = p.search_interruptible(&eg, usize::MAX, &CancelToken::new()).unwrap();
+            assert_eq!(stats.budget_exhausted, 0, "pattern {pat} hit the budget (seed {seed:#x})");
             for class in eg.classes() {
                 let vm = p.search_eclass(&eg, class.id).map(|m| m.substs);
                 let oracle = p.search_eclass_oracle(&eg, class.id).map(|m| m.substs);
@@ -121,9 +131,10 @@ proptest! {
         for threads in [1usize, 2, 5] {
             let slots = search_rules(&refs, &eg, &directives, &CancelToken::new(), threads);
             for ((pat, p), slot) in PATTERNS.iter().zip(&patterns).zip(slots) {
-                let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
+                let searched = slot.expect("no rule may be skipped without a cancel/deadline");
+                assert_eq!(searched.stats.budget_exhausted, 0, "{pat} hit the budget (seed {seed:#x})");
                 assert_eq!(
-                    flatten(matches),
+                    flatten(searched.matches),
                     flatten(p.search_oracle(&eg)),
                     "VM vs oracle diverged on {pat} at {threads} threads (seed {seed:#x})"
                 );
@@ -159,9 +170,10 @@ proptest! {
                     RuleDirective::Skip => Vec::new(),
                     RuleDirective::Limit(limit) => flatten(p.search_oracle_with_limit(&eg, limit)),
                 };
-                let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
+                let searched = slot.expect("no rule may be skipped without a cancel/deadline");
+                assert_eq!(searched.stats.budget_exhausted, 0, "{pat} hit the budget (seed {seed:#x})");
                 assert_eq!(
-                    flatten(matches), expected,
+                    flatten(searched.matches), expected,
                     "VM vs oracle diverged under {directive:?} on {pat} at {threads} threads (seed {seed:#x})"
                 );
             }

@@ -58,7 +58,7 @@ pub use crate::cancel::CancelToken;
 pub use crate::egraph::{EClass, EGraph};
 pub use crate::extract::{AstDepth, AstSize, CostFunction, Extractor};
 pub use crate::language::{Analysis, DidMerge, FromOp, FromOpError, Language, SymbolLang};
-pub use crate::machine::{search_rules, RuleDirective};
+pub use crate::machine::{search_rules, RuleDirective, RuleSearch, SearchStats};
 pub use crate::pattern::{
     ENodeOrVar, ParsePatternError, Pattern, SearchMatches, Subst, Var, MATCH_WORK_BUDGET,
     MAX_SUBSTS_PER_CLASS,

@@ -10,9 +10,18 @@
 //!   children into fresh registers (the only backtracking point);
 //! * [`Instruction::Compare`] — require two registers to name the same
 //!   e-class (non-linear patterns, e.g. `(& ?a ?a)`);
+//! * [`Instruction::Build`] — rebuild one e-node from registers and
+//!   probe the e-graph's hash-cons `memo` for its class. A subpattern
+//!   whose variables are all bound by earlier instructions compiles to
+//!   a bottom-up chain of `Build`s followed by one `Compare`, instead
+//!   of `Bind`s: in a clean e-graph a bound subterm names at most one
+//!   canonical e-node, so one probe replaces a scan of every e-node of
+//!   the subterm's classes. In `(| (& ?a ?b) (! (& ?a ?b)))`, once
+//!   `(& ?a ?b)` has bound `?a` and `?b`, `(! (& ?a ?b))` is two
+//!   probes, not two scans;
 //! * [`Instruction::Lookup`] — require the register to be the class of
 //!   a *ground* (variable-free) subterm, resolved once per search via
-//!   the e-graph's hash-cons `memo` instead of structural scanning;
+//!   the same `memo` instead of structural scanning;
 //! * [`Instruction::Scan`] — enumerate every e-class (emitted only for
 //!   root-variable patterns like `?x`, where the driver loop performs
 //!   the enumeration).
@@ -24,9 +33,11 @@
 //! ([`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET)), the per-class
 //! match cap ([`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS)),
 //! and a cooperative [`CancelToken`] are all enforced *inside* the VM
-//! loop, so cancellation latency is bounded by
-//! [`CANCEL_CHECK_QUANTUM`] e-node visits rather than by a whole rule
-//! search.
+//! loop. One **budget unit** is one e-node a `Bind` visits or one
+//! probe a `Build` makes; the token is polled every
+//! [`CANCEL_CHECK_QUANTUM`] units, so cancellation latency is bounded
+//! by that many units rather than by a whole rule search. The units a
+//! search spends are reported as [`SearchStats::visits`].
 //!
 //! [`search_rules`] drives a whole ruleset: one program per rule, rules
 //! spread over a work-stealing thread pool.
@@ -64,6 +75,16 @@ pub enum Instruction<L> {
         /// Second register.
         j: Reg,
     },
+    /// Rebuild `node` with each child id `c` replaced by `regs[c]` and
+    /// look it up in the hash-cons memo: continue with its class in
+    /// `regs[out]`, or fail this branch if the e-graph has no such
+    /// e-node. Never backtracks.
+    Build {
+        /// The pattern e-node whose child ids are register indices.
+        node: L,
+        /// Register receiving the e-node's class.
+        out: Reg,
+    },
     /// Continue only if `regs[i]` is the class of the ground term
     /// `ground_terms[term]` (resolved through the hash-cons memo once
     /// per search).
@@ -82,9 +103,33 @@ pub enum Instruction<L> {
     },
 }
 
-/// How often (in e-node visits) the VM polls its [`CancelToken`]: a
-/// cancellation request stops the search within one such quantum.
+/// How often (in budget units: `Bind` e-node visits and `Build`
+/// probes) the VM polls its [`CancelToken`]: a cancellation request
+/// stops the search within one such quantum.
 pub const CANCEL_CHECK_QUANTUM: usize = 256;
+
+/// What one rule search spent and where it was cut short.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchStats {
+    /// Budget units spent (see the module docs): `Bind` e-node visits
+    /// plus `Build` probes. Deterministic for a given e-graph and
+    /// pattern, on any machine and at any thread count.
+    pub visits: usize,
+    /// Candidate classes whose run stopped on
+    /// [`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET).
+    pub budget_exhausted: usize,
+    /// Candidate classes whose run stopped at
+    /// [`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS) matches.
+    pub capped: usize,
+}
+
+impl std::ops::AddAssign for SearchStats {
+    fn add_assign(&mut self, other: Self) {
+        self.visits += other.visits;
+        self.budget_exhausted += other.budget_exhausted;
+        self.capped += other.capped;
+    }
+}
 
 /// Why a program run stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +182,7 @@ impl<L: Language> Program<L> {
     fn compile_node(&mut self, ast: &RecExpr<ENodeOrVar<L>>, ground: &[bool], pat: Id, reg: Reg) {
         match &ast[pat] {
             ENodeOrVar::Var(v) => {
-                if let Some(&(_, first)) = self.subst_template.iter().find(|(u, _)| u == v) {
+                if let Some(first) = self.var_reg(*v) {
                     self.instructions
                         .push(Instruction::Compare { i: reg, j: first });
                 } else {
@@ -149,16 +194,13 @@ impl<L: Language> Program<L> {
                 self.ground_terms.push(extract_ground_term(ast, pat));
                 self.instructions.push(Instruction::Lookup { term, i: reg });
             }
+            ENodeOrVar::ENode(_) if self.all_vars_bound(ast, pat) => {
+                let built = self.compile_build(ast, pat);
+                self.instructions
+                    .push(Instruction::Compare { i: reg, j: built });
+            }
             ENodeOrVar::ENode(node) => {
-                let arity = node.children().len();
-                // Guard the *last* output register too, not just the
-                // base: `out + arity - 1` must stay within `Reg`.
-                assert!(
-                    self.n_regs + arity <= usize::from(Reg::MAX) + 1,
-                    "pattern too large for register file"
-                );
-                let out = self.n_regs as Reg;
-                self.n_regs += arity;
+                let out = self.alloc_regs(node.children().len());
                 self.instructions.push(Instruction::Bind {
                     node: node.clone(),
                     i: reg,
@@ -169,6 +211,54 @@ impl<L: Language> Program<L> {
                 }
             }
         }
+    }
+
+    /// Emits the bottom-up [`Instruction::Build`] chain that rebuilds
+    /// the subterm at `pat` from bound registers (children left to
+    /// right, then the node) and returns the register holding its
+    /// class.
+    fn compile_build(&mut self, ast: &RecExpr<ENodeOrVar<L>>, pat: Id) -> Reg {
+        match &ast[pat] {
+            ENodeOrVar::Var(v) => self
+                .var_reg(*v)
+                .expect("bound subterms bind every variable"),
+            ENodeOrVar::ENode(node) => {
+                let node =
+                    node.map_children(|c| Id::from_index(usize::from(self.compile_build(ast, c))));
+                let out = self.alloc_regs(1);
+                self.instructions.push(Instruction::Build { node, out });
+                out
+            }
+        }
+    }
+
+    /// The register holding `v`'s first occurrence, if an earlier
+    /// instruction binds it.
+    fn var_reg(&self, v: Var) -> Option<Reg> {
+        self.subst_template
+            .iter()
+            .find(|(u, _)| *u == v)
+            .map(|&(_, r)| r)
+    }
+
+    fn all_vars_bound(&self, ast: &RecExpr<ENodeOrVar<L>>, pat: Id) -> bool {
+        match &ast[pat] {
+            ENodeOrVar::Var(v) => self.var_reg(*v).is_some(),
+            ENodeOrVar::ENode(node) => node.children().iter().all(|&c| self.all_vars_bound(ast, c)),
+        }
+    }
+
+    /// Reserves `n` consecutive registers and returns the first.
+    fn alloc_regs(&mut self, n: usize) -> Reg {
+        // Guard the *last* register too, not just the base: `out + n -
+        // 1` must stay within `Reg`.
+        assert!(
+            self.n_regs + n <= usize::from(Reg::MAX) + 1,
+            "pattern too large for register file"
+        );
+        let out = self.n_regs as Reg;
+        self.n_regs += n;
+        out
     }
 
     /// Returns `true` if this program starts with a [`Instruction::Scan`]
@@ -203,9 +293,10 @@ impl<L: Language> Program<L> {
     /// from [`Program::resolve_ground_terms`] on the same (clean)
     /// e-graph; `regs` is the reusable register bank (resized here, so
     /// one allocation serves a whole multi-class search). `budget` is
-    /// decremented once per e-node visited; matching stops when it
-    /// reaches zero, when `substs` has grown by `max_substs`, or
-    /// within [`CANCEL_CHECK_QUANTUM`] visits of `cancel` being set.
+    /// decremented once per budget unit (a `Bind` e-node visit or a
+    /// `Build` probe); matching stops when it reaches zero, when
+    /// `substs` has grown by `max_substs`, or within
+    /// [`CANCEL_CHECK_QUANTUM`] units of `cancel` being set.
     #[allow(clippy::too_many_arguments)]
     pub fn run<N: Analysis<L>>(
         &self,
@@ -252,6 +343,19 @@ struct Machine<'a> {
 }
 
 impl Machine<'_> {
+    /// Spends one budget unit; returns why the run must stop, if it
+    /// must.
+    fn charge(&self, budget: &mut usize) -> Option<RunOutcome> {
+        if *budget == 0 {
+            return Some(RunOutcome::BudgetExhausted);
+        }
+        *budget -= 1;
+        if budget.is_multiple_of(CANCEL_CHECK_QUANTUM) && self.cancel.is_cancelled() {
+            return Some(RunOutcome::Cancelled);
+        }
+        None
+    }
+
     /// Executes instructions from `pc` on, backtracking over
     /// [`Instruction::Bind`] choices; complete register banks are
     /// materialized into `out`.
@@ -286,12 +390,8 @@ impl Machine<'_> {
             } => {
                 let class = egraph.eclass(self.regs[*i as usize]);
                 for enode in class.iter() {
-                    if *budget == 0 {
-                        return RunOutcome::BudgetExhausted;
-                    }
-                    *budget -= 1;
-                    if budget.is_multiple_of(CANCEL_CHECK_QUANTUM) && self.cancel.is_cancelled() {
-                        return RunOutcome::Cancelled;
+                    if let Some(stop) = self.charge(budget) {
+                        return stop;
                     }
                     if !node.matches(enode) {
                         continue;
@@ -306,6 +406,19 @@ impl Machine<'_> {
                     }
                 }
                 RunOutcome::Complete
+            }
+            Instruction::Build { node, out: out_reg } => {
+                if let Some(stop) = self.charge(budget) {
+                    return stop;
+                }
+                let enode = node.map_children(|r| self.regs[r.index()]);
+                match egraph.lookup(&enode) {
+                    Some(class) => {
+                        self.regs[*out_reg as usize] = class;
+                        self.exec(egraph, prog, ground, pc + 1, budget, out)
+                    }
+                    None => RunOutcome::Complete,
+                }
             }
             Instruction::Compare { i, j } => {
                 if egraph.find(self.regs[*i as usize]) == egraph.find(self.regs[*j as usize]) {
@@ -340,21 +453,33 @@ pub enum RuleDirective {
     Limit(usize),
 }
 
+/// One rule's completed search, as [`search_rules`] reports it.
+#[derive(Debug, Clone, Default)]
+pub struct RuleSearch {
+    /// The matches, one entry per matching e-class.
+    pub matches: Vec<SearchMatches>,
+    /// Budget units spent and truncations hit.
+    pub stats: SearchStats,
+    /// Wall-clock time the search took.
+    pub elapsed: Duration,
+}
+
 /// Searches every pattern under its directive — each rule on its own
 /// compiled [`Program`], rules fanned out over at most `threads`
 /// work-stealing workers — and returns per-rule slots in rule-index
-/// order: `Some((matches, elapsed))` for a searched rule (empty and
+/// order: `Some(search)` for a searched rule (empty, zero-cost and
 /// zero-time for [`RuleDirective::Skip`]), `None` for a rule whose
 /// search the cancel token interrupted (a cancel request or its
 /// deadline), or that no worker claimed after such a trip. Slots are
-/// identical at any thread count, short of those interruptions.
+/// identical at any thread count, short of those interruptions and
+/// the measured `elapsed` times.
 pub fn search_rules<L, N>(
     patterns: &[&Pattern<L>],
     egraph: &EGraph<L, N>,
     directives: &[RuleDirective],
     cancel: &CancelToken,
     threads: usize,
-) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
+) -> Vec<Option<RuleSearch>>
 where
     L: Language + Sync,
     L::Discriminant: Sync,
@@ -363,11 +488,15 @@ where
 {
     assert_eq!(directives.len(), patterns.len());
     search_rules_slots(patterns.len(), threads, cancel, |i| match directives[i] {
-        RuleDirective::Skip => Some((Vec::new(), Duration::ZERO)),
+        RuleDirective::Skip => Some(RuleSearch::default()),
         RuleDirective::Limit(limit) => {
             let start = Instant::now();
-            let matches = patterns[i].search_interruptible(egraph, limit, cancel)?;
-            Some((matches, start.elapsed()))
+            let (matches, stats) = patterns[i].search_interruptible(egraph, limit, cancel)?;
+            Some(RuleSearch {
+                matches,
+                stats,
+                elapsed: start.elapsed(),
+            })
         }
     })
 }
@@ -379,16 +508,17 @@ where
 /// (the slot stays `None` = skipped, and the worker stops claiming).
 /// Panics from workers are re-raised exactly once, after *all* workers
 /// joined.
-pub(crate) fn search_rules_slots<F>(
+pub(crate) fn search_rules_slots<T, F>(
     n_rules: usize,
     threads: usize,
     cancel: &CancelToken,
     search_one: F,
-) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
+) -> Vec<Option<T>>
 where
-    F: Fn(usize) -> Option<(Vec<SearchMatches>, Duration)> + Sync,
+    T: Send,
+    F: Fn(usize) -> Option<T> + Sync,
 {
-    let mut slots: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
+    let mut slots: Vec<Option<T>> = Vec::new();
     slots.resize_with(n_rules, || None);
     if threads <= 1 || n_rules <= 1 {
         for (i, slot) in slots.iter_mut().enumerate() {
@@ -512,6 +642,52 @@ pub(crate) mod tests {
         assert_eq!(binds, 1);
     }
 
+    /// How many instructions of each kind `(Bind, Build, Compare)` a
+    /// pattern compiles to.
+    fn shape(p: &Pattern<SymbolLang>) -> (usize, usize, usize) {
+        let count = |f: fn(&Instruction<SymbolLang>) -> bool| {
+            p.program().instructions().iter().filter(|&i| f(i)).count()
+        };
+        (
+            count(|i| matches!(i, Instruction::Bind { .. })),
+            count(|i| matches!(i, Instruction::Build { .. })),
+            count(|i| matches!(i, Instruction::Compare { .. })),
+        )
+    }
+
+    #[test]
+    fn bound_subterm_compiles_to_build_chain() {
+        // `(g ?x)` is fully bound once the root binds `?x`: one probe
+        // and one Compare, no second Bind.
+        assert_eq!(shape(&pat("(f ?x (g ?x))")), (1, 1, 1));
+        // maj-37: after `(& ?a ?b)` binds both variables, the whole
+        // `(& (! (& ?a ?b)) (| ?a ?b))` subterm is four probes.
+        let maj37 = pat("(| (& ?a ?b) (& (& (! (& ?a ?b)) (| ?a ?b)) ?c))");
+        assert_eq!(shape(&maj37), (3, 4, 1));
+        // A variable first bound later in preorder does not count.
+        assert_eq!(shape(&pat("(f (g ?x) ?x)")), (2, 0, 1));
+    }
+
+    #[test]
+    fn build_chain_finds_exactly_what_bind_found() {
+        // `(f ?x (g ?x))` closes only where `(g x)` exists and sits in
+        // the second child's class; a ground leaf inside a bound
+        // subterm is a childless Build.
+        let mut eg = EG::default();
+        let hit = eg.add_expr(&"(f x (g x))".parse().unwrap());
+        eg.add_expr(&"(f y (g x))".parse().unwrap());
+        eg.add_expr(&"(f z w)".parse().unwrap());
+        eg.rebuild();
+        let p = pat("(f ?x (g ?x))");
+        let m = p.search(&eg);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m[0].eclass, eg.find(hit));
+        assert_eq!(flat(&m), flat(&p.search_oracle(&eg)));
+        let leaf = pat("(f ?x (g ?x a))");
+        assert_eq!(shape(&leaf), (1, 2, 1));
+        assert!(leaf.search(&eg).is_empty());
+    }
+
     #[test]
     fn root_var_compiles_to_scan() {
         let p = pat("?x");
@@ -533,10 +709,11 @@ pub(crate) mod tests {
     /// backtracking (so the per-class match cap never stops it): two
     /// classes `A`/`B` each holding `width` f-nodes over disjoint
     /// leaves, `n_roots` classes `(g A B t_r)` told apart by a tag
-    /// leaf, and the nonlinear probe `(g (f ?x) (f ?x) ?t)` that never
-    /// closes. Each root costs ~`width²` e-node visits (up to the work
-    /// budget) but adds only two e-nodes, so searching dwarfs every
-    /// other cost of the e-graph.
+    /// leaf, and the nonlinear probe `(g (f ?x) (f ?y) ?x)` that never
+    /// closes: every `(?x, ?y)` pair is enumerated before the last
+    /// `?x` fails against the tag. Each root costs ~`width²` e-node
+    /// visits (up to the work budget) but adds only two e-nodes, so
+    /// searching dwarfs every other cost of the e-graph.
     pub(crate) fn explosive_workload(n_roots: usize, width: usize) -> (EG, Pattern<SymbolLang>) {
         let mut eg = EG::default();
         let side = |tag: &str, eg: &mut EG| {
@@ -558,7 +735,7 @@ pub(crate) mod tests {
             eg.add(SymbolLang::new("g", vec![a, b, tag]));
         }
         eg.rebuild();
-        (eg, pat("(g (f ?x) (f ?x) ?t)"))
+        (eg, pat("(g (f ?x) (f ?y) ?x)"))
     }
 
     #[test]
@@ -605,6 +782,41 @@ pub(crate) mod tests {
             &CancelToken::new(),
         );
         assert_eq!(outcome, RunOutcome::BudgetExhausted);
+    }
+
+    #[test]
+    fn search_stats_count_visits_and_truncations() {
+        let (eg, probe) = explosive_workload(3, 400);
+        let (matches, stats) = probe
+            .search_interruptible(&eg, usize::MAX, &CancelToken::new())
+            .unwrap();
+        assert!(matches.is_empty());
+        assert_eq!(
+            stats,
+            SearchStats {
+                visits: 3 * crate::MATCH_WORK_BUDGET,
+                budget_exhausted: 3,
+                capped: 0,
+            }
+        );
+        // The same shape without the failing `?x` closes on every
+        // `(?x, ?y)` pair: each root stops at the match cap after one
+        // g, one f of `A` and `MAX_SUBSTS_PER_CLASS` f's of `B`.
+        let open = pat("(g (f ?x) (f ?y) ?t)");
+        let (matches, stats) = open
+            .search_interruptible(&eg, usize::MAX, &CancelToken::new())
+            .unwrap();
+        assert_eq!(matches.len(), 3);
+        let cap = crate::MAX_SUBSTS_PER_CLASS;
+        assert!(matches.iter().all(|m| m.substs.len() == cap));
+        assert_eq!(
+            stats,
+            SearchStats {
+                visits: 3 * (2 + cap),
+                budget_exhausted: 0,
+                capped: 3,
+            }
+        );
     }
 
     #[test]
@@ -655,11 +867,12 @@ pub(crate) mod tests {
                 &CancelToken::new(),
                 threads,
             );
-            let (skipped, skipped_time) = slots[0].as_ref().unwrap();
-            assert!(skipped.is_empty(), "a Skip rule yields no matches");
-            assert_eq!(*skipped_time, Duration::ZERO);
-            let (matches, _) = slots[1].as_ref().unwrap();
-            assert_eq!(flat(matches), flat(&cheap.search_oracle(&eg)));
+            let skipped = slots[0].as_ref().unwrap();
+            assert!(skipped.matches.is_empty(), "a Skip rule yields no matches");
+            assert_eq!(skipped.stats, SearchStats::default());
+            assert_eq!(skipped.elapsed, Duration::ZERO);
+            let searched = slots[1].as_ref().unwrap();
+            assert_eq!(flat(&searched.matches), flat(&cheap.search_oracle(&eg)));
         }
     }
 
@@ -683,7 +896,7 @@ pub(crate) mod tests {
                 &CancelToken::new(),
                 1,
             );
-            let (matches, _) = slots[0].as_ref().unwrap();
+            let matches = &slots[0].as_ref().unwrap().matches;
             assert_eq!(matches.len(), (limit + 1).min(10), "limit={limit}");
             assert_eq!(
                 flat(matches),
@@ -733,7 +946,7 @@ pub(crate) mod tests {
         let cancelled = p.search_interruptible(&eg, usize::MAX, &token);
         let cancelled_time = start.elapsed();
         canceller.join().unwrap();
-        assert!(cancelled.is_none_or(|m| m.is_empty()));
+        assert!(cancelled.is_none_or(|(m, _)| m.is_empty()));
         // Only discriminating when the full search is slow enough for
         // the 5 ms cancel to land mid-flight.
         if full_time > Duration::from_millis(50) {

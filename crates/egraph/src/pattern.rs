@@ -8,7 +8,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::machine::{Program, RunOutcome};
+use crate::machine::{Program, RunOutcome, SearchStats};
 use crate::recexpr::{parse_sexp, Sexp};
 use crate::{
     Analysis, CancelToken, EGraph, FromOp, Id, Language, ParseRecExprError, RecExpr, Symbol,
@@ -260,15 +260,18 @@ impl<L: Language> Pattern<L> {
     ) -> Vec<SearchMatches> {
         self.search_interruptible(egraph, limit, &CancelToken::new())
             .expect("a search with a fresh cancel token runs to completion")
+            .0
     }
 
     /// Like [`Pattern::search_with_limit`], but interruptible: the
     /// [`CancelToken`] is polled *inside* the matching VM (every
-    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] e-node visits) and
+    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] budget units) and
     /// before every candidate class, so even a single explosive rule
     /// search stops promptly, whether the token's flag is set or its
     /// deadline passes. Returns `None` if the search was interrupted —
-    /// a partial match set is never returned.
+    /// a partial match set is never returned — and otherwise the
+    /// matches with the budget units spent and the candidate classes
+    /// whose run the work budget or the per-class match cap cut short.
     ///
     /// # Panics
     ///
@@ -278,12 +281,13 @@ impl<L: Language> Pattern<L> {
         egraph: &EGraph<L, N>,
         limit: usize,
         cancel: &CancelToken,
-    ) -> Option<Vec<SearchMatches>> {
+    ) -> Option<(Vec<SearchMatches>, SearchStats)> {
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
         );
         let mut out = Vec::new();
+        let mut stats = SearchStats::default();
         let mut total = 0usize;
         if self.program.is_scan() {
             // A bare-variable pattern matches every class with the
@@ -301,12 +305,12 @@ impl<L: Language> Pattern<L> {
                     break;
                 }
             }
-            return Some(out);
+            return Some((out, stats));
         }
         // Ground subterms resolve once per search; a missing one means
         // the pattern cannot match anywhere.
         let Some(ground) = self.program.resolve_ground_terms(egraph) else {
-            return Some(out);
+            return Some((out, stats));
         };
         let root_disc = match &self.ast[self.ast.root()] {
             ENodeOrVar::ENode(n) => n.discriminant(),
@@ -322,9 +326,15 @@ impl<L: Language> Pattern<L> {
             if cancel.is_cancelled() {
                 return None;
             }
-            let (m, outcome) = self.run_vm_on_class(egraph, id, &ground, &mut regs, cancel);
-            if outcome == RunOutcome::Cancelled {
-                return None;
+            let mut budget = MATCH_WORK_BUDGET;
+            let (m, outcome) =
+                self.run_vm_on_class(egraph, id, &ground, &mut regs, &mut budget, cancel);
+            stats.visits += MATCH_WORK_BUDGET - budget;
+            match outcome {
+                RunOutcome::Complete => {}
+                RunOutcome::BudgetExhausted => stats.budget_exhausted += 1,
+                RunOutcome::SubstLimit => stats.capped += 1,
+                RunOutcome::Cancelled => return None,
             }
             if let Some(m) = m {
                 total += m.substs.len();
@@ -334,7 +344,7 @@ impl<L: Language> Pattern<L> {
                 break;
             }
         }
-        Some(out)
+        Some((out, stats))
     }
 
     /// Searches one e-class for matches.
@@ -358,30 +368,33 @@ impl<L: Language> Pattern<L> {
         }
         let ground = self.program.resolve_ground_terms(egraph)?;
         let mut regs = Vec::new();
-        self.run_vm_on_class(egraph, eclass, &ground, &mut regs, &CancelToken::new())
+        let mut budget = MATCH_WORK_BUDGET;
+        let cancel = CancelToken::new();
+        self.run_vm_on_class(egraph, eclass, &ground, &mut regs, &mut budget, &cancel)
             .0
     }
 
-    /// Runs the compiled program on one candidate class and packages
-    /// surviving matches (canonicalized, sorted, deduplicated).
+    /// Runs the compiled program on one candidate class, spending from
+    /// `budget`, and packages surviving matches (canonicalized, sorted,
+    /// deduplicated).
     fn run_vm_on_class<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         eclass: Id,
         ground: &[Id],
         regs: &mut Vec<Id>,
+        budget: &mut usize,
         cancel: &CancelToken,
     ) -> (Option<SearchMatches>, RunOutcome) {
         let eclass = egraph.find(eclass);
         let mut substs = Vec::new();
-        let mut budget = MATCH_WORK_BUDGET;
         let outcome = self.program.run(
             egraph,
             eclass,
             ground,
             regs,
             &mut substs,
-            &mut budget,
+            budget,
             MAX_SUBSTS_PER_CLASS,
             cancel,
         );
@@ -423,9 +436,14 @@ impl<L: Language> Pattern<L> {
 /// The deterministic cap on substitutions explored per e-class.
 pub const MAX_SUBSTS_PER_CLASS: usize = 256;
 
-/// The deterministic cap on matcher *work* (e-node visits) per e-class:
-/// backtracking over several wide e-classes multiplies, so output caps
-/// alone do not bound the scan cost.
+/// The deterministic cap on matcher *work* per candidate e-class, in
+/// budget units: one per e-node a VM `Bind` visits and one per
+/// hash-cons probe a VM `Build` makes (see [`crate::machine`]).
+/// Backtracking over several wide e-classes multiplies, so output caps
+/// alone do not bound the scan cost. The recursive oracle charges one
+/// unit per e-node it visits, and visits the e-nodes of bound subterms
+/// the VM probes instead, so the two agree only where neither runs
+/// out.
 pub const MATCH_WORK_BUDGET: usize = 50_000;
 
 #[cfg(any(test, feature = "oracle"))]

@@ -5,7 +5,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::hash::FxHashMap;
-use crate::machine::{search_rules, RuleDirective};
+use crate::machine::{search_rules, RuleDirective, SearchStats};
 use crate::{Analysis, CancelToken, EGraph, Id, Language, RecExpr, Rewrite, SearchMatches, Symbol};
 
 /// Why a [`Runner`] stopped.
@@ -38,7 +38,8 @@ impl fmt::Display for StopReason {
 /// Cumulative per-rule accounting over one [`Runner::run`], maintained
 /// by the driver for every rule regardless of scheduler: how long the
 /// rule's searches took, how many substitutions they yielded (after
-/// scheduling caps), and how many applications changed the e-graph.
+/// scheduling caps), how many applications changed the e-graph, and
+/// what the searches spent and where they were truncated.
 /// The numbers are the rule-granular view of the aggregate
 /// [`Iteration`] statistics, and feed per-rule saturation profiles
 /// (`satbench`'s `top_rules`).
@@ -51,6 +52,9 @@ pub struct RuleProfile {
     pub matches: usize,
     /// Applications that changed the e-graph, summed.
     pub applications: usize,
+    /// Budget units spent and truncations hit by the rule's completed
+    /// searches, summed.
+    pub search: SearchStats,
 }
 
 impl RuleProfile {
@@ -60,6 +64,7 @@ impl RuleProfile {
         self.search_time += other.search_time;
         self.matches += other.matches;
         self.applications += other.applications;
+        self.search += other.search;
     }
 }
 
@@ -103,6 +108,10 @@ pub struct Iteration {
     /// [`RuleProfile`]s untouched, so per-rule accounting only reflects
     /// searches that ran to completion.
     pub rules_skipped: usize,
+    /// Budget units spent and truncations hit by this iteration's
+    /// completed rule searches, summed over rules (the sum of this
+    /// iteration's [`RuleProfile::search`] increments).
+    pub search: SearchStats,
 }
 
 /// Limits configuring a [`Runner`].
@@ -429,13 +438,18 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             let merge_start = Instant::now();
             let mut all_matches = Vec::with_capacity(rules.len());
             let mut rules_skipped = 0usize;
+            let mut search = SearchStats::default();
             for (rule, slot) in rules.iter().zip(searched) {
                 match slot {
-                    Some((matches, elapsed)) => {
-                        let matches = self.scheduler.finish_rewrite(iteration, rule, matches);
+                    Some(result) => {
+                        let matches =
+                            self.scheduler
+                                .finish_rewrite(iteration, rule, result.matches);
                         let profile = self.rule_profiles.entry(rule.name()).or_default();
-                        profile.search_time += elapsed;
+                        profile.search_time += result.elapsed;
                         profile.matches += matches.iter().map(|m| m.substs.len()).sum::<usize>();
+                        profile.search += result.stats;
+                        search += result.stats;
                         all_matches.push(matches);
                     }
                     // Skipped by a mid-search time-limit/cancel trip:
@@ -491,6 +505,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                 rebuild_time,
                 n_rebuilds,
                 rules_skipped,
+                search,
             });
             if let Some(hook) = &self.iteration_hook {
                 hook(iteration, self.iterations.last().unwrap());
@@ -731,14 +746,15 @@ mod tests {
         rules: &'a [RW],
         cancel: &'a CancelToken,
         hook: impl Fn(usize) + Sync + 'a,
-    ) -> impl Fn(usize) -> Option<(Vec<SearchMatches>, Duration)> + Sync + 'a {
+    ) -> impl Fn(usize) -> Option<Vec<SearchMatches>> + Sync + 'a {
         let searches = std::sync::atomic::AtomicUsize::new(0);
         move |i| {
             hook(searches.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1);
-            let matches = rules[i]
-                .searcher()
-                .search_interruptible(egraph, usize::MAX, cancel)?;
-            Some((matches, Duration::ZERO))
+            let (matches, _) =
+                rules[i]
+                    .searcher()
+                    .search_interruptible(egraph, usize::MAX, cancel)?;
+            Some(matches)
         }
     }
 

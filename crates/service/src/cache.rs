@@ -274,14 +274,20 @@ mod tests {
     #[test]
     fn concurrent_snapshots_are_internally_consistent() {
         use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
         let cache = Arc::new(ResultCache::new(8));
         let summary = dummy_summary();
         let stop = Arc::new(AtomicBool::new(false));
+        // The writers start only once the sampler has taken its first
+        // snapshot, so sampling overlaps the writes by construction.
+        let start = Arc::new(Barrier::new(5));
         let writers: Vec<_> = (0..4)
             .map(|t| {
                 let cache = Arc::clone(&cache);
                 let summary = Arc::clone(&summary);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     let mut gets = 0u64;
                     for i in 0..2000u64 {
                         let k = key(t * 1000 + i % 16);
@@ -306,7 +312,7 @@ mod tests {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 let mut samples = 0u32;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let s = cache.stats();
                     assert_eq!(
                         s.insertions,
@@ -314,8 +320,13 @@ mod tests {
                         "torn snapshot: {s:?}"
                     );
                     samples += 1;
+                    if samples == 1 {
+                        start.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break samples;
+                    }
                 }
-                samples
             })
         };
         let total_gets: u64 = writers.into_iter().map(|w| w.join().unwrap()).sum();

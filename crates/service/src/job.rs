@@ -531,6 +531,7 @@ mod tests {
                             apply_time: Duration::ZERO,
                             rebuild_time: Duration::ZERO,
                             total_matches: n1 + n2,
+                            search: Default::default(),
                             rules: Vec::new(),
                         },
                         pairing: PairStats {
