@@ -43,7 +43,7 @@ fn main() {
             let mapped = prepare(family, n, Prep::Mapped);
             let abc = abc_counts(&mapped);
             let gam = gamora_counts(&mapped, &model);
-            let result = BoolE::new(BooleParams::default()).run(&mapped);
+            let result = BoolE::new(BooleParams::default().without_time_limit()).run(&mapped);
             let boole = boole_counts(&result);
             println!(
                 "{n:>5} {upper:>11} {:>9} {:>12} {:>11} {:>11} {:>13}",

@@ -27,7 +27,7 @@ fn main() {
             }
             let mapped = prepare(family, n, Prep::Mapped);
             let nodes = mapped.num_ands();
-            let result = BoolE::new(BooleParams::default()).run(&mapped);
+            let result = BoolE::new(BooleParams::default().without_time_limit()).run(&mapped);
             println!(
                 "{:>7} {n:>5} {nodes:>11} {:>12} {:>12} {:>10.3}",
                 family.name(),

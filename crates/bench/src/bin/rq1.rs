@@ -37,7 +37,7 @@ fn main() {
             }
             let pre = prepare(family, n, Prep::None);
             let upper = abc_counts(&pre).npn;
-            let result = BoolE::new(BooleParams::default()).run(&pre);
+            let result = BoolE::new(BooleParams::default().without_time_limit()).run(&pre);
             let optimal = result.exact_fa_count() >= upper;
             if as_json {
                 rows.push(Json::obj([

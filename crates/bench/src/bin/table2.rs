@@ -61,7 +61,7 @@ fn main() {
         // *original* optimized netlist with the recovered blocks
         // mapped back to its signals.
         let be_start = Instant::now();
-        let result = BoolE::new(BooleParams::default()).run(&opt);
+        let result = BoolE::new(BooleParams::default().without_time_limit()).run(&opt);
         let blocks = verifier_blocks(&result, &opt);
         let be = verify_multiplier(&opt, MulSpec::unsigned(n), &blocks, &params);
         let be_time = be_start.elapsed();

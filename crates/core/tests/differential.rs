@@ -90,10 +90,13 @@ fn all_rule_patterns() -> Vec<(String, String)> {
     specs.extend(rules::maj_table());
     specs.extend(rules::xor_table());
     // Both sides of every rule are legitimate search patterns (the
-    // rhs shapes also occur as lhs of other rules' inverses).
+    // rhs shapes also occur as lhs of other rules' inverses), except a
+    // bare-variable rhs such as `?a`, which has no operator to search
+    // by.
     specs
         .into_iter()
         .flat_map(|(name, lhs, rhs)| [(format!("{name}:lhs"), lhs), (format!("{name}:rhs"), rhs)])
+        .filter(|(_, src)| !src.starts_with('?'))
         .collect()
 }
 
@@ -101,7 +104,11 @@ fn all_rule_patterns() -> Vec<(String, String)> {
 fn vm_matches_oracle_on_every_boole_rule_pattern() {
     let egraphs = test_egraphs();
     let specs = all_rule_patterns();
-    assert!(specs.len() >= 2 * 197, "expected all 197 rules");
+    let lhs_count = specs
+        .iter()
+        .filter(|(name, _)| name.ends_with(":lhs"))
+        .count();
+    assert!(lhs_count >= 197, "expected all 197 rules");
     let patterns: Vec<Pattern<BoolLang>> = specs
         .iter()
         .map(|(name, src)| {
@@ -156,15 +163,16 @@ fn all_backends_match_on_full_ruleset() {
 
 #[test]
 fn vm_matches_oracle_through_rewrite_search() {
-    // The `Rewrite::search` entry point (what the saturation runner
-    // uses, modulo scheduling limits) agrees with the oracle as well.
+    // `Pattern::search` on each rule's left-hand side, the one-pattern
+    // convenience over the runner's search, agrees with the oracle as
+    // well.
     let egraphs = test_egraphs();
     let rules: Vec<egraph::Rewrite<BoolLang, ()>> = rules::r1_rules();
     let patterns: Vec<&Pattern<BoolLang>> = rules.iter().map(|r| r.searcher()).collect();
     for eg in &egraphs {
         search_within_budget(&patterns, eg, 1);
         for rule in &rules {
-            let vm = flatten(rule.search(eg));
+            let vm = flatten(rule.searcher().search(eg));
             let oracle = flatten(rule.searcher().search_oracle(eg));
             assert_eq!(vm, oracle, "rule {} diverged", rule.name());
         }

@@ -488,8 +488,8 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         // The operator index must be compact: each bucket holds exactly
         // the live canonical classes containing that operator, once
-        // each, in ascending id order (Scan passes and relation builds
-        // rely on never revisiting a merged class).
+        // each, in ascending id order (the search driver relies on
+        // never revisiting a merged class).
         let mut expected: FxHashMap<L::Discriminant, Vec<Id>> = FxHashMap::default();
         for class in self.classes() {
             for node in &class.nodes {
@@ -630,8 +630,8 @@ mod tests {
         // Merge-heavy workload: many `f`/`g` applications collapsing
         // into few classes. After every rebuild, each `by_op` bucket
         // must list exactly the *live canonical* classes containing the
-        // operator — once each — or Scan passes and relation builds
-        // would revisit merged classes.
+        // operator — once each — or the search driver would revisit
+        // merged classes.
         let mut eg = EG::default();
         let leaves: Vec<Id> = (0..8)
             .map(|i| eg.add(SymbolLang::leaf(format!("x{i}"))))

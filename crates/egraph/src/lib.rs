@@ -9,11 +9,18 @@
 //! * [`Language`] — the trait describing the operators of a term
 //!   language, plus [`RecExpr`] for concrete terms.
 //! * [`Pattern`] — s-expression patterns with variables (`?x`), each
-//!   compiled once into an e-matching VM program ([`machine`]).
+//!   compiled once into an e-matching VM program ([`machine`]) of
+//!   three instructions: `Bind` scans a class's e-nodes, `Build`
+//!   probes the hash-cons memo for a subterm whose variables are all
+//!   bound (variable-free subterms included), and `Compare` checks
+//!   two registers name one class.
 //! * [`Rewrite`] / [`Runner`] — rewrite rules and a saturation driver
-//!   with iteration, node, and time limits plus backoff scheduling.
-//!   Each iteration searches every rule on its own program, rules
-//!   spread over a work-stealing thread pool ([`search_rules`]).
+//!   with iteration, node, and time limits plus backoff scheduling. A
+//!   rule has one shape: a left-hand-side pattern rooted at an
+//!   operator, and a right-hand-side pattern instantiated and unioned
+//!   with each match. Each iteration searches every rule on its own
+//!   program, rules spread over a work-stealing thread pool
+//!   ([`search_rules`]).
 //! * [`Extractor`] — cost-based term extraction with pluggable
 //!   [`CostFunction`]s.
 //!
@@ -64,7 +71,7 @@ pub use crate::pattern::{
     MAX_SUBSTS_PER_CLASS,
 };
 pub use crate::recexpr::{ParseRecExprError, RecExpr};
-pub use crate::rewrite::{Applier, Condition, ConditionalApplier, Rewrite};
+pub use crate::rewrite::Rewrite;
 pub use crate::runner::{
     BackoffScheduler, Iteration, IterationHook, RuleProfile, Runner, RunnerLimits, StopReason,
 };

@@ -18,13 +18,16 @@
 //!   canonical e-node, so one probe replaces a scan of every e-node of
 //!   the subterm's classes. In `(| (& ?a ?b) (! (& ?a ?b)))`, once
 //!   `(& ?a ?b)` has bound `?a` and `?b`, `(! (& ?a ?b))` is two
-//!   probes, not two scans;
-//! * [`Instruction::Lookup`] — require the register to be the class of
-//!   a *ground* (variable-free) subterm, resolved once per search via
-//!   the same `memo` instead of structural scanning;
-//! * [`Instruction::Scan`] — enumerate every e-class (emitted only for
-//!   root-variable patterns like `?x`, where the driver loop performs
-//!   the enumeration).
+//!   probes, not two scans. A variable-free subterm, such as the
+//!   `true` leaf of `(& ?a true)`, is the vacuous case: a chain whose
+//!   leaves are childless `Build`s.
+//!
+//! Every searched program has one shape: its root is an operator, and
+//! the search driver runs it on each class that holds that operator. A
+//! bare-variable pattern `?x` has no operator to select classes by, so
+//! searching it panics and rewrites reject it as a left-hand side (see
+//! [`Rewrite::new`](crate::Rewrite::new)); it remains a valid
+//! right-hand side, which is only instantiated.
 //!
 //! Unlike the classic backtracking matcher this replaces, the VM never
 //! allocates or clones a substitution while searching: bindings live in
@@ -85,22 +88,6 @@ pub enum Instruction<L> {
         /// Register receiving the e-node's class.
         out: Reg,
     },
-    /// Continue only if `regs[i]` is the class of the ground term
-    /// `ground_terms[term]` (resolved through the hash-cons memo once
-    /// per search).
-    Lookup {
-        /// Index into [`Program`]'s ground-term table.
-        term: usize,
-        /// Register to compare against.
-        i: Reg,
-    },
-    /// Enumerate all e-classes into register `out`. Emitted only as
-    /// the first (and sole) instruction of root-variable patterns; the
-    /// search driver performs the class enumeration.
-    Scan {
-        /// Register receiving each class.
-        out: Reg,
-    },
 }
 
 /// How often (in budget units: `Bind` e-node visits and `Build`
@@ -149,7 +136,6 @@ pub enum RunOutcome {
 #[derive(Debug, Clone)]
 pub struct Program<L> {
     instructions: Vec<Instruction<L>>,
-    ground_terms: Vec<RecExpr<L>>,
     /// `(var, register)` pairs in first-occurrence order; materializing
     /// a match reads these registers into a [`Subst`].
     subst_template: Vec<(Var, Reg)>,
@@ -160,26 +146,20 @@ impl<L: Language> Program<L> {
     /// Compiles a pattern AST. Instructions follow the pattern's
     /// depth-first preorder (root first, children left to right), which
     /// keeps the VM's match enumeration order aligned with the
-    /// classic recursive matcher.
+    /// classic recursive matcher. A bare variable compiles to no
+    /// instructions at all; searches reject such patterns, since they
+    /// have no root operator to select candidate classes by.
     pub fn compile(ast: &RecExpr<ENodeOrVar<L>>) -> Self {
-        let ground = ground_map(ast);
         let mut prog = Program {
             instructions: Vec::new(),
-            ground_terms: Vec::new(),
             subst_template: Vec::new(),
             n_regs: 1,
         };
-        let root = ast.root();
-        if let ENodeOrVar::Var(v) = &ast[root] {
-            prog.instructions.push(Instruction::Scan { out: 0 });
-            prog.subst_template.push((*v, 0));
-            return prog;
-        }
-        prog.compile_node(ast, &ground, root, 0);
+        prog.compile_node(ast, ast.root(), 0);
         prog
     }
 
-    fn compile_node(&mut self, ast: &RecExpr<ENodeOrVar<L>>, ground: &[bool], pat: Id, reg: Reg) {
+    fn compile_node(&mut self, ast: &RecExpr<ENodeOrVar<L>>, pat: Id, reg: Reg) {
         match &ast[pat] {
             ENodeOrVar::Var(v) => {
                 if let Some(first) = self.var_reg(*v) {
@@ -188,11 +168,6 @@ impl<L: Language> Program<L> {
                 } else {
                     self.subst_template.push((*v, reg));
                 }
-            }
-            ENodeOrVar::ENode(_) if ground[pat.index()] => {
-                let term = self.ground_terms.len();
-                self.ground_terms.push(extract_ground_term(ast, pat));
-                self.instructions.push(Instruction::Lookup { term, i: reg });
             }
             ENodeOrVar::ENode(_) if self.all_vars_bound(ast, pat) => {
                 let built = self.compile_build(ast, pat);
@@ -207,7 +182,7 @@ impl<L: Language> Program<L> {
                     out,
                 });
                 for (k, &child) in node.children().iter().enumerate() {
-                    self.compile_node(ast, ground, child, out + k as Reg);
+                    self.compile_node(ast, child, out + k as Reg);
                 }
             }
         }
@@ -261,12 +236,6 @@ impl<L: Language> Program<L> {
         out
     }
 
-    /// Returns `true` if this program starts with a [`Instruction::Scan`]
-    /// (i.e. the pattern is a bare variable and every class matches).
-    pub fn is_scan(&self) -> bool {
-        matches!(self.instructions.first(), Some(Instruction::Scan { .. }))
-    }
-
     /// Number of registers the VM needs.
     pub fn n_regs(&self) -> usize {
         self.n_regs
@@ -277,21 +246,9 @@ impl<L: Language> Program<L> {
         &self.instructions
     }
 
-    /// Resolves every ground subterm through the e-graph's hash-cons
-    /// memo. Returns `None` if some ground subterm does not exist in
-    /// the e-graph — the pattern then has no matches at all and the
-    /// whole search can stop before scanning a single class.
-    pub fn resolve_ground_terms<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Option<Vec<Id>> {
-        self.ground_terms
-            .iter()
-            .map(|t| egraph.lookup_expr(t).map(|id| egraph.find(id)))
-            .collect()
-    }
-
-    /// Runs the program against one candidate e-class, appending a
-    /// [`Subst`] to `substs` for every match found. `ground` must come
-    /// from [`Program::resolve_ground_terms`] on the same (clean)
-    /// e-graph; `regs` is the reusable register bank (resized here, so
+    /// Runs the program against one candidate e-class of a clean
+    /// e-graph, appending a [`Subst`] to `substs` for every match
+    /// found. `regs` is the reusable register bank (resized here, so
     /// one allocation serves a whole multi-class search). `budget` is
     /// decremented once per budget unit (a `Bind` e-node visit or a
     /// `Build` probe); matching stops when it reaches zero, when
@@ -302,14 +259,12 @@ impl<L: Language> Program<L> {
         &self,
         egraph: &EGraph<L, N>,
         eclass: Id,
-        ground: &[Id],
         regs: &mut Vec<Id>,
         substs: &mut Vec<Subst>,
         budget: &mut usize,
         max_substs: usize,
         cancel: &CancelToken,
     ) -> RunOutcome {
-        debug_assert!(!self.is_scan(), "Scan programs are driven by the caller");
         regs.clear();
         regs.resize(self.n_regs, Id::from_index(0));
         regs[0] = egraph.find(eclass);
@@ -319,19 +274,7 @@ impl<L: Language> Program<L> {
             max_substs,
             cancel,
         };
-        machine.exec(egraph, self, ground, 0, budget, substs)
-    }
-
-    /// Materializes the current register bank into a substitution (used
-    /// by the driver for [`Instruction::Scan`] patterns, where the sole
-    /// register already holds the class).
-    pub(crate) fn subst_for_class(&self, eclass: Id) -> Subst {
-        Subst::from_pairs(
-            self.subst_template
-                .iter()
-                .map(|&(v, _)| (v, eclass))
-                .collect(),
-        )
+        machine.exec(egraph, self, 0, budget, substs)
     }
 }
 
@@ -363,7 +306,6 @@ impl Machine<'_> {
         &mut self,
         egraph: &EGraph<L, N>,
         prog: &Program<L>,
-        ground: &[Id],
         pc: usize,
         budget: &mut usize,
         out: &mut Vec<Subst>,
@@ -400,7 +342,7 @@ impl Machine<'_> {
                     for (k, &child) in enode.children().iter().enumerate() {
                         self.regs[base + k] = child;
                     }
-                    match self.exec(egraph, prog, ground, pc + 1, budget, out) {
+                    match self.exec(egraph, prog, pc + 1, budget, out) {
                         RunOutcome::Complete => {}
                         stop => return stop,
                     }
@@ -415,26 +357,18 @@ impl Machine<'_> {
                 match egraph.lookup(&enode) {
                     Some(class) => {
                         self.regs[*out_reg as usize] = class;
-                        self.exec(egraph, prog, ground, pc + 1, budget, out)
+                        self.exec(egraph, prog, pc + 1, budget, out)
                     }
                     None => RunOutcome::Complete,
                 }
             }
             Instruction::Compare { i, j } => {
                 if egraph.find(self.regs[*i as usize]) == egraph.find(self.regs[*j as usize]) {
-                    self.exec(egraph, prog, ground, pc + 1, budget, out)
+                    self.exec(egraph, prog, pc + 1, budget, out)
                 } else {
                     RunOutcome::Complete
                 }
             }
-            Instruction::Lookup { term, i } => {
-                if ground[*term] == egraph.find(self.regs[*i as usize]) {
-                    self.exec(egraph, prog, ground, pc + 1, budget, out)
-                } else {
-                    RunOutcome::Complete
-                }
-            }
-            Instruction::Scan { .. } => unreachable!("Scan only occurs at pc 0 of var patterns"),
         }
     }
 }
@@ -448,8 +382,7 @@ pub enum RuleDirective {
     Skip,
     /// Search the rule; stop visiting further classes for it once its
     /// total substitution count exceeds the limit (the boundary class
-    /// is kept whole, exactly like
-    /// [`Pattern::search_with_limit`]).
+    /// is kept whole, so a limit never splits one class's matches).
     Limit(usize),
 }
 
@@ -577,32 +510,6 @@ where
     slots
 }
 
-/// Computes, for each pattern node, whether its subtree is ground
-/// (contains no variables).
-pub(crate) fn ground_map<L: Language>(ast: &RecExpr<ENodeOrVar<L>>) -> Vec<bool> {
-    let mut ground = vec![false; ast.len()];
-    for (i, node) in ast.iter().enumerate() {
-        ground[i] = match node {
-            ENodeOrVar::Var(_) => false,
-            ENodeOrVar::ENode(n) => n.children().iter().all(|c| ground[c.index()]),
-        };
-    }
-    ground
-}
-
-/// Copies the ground subtree rooted at `pat` out of the pattern AST
-/// into a standalone [`RecExpr`] suitable for
-/// [`EGraph::lookup_expr`].
-pub(crate) fn extract_ground_term<L: Language>(
-    ast: &RecExpr<ENodeOrVar<L>>,
-    pat: Id,
-) -> RecExpr<L> {
-    RecExpr::from_root_and_fn(pat, |id| match &ast[id] {
-        ENodeOrVar::ENode(n) => n.clone(),
-        ENodeOrVar::Var(_) => unreachable!("ground subterms contain no variables"),
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -622,24 +529,6 @@ pub(crate) mod tests {
             prog.instructions()[1],
             Instruction::Compare { .. }
         ));
-    }
-
-    #[test]
-    fn compiles_ground_subterm_to_lookup() {
-        let p = pat("(f ?x (g a b))");
-        let prog = p.program();
-        assert!(prog
-            .instructions()
-            .iter()
-            .any(|i| matches!(i, Instruction::Lookup { .. })));
-        // The variable-free subtree must not emit any Bind beyond the
-        // root's.
-        let binds = prog
-            .instructions()
-            .iter()
-            .filter(|i| matches!(i, Instruction::Bind { .. }))
-            .count();
-        assert_eq!(binds, 1);
     }
 
     /// How many instructions of each kind `(Bind, Build, Compare)` a
@@ -689,9 +578,29 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn root_var_compiles_to_scan() {
-        let p = pat("?x");
-        assert!(p.program().is_scan());
+    fn ground_subterm_compiles_to_build_chain() {
+        // A variable-free subterm is bound vacuously: `a`, `b`, then
+        // `(g a b)` are probed bottom-up and compared, no Bind beyond
+        // the root's.
+        let p = pat("(f ?x (g a b))");
+        assert_eq!(shape(&p), (1, 3, 1));
+        assert_eq!(shape(&pat("a")), (0, 1, 1));
+        // A ground leaf the e-graph lacks fails every candidate's probe.
+        let mut eg = EG::default();
+        eg.add_expr(&"(f x (g a c))".parse().unwrap());
+        eg.add_expr(&"(f y (g c c))".parse().unwrap());
+        eg.rebuild();
+        assert!(eg.lookup(&SymbolLang::leaf("b")).is_none());
+        let (matches, stats) = p
+            .search_interruptible(&eg, usize::MAX, &CancelToken::new())
+            .unwrap();
+        assert!(matches.is_empty());
+        assert!(stats.visits > 0, "the root Bind still runs per candidate");
+        assert!(p.search_oracle(&eg).is_empty());
+        let present = pat("(f ?x (g a c))");
+        let found = present.search(&eg);
+        assert_eq!(found.len(), 1);
+        assert_eq!(flat(&found), flat(&present.search_oracle(&eg)));
     }
 
     #[test]
@@ -741,7 +650,6 @@ pub(crate) mod tests {
     #[test]
     fn cancelled_token_stops_within_one_quantum() {
         let (eg, p) = explosive_workload(1, 400);
-        let ground = p.program().resolve_ground_terms(&eg).unwrap();
         let class = *eg
             .classes_with_op(&SymbolLang::leaf("g").discriminant())
             .first()
@@ -755,7 +663,6 @@ pub(crate) mod tests {
         let outcome = p.program().run(
             &eg,
             class,
-            &ground,
             &mut regs,
             &mut substs,
             &mut budget,
@@ -774,7 +681,6 @@ pub(crate) mod tests {
         let outcome = p.program().run(
             &eg,
             class,
-            &ground,
             &mut regs,
             &mut substs,
             &mut budget,

@@ -236,35 +236,25 @@ impl<L: Language> Pattern<L> {
         &self.program
     }
 
-    /// Searches the whole e-graph for matches.
+    /// Searches the whole e-graph for matches: the same search the
+    /// runner makes through [`search_rules`](crate::search_rules), with
+    /// no match limit and no cancellation.
     ///
     /// # Panics
     ///
-    /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
+    /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]), or
+    /// if the pattern is a bare variable such as `?x`, which has no
+    /// root operator to select candidate classes by.
     pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
-        self.search_with_limit(egraph, usize::MAX)
-    }
-
-    /// Like [`Pattern::search`], but stops once more than `limit`
-    /// substitutions have been collected (the total may slightly exceed
-    /// `limit` by the last class's matches). This lets schedulers bound
-    /// the cost of searching explosive rules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
-    pub fn search_with_limit<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        limit: usize,
-    ) -> Vec<SearchMatches> {
-        self.search_interruptible(egraph, limit, &CancelToken::new())
+        self.search_interruptible(egraph, usize::MAX, &CancelToken::new())
             .expect("a search with a fresh cancel token runs to completion")
             .0
     }
 
-    /// Like [`Pattern::search_with_limit`], but interruptible: the
-    /// [`CancelToken`] is polled *inside* the matching VM (every
+    /// Searches every class holding the root operator, stopping once
+    /// more than `limit` substitutions have been collected (the
+    /// boundary class is kept whole). The [`CancelToken`] is polled
+    /// *inside* the matching VM (every
     /// [`crate::machine::CANCEL_CHECK_QUANTUM`] budget units) and
     /// before every candidate class, so even a single explosive rule
     /// search stops promptly, whether the token's flag is set or its
@@ -273,9 +263,14 @@ impl<L: Language> Pattern<L> {
     /// matches with the budget units spent and the candidate classes
     /// whose run the work budget or the per-class match cap cut short.
     ///
+    /// Each candidate class gets its own [`MATCH_WORK_BUDGET`] and at
+    /// most [`MAX_SUBSTS_PER_CLASS`] matches, which contains the
+    /// worst-case backtracking blow-up on very large e-classes;
+    /// truncation is deterministic.
+    ///
     /// # Panics
     ///
-    /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
+    /// As [`Pattern::search`].
     pub(crate) fn search_interruptible<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -289,37 +284,10 @@ impl<L: Language> Pattern<L> {
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         let mut total = 0usize;
-        if self.program.is_scan() {
-            // A bare-variable pattern matches every class with the
-            // root variable bound to it (the VM's `Scan`).
-            for class in egraph.classes() {
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                out.push(SearchMatches {
-                    eclass: class.id,
-                    substs: vec![self.program.subst_for_class(class.id)],
-                });
-                total += 1;
-                if total > limit {
-                    break;
-                }
-            }
-            return Some((out, stats));
-        }
-        // Ground subterms resolve once per search; a missing one means
-        // the pattern cannot match anywhere.
-        let Some(ground) = self.program.resolve_ground_terms(egraph) else {
-            return Some((out, stats));
-        };
-        let root_disc = match &self.ast[self.ast.root()] {
-            ENodeOrVar::ENode(n) => n.discriminant(),
-            ENodeOrVar::Var(_) => unreachable!("var-rooted patterns compile to Scan"),
-        };
         // Only classes containing the root operator can match; use the
         // e-graph's operator index to skip the rest.
         let mut regs = Vec::new();
-        for &id in egraph.classes_with_op(&root_disc) {
+        for &id in egraph.classes_with_op(&self.root_op()) {
             // The in-VM poll only triggers on budget quanta *within* a
             // class; checking here too keeps cancellation latency
             // bounded across runs of small classes.
@@ -327,8 +295,7 @@ impl<L: Language> Pattern<L> {
                 return None;
             }
             let mut budget = MATCH_WORK_BUDGET;
-            let (m, outcome) =
-                self.run_vm_on_class(egraph, id, &ground, &mut regs, &mut budget, cancel);
+            let (m, outcome) = self.run_vm_on_class(egraph, id, &mut regs, &mut budget, cancel);
             stats.visits += MATCH_WORK_BUDGET - budget;
             match outcome {
                 RunOutcome::Complete => {}
@@ -347,31 +314,17 @@ impl<L: Language> Pattern<L> {
         Some((out, stats))
     }
 
-    /// Searches one e-class for matches.
+    /// The operator at the pattern's root, which selects a search's
+    /// candidate classes.
     ///
-    /// The number of substitutions explored per e-class is capped (at
-    /// [`MAX_SUBSTS_PER_CLASS`]) and the per-class matcher work is
-    /// bounded (by [`MATCH_WORK_BUDGET`]) to contain the worst-case
-    /// backtracking blow-up on very large e-classes; truncation is
-    /// deterministic.
-    pub fn search_eclass<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        eclass: Id,
-    ) -> Option<SearchMatches> {
-        if self.program.is_scan() {
-            let eclass = egraph.find(eclass);
-            return Some(SearchMatches {
-                eclass,
-                substs: vec![self.program.subst_for_class(eclass)],
-            });
+    /// # Panics
+    ///
+    /// Panics if the pattern is a bare variable.
+    fn root_op(&self) -> L::Discriminant {
+        match &self.ast[self.ast.root()] {
+            ENodeOrVar::ENode(n) => n.discriminant(),
+            ENodeOrVar::Var(v) => panic!("the bare-variable pattern {v} cannot be searched"),
         }
-        let ground = self.program.resolve_ground_terms(egraph)?;
-        let mut regs = Vec::new();
-        let mut budget = MATCH_WORK_BUDGET;
-        let cancel = CancelToken::new();
-        self.run_vm_on_class(egraph, eclass, &ground, &mut regs, &mut budget, &cancel)
-            .0
     }
 
     /// Runs the compiled program on one candidate class, spending from
@@ -381,7 +334,6 @@ impl<L: Language> Pattern<L> {
         &self,
         egraph: &EGraph<L, N>,
         eclass: Id,
-        ground: &[Id],
         regs: &mut Vec<Id>,
         budget: &mut usize,
         cancel: &CancelToken,
@@ -391,7 +343,6 @@ impl<L: Language> Pattern<L> {
         let outcome = self.program.run(
             egraph,
             eclass,
-            ground,
             regs,
             &mut substs,
             budget,
@@ -462,7 +413,7 @@ impl<L: Language> Pattern<L> {
     }
 
     /// [`Pattern::search_oracle`] with the VM driver's limit semantics
-    /// (see [`Pattern::search_with_limit`]): classes in the same order,
+    /// (see [`Pattern::search_interruptible`]): classes in the same order,
     /// stopping once more than `limit` substitutions were collected,
     /// the boundary class kept whole.
     ///
@@ -478,13 +429,9 @@ impl<L: Language> Pattern<L> {
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
         );
-        let candidates: Vec<Id> = match &self.ast[self.ast.root()] {
-            ENodeOrVar::ENode(root) => egraph.classes_with_op(&root.discriminant()).to_vec(),
-            ENodeOrVar::Var(_) => egraph.classes().map(|c| c.id).collect(),
-        };
         let mut out = Vec::new();
         let mut total = 0usize;
-        for id in candidates {
+        for &id in egraph.classes_with_op(&self.root_op()) {
             if let Some(m) = self.search_eclass_oracle(egraph, id) {
                 total += m.substs.len();
                 out.push(m);
@@ -498,7 +445,7 @@ impl<L: Language> Pattern<L> {
 
     /// Searches one e-class with the legacy recursive matcher (see
     /// [`Pattern::search_oracle`]).
-    pub fn search_eclass_oracle<N: Analysis<L>>(
+    fn search_eclass_oracle<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         eclass: Id,
@@ -753,11 +700,11 @@ mod tests {
     }
 
     #[test]
-    fn var_pattern_matches_everything() {
+    #[should_panic(expected = "the bare-variable pattern ?a cannot be searched")]
+    fn var_pattern_search_panics() {
         let mut eg = EG::default();
         eg.add_expr(&"(+ x y)".parse().unwrap());
         eg.rebuild();
-        let m = pat("?a").search(&eg);
-        assert_eq!(m.len(), eg.num_classes());
+        pat("?a").search(&eg);
     }
 }

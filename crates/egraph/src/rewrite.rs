@@ -1,84 +1,17 @@
-//! Rewrite rules: a searcher [`Pattern`] plus an [`Applier`].
+//! Rewrite rules: a searcher [`Pattern`] and an applier [`Pattern`].
 
 use std::fmt;
-use std::sync::Arc;
+use std::marker::PhantomData;
 
-use crate::{Analysis, EGraph, FromOp, Id, Language, ParsePatternError, Pattern, Subst, Symbol};
+use crate::{
+    Analysis, EGraph, ENodeOrVar, FromOp, Language, ParsePatternError, ParseRecExprError, Pattern,
+    SearchMatches, Symbol,
+};
 
-/// The right-hand side of a [`Rewrite`]: given a match, mutate the
-/// e-graph (usually by instantiating a pattern and unioning).
-pub trait Applier<L: Language, N: Analysis<L>>: Send + Sync {
-    /// Applies the rule at one matched e-class under one substitution.
-    ///
-    /// Returns the ids that changed (used to count applications); an
-    /// empty vec means nothing changed.
-    fn apply_one(&self, egraph: &mut EGraph<L, N>, eclass: Id, subst: &Subst) -> Vec<Id>;
-
-    /// Describes the applier (for logs).
-    fn describe(&self) -> String {
-        "<applier>".to_owned()
-    }
-}
-
-impl<L: Language + Send + Sync, N: Analysis<L>> Applier<L, N> for Pattern<L>
-where
-    L::Discriminant: Send + Sync,
-{
-    fn apply_one(&self, egraph: &mut EGraph<L, N>, eclass: Id, subst: &Subst) -> Vec<Id> {
-        let new_id = self.instantiate(egraph, subst);
-        let (id, did) = egraph.union(eclass, new_id);
-        if did {
-            vec![id]
-        } else {
-            vec![]
-        }
-    }
-
-    fn describe(&self) -> String {
-        self.to_string()
-    }
-}
-
-/// A predicate deciding whether a matched substitution is eligible.
-pub trait Condition<L: Language, N: Analysis<L>>: Send + Sync {
-    /// Returns `true` if the rule may fire for this match.
-    fn check(&self, egraph: &mut EGraph<L, N>, eclass: Id, subst: &Subst) -> bool;
-}
-
-impl<L, N, F> Condition<L, N> for F
-where
-    L: Language,
-    N: Analysis<L>,
-    F: Fn(&mut EGraph<L, N>, Id, &Subst) -> bool + Send + Sync,
-{
-    fn check(&self, egraph: &mut EGraph<L, N>, eclass: Id, subst: &Subst) -> bool {
-        self(egraph, eclass, subst)
-    }
-}
-
-/// An [`Applier`] that fires only when a [`Condition`] holds.
-pub struct ConditionalApplier<L: Language, N: Analysis<L>> {
-    /// The condition to check before applying.
-    pub condition: Arc<dyn Condition<L, N>>,
-    /// The underlying applier.
-    pub applier: Arc<dyn Applier<L, N>>,
-}
-
-impl<L: Language, N: Analysis<L>> Applier<L, N> for ConditionalApplier<L, N> {
-    fn apply_one(&self, egraph: &mut EGraph<L, N>, eclass: Id, subst: &Subst) -> Vec<Id> {
-        if self.condition.check(egraph, eclass, subst) {
-            self.applier.apply_one(egraph, eclass, subst)
-        } else {
-            vec![]
-        }
-    }
-
-    fn describe(&self) -> String {
-        format!("{} if <condition>", self.applier.describe())
-    }
-}
-
-/// A named rewrite rule `lhs => rhs`.
+/// A named rewrite rule `lhs => rhs`: searching matches `lhs` (see
+/// [`search_rules`](crate::search_rules)), applying instantiates `rhs`
+/// under each match and unions it with the matched class. `N` is the
+/// analysis of the e-graphs the rule rewrites.
 ///
 /// ```
 /// use egraph::{Rewrite, SymbolLang};
@@ -86,78 +19,78 @@ impl<L: Language, N: Analysis<L>> Applier<L, N> for ConditionalApplier<L, N> {
 ///     Rewrite::parse("comm-add", "(+ ?a ?b)", "(+ ?b ?a)").unwrap();
 /// assert_eq!(rw.name().as_str(), "comm-add");
 /// ```
-pub struct Rewrite<L: Language, N: Analysis<L>> {
+pub struct Rewrite<L, N> {
     name: Symbol,
     searcher: Pattern<L>,
-    applier: Arc<dyn Applier<L, N>>,
+    applier: Pattern<L>,
+    analysis: PhantomData<fn() -> N>,
 }
 
-impl<L: Language, N: Analysis<L>> Clone for Rewrite<L, N> {
+impl<L: Language, N> Clone for Rewrite<L, N> {
     fn clone(&self) -> Self {
         Self {
             name: self.name,
             searcher: self.searcher.clone(),
-            applier: Arc::clone(&self.applier),
+            applier: self.applier.clone(),
+            analysis: PhantomData,
         }
     }
 }
 
-impl<L: Language, N: Analysis<L>> fmt::Debug for Rewrite<L, N> {
+impl<L: Language, N> fmt::Debug for Rewrite<L, N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "Rewrite {{ {}: {} => {} }}",
-            self.name,
-            self.searcher,
-            self.applier.describe()
+            self.name, self.searcher, self.applier
         )
     }
 }
 
-impl<L: Language + Send + Sync + 'static, N: Analysis<L>> Rewrite<L, N>
-where
-    L::Discriminant: Send + Sync,
-{
-    /// Parses a rewrite from pattern strings.
+impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
+    /// Parses a rewrite from pattern strings (see [`Rewrite::new`]).
     ///
     /// # Errors
     ///
-    /// Returns an error if either side fails to parse, or if the
-    /// right-hand side uses a variable the left-hand side does not bind.
+    /// Returns an error if either side fails to parse, or if
+    /// [`Rewrite::new`] rejects the rule.
     pub fn parse(name: &str, lhs: &str, rhs: &str) -> Result<Self, ParsePatternError>
     where
         L: FromOp,
     {
-        let searcher: Pattern<L> = lhs.parse()?;
-        let applier: Pattern<L> = rhs.parse()?;
-        for v in applier.vars() {
-            if !searcher.vars().contains(v) {
-                return Err(ParsePatternError::from(crate::ParseRecExprError::new(
-                    format!("rewrite {name}: rhs variable {v} is unbound in lhs"),
-                )));
-            }
-        }
-        Ok(Self::new(name, searcher, applier))
+        Self::new(name, lhs.parse()?, rhs.parse()?)
     }
 
-    /// Creates a rewrite from a searcher pattern and a pattern applier.
-    pub fn new(name: &str, searcher: Pattern<L>, applier: Pattern<L>) -> Self {
-        Self {
-            name: Symbol::new(name),
-            searcher,
-            applier: Arc::new(applier),
+    /// Creates the rewrite `searcher => applier`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the searcher is a bare variable such as
+    /// `?x` (it has no root operator to search by), or if the applier
+    /// uses a variable the searcher does not bind. The applier itself
+    /// may be a bare variable.
+    pub fn new(
+        name: &str,
+        searcher: Pattern<L>,
+        applier: Pattern<L>,
+    ) -> Result<Self, ParsePatternError> {
+        let reject = |why: String| {
+            Err(ParsePatternError::from(ParseRecExprError::new(format!(
+                "rewrite {name}: {why}"
+            ))))
+        };
+        if let ENodeOrVar::Var(v) = &searcher.ast[searcher.ast.root()] {
+            return reject(format!("lhs is the bare variable {v}"));
         }
-    }
-}
-
-impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
-    /// Creates a rewrite with a custom applier.
-    pub fn with_applier(name: &str, searcher: Pattern<L>, applier: Arc<dyn Applier<L, N>>) -> Self {
-        Self {
+        if let Some(v) = applier.vars().iter().find(|v| !searcher.vars().contains(v)) {
+            return reject(format!("rhs variable {v} is unbound in lhs"));
+        }
+        Ok(Self {
             name: Symbol::new(name),
             searcher,
             applier,
-        }
+            analysis: PhantomData,
+        })
     }
 
     /// The rule name.
@@ -170,18 +103,14 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
         &self.searcher
     }
 
-    /// Searches the e-graph for matches of the left-hand side.
-    pub fn search(&self, egraph: &EGraph<L, N>) -> Vec<crate::SearchMatches> {
-        self.searcher.search(egraph)
-    }
-
     /// Applies the rule to previously found matches, returning the
     /// number of applications that changed the e-graph.
-    pub fn apply(&self, egraph: &mut EGraph<L, N>, matches: &[crate::SearchMatches]) -> usize {
+    pub fn apply(&self, egraph: &mut EGraph<L, N>, matches: &[SearchMatches]) -> usize {
         let mut applied = 0;
         for m in matches {
             for subst in &m.substs {
-                applied += usize::from(!self.applier.apply_one(egraph, m.eclass, subst).is_empty());
+                let new_id = self.applier.instantiate(egraph, subst);
+                applied += usize::from(egraph.union(m.eclass, new_id).1);
             }
         }
         applied
@@ -196,10 +125,34 @@ mod tests {
     type EG = EGraph<SymbolLang, ()>;
     type RW = Rewrite<SymbolLang, ()>;
 
+    fn pat(s: &str) -> Pattern<SymbolLang> {
+        s.parse().unwrap()
+    }
+
     #[test]
     fn parse_checks_unbound_vars() {
         assert!(RW::parse("bad", "(+ ?a ?b)", "(+ ?a ?c)").is_err());
         assert!(RW::parse("ok", "(+ ?a ?b)", "?a").is_ok());
+    }
+
+    #[test]
+    fn new_rejects_unbound_rhs_vars() {
+        let err = RW::new("bad", pat("(f ?x)"), pat("(g ?y)")).unwrap_err();
+        assert_eq!(err, RW::parse("bad", "(f ?x)", "(g ?y)").unwrap_err());
+        assert!(
+            err.to_string().contains("rhs variable ?y is unbound"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn new_rejects_bare_variable_lhs() {
+        let err = RW::new("bare", pat("?x"), pat("(f ?x)")).unwrap_err();
+        assert_eq!(err, RW::parse("bare", "?x", "(f ?x)").unwrap_err());
+        assert!(
+            err.to_string().contains("lhs is the bare variable ?x"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -209,30 +162,13 @@ mod tests {
         let root = eg.add_expr(&expr);
         eg.rebuild();
         let rw = RW::parse("add-zero", "(+ ?a 0)", "?a").unwrap();
-        let matches = rw.search(&eg);
+        let matches = rw.searcher().search(&eg);
         let n = rw.apply(&mut eg, &matches);
         eg.rebuild();
         assert_eq!(n, 1);
         let x = eg.lookup(&SymbolLang::leaf("x")).unwrap();
         assert_eq!(eg.find(root), eg.find(x));
-    }
-
-    #[test]
-    fn conditional_applier_gates_application() {
-        let mut eg = EG::default();
-        let root = eg.add_expr(&"(+ x 0)".parse().unwrap());
-        eg.rebuild();
-        let searcher: Pattern<SymbolLang> = "(+ ?a 0)".parse().unwrap();
-        let inner: Pattern<SymbolLang> = "?a".parse().unwrap();
-        let never = ConditionalApplier {
-            condition: Arc::new(|_: &mut EG, _, _: &Subst| false),
-            applier: Arc::new(inner),
-        };
-        let rw = RW::with_applier("never", searcher, Arc::new(never));
-        let matches = rw.search(&eg);
+        // A second application finds the classes already merged.
         assert_eq!(rw.apply(&mut eg, &matches), 0);
-        eg.rebuild();
-        let x = eg.lookup(&SymbolLang::leaf("x")).unwrap();
-        assert_ne!(eg.find(root), eg.find(x));
     }
 }

@@ -719,7 +719,7 @@ mod tests {
         // as skipped and its partial search must not reach a profile.
         let (egraph, probe) = crate::machine::tests::explosive_workload(400, 200);
         let rules = vec![
-            RW::new("probe", probe, "?x".parse().unwrap()),
+            RW::new("probe", probe, "?x".parse().unwrap()).unwrap(),
             RW::parse("cheap", "(g ?a ?b ?t)", "(g ?b ?a ?t)").unwrap(),
         ];
         for threads in [1, 2] {
