@@ -1,11 +1,10 @@
-//! Ablation benchmarks for the design decisions called out in
-//! `DESIGN.md` §7: two-phase vs merged saturation, DAG vs tree
-//! extraction, and redundant-e-node pruning.
+//! Ablation benchmarks for two design decisions: two-phase vs merged
+//! saturation, and redundant-e-node pruning.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use boole::{aig_to_egraph, extract_dag, pair_full_adders, rules, saturate, SaturateParams};
-use egraph::{AstSize, BackoffScheduler, Extractor, Runner};
+use egraph::{BackoffScheduler, Runner};
 
 fn small_params() -> SaturateParams {
     SaturateParams {
@@ -23,17 +22,17 @@ fn ablation_phases(c: &mut Criterion) {
     let aig = aig::gen::csa_multiplier(3);
     group.bench_function("two_phase", |b| {
         b.iter(|| {
-            let net = aig_to_egraph::<()>(&aig);
+            let net = aig_to_egraph(&aig);
             let (net, _) = saturate(net, &small_params());
             net.egraph.total_number_of_nodes()
         })
     });
     group.bench_function("merged_single_phase", |b| {
         b.iter(|| {
-            let net = aig_to_egraph::<()>(&aig);
-            let mut all = rules::r1_rules::<()>();
+            let net = aig_to_egraph(&aig);
+            let mut all = rules::r1_rules();
             all.extend(rules::r2_rules());
-            let runner = Runner::new(())
+            let runner = Runner::default()
                 .with_egraph(net.egraph)
                 .with_iter_limit(13)
                 .with_node_limit(5_000)
@@ -41,29 +40,6 @@ fn ablation_phases(c: &mut Criterion) {
                 .with_scheduler(BackoffScheduler::new(300, 2))
                 .run(&all);
             runner.egraph.total_number_of_nodes()
-        })
-    });
-    group.finish();
-}
-
-/// DAG cost-set extraction vs plain tree-cost extraction.
-fn ablation_extraction(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_extraction");
-    group.sample_size(10);
-    let aig = aig::gen::csa_multiplier(3);
-    let net = aig_to_egraph::<()>(&aig);
-    let (mut net, _) = saturate(net, &small_params());
-    pair_full_adders(&mut net.egraph);
-    group.bench_function("dag_cost_set", |b| {
-        b.iter(|| extract_dag(&net.egraph).len())
-    });
-    group.bench_function("tree_ast_size", |b| {
-        b.iter(|| {
-            let ex = Extractor::new(&net.egraph, AstSize);
-            net.outputs
-                .iter()
-                .map(|(_, id)| ex.cost_of(*id).unwrap_or(0))
-                .sum::<usize>()
         })
     });
     group.finish();
@@ -77,7 +53,7 @@ fn ablation_prune(c: &mut Criterion) {
     for (label, prune) in [("prune", true), ("no_prune", false)] {
         group.bench_function(label, |b| {
             b.iter(|| {
-                let net = aig_to_egraph::<()>(&aig);
+                let net = aig_to_egraph(&aig);
                 let params = SaturateParams {
                     prune,
                     ..small_params()
@@ -91,10 +67,5 @@ fn ablation_prune(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    ablation_phases,
-    ablation_extraction,
-    ablation_prune
-);
+criterion_group!(benches, ablation_phases, ablation_prune);
 criterion_main!(benches);

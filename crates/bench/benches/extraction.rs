@@ -12,7 +12,7 @@ fn bench_extraction(c: &mut Criterion) {
     group.sample_size(10);
     for n in [3usize, 4] {
         let aig = aig::gen::csa_multiplier(n);
-        let net = aig_to_egraph::<()>(&aig);
+        let net = aig_to_egraph(&aig);
         let (mut net, _) = saturate(
             net,
             &SaturateParams {

@@ -87,7 +87,7 @@ struct RunRecord {
 
 fn run_one(cfg: Config, p: &SaturateParams) -> RunRecord {
     let aig = generate(&cfg);
-    let net = aig_to_egraph::<()>(&aig);
+    let net = aig_to_egraph(&aig);
     let nodes_before = net.egraph.total_number_of_nodes();
     let start = Instant::now();
     let (_, stats) = boole::saturate(net, p);

@@ -115,7 +115,9 @@ proptest! {
 
 mod egraph_props {
     use super::*;
-    use egraph::{AstSize, EGraph, Extractor, RecExpr, Rewrite, Runner, SymbolLang};
+    use std::collections::HashMap;
+
+    use egraph::{EGraph, Id, RecExpr, Rewrite, Runner, SymbolLang};
 
     fn random_expr() -> impl Strategy<Value = String> {
         // Random arithmetic-ish expression strings over +, *, vars.
@@ -131,7 +133,7 @@ mod egraph_props {
         })
     }
 
-    fn rules() -> Vec<Rewrite<SymbolLang, ()>> {
+    fn rules() -> Vec<Rewrite<SymbolLang>> {
         vec![
             Rewrite::parse("comm-add", "(+ ?a ?b)", "(+ ?b ?a)").unwrap(),
             Rewrite::parse("comm-mul", "(* ?a ?b)", "(* ?b ?a)").unwrap(),
@@ -140,27 +142,65 @@ mod egraph_props {
         ]
     }
 
+    /// The value of `node` under `x`, `y`, given its children's values
+    /// (`None` if a child has none yet).
+    fn node_value(
+        node: &SymbolLang,
+        x: i64,
+        y: i64,
+        child: impl Fn(Id) -> Option<i64>,
+    ) -> Option<i64> {
+        let arg = |i: usize| child(node.children[i]);
+        Some(match node.op.as_str() {
+            "x" => x,
+            "y" => y,
+            "0" => 0,
+            "+" => arg(0)?.wrapping_add(arg(1)?),
+            "*" => arg(0)?.wrapping_mul(arg(1)?),
+            other => panic!("unexpected op {other}"),
+        })
+    }
+
     fn eval(expr: &RecExpr<SymbolLang>, x: i64, y: i64) -> i64 {
         let mut vals: Vec<i64> = Vec::with_capacity(expr.len());
         for node in expr.iter() {
-            let v = match node.op.as_str() {
-                "x" => x,
-                "y" => y,
-                "0" => 0,
-                "+" => vals[node.children[0].index()] + vals[node.children[1].index()],
-                "*" => vals[node.children[0].index()] * vals[node.children[1].index()],
-                other => panic!("unexpected op {other}"),
-            };
-            vals.push(v);
+            let v = node_value(node, x, y, |c| Some(vals[c.index()]));
+            vals.push(v.expect("children precede parents"));
         }
         *vals.last().unwrap()
+    }
+
+    /// The value of every class under `x`, `y`: each class takes the
+    /// value of its first e-node whose children are all valued, until
+    /// nothing changes.
+    fn class_values(eg: &EGraph<SymbolLang>, x: i64, y: i64) -> HashMap<Id, i64> {
+        let mut vals: HashMap<Id, i64> = HashMap::new();
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for class in eg.classes() {
+                if vals.contains_key(&class.id) {
+                    continue;
+                }
+                let value = class
+                    .iter()
+                    .find_map(|n| node_value(n, x, y, |c| vals.get(&eg.find(c)).copied()));
+                if let Some(v) = value {
+                    vals.insert(class.id, v);
+                    changed = true;
+                }
+            }
+        }
+        vals
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Saturation + extraction preserves the semantics of the
-        /// original expression and never increases AstSize cost.
+        /// Saturation keeps every e-class semantically uniform: under
+        /// each assignment, every e-node of a class evaluates to the
+        /// class's value, and the root class holds the original
+        /// expression's value.
         #[test]
         fn prop_saturation_preserves_semantics(s in random_expr()) {
             let expr: RecExpr<SymbolLang> = s.parse().unwrap();
@@ -169,18 +209,24 @@ mod egraph_props {
                 .with_iter_limit(6)
                 .with_node_limit(4_000)
                 .run(&rules());
-            let ex = Extractor::new(&runner.egraph, AstSize);
-            let (cost, best) = ex.find_best(runner.roots[0]);
-            prop_assert!(cost <= expr.len());
+            let eg = &runner.egraph;
             for (x, y) in [(0i64, 0i64), (1, 2), (-3, 5), (7, -11)] {
-                prop_assert_eq!(eval(&expr, x, y), eval(&best, x, y));
+                let vals = class_values(eg, x, y);
+                prop_assert_eq!(vals.len(), eg.num_classes());
+                for class in eg.classes() {
+                    for node in class.iter() {
+                        let value = node_value(node, x, y, |c| vals.get(&eg.find(c)).copied());
+                        prop_assert_eq!(value, Some(vals[&class.id]), "node {} in class {}", node, class.id);
+                    }
+                }
+                prop_assert_eq!(vals[&eg.find(runner.roots[0])], eval(&expr, x, y));
             }
         }
 
         /// E-graph invariants hold after arbitrary add/union sequences.
         #[test]
         fn prop_egraph_invariants(ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..40)) {
-            let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+            let mut eg: EGraph<SymbolLang> = EGraph::default();
             let mut ids = vec![eg.add(SymbolLang::leaf("a")), eg.add(SymbolLang::leaf("b"))];
             for (op, i, j) in ops {
                 let x = ids[i as usize % ids.len()];

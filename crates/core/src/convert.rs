@@ -1,15 +1,15 @@
 //! AIG ↔ e-graph conversion (Algorithm 1 of the paper).
 
 use aig::{Aig, Lit, Node};
-use egraph::{Analysis, EGraph, Id};
+use egraph::{EGraph, Id};
 
 use crate::BoolLang;
 
 /// An e-graph built from a netlist, remembering the netlist interface.
 #[derive(Debug)]
-pub struct NetlistEGraph<N: Analysis<BoolLang> = ()> {
+pub struct NetlistEGraph {
     /// The e-graph holding the netlist logic.
-    pub egraph: EGraph<BoolLang, N>,
+    pub egraph: EGraph<BoolLang>,
     /// E-class of each primary input, in input order.
     pub inputs: Vec<Id>,
     /// Named output e-classes.
@@ -28,8 +28,8 @@ pub fn input_name(ordinal: usize) -> String {
 /// Converts an AIG into an e-graph (Algorithm 1): nodes are inserted
 /// leaf-to-root in topological order, with a `vmap` carrying each
 /// variable's e-class; complemented fanin edges become `!` nodes.
-pub fn aig_to_egraph<N: Analysis<BoolLang> + Default>(aig: &Aig) -> NetlistEGraph<N> {
-    let mut egraph: EGraph<BoolLang, N> = EGraph::new(N::default());
+pub fn aig_to_egraph(aig: &Aig) -> NetlistEGraph {
+    let mut egraph: EGraph<BoolLang> = EGraph::default();
     // vmap: AIG variable index -> e-class id.
     let mut vmap: Vec<Id> = vec![Id::from_index(0); aig.num_nodes()];
     let mut inputs = Vec::with_capacity(aig.num_inputs());
@@ -62,7 +62,7 @@ pub fn aig_to_egraph<N: Analysis<BoolLang> + Default>(aig: &Aig) -> NetlistEGrap
     }
 }
 
-fn lit_id<N: Analysis<BoolLang>>(egraph: &mut EGraph<BoolLang, N>, vmap: &[Id], lit: Lit) -> Id {
+fn lit_id(egraph: &mut EGraph<BoolLang>, vmap: &[Id], lit: Lit) -> Id {
     let id = vmap[lit.var().index()];
     if lit.is_complemented() {
         egraph.add(BoolLang::Not(id))

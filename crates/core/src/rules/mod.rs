@@ -23,7 +23,7 @@ mod r2;
 
 pub use gen::{perms3, permuted_variants, PatExpr};
 
-use egraph::{Analysis, Rewrite};
+use egraph::Rewrite;
 
 use crate::BoolLang;
 
@@ -66,7 +66,7 @@ pub fn r1_lightweight_table() -> Vec<RuleSpec> {
         .collect()
 }
 
-fn build<N: Analysis<BoolLang>>(specs: Vec<RuleSpec>) -> Vec<Rewrite<BoolLang, N>> {
+fn build(specs: Vec<RuleSpec>) -> Vec<Rewrite<BoolLang>> {
     specs
         .into_iter()
         .map(|(name, lhs, rhs)| {
@@ -77,17 +77,17 @@ fn build<N: Analysis<BoolLang>>(specs: Vec<RuleSpec>) -> Vec<Rewrite<BoolLang, N
 }
 
 /// Builds the `R1` rewrites.
-pub fn r1_rules<N: Analysis<BoolLang>>() -> Vec<Rewrite<BoolLang, N>> {
+pub fn r1_rules() -> Vec<Rewrite<BoolLang>> {
     build(r1_table())
 }
 
 /// Builds the lightweight `R1` rewrites.
-pub fn r1_lightweight_rules<N: Analysis<BoolLang>>() -> Vec<Rewrite<BoolLang, N>> {
+pub fn r1_lightweight_rules() -> Vec<Rewrite<BoolLang>> {
     build(r1_lightweight_table())
 }
 
 /// Builds the full `R2` rewrites (majority + XOR identification).
-pub fn r2_rules<N: Analysis<BoolLang>>() -> Vec<Rewrite<BoolLang, N>> {
+pub fn r2_rules() -> Vec<Rewrite<BoolLang>> {
     let mut specs = maj_table();
     specs.extend(xor_table());
     build(specs)
@@ -213,8 +213,8 @@ mod tests {
 
     #[test]
     fn rules_build_into_rewrites() {
-        let r1: Vec<Rewrite<BoolLang, ()>> = r1_rules();
-        let r2: Vec<Rewrite<BoolLang, ()>> = r2_rules();
+        let r1 = r1_rules();
+        let r2 = r2_rules();
         assert_eq!(r1.len(), 68);
         assert_eq!(r2.len(), 129);
     }

@@ -80,8 +80,7 @@ impl SaturateParams {
 
     /// The effectively-unbounded time limit installed by
     /// [`SaturateParams::without_time_limit`] (one year; large enough
-    /// to never bind, small enough that the `/4`–`×3/4` phase split
-    /// cannot overflow).
+    /// to never bind).
     pub const UNBOUNDED_TIME: Duration = Duration::from_secs(365 * 24 * 3600);
 
     /// Disables the wall-clock limit, leaving iteration and node
@@ -209,7 +208,7 @@ pub fn saturate_observed(
     let r1_node_limit = ((initial_nodes as f64 * params.r1_growth) as usize)
         .max(2_000)
         .min(params.node_limit);
-    let mut runner1 = Runner::new(())
+    let mut runner1 = Runner::default()
         .with_egraph(net.egraph)
         .with_iter_limit(params.r1_iters)
         .with_node_limit(r1_node_limit)
@@ -242,11 +241,11 @@ pub fn saturate_observed(
     };
     accumulate(&runner1.iterations);
 
-    let mut runner2 = Runner::new(())
+    let mut runner2 = Runner::default()
         .with_egraph(runner1.egraph)
         .with_iter_limit(params.r2_iters)
         .with_node_limit(params.node_limit)
-        .with_time_limit(params.time_limit * 3 / 4)
+        .with_time_limit(params.time_limit - params.time_limit / 4)
         .with_scheduler(BackoffScheduler::new(params.match_limit, 2))
         .with_search_threads(params.search_threads)
         .with_cancel_token(params.cancel.clone());
@@ -388,6 +387,20 @@ mod tests {
         let pruned = prune_redundant(&mut egraph);
         assert_eq!(egraph.total_number_of_nodes(), before - pruned);
         egraph.check_invariants();
+    }
+
+    #[test]
+    fn huge_time_limit_splits_without_overflow() {
+        // R2's share of `Duration::MAX` must not overflow, and a limit
+        // that large never binds.
+        let net = aig_to_egraph(&aig::gen::csa_multiplier(3));
+        let params = SaturateParams {
+            time_limit: Duration::MAX,
+            ..SaturateParams::small()
+        };
+        let (_, stats) = saturate(net, &params);
+        assert!(!matches!(stats.r1_stop, StopReason::TimeLimit(_)));
+        assert!(!matches!(stats.r2_stop, StopReason::TimeLimit(_)));
     }
 
     #[test]

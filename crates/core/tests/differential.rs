@@ -39,7 +39,7 @@ fn test_egraphs() -> Vec<EGraph<BoolLang>> {
             // per class, merged children) without growing past the
             // matcher's deterministic caps — truncated match sets are
             // not comparable across enumeration orders.
-            let net = aig_to_egraph::<()>(&aig);
+            let net = aig_to_egraph(&aig);
             let params = SaturateParams {
                 r1_iters: 3,
                 r2_iters: 2,
@@ -136,7 +136,7 @@ fn all_backends_match_on_full_ruleset() {
     // the recursive oracle's per-rule match sets across all 197 rules
     // on real netlist e-graphs, serial and threaded alike.
     let egraphs = test_egraphs();
-    let rules: Vec<egraph::Rewrite<BoolLang, ()>> = rules::r1_rules()
+    let rules: Vec<egraph::Rewrite<BoolLang>> = rules::r1_rules()
         .into_iter()
         .chain(rules::r2_rules())
         .collect();
@@ -167,7 +167,7 @@ fn vm_matches_oracle_through_rewrite_search() {
     // convenience over the runner's search, agrees with the oracle as
     // well.
     let egraphs = test_egraphs();
-    let rules: Vec<egraph::Rewrite<BoolLang, ()>> = rules::r1_rules();
+    let rules = rules::r1_rules();
     let patterns: Vec<&Pattern<BoolLang>> = rules.iter().map(|r| r.searcher()).collect();
     for eg in &egraphs {
         search_within_budget(&patterns, eg, 1);

@@ -66,7 +66,7 @@ proptest! {
     ) {
         let aig = netlist(family, bits, mapped);
         let run = |threads: usize| {
-            let net = aig_to_egraph::<()>(&aig);
+            let net = aig_to_egraph(&aig);
             saturate(net, &params(threads))
         };
         let (serial_net, serial) = run(1);
@@ -149,7 +149,7 @@ fn parallel_saturation_cancels_mid_search() {
             token.cancel();
         })
     };
-    let net = aig_to_egraph::<()>(&aig::gen::csa_multiplier(6));
+    let net = aig_to_egraph(&aig::gen::csa_multiplier(6));
     let start = Instant::now();
     let (_, stats) = saturate(net, &params);
     let elapsed = start.elapsed();

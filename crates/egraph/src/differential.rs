@@ -13,7 +13,7 @@ use proptest::{proptest, ProptestConfig, TestRng};
 
 use crate::{search_rules, CancelToken, EGraph, Id, Pattern, RuleDirective, SymbolLang};
 
-type EG = EGraph<SymbolLang, ()>;
+type EG = EGraph<SymbolLang>;
 
 /// Builds a random e-graph: leaves from a small alphabet, random
 /// operator applications over already-present classes, then a few

@@ -3,11 +3,11 @@
 use std::fmt;
 
 use crate::hash::FxHashMap;
-use crate::{Analysis, Id, Language, RecExpr, UnionFind};
+use crate::{Id, Language, RecExpr, UnionFind};
 
 /// An equivalence class of e-nodes.
 #[derive(Debug, Clone)]
-pub struct EClass<L, D> {
+pub struct EClass<L> {
     /// The canonical id of this class at the time of the last rebuild.
     pub id: Id,
     /// The e-nodes in this class (canonicalized on rebuild).
@@ -16,11 +16,9 @@ pub struct EClass<L, D> {
     /// class; used for congruence repair. Entries may be stale between
     /// rebuilds.
     pub(crate) parents: Vec<(L, Id)>,
-    /// The analysis data for this class.
-    pub data: D,
 }
 
-impl<L: Language, D> EClass<L, D> {
+impl<L: Language> EClass<L> {
     /// Number of e-nodes in the class.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -47,7 +45,7 @@ impl<L: Language, D> EClass<L, D> {
 ///
 /// ```
 /// use egraph::{EGraph, SymbolLang};
-/// let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+/// let mut eg: EGraph<SymbolLang> = EGraph::default();
 /// let a = eg.add(SymbolLang::leaf("a"));
 /// let b = eg.add(SymbolLang::leaf("b"));
 /// let fa = eg.add(SymbolLang::new("f", vec![a]));
@@ -56,20 +54,17 @@ impl<L: Language, D> EClass<L, D> {
 /// eg.rebuild();
 /// assert_eq!(eg.find(fa), eg.find(fb)); // congruence
 /// ```
-pub struct EGraph<L: Language, N: Analysis<L> = ()> {
-    /// The analysis (user state).
-    pub analysis: N,
+#[derive(Clone)]
+pub struct EGraph<L: Language> {
     unionfind: UnionFind,
     memo: FxHashMap<L, Id>,
-    classes: Vec<Option<EClass<L, N::Data>>>,
+    classes: Vec<Option<EClass<L>>>,
     /// Parents that need congruence re-processing.
     pending: Vec<(L, Id)>,
-    analysis_pending: Vec<(L, Id)>,
     /// Classes containing at least one e-node with a given operator;
     /// rebuilt by [`EGraph::rebuild`] and used to speed up searches.
     by_op: FxHashMap<L::Discriminant, Vec<Id>>,
     clean: bool,
-    n_unions: usize,
     /// Live-class count, maintained incrementally (`add` +1, merging
     /// `union` -1) so [`EGraph::num_classes`] is O(1).
     n_live_classes: usize,
@@ -83,35 +78,23 @@ pub struct EGraph<L: Language, N: Analysis<L> = ()> {
     scratch_ids: Vec<Id>,
 }
 
-impl<L: Language, N: Analysis<L> + Default> Default for EGraph<L, N> {
+impl<L: Language> Default for EGraph<L> {
     fn default() -> Self {
-        Self::new(N::default())
-    }
-}
-
-impl<L: Language, N: Analysis<L> + Clone> Clone for EGraph<L, N>
-where
-    N::Data: Clone,
-{
-    fn clone(&self) -> Self {
         Self {
-            analysis: self.analysis.clone(),
-            unionfind: self.unionfind.clone(),
-            memo: self.memo.clone(),
-            classes: self.classes.clone(),
-            pending: self.pending.clone(),
-            analysis_pending: self.analysis_pending.clone(),
-            by_op: self.by_op.clone(),
-            clean: self.clean,
-            n_unions: self.n_unions,
-            n_live_classes: self.n_live_classes,
-            n_nodes: self.n_nodes,
+            unionfind: UnionFind::default(),
+            memo: FxHashMap::default(),
+            classes: Vec::new(),
+            pending: Vec::new(),
+            by_op: FxHashMap::default(),
+            clean: true,
+            n_live_classes: 0,
+            n_nodes: 0,
             scratch_ids: Vec::new(),
         }
     }
 }
 
-impl<L: Language, N: Analysis<L>> fmt::Debug for EGraph<L, N> {
+impl<L: Language> fmt::Debug for EGraph<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EGraph")
             .field("classes", &self.num_classes())
@@ -121,25 +104,7 @@ impl<L: Language, N: Analysis<L>> fmt::Debug for EGraph<L, N> {
     }
 }
 
-impl<L: Language, N: Analysis<L>> EGraph<L, N> {
-    /// Creates an empty e-graph with the given analysis.
-    pub fn new(analysis: N) -> Self {
-        Self {
-            analysis,
-            unionfind: UnionFind::default(),
-            memo: FxHashMap::default(),
-            classes: Vec::new(),
-            pending: Vec::new(),
-            analysis_pending: Vec::new(),
-            by_op: FxHashMap::default(),
-            clean: true,
-            n_unions: 0,
-            n_live_classes: 0,
-            n_nodes: 0,
-            scratch_ids: Vec::new(),
-        }
-    }
-
+impl<L: Language> EGraph<L> {
     /// The classes containing at least one e-node with `op`'s
     /// discriminant (valid on a clean e-graph).
     pub fn classes_with_op(&self, op: &L::Discriminant) -> &[Id] {
@@ -157,11 +122,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// between every rule application to enforce its node limit).
     pub fn total_number_of_nodes(&self) -> usize {
         self.n_nodes
-    }
-
-    /// Total number of unions performed so far.
-    pub fn number_of_unions(&self) -> usize {
-        self.n_unions
     }
 
     /// Returns `true` if the congruence invariant holds (no pending
@@ -183,7 +143,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// Iterates over the live e-classes. The [`ExactSizeIterator`]
     /// length comes from the O(1) live-class counter (no pre-scan of
     /// the class table).
-    pub fn classes(&self) -> impl ExactSizeIterator<Item = &EClass<L, N::Data>> {
+    pub fn classes(&self) -> impl ExactSizeIterator<Item = &EClass<L>> {
         ClassIter {
             inner: self.classes.iter(),
             remaining: self.n_live_classes,
@@ -195,22 +155,10 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// # Panics
     ///
     /// Panics if `id` is not a valid id for this e-graph.
-    pub fn eclass(&self, id: Id) -> &EClass<L, N::Data> {
+    pub fn eclass(&self, id: Id) -> &EClass<L> {
         let id = self.find(id);
         self.classes[id.index()]
             .as_ref()
-            .expect("canonical id must have a class")
-    }
-
-    /// Mutable access to the e-class of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a valid id for this e-graph.
-    pub fn eclass_mut(&mut self, id: Id) -> &mut EClass<L, N::Data> {
-        let id = self.find_mut(id);
-        self.classes[id.index()]
-            .as_mut()
             .expect("canonical id must have a class")
     }
 
@@ -244,7 +192,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         }
         let id = self.unionfind.make_set();
         debug_assert_eq!(id.index(), self.classes.len());
-        let data = N::make(self, &enode);
         for &child in enode.children() {
             let child = self.find(child);
             let child_class = self.classes[child.index()]
@@ -256,13 +203,11 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
             id,
             nodes: vec![enode.clone()],
             parents: Vec::new(),
-            data,
         }));
         self.n_live_classes += 1;
         self.n_nodes += 1;
         self.memo.insert(enode, id);
         self.clean = false;
-        N::modify(self, id);
         id
     }
 
@@ -299,7 +244,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         };
 
         self.unionfind.union_roots(to, from);
-        self.n_unions += 1;
         self.n_live_classes -= 1;
         self.clean = false;
 
@@ -314,14 +258,6 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
         to_class.id = to;
         to_class.nodes.extend(from_class.nodes);
         to_class.parents.extend(from_class.parents);
-
-        let did = self.analysis.merge(&mut to_class.data, from_class.data);
-        if did.0 {
-            // `to`'s data changed: re-make parents' data.
-            let parents = to_class.parents.clone();
-            self.analysis_pending.extend(parents);
-        }
-        N::modify(self, to);
         (to, true)
     }
 
@@ -329,28 +265,12 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// unions applied during repair.
     pub fn rebuild(&mut self) -> usize {
         let mut n_repairs = 0;
-        while !self.pending.is_empty() || !self.analysis_pending.is_empty() {
-            while let Some((mut node, class)) = self.pending.pop() {
-                let class = self.find_mut(class);
-                node.update_children(|c| self.unionfind.find_mut(c));
-                if let Some(old) = self.memo.insert(node, class) {
-                    let (_, did) = self.union(old, class);
-                    n_repairs += usize::from(did);
-                }
-            }
-            while let Some((node, class)) = self.analysis_pending.pop() {
-                let class = self.find_mut(class);
-                let node = self.canonicalize(&node);
-                let data = N::make(self, &node);
-                let to_class = self.classes[class.index()]
-                    .as_mut()
-                    .expect("class must exist");
-                let did = self.analysis.merge(&mut to_class.data, data);
-                if did.0 {
-                    let parents = to_class.parents.clone();
-                    self.analysis_pending.extend(parents);
-                    N::modify(self, class);
-                }
+        while let Some((mut node, class)) = self.pending.pop() {
+            let class = self.find_mut(class);
+            node.update_children(|c| self.unionfind.find_mut(c));
+            if let Some(old) = self.memo.insert(node, class) {
+                let (_, did) = self.union(old, class);
+                n_repairs += usize::from(did);
             }
         }
         self.rebuild_classes();
@@ -408,10 +328,7 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     /// # Panics
     ///
     /// Panics if the e-graph is not clean (call [`EGraph::rebuild`]).
-    pub fn retain_nodes<F: FnMut(&EClass<L, N::Data>, &L) -> bool>(
-        &mut self,
-        mut keep: F,
-    ) -> usize {
+    pub fn retain_nodes<F: FnMut(&EClass<L>, &L) -> bool>(&mut self, mut keep: F) -> usize {
         assert!(self.clean, "retain_nodes requires a clean e-graph");
         let mut removed = 0;
         let ids: Vec<Id> = (0..self.classes.len())
@@ -514,13 +431,13 @@ impl<L: Language, N: Analysis<L>> EGraph<L, N> {
     }
 }
 
-struct ClassIter<'a, L, D> {
-    inner: std::slice::Iter<'a, Option<EClass<L, D>>>,
+struct ClassIter<'a, L> {
+    inner: std::slice::Iter<'a, Option<EClass<L>>>,
     remaining: usize,
 }
 
-impl<'a, L, D> Iterator for ClassIter<'a, L, D> {
-    type Item = &'a EClass<L, D>;
+impl<'a, L> Iterator for ClassIter<'a, L> {
+    type Item = &'a EClass<L>;
     fn next(&mut self) -> Option<Self::Item> {
         if let Some(class) = self.inner.by_ref().flatten().next() {
             self.remaining -= 1;
@@ -533,14 +450,14 @@ impl<'a, L, D> Iterator for ClassIter<'a, L, D> {
     }
 }
 
-impl<L, D> ExactSizeIterator for ClassIter<'_, L, D> {}
+impl<L> ExactSizeIterator for ClassIter<'_, L> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SymbolLang;
 
-    type EG = EGraph<SymbolLang, ()>;
+    type EG = EGraph<SymbolLang>;
 
     #[test]
     fn add_is_hash_consed() {
@@ -599,11 +516,13 @@ mod tests {
         let mut eg = EG::default();
         let a = eg.add(SymbolLang::leaf("a"));
         let b = eg.add(SymbolLang::leaf("b"));
+        assert_eq!(eg.num_classes(), 2);
         let (_, did) = eg.union(a, b);
         assert!(did);
+        assert_eq!(eg.num_classes(), 1);
         let (_, did) = eg.union(a, b);
         assert!(!did);
-        assert_eq!(eg.number_of_unions(), 1);
+        assert_eq!(eg.num_classes(), 1);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! The [`Language`] trait describing term operators, the [`Analysis`]
-//! trait for e-class analyses, and [`SymbolLang`], a generic language
-//! useful for tests and prototyping.
+//! The [`Language`] trait describing term operators, and
+//! [`SymbolLang`], a generic language useful for tests and prototyping.
 
 use std::fmt;
 use std::hash::Hash;
 
-use crate::{EGraph, Id, Symbol};
+use crate::{Id, Symbol};
 
 /// An operator in a term language.
 ///
@@ -35,11 +34,6 @@ pub trait Language: fmt::Debug + fmt::Display + Clone + Eq + Ord + Hash {
 
     /// Mutable access to the children e-class ids.
     fn children_mut(&mut self) -> &mut [Id];
-
-    /// Calls `f` on each child id.
-    fn for_each<F: FnMut(Id)>(&self, f: F) {
-        self.children().iter().copied().for_each(f)
-    }
 
     /// Replaces each child `c` with `f(c)` in place.
     fn update_children<F: FnMut(Id) -> Id>(&mut self, mut f: F) {
@@ -103,55 +97,12 @@ impl fmt::Display for FromOpError {
 
 impl std::error::Error for FromOpError {}
 
-/// Result of merging two analysis data values, reported by
-/// [`Analysis::merge`].
-///
-/// `DidMerge(a_changed, b_changed)` records whether the merged result
-/// differs from the left (`to`) and right (`from`) inputs respectively.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DidMerge(pub bool, pub bool);
-
-impl std::ops::BitOr for DidMerge {
-    type Output = DidMerge;
-    fn bitor(self, rhs: DidMerge) -> DidMerge {
-        DidMerge(self.0 | rhs.0, self.1 | rhs.1)
-    }
-}
-
-/// An e-class analysis: a lattice value maintained per e-class.
-///
-/// See the `egg` paper for the semantics. The unit type `()` is the
-/// trivial analysis.
-pub trait Analysis<L: Language>: Sized {
-    /// The per-e-class data.
-    type Data: fmt::Debug + Clone;
-
-    /// Computes the data for a freshly added e-node (whose children
-    /// already have data).
-    fn make(egraph: &mut EGraph<L, Self>, enode: &L) -> Self::Data;
-
-    /// Merges `from` into `to` when two e-classes are unioned.
-    fn merge(&mut self, to: &mut Self::Data, from: Self::Data) -> DidMerge;
-
-    /// A hook called after an e-class's data changes; may add e-nodes or
-    /// unions (e.g. constant folding).
-    fn modify(_egraph: &mut EGraph<L, Self>, _id: Id) {}
-}
-
-impl<L: Language> Analysis<L> for () {
-    type Data = ();
-    fn make(_egraph: &mut EGraph<L, Self>, _enode: &L) -> Self::Data {}
-    fn merge(&mut self, _to: &mut Self::Data, _from: Self::Data) -> DidMerge {
-        DidMerge(false, false)
-    }
-}
-
 /// A generic language whose operators are arbitrary symbols with
 /// arbitrary arity — handy for tests and quick prototypes.
 ///
 /// ```
 /// use egraph::{EGraph, SymbolLang};
-/// let mut eg: EGraph<SymbolLang, ()> = EGraph::default();
+/// let mut eg: EGraph<SymbolLang> = EGraph::default();
 /// let x = eg.add(SymbolLang::leaf("x"));
 /// let y = eg.add(SymbolLang::leaf("y"));
 /// let f = eg.add(SymbolLang::new("f", vec![x, y]));

@@ -5,7 +5,10 @@
 //! The crate provides:
 //!
 //! * [`EGraph`] — an e-graph with hash-consing, a union-find over
-//!   e-classes, and deferred congruence-closure rebuilding.
+//!   e-classes, and deferred congruence-closure rebuilding. It keeps
+//!   no per-class analysis data: the BoolE passes that need per-class
+//!   facts (FA pairing, DAG extraction) compute them in their own
+//!   passes over a finished e-graph.
 //! * [`Language`] — the trait describing the operators of a term
 //!   language, plus [`RecExpr`] for concrete terms.
 //! * [`Pattern`] — s-expression patterns with variables (`?x`), each
@@ -21,25 +24,24 @@
 //!   with each match. Each iteration searches every rule on its own
 //!   program, rules spread over a work-stealing thread pool
 //!   ([`search_rules`]).
-//! * [`Extractor`] — cost-based term extraction with pluggable
-//!   [`CostFunction`]s.
+//!
+//! Picking a term out of a saturated e-graph is left to the caller:
+//! BoolE has its own FA-maximizing DAG extraction.
 //!
 //! # Example
 //!
 //! ```
-//! use egraph::{EGraph, RecExpr, Rewrite, Runner, SymbolLang, AstSize, Extractor};
+//! use egraph::{RecExpr, Rewrite, Runner, SymbolLang};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let rules: Vec<Rewrite<SymbolLang, ()>> = vec![
+//! let rules: Vec<Rewrite<SymbolLang>> = vec![
 //!     Rewrite::parse("comm-add", "(+ ?a ?b)", "(+ ?b ?a)")?,
 //!     Rewrite::parse("add-zero", "(+ ?a 0)", "?a")?,
 //! ];
 //! let expr: RecExpr<SymbolLang> = "(+ 0 (+ x 0))".parse()?;
 //! let runner = Runner::default().with_expr(&expr).run(&rules);
-//! let extractor = Extractor::new(&runner.egraph, AstSize);
-//! let (cost, best) = extractor.find_best(runner.roots[0]);
-//! assert_eq!(cost, 1);
-//! assert_eq!(best.to_string(), "x");
+//! let x = runner.egraph.lookup_expr(&"x".parse()?).unwrap();
+//! assert_eq!(runner.egraph.find(runner.roots[0]), x);
 //! # Ok(())
 //! # }
 //! ```
@@ -50,7 +52,6 @@ mod cancel;
 #[cfg(test)]
 mod differential;
 mod egraph;
-mod extract;
 pub mod hash;
 mod language;
 pub mod machine;
@@ -63,8 +64,7 @@ mod unionfind;
 
 pub use crate::cancel::CancelToken;
 pub use crate::egraph::{EClass, EGraph};
-pub use crate::extract::{AstDepth, AstSize, CostFunction, Extractor};
-pub use crate::language::{Analysis, DidMerge, FromOp, FromOpError, Language, SymbolLang};
+pub use crate::language::{FromOp, FromOpError, Language, SymbolLang};
 pub use crate::machine::{search_rules, RuleDirective, RuleSearch, SearchStats};
 pub use crate::pattern::{
     ENodeOrVar, ParsePatternError, Pattern, SearchMatches, Subst, Var, MATCH_WORK_BUDGET,

@@ -49,9 +49,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::pattern::ENodeOrVar;
-use crate::{
-    Analysis, CancelToken, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var,
-};
+use crate::{CancelToken, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var};
 
 /// A register index in the VM's register bank.
 pub type Reg = u16;
@@ -255,9 +253,9 @@ impl<L: Language> Program<L> {
     /// `substs` has grown by `max_substs`, or within
     /// [`CANCEL_CHECK_QUANTUM`] units of `cancel` being set.
     #[allow(clippy::too_many_arguments)]
-    pub fn run<N: Analysis<L>>(
+    pub fn run(
         &self,
-        egraph: &EGraph<L, N>,
+        egraph: &EGraph<L>,
         eclass: Id,
         regs: &mut Vec<Id>,
         substs: &mut Vec<Subst>,
@@ -302,9 +300,9 @@ impl Machine<'_> {
     /// Executes instructions from `pc` on, backtracking over
     /// [`Instruction::Bind`] choices; complete register banks are
     /// materialized into `out`.
-    fn exec<L: Language, N: Analysis<L>>(
+    fn exec<L: Language>(
         &mut self,
-        egraph: &EGraph<L, N>,
+        egraph: &EGraph<L>,
         prog: &Program<L>,
         pc: usize,
         budget: &mut usize,
@@ -406,9 +404,9 @@ pub struct RuleSearch {
 /// deadline), or that no worker claimed after such a trip. Slots are
 /// identical at any thread count, short of those interruptions and
 /// the measured `elapsed` times.
-pub fn search_rules<L, N>(
+pub fn search_rules<L>(
     patterns: &[&Pattern<L>],
-    egraph: &EGraph<L, N>,
+    egraph: &EGraph<L>,
     directives: &[RuleDirective],
     cancel: &CancelToken,
     threads: usize,
@@ -416,8 +414,6 @@ pub fn search_rules<L, N>(
 where
     L: Language + Sync,
     L::Discriminant: Sync,
-    N: Analysis<L> + Sync,
-    N::Data: Sync,
 {
     assert_eq!(directives.len(), patterns.len());
     search_rules_slots(patterns.len(), threads, cancel, |i| match directives[i] {
@@ -612,7 +608,7 @@ pub(crate) mod tests {
 
     use crate::{CancelToken, EGraph, SearchMatches};
 
-    type EG = EGraph<SymbolLang, ()>;
+    type EG = EGraph<SymbolLang>;
 
     /// Builds a workload whose search does lots of *failing*
     /// backtracking (so the per-class match cap never stops it): two

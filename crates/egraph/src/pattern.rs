@@ -10,9 +10,7 @@ use std::str::FromStr;
 
 use crate::machine::{Program, RunOutcome, SearchStats};
 use crate::recexpr::{parse_sexp, Sexp};
-use crate::{
-    Analysis, CancelToken, EGraph, FromOp, Id, Language, ParseRecExprError, RecExpr, Symbol,
-};
+use crate::{CancelToken, EGraph, FromOp, Id, Language, ParseRecExprError, RecExpr, Symbol};
 
 /// A pattern variable, written `?name` in pattern syntax.
 #[derive(Debug, Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -136,7 +134,7 @@ impl Subst {
         self.vec.iter()
     }
 
-    pub(crate) fn canonicalize<L: Language, N: Analysis<L>>(&mut self, egraph: &EGraph<L, N>) {
+    pub(crate) fn canonicalize<L: Language>(&mut self, egraph: &EGraph<L>) {
         for (_, id) in &mut self.vec {
             *id = egraph.find(*id);
         }
@@ -245,7 +243,7 @@ impl<L: Language> Pattern<L> {
     /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]), or
     /// if the pattern is a bare variable such as `?x`, which has no
     /// root operator to select candidate classes by.
-    pub fn search<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
+    pub fn search(&self, egraph: &EGraph<L>) -> Vec<SearchMatches> {
         self.search_interruptible(egraph, usize::MAX, &CancelToken::new())
             .expect("a search with a fresh cancel token runs to completion")
             .0
@@ -271,9 +269,9 @@ impl<L: Language> Pattern<L> {
     /// # Panics
     ///
     /// As [`Pattern::search`].
-    pub(crate) fn search_interruptible<N: Analysis<L>>(
+    pub(crate) fn search_interruptible(
         &self,
-        egraph: &EGraph<L, N>,
+        egraph: &EGraph<L>,
         limit: usize,
         cancel: &CancelToken,
     ) -> Option<(Vec<SearchMatches>, SearchStats)> {
@@ -330,9 +328,9 @@ impl<L: Language> Pattern<L> {
     /// Runs the compiled program on one candidate class, spending from
     /// `budget`, and packages surviving matches (canonicalized, sorted,
     /// deduplicated).
-    fn run_vm_on_class<N: Analysis<L>>(
+    fn run_vm_on_class(
         &self,
-        egraph: &EGraph<L, N>,
+        egraph: &EGraph<L>,
         eclass: Id,
         regs: &mut Vec<Id>,
         budget: &mut usize,
@@ -368,7 +366,7 @@ impl<L: Language> Pattern<L> {
     /// # Panics
     ///
     /// Panics if a pattern variable is unbound in `subst`.
-    pub fn instantiate<N: Analysis<L>>(&self, egraph: &mut EGraph<L, N>, subst: &Subst) -> Id {
+    pub fn instantiate(&self, egraph: &mut EGraph<L>, subst: &Subst) -> Id {
         let mut ids: Vec<Id> = Vec::with_capacity(self.ast.len());
         for node in self.ast.iter() {
             let id = match node {
@@ -408,7 +406,7 @@ impl<L: Language> Pattern<L> {
     /// # Panics
     ///
     /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
-    pub fn search_oracle<N: Analysis<L>>(&self, egraph: &EGraph<L, N>) -> Vec<SearchMatches> {
+    pub fn search_oracle(&self, egraph: &EGraph<L>) -> Vec<SearchMatches> {
         self.search_oracle_with_limit(egraph, usize::MAX)
     }
 
@@ -420,9 +418,9 @@ impl<L: Language> Pattern<L> {
     /// # Panics
     ///
     /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
-    pub(crate) fn search_oracle_with_limit<N: Analysis<L>>(
+    pub(crate) fn search_oracle_with_limit(
         &self,
-        egraph: &EGraph<L, N>,
+        egraph: &EGraph<L>,
         limit: usize,
     ) -> Vec<SearchMatches> {
         assert!(
@@ -445,11 +443,7 @@ impl<L: Language> Pattern<L> {
 
     /// Searches one e-class with the legacy recursive matcher (see
     /// [`Pattern::search_oracle`]).
-    fn search_eclass_oracle<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        eclass: Id,
-    ) -> Option<SearchMatches> {
+    fn search_eclass_oracle(&self, egraph: &EGraph<L>, eclass: Id) -> Option<SearchMatches> {
         let eclass = egraph.find(eclass);
         let mut substs = Vec::new();
         let mut budget = MATCH_WORK_BUDGET;
@@ -481,8 +475,8 @@ impl<L: Language> Pattern<L> {
 /// visits).
 #[cfg(any(test, feature = "oracle"))]
 #[allow(clippy::too_many_arguments)]
-fn match_pattern<L: Language, N: Analysis<L>>(
-    egraph: &EGraph<L, N>,
+fn match_pattern<L: Language>(
+    egraph: &EGraph<L>,
     ast: &RecExpr<ENodeOrVar<L>>,
     pat_id: Id,
     eclass: Id,
@@ -604,7 +598,7 @@ mod tests {
     use super::*;
     use crate::SymbolLang;
 
-    type EG = EGraph<SymbolLang, ()>;
+    type EG = EGraph<SymbolLang>;
 
     fn pat(s: &str) -> Pattern<SymbolLang> {
         s.parse().unwrap()

@@ -10,7 +10,7 @@ use crate::{FromOp, Id, Language};
 /// Node children always refer to *earlier* indices, so index `len - 1`
 /// is the root. `RecExpr` is the concrete-term counterpart of an
 /// e-class: [`crate::EGraph::add_expr`] inserts one, and
-/// [`crate::Extractor`] produces one.
+/// [`crate::EGraph::lookup_expr`] finds the class that holds one.
 ///
 /// ```
 /// use egraph::{RecExpr, SymbolLang};
@@ -80,44 +80,6 @@ impl<L: Language> RecExpr<L> {
     /// The nodes as a slice, children-before-parents.
     pub fn as_slice(&self) -> &[L] {
         &self.nodes
-    }
-
-    /// Builds an expression by recursively expanding `root` with
-    /// `get_node`, sharing structurally equal subterms.
-    pub fn from_root_and_fn<F: FnMut(Id) -> L>(root: Id, mut get_node: F) -> Self
-    where
-        L: Language,
-    {
-        let mut expr = RecExpr::default();
-        let mut memo: std::collections::HashMap<Id, Id> = Default::default();
-        // iterative post-order to avoid recursion depth limits
-        enum Frame {
-            Visit(Id),
-            Emit(Id),
-        }
-        let mut stack = vec![Frame::Visit(root)];
-        while let Some(frame) = stack.pop() {
-            match frame {
-                Frame::Visit(id) => {
-                    if memo.contains_key(&id) {
-                        continue;
-                    }
-                    stack.push(Frame::Emit(id));
-                    for &c in get_node(id).children() {
-                        stack.push(Frame::Visit(c));
-                    }
-                }
-                Frame::Emit(id) => {
-                    if memo.contains_key(&id) {
-                        continue;
-                    }
-                    let node = get_node(id).map_children(|c| memo[&c]);
-                    let new_id = expr.add(node);
-                    memo.insert(id, new_id);
-                }
-            }
-        }
-        expr
     }
 }
 
@@ -304,18 +266,6 @@ mod tests {
         assert!("()".parse::<RecExpr<SymbolLang>>().is_err());
         assert!("(f x) y".parse::<RecExpr<SymbolLang>>().is_err());
         assert!("((f) x)".parse::<RecExpr<SymbolLang>>().is_err());
-    }
-
-    #[test]
-    fn from_root_and_fn_shares_subterms() {
-        // Build (f g g) where both children are the same node.
-        let nodes = [
-            SymbolLang::leaf("g"),
-            SymbolLang::new("f", vec![Id::from_index(0), Id::from_index(0)]),
-        ];
-        let expr = RecExpr::from_root_and_fn(Id::from_index(1), |id| nodes[id.index()].clone());
-        assert_eq!(expr.len(), 2);
-        assert_eq!(expr.to_string(), "(f g g)");
     }
 
     #[test]

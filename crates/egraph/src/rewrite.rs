@@ -4,40 +4,34 @@ use std::fmt;
 use std::marker::PhantomData;
 
 use crate::{
-    Analysis, EGraph, ENodeOrVar, FromOp, Language, ParsePatternError, ParseRecExprError, Pattern,
+    EGraph, ENodeOrVar, FromOp, Language, ParsePatternError, ParseRecExprError, Pattern,
     SearchMatches, Symbol,
 };
 
 /// A named rewrite rule `lhs => rhs`: searching matches `lhs` (see
 /// [`search_rules`](crate::search_rules)), applying instantiates `rhs`
-/// under each match and unions it with the matched class. `N` is the
-/// analysis of the e-graphs the rule rewrites.
+/// under each match and unions it with the matched class.
+///
+/// `N` is unused and only ever `()`: the e-graph has no e-class
+/// analysis. It stays, defaulted, because `jobbench/src/trace.rs`
+/// names the type `Rewrite<BoolLang, ()>`, and the benchmark builds
+/// unedited. Every method is defined on `Rewrite<L>`.
 ///
 /// ```
 /// use egraph::{Rewrite, SymbolLang};
-/// let rw: Rewrite<SymbolLang, ()> =
+/// let rw: Rewrite<SymbolLang> =
 ///     Rewrite::parse("comm-add", "(+ ?a ?b)", "(+ ?b ?a)").unwrap();
 /// assert_eq!(rw.name().as_str(), "comm-add");
 /// ```
-pub struct Rewrite<L, N> {
+#[derive(Clone)]
+pub struct Rewrite<L, N = ()> {
     name: Symbol,
     searcher: Pattern<L>,
     applier: Pattern<L>,
-    analysis: PhantomData<fn() -> N>,
+    unused: PhantomData<fn() -> N>,
 }
 
-impl<L: Language, N> Clone for Rewrite<L, N> {
-    fn clone(&self) -> Self {
-        Self {
-            name: self.name,
-            searcher: self.searcher.clone(),
-            applier: self.applier.clone(),
-            analysis: PhantomData,
-        }
-    }
-}
-
-impl<L: Language, N> fmt::Debug for Rewrite<L, N> {
+impl<L: Language> fmt::Debug for Rewrite<L> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -47,7 +41,7 @@ impl<L: Language, N> fmt::Debug for Rewrite<L, N> {
     }
 }
 
-impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
+impl<L: Language> Rewrite<L> {
     /// Parses a rewrite from pattern strings (see [`Rewrite::new`]).
     ///
     /// # Errors
@@ -89,7 +83,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
             name: Symbol::new(name),
             searcher,
             applier,
-            analysis: PhantomData,
+            unused: PhantomData,
         })
     }
 
@@ -105,7 +99,7 @@ impl<L: Language, N: Analysis<L>> Rewrite<L, N> {
 
     /// Applies the rule to previously found matches, returning the
     /// number of applications that changed the e-graph.
-    pub fn apply(&self, egraph: &mut EGraph<L, N>, matches: &[SearchMatches]) -> usize {
+    pub fn apply(&self, egraph: &mut EGraph<L>, matches: &[SearchMatches]) -> usize {
         let mut applied = 0;
         for m in matches {
             for subst in &m.substs {
@@ -122,8 +116,8 @@ mod tests {
     use super::*;
     use crate::{RecExpr, SymbolLang};
 
-    type EG = EGraph<SymbolLang, ()>;
-    type RW = Rewrite<SymbolLang, ()>;
+    type EG = EGraph<SymbolLang>;
+    type RW = Rewrite<SymbolLang>;
 
     fn pat(s: &str) -> Pattern<SymbolLang> {
         s.parse().unwrap()

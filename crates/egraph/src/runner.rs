@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use crate::hash::FxHashMap;
 use crate::machine::{search_rules, RuleDirective, SearchStats};
-use crate::{Analysis, CancelToken, EGraph, Id, Language, RecExpr, Rewrite, SearchMatches, Symbol};
+use crate::{CancelToken, EGraph, Id, Language, RecExpr, Rewrite, SearchMatches, Symbol};
 
 /// Why a [`Runner`] stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -192,10 +192,10 @@ impl BackoffScheduler {
     /// `finish_rewrite` bans it. Reads the stats table without
     /// touching it: absent entries read as the defaults `rule_stats`
     /// would install.
-    fn search_directive<L: Language, N: Analysis<L>>(
+    fn search_directive<L: Language>(
         &self,
         iteration: usize,
-        rewrite: &Rewrite<L, N>,
+        rewrite: &Rewrite<L>,
     ) -> RuleDirective {
         let (banned_until, allowed) = match self.stats.get(&rewrite.name()) {
             Some(s) => (s.banned_until, s.match_limit << s.times_banned),
@@ -212,10 +212,10 @@ impl BackoffScheduler {
     /// set the apply phase should use (empty if the rule is banned).
     /// Called exactly once per searched rule per iteration, serially,
     /// in rule-index order, so scheduler state stays deterministic.
-    fn finish_rewrite<L: Language, N: Analysis<L>>(
+    fn finish_rewrite<L: Language>(
         &mut self,
         iteration: usize,
-        rewrite: &Rewrite<L, N>,
+        rewrite: &Rewrite<L>,
         matches: Vec<SearchMatches>,
     ) -> Vec<SearchMatches> {
         let stats = self.rule_stats(rewrite.name());
@@ -253,7 +253,7 @@ impl Default for BackoffScheduler {
 /// ```
 /// use egraph::{Runner, Rewrite, SymbolLang, RecExpr};
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let rules: Vec<Rewrite<SymbolLang, ()>> =
+/// let rules: Vec<Rewrite<SymbolLang>> =
 ///     vec![Rewrite::parse("comm", "(+ ?a ?b)", "(+ ?b ?a)")?];
 /// let expr: RecExpr<SymbolLang> = "(+ x y)".parse()?;
 /// let runner = Runner::default().with_expr(&expr).run(&rules);
@@ -261,9 +261,9 @@ impl Default for BackoffScheduler {
 /// # Ok(())
 /// # }
 /// ```
-pub struct Runner<L: Language, N: Analysis<L> = ()> {
+pub struct Runner<L: Language> {
     /// The e-graph being saturated.
-    pub egraph: EGraph<L, N>,
+    pub egraph: EGraph<L>,
     /// Root e-classes registered via [`Runner::with_expr`].
     pub roots: Vec<Id>,
     /// Per-iteration statistics.
@@ -280,29 +280,12 @@ pub struct Runner<L: Language, N: Analysis<L> = ()> {
     search_threads: usize,
 }
 
-impl<L: Language, N: Analysis<L> + Default> Default for Runner<L, N> {
+impl<L: Language> Default for Runner<L> {
+    /// A runner over an empty e-graph, with default [`RunnerLimits`]
+    /// and a default [`BackoffScheduler`].
     fn default() -> Self {
-        Self::new(N::default())
-    }
-}
-
-impl<L: Language, N: Analysis<L>> fmt::Debug for Runner<L, N> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Runner")
-            .field("egraph", &self.egraph)
-            .field("roots", &self.roots)
-            .field("iterations", &self.iterations.len())
-            .field("stop_reason", &self.stop_reason)
-            .finish()
-    }
-}
-
-impl<L: Language, N: Analysis<L>> Runner<L, N> {
-    /// Creates a runner with the given analysis and a
-    /// [`BackoffScheduler`].
-    pub fn new(analysis: N) -> Self {
         Self {
-            egraph: EGraph::new(analysis),
+            egraph: EGraph::default(),
             roots: vec![],
             iterations: vec![],
             stop_reason: None,
@@ -314,10 +297,23 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
             search_threads: 1,
         }
     }
+}
 
+impl<L: Language> fmt::Debug for Runner<L> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Runner")
+            .field("egraph", &self.egraph)
+            .field("roots", &self.roots)
+            .field("iterations", &self.iterations.len())
+            .field("stop_reason", &self.stop_reason)
+            .finish()
+    }
+}
+
+impl<L: Language> Runner<L> {
     /// Replaces the e-graph (e.g. to continue saturating an existing
     /// graph with a different ruleset — BoolE's two-phase flow).
-    pub fn with_egraph(mut self, egraph: EGraph<L, N>) -> Self {
+    pub fn with_egraph(mut self, egraph: EGraph<L>) -> Self {
         self.egraph = egraph;
         self
     }
@@ -390,12 +386,10 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
 
     /// Runs saturation with `rules` until a stop condition; returns
     /// `self` with statistics filled in.
-    pub fn run(mut self, rules: &[Rewrite<L, N>]) -> Self
+    pub fn run(mut self, rules: &[Rewrite<L>]) -> Self
     where
         L: Sync,
         L::Discriminant: Sync,
-        N: Sync,
-        N::Data: Sync,
     {
         let patterns: Vec<_> = rules.iter().map(|r| r.searcher()).collect();
         let start = Instant::now();
@@ -537,9 +531,9 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
 mod tests {
     use super::*;
     use crate::machine::search_rules_slots;
-    use crate::{AstSize, Extractor, SymbolLang};
+    use crate::SymbolLang;
 
-    type RW = Rewrite<SymbolLang, ()>;
+    type RW = Rewrite<SymbolLang>;
 
     fn math_rules() -> Vec<RW> {
         vec![
@@ -558,10 +552,8 @@ mod tests {
         let expr = "(+ 0 (* 1 x))".parse().unwrap();
         let runner = Runner::default().with_expr(&expr).run(&math_rules());
         assert_eq!(runner.stop_reason, Some(StopReason::Saturated));
-        let extractor = Extractor::new(&runner.egraph, AstSize);
-        let (cost, best) = extractor.find_best(runner.roots[0]);
-        assert_eq!(cost, 1);
-        assert_eq!(best.to_string(), "x");
+        let x = runner.egraph.lookup(&SymbolLang::leaf("x")).unwrap();
+        assert_eq!(runner.egraph.find(runner.roots[0]), x);
     }
 
     #[test]
@@ -648,7 +640,7 @@ mod tests {
         let phase2 = vec![RW::parse("add-zero", "(+ ?a 0)", "?a").unwrap()];
         let r1 = Runner::default().with_expr(&expr).run(&phase1);
         let roots = r1.roots.clone();
-        let r2 = Runner::new(())
+        let r2 = Runner::default()
             .with_egraph(r1.egraph)
             .with_root(roots[0])
             .run(&phase2);
@@ -704,11 +696,19 @@ mod tests {
                 serial.egraph.total_number_of_nodes()
             );
             assert_eq!(par.egraph.num_classes(), serial.egraph.num_classes());
-            let (serial_cost, serial_best) =
-                Extractor::new(&serial.egraph, AstSize).find_best(serial.roots[0]);
-            let (par_cost, par_best) = Extractor::new(&par.egraph, AstSize).find_best(par.roots[0]);
-            assert_eq!(par_cost, serial_cost);
-            assert_eq!(par_best.to_string(), serial_best.to_string());
+            // Class by class: the same ids holding the same e-nodes.
+            let classes = |runner: &Runner<SymbolLang>| -> Vec<(Id, Vec<SymbolLang>)> {
+                runner
+                    .egraph
+                    .classes()
+                    .map(|c| (c.id, c.nodes.clone()))
+                    .collect()
+            };
+            assert_eq!(classes(&par), classes(&serial), "threads={threads}");
+            assert_eq!(
+                par.egraph.find(par.roots[0]),
+                serial.egraph.find(serial.roots[0])
+            );
         }
     }
 
@@ -742,7 +742,7 @@ mod tests {
     /// A search closure for the fan-out that runs a real pattern search
     /// and calls `hook` with the number of searches started so far.
     fn counting_search<'a>(
-        egraph: &'a EGraph<SymbolLang, ()>,
+        egraph: &'a EGraph<SymbolLang>,
         rules: &'a [RW],
         cancel: &'a CancelToken,
         hook: impl Fn(usize) + Sync + 'a,
@@ -758,7 +758,7 @@ mod tests {
         }
     }
 
-    fn search_fixture() -> EGraph<SymbolLang, ()> {
+    fn search_fixture() -> EGraph<SymbolLang> {
         let mut egraph = EGraph::default();
         // Every rule's root operator occurs, so a search that starts
         // after the trip has a class to be interrupted on.

@@ -6,8 +6,8 @@ use egraph::{
     MAX_SUBSTS_PER_CLASS,
 };
 
-type EG = EGraph<SymbolLang, ()>;
-type RW = Rewrite<SymbolLang, ()>;
+type EG = EGraph<SymbolLang>;
+type RW = Rewrite<SymbolLang>;
 
 /// The matcher must not blow up on wide e-classes: a class with many
 /// equivalent binary nodes used to make deep patterns explore the

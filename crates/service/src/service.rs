@@ -673,10 +673,10 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
         }
         // A panicking job must not strand the JobHandle: convert the
         // panic into a terminal Panicked outcome so wait() always
-        // returns and this worker survives to take the next job.
-        // (execute_job catches pipeline panics itself; this outer
-        // catch is the last-resort net for panics in the cache/flight
-        // bookkeeping around it.)
+        // returns and this worker survives to take the next job. This
+        // is the job's one panic boundary: a pipeline panic unwinds
+        // through execute_job, and dropping its flight guard on the
+        // way releases any followers with "leader gone".
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_job(&spec, &state, shared)
         }));
@@ -870,40 +870,26 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
     }
     // The attempt loop. Retries run under the same flight leadership
     // (the guard stays held), so followers keep waiting through a
-    // retry instead of racing to run the pipeline themselves; a
-    // *panic* is terminal and returns, dropping the guard, which
-    // releases followers to elect a new leader.
+    // retry instead of racing to run the pipeline themselves. A
+    // *panic* is terminal (a deterministic bug would panic again): it
+    // unwinds to worker_loop, dropping the guard, which releases
+    // followers to elect a new leader.
     let mut attempt = 0u32;
     let result = loop {
-        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // One failpoint consultation per attempt, inside the
-            // isolation boundary: Panic exercises the catch_unwind
-            // exactly where a real pipeline bug would fire;
-            // Error models a transiently-failing pipeline and
-            // feed the retry path.
-            match faults::check(shared.faults.as_ref(), site::WORKER_PIPELINE) {
-                Some(FaultAction::Panic) => {
-                    panic!("{}", FaultRegistry::injected(site::WORKER_PIPELINE))
-                }
-                Some(FaultAction::Error) => {
-                    return Err(FaultRegistry::injected(site::WORKER_PIPELINE).to_string());
-                }
-                None => {}
+        // One failpoint consultation per attempt: Panic fires exactly
+        // where a real pipeline bug would; Error models a
+        // transiently-failing pipeline and feeds the retry path.
+        let run = match faults::check(shared.faults.as_ref(), site::WORKER_PIPELINE) {
+            Some(FaultAction::Panic) => {
+                panic!("{}", FaultRegistry::injected(site::WORKER_PIPELINE))
             }
-            Ok(engine.try_run(&netlist))
-        }));
+            Some(FaultAction::Error) => {
+                Err(FaultRegistry::injected(site::WORKER_PIPELINE).to_string())
+            }
+            None => Ok(engine.try_run(&netlist)),
+        };
         match run {
-            Err(payload) => {
-                // Terminal: a deterministic bug would panic again, so
-                // no retry. The guard (if leading) drops on return.
-                return state.finalize(
-                    JobVerdict::Panicked {
-                        message: panic_message(payload.as_ref()),
-                    },
-                    false,
-                );
-            }
-            Ok(Err(transient)) => {
+            Err(transient) => {
                 if attempt >= shared.max_retries {
                     return state.finalize(JobVerdict::Failed(transient), false);
                 }
@@ -912,7 +898,7 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
                 }
                 attempt += 1;
             }
-            Ok(Ok(Err(cancelled))) => {
+            Ok(Err(cancelled)) => {
                 // `guard` drops here (if leading): followers are
                 // released with "leader gone" and elect a new leader.
                 return state.finalize(
@@ -922,7 +908,7 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
                     false,
                 );
             }
-            Ok(Ok(Ok(result))) => break result,
+            Ok(Ok(result)) => break result,
         }
     };
     let summary = Arc::new(ResultSummary::from(&result));
