@@ -26,7 +26,8 @@
 //! parallel run, rerun the config at one thread and assert the
 //! saturation outcome — sizes, iteration counts, stop reasons, match
 //! totals — is identical; the benchmark doubles as the determinism
-//! oracle).
+//! oracle), and `--repeat N` (run the corpus `N` times and report, per
+//! config, the run with the least search time; default 1).
 //!
 //! Timing semantics: `search_ms` counts only the e-matching fan-out;
 //! the serial merge/bookkeeping of per-rule match sets is reported
@@ -36,7 +37,15 @@
 //! `visits` (per run, in `totals` and per `top_rules` entry) counts the
 //! matcher's budget units: e-nodes the VM's `Bind`s visited plus
 //! hash-cons probes its `Build`s made. It is a work count, identical on
-//! every run, machine and thread count, not a time.
+//! every run, machine and thread count, not a time; `--repeat` asserts
+//! that it is identical across repeats.
+//!
+//! Under `--repeat N`, each run's `search_ms` is the least of its `N`
+//! repeats and `search_spread` is `(max - min) / min` over them;
+//! `totals.search_ms` sums those minima and `totals.search_spread` is
+//! the same ratio over the `N` passes' search totals. The JSON also
+//! records `repeat` and `nproc` (the CPUs available to the process),
+//! so timings from different machines are never compared by accident.
 
 use std::time::Instant;
 
@@ -83,6 +92,8 @@ struct RunRecord {
     nodes_before: usize,
     stats: SaturationStats,
     wall_ms: f64,
+    /// The largest search time over this config's repeats, in ms.
+    search_ms_max: f64,
 }
 
 fn run_one(cfg: Config, p: &SaturateParams) -> RunRecord {
@@ -95,6 +106,7 @@ fn run_one(cfg: Config, p: &SaturateParams) -> RunRecord {
     RunRecord {
         cfg,
         nodes_before,
+        search_ms_max: ms(stats.search_time),
         stats,
         wall_ms,
     }
@@ -102,6 +114,15 @@ fn run_one(cfg: Config, p: &SaturateParams) -> RunRecord {
 
 fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
+}
+
+/// `(max - min) / min`, or 0 when `min` is 0.
+fn spread(min: f64, max: f64) -> f64 {
+    if min > 0.0 {
+        (max - min) / min
+    } else {
+        0.0
+    }
 }
 
 fn record_json(r: &RunRecord) -> Json {
@@ -126,6 +147,10 @@ fn record_json(r: &RunRecord) -> Json {
         ("r1_stop", r.stats.r1_stop.to_json()),
         ("r2_stop", r.stats.r2_stop.to_json()),
         ("search_ms", Json::from(ms(r.stats.search_time))),
+        (
+            "search_spread",
+            Json::from(spread(ms(r.stats.search_time), r.search_ms_max)),
+        ),
         ("merge_ms", Json::from(ms(r.stats.merge_time))),
         ("apply_ms", Json::from(ms(r.stats.apply_time))),
         ("rebuild_ms", Json::from(ms(r.stats.rebuild_time))),
@@ -212,6 +237,8 @@ fn assert_outcome_identical(parallel: &RunRecord, serial: &RunRecord) {
 #[derive(Default)]
 struct Totals {
     search: f64,
+    /// `(max - min) / min` over the repeated passes' search totals.
+    search_spread: f64,
     merge: f64,
     apply: f64,
     rebuild: f64,
@@ -222,6 +249,7 @@ impl Totals {
     fn json(&self) -> Json {
         Json::obj([
             ("search_ms", Json::from(self.search)),
+            ("search_spread", Json::from(self.search_spread)),
             ("merge_ms", Json::from(self.merge)),
             ("apply_ms", Json::from(self.apply)),
             ("rebuild_ms", Json::from(self.rebuild)),
@@ -306,6 +334,43 @@ fn run_corpus(
     (records, totals)
 }
 
+/// Runs the corpus `repeat` times and keeps, per config, the run with
+/// the least search time (see the module docs for the spreads).
+/// Panics if a config's visits differ between repeats: the work count
+/// is deterministic, so a difference is a bug, not noise.
+fn run_repeated(
+    configs: &[Config],
+    p: &SaturateParams,
+    verify_serial: bool,
+    repeat: usize,
+) -> (Vec<RunRecord>, Totals) {
+    let (mut best, first) = run_corpus(configs, p, verify_serial);
+    let (mut min_pass, mut max_pass) = (first.search, first.search);
+    for _ in 1..repeat {
+        let (records, totals) = run_corpus(configs, p, verify_serial);
+        min_pass = min_pass.min(totals.search);
+        max_pass = max_pass.max(totals.search);
+        for (b, r) in best.iter_mut().zip(records) {
+            assert_eq!(
+                r.stats.search.visits, b.stats.search.visits,
+                "visits differ between repeats on {:?}",
+                r.cfg
+            );
+            let search_ms_max = b.search_ms_max.max(r.search_ms_max);
+            if r.stats.search_time < b.stats.search_time {
+                *b = r;
+            }
+            b.search_ms_max = search_ms_max;
+        }
+    }
+    let mut totals = Totals::default();
+    for r in &best {
+        totals.add(r);
+    }
+    totals.search_spread = spread(min_pass, max_pass);
+    (best, totals)
+}
+
 fn main() {
     let smoke = boole_bench::arg_flag("--smoke");
     let args: Vec<String> = std::env::args().collect();
@@ -328,6 +393,11 @@ fn main() {
     let compare_threads: Option<usize> = arg_str("--compare-threads")
         .map(|s| s.parse().expect("--compare-threads takes an integer"));
     let verify_serial = boole_bench::arg_flag("--verify-serial");
+    let repeat: usize = arg_str("--repeat")
+        .map(|s| s.parse().expect("--repeat takes an integer"))
+        .unwrap_or(1);
+    assert!(repeat >= 1, "--repeat takes a count of at least 1");
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut p = params();
     let configs: Vec<Config> = if smoke {
@@ -357,7 +427,7 @@ fn main() {
         v
     };
     p = p.with_search_threads(search_threads);
-    let (records, totals) = run_corpus(&configs, &p, verify_serial);
+    let (records, totals) = run_repeated(&configs, &p, verify_serial, repeat);
 
     let mut fields = vec![
         ("bench", Json::str("satbench")),
@@ -366,6 +436,8 @@ fn main() {
         ("node_limit", Json::from(p.node_limit)),
         ("match_limit", Json::from(p.match_limit)),
         ("search_threads", Json::from(p.search_threads)),
+        ("repeat", Json::from(repeat)),
+        ("nproc", Json::from(nproc)),
         (
             "notes",
             Json::str(
@@ -373,9 +445,11 @@ fn main() {
                  reported separately as merge_ms. top_rules search_ms is each \
                  rule's own measured search time. Compare like with like: the \
                  main pass vs comparison (same corpus, different threads), or \
-                 runs from the same machine. visits counts matcher budget \
-                 units (Bind e-node visits plus Build hash-cons probes): a \
-                 deterministic work count, not a time.",
+                 runs from the same machine (nproc). search_ms is the least \
+                 of repeat runs and search_spread is (max - min) / min over \
+                 them. visits counts matcher budget units (Bind e-node \
+                 visits plus Build hash-cons probes): a deterministic work \
+                 count, not a time.",
             ),
         ),
         ("totals", totals.json()),
@@ -385,7 +459,7 @@ fn main() {
     if let Some(threads) = compare_threads {
         eprintln!("--- comparison pass at {threads} search threads ---");
         let cp = p.clone().with_search_threads(threads);
-        let (cmp_records, cmp_totals) = run_corpus(&configs, &cp, verify_serial);
+        let (cmp_records, cmp_totals) = run_repeated(&configs, &cp, verify_serial, repeat);
         fields.push((
             "comparison",
             Json::obj([

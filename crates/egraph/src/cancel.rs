@@ -12,9 +12,10 @@ use std::time::Instant;
 /// [`with_deadline`] (and every clone of it) also reads as cancelled
 /// once its deadline has passed; the parent it came from does not, and
 /// `cancel()` on any clone still cancels them all. The [`Runner`]
-/// checks its token between iterations, between rules, before every
-/// candidate class and inside the matching VM, so a cancel request or
-/// an expired deadline stops even a single explosive rule search
+/// checks its token between iterations, between rules, between
+/// candidate classes and inside the matching VM (the last two once per
+/// quantum of matcher work, not per class), so a cancel request or an
+/// expired deadline stops even a single explosive rule search
 /// promptly.
 ///
 /// [`cancel`]: CancelToken::cancel

@@ -162,6 +162,16 @@ impl<L: Language> EGraph<L> {
             .expect("canonical id must have a class")
     }
 
+    /// The e-nodes of class `id`, which must be canonical: the matching
+    /// VM's registers are, so it skips [`EGraph::eclass`]'s `find`.
+    pub(crate) fn canonical_class_nodes(&self, id: Id) -> &[L] {
+        debug_assert_eq!(id, self.find(id), "class id must be canonical");
+        &self.classes[id.index()]
+            .as_ref()
+            .expect("canonical id must have a class")
+            .nodes
+    }
+
     /// Canonicalizes the children of `enode`.
     pub fn canonicalize(&self, enode: &L) -> L {
         enode.map_children(|c| self.find(c))
@@ -170,8 +180,18 @@ impl<L: Language> EGraph<L> {
     /// Looks up an e-node without inserting; returns its canonical class
     /// if present.
     pub fn lookup(&self, enode: &L) -> Option<Id> {
-        let enode = self.canonicalize(enode);
-        self.memo.get(&enode).map(|&id| self.find(id))
+        self.lookup_canonical(&self.canonicalize(enode))
+    }
+
+    /// [`EGraph::lookup`] for an e-node whose children are already
+    /// canonical, as the matching VM's registers are: no
+    /// canonicalizing copy is made.
+    pub(crate) fn lookup_canonical(&self, enode: &L) -> Option<Id> {
+        debug_assert!(
+            enode.children().iter().all(|&c| c == self.find(c)),
+            "children must be canonical"
+        );
+        self.memo.get(enode).map(|&id| self.find(id))
     }
 
     /// Looks up a whole expression without inserting.

@@ -22,6 +22,21 @@
 //!   `true` leaf of `(& ?a true)`, is the vacuous case: a chain whose
 //!   leaves are childless `Build`s.
 //!
+//! `Bind`s run in the pattern's preorder. `Build` and `Compare` never
+//! branch; they are checks, and each runs as soon as the registers it
+//! reads are bound (see [`Program::compile`]). In maj-37,
+//! `(| (& ?a ?b) (& (& (! (& ?a ?b)) (| ?a ?b)) ?c))`, the four probes
+//! of `(& (! (& ?a ?b)) (| ?a ?b))` run once `(& ?a ?b)` binds `?b`,
+//! before the `(& X ?c)` `Bind`, so they run once per binding of `?a`
+//! and `?b` instead of once per e-node of the `(& X ?c)` class, and a
+//! failed probe skips that scan. Moving a check earlier prunes sooner
+//! but never changes which matches are found or their order.
+//!
+//! Search requires a clean e-graph, so every register holds a canonical
+//! id and the VM never re-canonicalizes: a `Bind` reads the class's
+//! node list directly, a `Build` probes the memo with the node as
+//! built, and a `Compare` is a plain `==`.
+//!
 //! Every searched program has one shape: its root is an operator, and
 //! the search driver runs it on each class that holds that operator. A
 //! bare-variable pattern `?x` has no operator to select classes by, so
@@ -39,8 +54,11 @@
 //! loop. One **budget unit** is one e-node a `Bind` visits or one
 //! probe a `Build` makes; the token is polled every
 //! [`CANCEL_CHECK_QUANTUM`] units, so cancellation latency is bounded
-//! by that many units rather than by a whole rule search. The units a
-//! search spends are reported as [`SearchStats::visits`].
+//! by that many units rather than by a whole rule search. The search
+//! driver polls between candidate classes on the same rule, once per
+//! quantum of units rather than once per class, since a token with a
+//! deadline reads the clock on every poll. The units a search spends
+//! are reported as [`SearchStats::visits`].
 //!
 //! [`search_rules`] drives a whole ruleset: one program per rule, rules
 //! spread over a work-stealing thread pool.
@@ -86,6 +104,30 @@ pub enum Instruction<L> {
         /// Register receiving the e-node's class.
         out: Reg,
     },
+}
+
+impl<L: Language> Instruction<L> {
+    /// The registers this instruction reads.
+    fn reads(&self) -> Vec<Reg> {
+        match self {
+            Instruction::Bind { i, .. } => vec![*i],
+            Instruction::Build { node, .. } => {
+                node.children().iter().map(|c| c.index() as Reg).collect()
+            }
+            Instruction::Compare { i, j } => vec![*i, *j],
+        }
+    }
+
+    /// Whether this instruction writes register `r`.
+    fn writes(&self, r: Reg) -> bool {
+        match self {
+            Instruction::Bind { node, out, .. } => {
+                (*out..*out + node.children().len() as Reg).contains(&r)
+            }
+            Instruction::Build { out, .. } => *out == r,
+            Instruction::Compare { .. } => false,
+        }
+    }
 }
 
 /// How often (in budget units: `Bind` e-node visits and `Build`
@@ -141,10 +183,18 @@ pub struct Program<L> {
 }
 
 impl<L: Language> Program<L> {
-    /// Compiles a pattern AST. Instructions follow the pattern's
-    /// depth-first preorder (root first, children left to right), which
-    /// keeps the VM's match enumeration order aligned with the
-    /// classic recursive matcher. A bare variable compiles to no
+    /// Compiles a pattern AST. The [`Instruction::Bind`]s follow the
+    /// pattern's depth-first preorder (root first, children left to
+    /// right), which keeps the VM's match enumeration order aligned
+    /// with the classic recursive matcher. Each check — a
+    /// [`Instruction::Build`] or [`Instruction::Compare`], neither of
+    /// which branches — runs as soon as its inputs are bound: it sits
+    /// just after the instruction that writes the last register it
+    /// reads, behind the checks already placed there. A failing check
+    /// then prunes the sibling `Bind`s the preorder would have run
+    /// before it, and a passing one runs once per binding of its
+    /// inputs rather than once per e-node of those siblings; matches
+    /// and their order are unchanged. A bare variable compiles to no
     /// instructions at all; searches reject such patterns, since they
     /// have no root operator to select candidate classes by.
     pub fn compile(ast: &RecExpr<ENodeOrVar<L>>) -> Self {
@@ -161,16 +211,14 @@ impl<L: Language> Program<L> {
         match &ast[pat] {
             ENodeOrVar::Var(v) => {
                 if let Some(first) = self.var_reg(*v) {
-                    self.instructions
-                        .push(Instruction::Compare { i: reg, j: first });
+                    self.push_check(Instruction::Compare { i: reg, j: first });
                 } else {
                     self.subst_template.push((*v, reg));
                 }
             }
             ENodeOrVar::ENode(_) if self.all_vars_bound(ast, pat) => {
                 let built = self.compile_build(ast, pat);
-                self.instructions
-                    .push(Instruction::Compare { i: reg, j: built });
+                self.push_check(Instruction::Compare { i: reg, j: built });
             }
             ENodeOrVar::ENode(node) => {
                 let out = self.alloc_regs(node.children().len());
@@ -199,10 +247,30 @@ impl<L: Language> Program<L> {
                 let node =
                     node.map_children(|c| Id::from_index(usize::from(self.compile_build(ast, c))));
                 let out = self.alloc_regs(1);
-                self.instructions.push(Instruction::Build { node, out });
+                self.push_check(Instruction::Build { node, out });
                 out
             }
         }
+    }
+
+    /// Places a check just after the last writer of the registers it
+    /// reads (at the start if it reads none), behind the checks
+    /// already there, so checks keep their preorder among themselves.
+    fn push_check(&mut self, check: Instruction<L>) {
+        let reads = check.reads();
+        let mut at = self
+            .instructions
+            .iter()
+            .rposition(|ins| reads.iter().any(|&r| ins.writes(r)))
+            .map_or(0, |w| w + 1);
+        while self
+            .instructions
+            .get(at)
+            .is_some_and(|ins| !matches!(ins, Instruction::Bind { .. }))
+        {
+            at += 1;
+        }
+        self.instructions.insert(at, check);
     }
 
     /// The register holding `v`'s first occurrence, if an earlier
@@ -252,6 +320,11 @@ impl<L: Language> Program<L> {
     /// `Build` probe); matching stops when it reaches zero, when
     /// `substs` has grown by `max_substs`, or within
     /// [`CANCEL_CHECK_QUANTUM`] units of `cancel` being set.
+    ///
+    /// Every register holds a canonical id, so no instruction
+    /// re-canonicalizes: the root is `find`-ed here, a `Bind` copies
+    /// children out of a clean class's canonical node list, and a
+    /// `Build` stores the `find` of the class the memo returns.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &self,
@@ -263,6 +336,7 @@ impl<L: Language> Program<L> {
         max_substs: usize,
         cancel: &CancelToken,
     ) -> RunOutcome {
+        debug_assert!(egraph.is_clean(), "the VM runs on a clean e-graph");
         regs.clear();
         regs.resize(self.n_regs, Id::from_index(0));
         regs[0] = egraph.find(eclass);
@@ -328,8 +402,7 @@ impl Machine<'_> {
                 i,
                 out: out_reg,
             } => {
-                let class = egraph.eclass(self.regs[*i as usize]);
-                for enode in class.iter() {
+                for enode in egraph.canonical_class_nodes(self.regs[*i as usize]) {
                     if let Some(stop) = self.charge(budget) {
                         return stop;
                     }
@@ -352,7 +425,7 @@ impl Machine<'_> {
                     return stop;
                 }
                 let enode = node.map_children(|r| self.regs[r.index()]);
-                match egraph.lookup(&enode) {
+                match egraph.lookup_canonical(&enode) {
                     Some(class) => {
                         self.regs[*out_reg as usize] = class;
                         self.exec(egraph, prog, pc + 1, budget, out)
@@ -361,7 +434,7 @@ impl Machine<'_> {
                 }
             }
             Instruction::Compare { i, j } => {
-                if egraph.find(self.regs[*i as usize]) == egraph.find(self.regs[*j as usize]) {
+                if self.regs[*i as usize] == self.regs[*j as usize] {
                     self.exec(egraph, prog, pc + 1, budget, out)
                 } else {
                     RunOutcome::Complete
@@ -591,7 +664,10 @@ pub(crate) mod tests {
             .search_interruptible(&eg, usize::MAX, &CancelToken::new())
             .unwrap();
         assert!(matches.is_empty());
-        assert!(stats.visits > 0, "the root Bind still runs per candidate");
+        assert!(
+            stats.visits > 0,
+            "the ground probes still run per candidate"
+        );
         assert!(p.search_oracle(&eg).is_empty());
         let present = pat("(f ?x (g a c))");
         let found = present.search(&eg);
@@ -614,11 +690,12 @@ pub(crate) mod tests {
     /// backtracking (so the per-class match cap never stops it): two
     /// classes `A`/`B` each holding `width` f-nodes over disjoint
     /// leaves, `n_roots` classes `(g A B t_r)` told apart by a tag
-    /// leaf, and the nonlinear probe `(g (f ?x) (f ?y) ?x)` that never
-    /// closes: every `(?x, ?y)` pair is enumerated before the last
-    /// `?x` fails against the tag. Each root costs ~`width²` e-node
-    /// visits (up to the work budget) but adds only two e-nodes, so
-    /// searching dwarfs every other cost of the e-graph.
+    /// leaf, and the probe `(g (f ?x) (f ?y) (h ?x ?y))` that never
+    /// closes: its failing check, the `(h ?x ?y)` probe, needs both
+    /// variables, so every `(?x, ?y)` pair is enumerated and probed.
+    /// Each root costs ~`width²` budget units (up to the work budget)
+    /// but adds only two e-nodes, so searching dwarfs every other cost
+    /// of the e-graph.
     pub(crate) fn explosive_workload(n_roots: usize, width: usize) -> (EG, Pattern<SymbolLang>) {
         let mut eg = EG::default();
         let side = |tag: &str, eg: &mut EG| {
@@ -640,7 +717,77 @@ pub(crate) mod tests {
             eg.add(SymbolLang::new("g", vec![a, b, tag]));
         }
         eg.rebuild();
-        (eg, pat("(g (f ?x) (f ?y) ?x)"))
+        (eg, pat("(g (f ?x) (f ?y) (h ?x ?y))"))
+    }
+
+    /// A program's instructions as `bind r<i>`, `build r<out>` and
+    /// `compare r<i> r<j>`, for pinning their order.
+    fn layout(p: &Pattern<SymbolLang>) -> Vec<String> {
+        p.program()
+            .instructions()
+            .iter()
+            .map(|ins| match ins {
+                Instruction::Bind { i, .. } => format!("bind r{i}"),
+                Instruction::Build { out, .. } => format!("build r{out}"),
+                Instruction::Compare { i, j } => format!("compare r{i} r{j}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn checks_run_as_soon_as_their_registers_are_bound() {
+        // maj-37: the four probes of `(& (! (& ?a ?b)) (| ?a ?b))` read
+        // only `?a` (r3) and `?b` (r4), so they follow the Bind of
+        // `(& ?a ?b)`, before the `(& X ?c)` Bind of r2; their Compare
+        // reads r5, which that Bind writes.
+        let maj37 = pat("(| (& ?a ?b) (& (& (! (& ?a ?b)) (| ?a ?b)) ?c))");
+        assert_eq!(
+            layout(&maj37),
+            [
+                "bind r0",
+                "bind r1",
+                "build r7",
+                "build r8",
+                "build r9",
+                "build r10",
+                "bind r2",
+                "compare r5 r10",
+            ]
+        );
+        // The repeated `?x` is checked once the first `f` binds it,
+        // before the second `f` is scanned.
+        let early = pat("(g (f ?x) (f ?y) ?x)");
+        assert_eq!(
+            layout(&early),
+            ["bind r0", "bind r1", "compare r3 r4", "bind r2"]
+        );
+        // On the explosive e-graph that probe fails after the first
+        // `f`: each root costs its g and the `width` f's of `A`, not
+        // the work budget.
+        let width = 400;
+        let (eg, _) = explosive_workload(3, width);
+        let (matches, stats) = early
+            .search_interruptible(&eg, usize::MAX, &CancelToken::new())
+            .unwrap();
+        assert_eq!(
+            stats,
+            SearchStats {
+                visits: 3 * (1 + width),
+                budget_exhausted: 0,
+                capped: 0,
+            }
+        );
+        assert_eq!(flat(&matches), flat(&early.search_oracle(&eg)));
+        // Where `?x` does close, the early check keeps every match.
+        let (mut eg, _) = explosive_workload(2, 30);
+        let class = |eg: &EG, s: &str| eg.lookup_expr(&s.parse().unwrap()).unwrap();
+        let (a, b, x) = (class(&eg, "(f a0)"), class(&eg, "(f b0)"), class(&eg, "a7"));
+        eg.add(SymbolLang::new("g", vec![a, b, x]));
+        eg.rebuild();
+        let found = early.search(&eg);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].substs.len(), 30);
+        assert_eq!(flat(&found), flat(&early.search_oracle(&eg)));
     }
 
     #[test]
@@ -834,7 +981,7 @@ pub(crate) mod tests {
         let start = Instant::now();
         let full = p.search(&eg);
         let full_time = start.elapsed();
-        assert!(full.is_empty(), "the nonlinear probe must never close");
+        assert!(full.is_empty(), "the probe must never close");
 
         let token = CancelToken::new();
         let canceller = {

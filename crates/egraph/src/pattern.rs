@@ -8,7 +8,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::machine::{Program, RunOutcome, SearchStats};
+use crate::machine::{Program, RunOutcome, SearchStats, CANCEL_CHECK_QUANTUM};
 use crate::recexpr::{parse_sexp, Sexp};
 use crate::{CancelToken, EGraph, FromOp, Id, Language, ParseRecExprError, RecExpr, Symbol};
 
@@ -253,10 +253,13 @@ impl<L: Language> Pattern<L> {
     /// more than `limit` substitutions have been collected (the
     /// boundary class is kept whole). The [`CancelToken`] is polled
     /// *inside* the matching VM (every
-    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] budget units) and
-    /// before every candidate class, so even a single explosive rule
-    /// search stops promptly, whether the token's flag is set or its
-    /// deadline passes. Returns `None` if the search was interrupted —
+    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] budget units) and,
+    /// on the same quantum, between candidate classes: before the
+    /// first one, then before the first class after each further
+    /// quantum of units spent. So even a single explosive rule search,
+    /// or a long run of small classes, stops promptly, whether the
+    /// token's flag is set or its deadline passes, without a clock
+    /// read per class. Returns `None` if the search was interrupted —
     /// a partial match set is never returned — and otherwise the
     /// matches with the budget units spent and the candidate classes
     /// whose run the work budget or the per-class match cap cut short.
@@ -285,12 +288,18 @@ impl<L: Language> Pattern<L> {
         // Only classes containing the root operator can match; use the
         // e-graph's operator index to skip the rest.
         let mut regs = Vec::new();
+        // The in-VM poll only triggers on budget quanta *within* a
+        // class; polling here too, once per quantum spent across
+        // classes, keeps cancellation latency bounded over runs of
+        // small classes. The first candidate is always polled, so a
+        // token that is already cancelled or expired stops at once.
+        let mut next_poll = 0;
         for &id in egraph.classes_with_op(&self.root_op()) {
-            // The in-VM poll only triggers on budget quanta *within* a
-            // class; checking here too keeps cancellation latency
-            // bounded across runs of small classes.
-            if cancel.is_cancelled() {
-                return None;
+            if stats.visits >= next_poll {
+                if cancel.is_cancelled() {
+                    return None;
+                }
+                next_poll = stats.visits + CANCEL_CHECK_QUANTUM;
             }
             let mut budget = MATCH_WORK_BUDGET;
             let (m, outcome) = self.run_vm_on_class(egraph, id, &mut regs, &mut budget, cancel);

@@ -414,9 +414,9 @@ impl<L: Language> Runner<L> {
             }
             let search_start = Instant::now();
             // Search phase (time limit and cancellation enforced per
-            // rule and per candidate class, not only per iteration, so
-            // one explosive rule cannot stall the run or delay a cancel
-            // request). The searches only read the e-graph; scheduler
+            // rule and per quantum of matcher work, not only per
+            // iteration, so one explosive rule cannot stall the run or
+            // delay a cancel request). The searches only read the e-graph; scheduler
             // state and profiles are updated afterwards, serially, in
             // rule-index order, so the fan-out never changes results.
             let directives: Vec<RuleDirective> = rules
