@@ -3,40 +3,57 @@
 //! ([`to_aig_binary`]/[`from_aig_binary`]).
 //!
 //! Only the combinational subset is supported (no latches), which is
-//! all the BoolE benchmarks need.
+//! all the BoolE benchmarks need. The ASCII reader accepts AND gates in
+//! any order, as the format allows: like the BLIF and Verilog readers,
+//! it builds them through the shared resolver in [`crate::netlist`].
+//! Both readers report typed [`NetlistError`]s, with the line wherever
+//! the format has lines.
 
 use std::collections::HashMap;
-use std::fmt;
 
+use crate::netlist::{build_definitions, Definition, NetlistError, NetlistErrorKind};
 use crate::{Aig, Lit, Node};
 
-/// Error from parsing an AIGER file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseAigerError {
-    line: usize,
-    message: String,
+const FORMAT: &str = "aiger";
+
+fn err(kind: NetlistErrorKind, line: usize, message: impl Into<String>) -> NetlistError {
+    NetlistError::at(FORMAT, kind, line, message)
 }
 
-impl ParseAigerError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
-        Self {
+fn parse_num(s: &str, line: usize) -> Result<u32, NetlistError> {
+    s.parse().map_err(|_| {
+        err(
+            NetlistErrorKind::Syntax,
             line,
-            message: message.into(),
-        }
-    }
-}
-
-impl fmt::Display for ParseAigerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "aiger parse error on line {}: {}",
-            self.line, self.message
+            format!("invalid number `{s}`"),
         )
-    }
+    })
 }
 
-impl std::error::Error for ParseAigerError {}
+/// Parses the five header counts `M I L O A` after the `magic` word,
+/// rejecting latches.
+fn parse_header(header: &str, magic: &str) -> Result<[u32; 5], NetlistError> {
+    let fields: Vec<&str> = header.split_whitespace().collect();
+    if fields.len() != 6 || fields[0] != magic {
+        return Err(err(
+            NetlistErrorKind::Syntax,
+            1,
+            format!("header must be `{magic} M I L O A`"),
+        ));
+    }
+    let mut counts = [0u32; 5];
+    for (count, field) in counts.iter_mut().zip(&fields[1..]) {
+        *count = parse_num(field, 1)?;
+    }
+    if counts[2] != 0 {
+        return Err(err(
+            NetlistErrorKind::Latch,
+            1,
+            "latches are not supported (combinational only)",
+        ));
+    }
+    Ok(counts)
+}
 
 /// Serializes an AIG to AIGER ASCII format (`.aag`), including output
 /// symbol names.
@@ -71,134 +88,121 @@ pub fn to_aag(aig: &Aig) -> String {
 
 /// Parses an AIGER ASCII (`.aag`) combinational file.
 ///
+/// AND gates may be listed in any order; a file in topological order,
+/// as [`to_aag`] writes it, is rebuilt node for node.
+///
 /// # Errors
 ///
-/// Returns an error on malformed headers, latches (unsupported),
-/// out-of-order definitions, or literals out of range.
-pub fn from_aag(text: &str) -> Result<Aig, ParseAigerError> {
-    let mut lines = text.lines().enumerate();
-    let (lineno, header) = lines
-        .next()
-        .ok_or_else(|| ParseAigerError::new(0, "empty file"))?;
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() != 6 || fields[0] != "aag" {
-        return Err(ParseAigerError::new(
-            lineno + 1,
-            "header must be `aag M I L O A`",
-        ));
-    }
-    let parse_num = |s: &str, line: usize| -> Result<u32, ParseAigerError> {
-        s.parse()
-            .map_err(|_| ParseAigerError::new(line, format!("invalid number `{s}`")))
+/// Typed [`NetlistError`]s with the offending line:
+/// [`NetlistErrorKind::Truncated`] for a file that ends before its
+/// header counts are met, [`NetlistErrorKind::Latch`] for latches,
+/// [`NetlistErrorKind::Arity`] for an AND line without three literals,
+/// [`NetlistErrorKind::Undeclared`] for a literal nothing defines,
+/// [`NetlistErrorKind::Cycle`] for a combinational loop, and
+/// [`NetlistErrorKind::Syntax`] for the rest (malformed header or
+/// number, an odd or constant defining literal, a literal defined
+/// twice).
+pub fn from_aag(text: &str) -> Result<Aig, NetlistError> {
+    let mut lines = text.lines().enumerate().map(|(idx, line)| (idx + 1, line));
+    let mut next_line = |section: &str| {
+        lines.next().ok_or_else(|| {
+            err(
+                NetlistErrorKind::Truncated,
+                text.lines().count(),
+                format!("file ends in the {section}"),
+            )
+        })
     };
-    let m = parse_num(fields[1], lineno + 1)?;
-    let i = parse_num(fields[2], lineno + 1)?;
-    let l = parse_num(fields[3], lineno + 1)?;
-    let o = parse_num(fields[4], lineno + 1)?;
-    let a = parse_num(fields[5], lineno + 1)?;
-    if l != 0 {
-        return Err(ParseAigerError::new(
-            lineno + 1,
-            "latches are not supported (combinational only)",
+    let (_, header) = next_line("header")?;
+    let [m, i, _, o, a] = parse_header(header, "aag")?;
+    if i.checked_add(a).is_none_or(|ia| m < ia) {
+        return Err(err(NetlistErrorKind::Syntax, 1, "M < I + A"));
+    }
+
+    let even_var = |raw: u32, line: usize, what: &str| {
+        if raw < 2 || raw & 1 == 1 {
+            Err(err(
+                NetlistErrorKind::Syntax,
+                line,
+                format!("{what} must be a positive even literal"),
+            ))
+        } else {
+            Ok(raw)
+        }
+    };
+    let mut inputs: Vec<(usize, u32)> = Vec::new();
+    for _ in 0..i {
+        let (line, text) = next_line("inputs")?;
+        inputs.push((
+            line,
+            even_var(parse_num(text.trim(), line)?, line, "input literal")?,
         ));
     }
-    if m < i + a {
-        return Err(ParseAigerError::new(lineno + 1, "M < I + A"));
-    }
-
-    let mut aig = Aig::new();
-    // input literal (as written) -> our literal
-    let mut lit_map: HashMap<u32, Lit> = HashMap::new();
-    lit_map.insert(0, Lit::FALSE);
-
-    for _ in 0..i {
-        let (lineno, line) = lines
-            .next()
-            .ok_or_else(|| ParseAigerError::new(0, "unexpected EOF in inputs"))?;
-        let raw = parse_num(line.trim(), lineno + 1)?;
-        if raw < 2 || raw & 1 == 1 {
-            return Err(ParseAigerError::new(
-                lineno + 1,
-                "input literal must be a positive even literal",
-            ));
-        }
-        let lit = aig.add_input();
-        lit_map.insert(raw, lit);
-    }
-
-    let mut output_raw: Vec<(usize, u32)> = Vec::with_capacity(o as usize);
+    let mut outputs: Vec<(usize, u32)> = Vec::new();
     for _ in 0..o {
-        let (lineno, line) = lines
-            .next()
-            .ok_or_else(|| ParseAigerError::new(0, "unexpected EOF in outputs"))?;
-        output_raw.push((lineno + 1, parse_num(line.trim(), lineno + 1)?));
+        let (line, text) = next_line("outputs")?;
+        outputs.push((line, parse_num(text.trim(), line)?));
     }
-
+    // Each AND reads its fanins' variables; the gate is their polarities.
+    let mut ands: Vec<Definition<u32, [bool; 2]>> = Vec::new();
     for _ in 0..a {
-        let (lineno, line) = lines
-            .next()
-            .ok_or_else(|| ParseAigerError::new(0, "unexpected EOF in AND gates"))?;
-        let nums: Vec<&str> = line.split_whitespace().collect();
+        let (line, text) = next_line("AND gates")?;
+        let nums: Vec<&str> = text.split_whitespace().collect();
         if nums.len() != 3 {
-            return Err(ParseAigerError::new(
-                lineno + 1,
+            return Err(err(
+                NetlistErrorKind::Arity,
+                line,
                 "AND line must be `lhs rhs0 rhs1`",
             ));
         }
-        let lhs = parse_num(nums[0], lineno + 1)?;
-        let rhs0 = parse_num(nums[1], lineno + 1)?;
-        let rhs1 = parse_num(nums[2], lineno + 1)?;
-        if lhs & 1 == 1 {
-            return Err(ParseAigerError::new(lineno + 1, "AND lhs must be even"));
-        }
-        let resolve =
-            |raw: u32, line: usize, map: &HashMap<u32, Lit>| -> Result<Lit, ParseAigerError> {
-                let var_lit = raw & !1;
-                let lit = map.get(&var_lit).copied().ok_or_else(|| {
-                    ParseAigerError::new(line, format!("literal {raw} used before definition"))
-                })?;
-                Ok(lit ^ (raw & 1 == 1))
-            };
-        let f0 = resolve(rhs0, lineno + 1, &lit_map)?;
-        let f1 = resolve(rhs1, lineno + 1, &lit_map)?;
-        let lit = aig.and(f0, f1);
-        lit_map.insert(lhs, lit);
+        let lhs = even_var(parse_num(nums[0], line)?, line, "AND lhs")?;
+        let rhs = [parse_num(nums[1], line)?, parse_num(nums[2], line)?];
+        ands.push(Definition {
+            line,
+            output: lhs,
+            inputs: rhs.iter().map(|raw| raw & !1).collect(),
+            gate: rhs.map(|raw| raw & 1 == 1),
+        });
     }
 
     // Optional symbol table: oN name
     let mut out_names: HashMap<usize, String> = HashMap::new();
-    for (lineno, line) in lines {
-        let line = line.trim();
-        if line == "c" || line.starts_with("c ") {
+    for (line, text) in lines {
+        let text = text.trim();
+        if text == "c" || text.starts_with("c ") {
             break;
         }
-        if line.is_empty() {
+        if text.is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix('o') {
+        if let Some(rest) = text.strip_prefix('o') {
             let mut parts = rest.splitn(2, ' ');
             let idx: usize = parts
                 .next()
                 .and_then(|s| s.parse().ok())
-                .ok_or_else(|| ParseAigerError::new(lineno + 1, "bad symbol line"))?;
+                .ok_or_else(|| err(NetlistErrorKind::Syntax, line, "bad symbol line"))?;
             let name = parts.next().unwrap_or("").to_owned();
             out_names.insert(idx, name);
         }
         // input symbols (iN) are accepted and ignored
     }
 
-    for (idx, (line, raw)) in output_raw.iter().enumerate() {
-        let var_lit = raw & !1;
-        let lit = lit_map.get(&var_lit).copied().ok_or_else(|| {
-            ParseAigerError::new(*line, format!("undefined output literal {raw}"))
-        })? ^ (raw & 1 == 1);
-        let name = out_names
-            .get(&idx)
-            .cloned()
-            .unwrap_or_else(|| format!("o{idx}"));
-        aig.add_output(name, lit);
+    let output_vars: Vec<(usize, u32)> = outputs
+        .iter()
+        .map(|&(line, raw)| (line, raw & !1))
+        .collect();
+    let (mut aig, lits) = build_definitions(
+        FORMAT,
+        &[(0, Lit::FALSE)],
+        &inputs,
+        &ands,
+        &output_vars,
+        |aig, &[c0, c1], fanins| aig.and(fanins[0] ^ c0, fanins[1] ^ c1),
+    )?;
+    for (idx, (&(_, raw), lit)) in outputs.iter().zip(lits).enumerate() {
+        let name = out_names.remove(&idx).unwrap_or_else(|| format!("o{idx}"));
+        aig.add_output(name, lit ^ (raw & 1 == 1));
     }
-    let _ = m;
     Ok(aig)
 }
 
@@ -248,11 +252,36 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        assert!(from_aag("").is_err());
-        assert!(from_aag("aig 1 1 0 0 0\n2\n").is_err());
-        assert!(from_aag("aag 1 0 1 0 0\n").is_err()); // latch
-        assert!(from_aag("aag 1 1 0 1 0\n2\n").is_err()); // missing output line
-        assert!(from_aag("aag 3 2 0 0 1\n2\n4\n6 8 2\n").is_err()); // fwd ref
+        let fails = |text: &str| from_aag(text).unwrap_err();
+        let e = fails("");
+        assert_eq!((e.kind, e.line), (NetlistErrorKind::Truncated, 0), "{e}");
+        let e = fails("aig 1 1 0 0 0\n2\n");
+        assert_eq!((e.kind, e.line), (NetlistErrorKind::Syntax, 1), "{e}");
+        let e = fails("aag 1 0 1 0 0\n");
+        assert_eq!((e.kind, e.line), (NetlistErrorKind::Latch, 1), "{e}");
+        // Missing output line.
+        let e = fails("aag 1 1 0 1 0\n2\n");
+        assert_eq!((e.kind, e.line), (NetlistErrorKind::Truncated, 2), "{e}");
+        // Literal 8 is read but never defined.
+        let e = fails("aag 3 2 0 0 1\n2\n4\n6 8 2\n");
+        assert_eq!((e.kind, e.line), (NetlistErrorKind::Undeclared, 4), "{e}");
+        // An AND line redefining an input literal.
+        let e = fails("aag 2 1 0 1 1\n2\n2\n2 0 0\n");
+        assert_eq!((e.kind, e.line), (NetlistErrorKind::Syntax, 4), "{e}");
+    }
+
+    #[test]
+    fn and_lines_resolve_in_any_order() {
+        // y = (a & b) & c with the outer AND listed first.
+        let text = "aag 5 3 0 1 2\n2\n4\n6\n10\n10 8 6\n8 4 2\n";
+        let aig = from_aag(text).unwrap();
+        let mut expect = Aig::new();
+        let ins = expect.add_inputs(3);
+        let t = expect.and(ins[0], ins[1]);
+        let y = expect.and(t, ins[2]);
+        expect.add_output("y", y);
+        assert_eq!(aig.num_ands(), 2);
+        assert!(exhaustive_equiv_check(&aig, &expect));
     }
 
     #[test]
@@ -337,66 +366,69 @@ fn push_delta(out: &mut Vec<u8>, mut delta: u32) {
 ///
 /// # Errors
 ///
-/// Returns an error on malformed headers, latches, truncated delta
-/// streams, or out-of-order gates.
-pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
+/// Typed [`NetlistError`]s: [`NetlistErrorKind::Truncated`] for a file
+/// that ends inside its header, output lines or delta stream,
+/// [`NetlistErrorKind::Latch`] for latches,
+/// [`NetlistErrorKind::Undeclared`] for an output literal beyond the
+/// last variable, and [`NetlistErrorKind::Syntax`] for the rest
+/// (malformed header or number, `M ≠ I + A`, a delta that does not
+/// point below its gate). Errors in the header and output lines carry
+/// their line; the delta stream has none.
+pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, NetlistError> {
     // Header line.
-    let newline = bytes
-        .iter()
-        .position(|&b| b == b'\n')
-        .ok_or_else(|| ParseAigerError::new(1, "missing header line"))?;
+    let newline = bytes.iter().position(|&b| b == b'\n').ok_or_else(|| {
+        err(
+            NetlistErrorKind::Truncated,
+            1,
+            "file ends before the header line does",
+        )
+    })?;
     let header = std::str::from_utf8(&bytes[..newline])
-        .map_err(|_| ParseAigerError::new(1, "header is not UTF-8"))?;
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() != 6 || fields[0] != "aig" {
-        return Err(ParseAigerError::new(1, "header must be `aig M I L O A`"));
-    }
-    let parse_num = |s: &str| -> Result<u32, ParseAigerError> {
-        s.parse()
-            .map_err(|_| ParseAigerError::new(1, format!("invalid number `{s}`")))
-    };
-    let m = parse_num(fields[1])?;
-    let i = parse_num(fields[2])?;
-    let l = parse_num(fields[3])?;
-    let o = parse_num(fields[4])?;
-    let a = parse_num(fields[5])?;
-    if l != 0 {
-        return Err(ParseAigerError::new(1, "latches are not supported"));
-    }
-    if m != i + a {
-        return Err(ParseAigerError::new(1, "binary aiger requires M = I + A"));
+        .map_err(|_| err(NetlistErrorKind::Syntax, 1, "header is not UTF-8"))?;
+    let [m, i, _, o, a] = parse_header(header, "aig")?;
+    if i.checked_add(a) != Some(m) {
+        return Err(err(
+            NetlistErrorKind::Syntax,
+            1,
+            "binary aiger requires M = I + A",
+        ));
     }
     let mut pos = newline + 1;
 
-    // Output literal lines (ASCII decimal).
-    let mut output_codes: Vec<u32> = Vec::with_capacity(o as usize);
-    for _ in 0..o {
+    // Output literal lines (ASCII decimal), from line 2 on.
+    let mut output_codes: Vec<(usize, u32)> = Vec::new();
+    for line in (2..).take(o as usize) {
         let end = bytes[pos..]
             .iter()
             .position(|&b| b == b'\n')
-            .ok_or_else(|| ParseAigerError::new(0, "unexpected EOF in outputs"))?
+            .ok_or_else(|| {
+                err(
+                    NetlistErrorKind::Truncated,
+                    line,
+                    "file ends in the outputs",
+                )
+            })?
             + pos;
-        let line = std::str::from_utf8(&bytes[pos..end])
-            .map_err(|_| ParseAigerError::new(0, "output line is not UTF-8"))?;
-        output_codes.push(parse_num(line.trim())?);
+        let text = std::str::from_utf8(&bytes[pos..end])
+            .map_err(|_| err(NetlistErrorKind::Syntax, line, "output line is not UTF-8"))?;
+        output_codes.push((line, parse_num(text.trim(), line)?));
         pos = end + 1;
     }
 
     // AND gate delta stream.
     let mut aig = Aig::new();
     // code (variable number in the binary ordering) -> literal.
-    let mut lits: Vec<Lit> = Vec::with_capacity(m as usize + 1);
-    lits.push(Lit::FALSE);
+    let mut lits: Vec<Lit> = vec![Lit::FALSE];
     for _ in 0..i {
         lits.push(aig.add_input());
     }
-    let read_delta = |pos: &mut usize| -> Result<u32, ParseAigerError> {
+    let read_delta = |pos: &mut usize| -> Result<u32, NetlistError> {
         let mut value: u32 = 0;
         let mut shift = 0;
         loop {
             let &byte = bytes
                 .get(*pos)
-                .ok_or_else(|| ParseAigerError::new(0, "truncated delta stream"))?;
+                .ok_or_else(|| err(NetlistErrorKind::Truncated, 0, "truncated delta stream"))?;
             *pos += 1;
             value |= u32::from(byte & 0x7F) << shift;
             if byte & 0x80 == 0 {
@@ -404,7 +436,7 @@ pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
             }
             shift += 7;
             if shift > 28 {
-                return Err(ParseAigerError::new(0, "delta overflow"));
+                return Err(err(NetlistErrorKind::Syntax, 0, "delta overflow"));
             }
         }
     };
@@ -414,15 +446,18 @@ pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
         let d1 = read_delta(&mut pos)?;
         let rhs0 = lhs
             .checked_sub(d0)
-            .ok_or_else(|| ParseAigerError::new(0, "delta exceeds lhs"))?;
+            .ok_or_else(|| err(NetlistErrorKind::Syntax, 0, "delta exceeds lhs"))?;
         let rhs1 = rhs0
             .checked_sub(d1)
-            .ok_or_else(|| ParseAigerError::new(0, "second delta exceeds rhs0"))?;
-        let resolve = |code: u32| -> Result<Lit, ParseAigerError> {
-            let lit = lits
-                .get((code / 2) as usize)
-                .copied()
-                .ok_or_else(|| ParseAigerError::new(0, format!("literal {code} out of range")))?;
+            .ok_or_else(|| err(NetlistErrorKind::Syntax, 0, "second delta exceeds rhs0"))?;
+        let resolve = |code: u32| -> Result<Lit, NetlistError> {
+            let lit = lits.get((code / 2) as usize).copied().ok_or_else(|| {
+                err(
+                    NetlistErrorKind::Syntax,
+                    0,
+                    format!("literal {code} does not precede its gate {lhs}"),
+                )
+            })?;
             Ok(lit ^ (code & 1 == 1))
         };
         let f0 = resolve(rhs0)?;
@@ -447,9 +482,13 @@ pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
             }
         }
     }
-    for (idx, code) in output_codes.iter().enumerate() {
+    for (idx, &(line, code)) in output_codes.iter().enumerate() {
         let lit = lits.get((code / 2) as usize).copied().ok_or_else(|| {
-            ParseAigerError::new(0, format!("output literal {code} out of range"))
+            err(
+                NetlistErrorKind::Undeclared,
+                line,
+                format!("output literal {code} is beyond the last variable"),
+            )
         })? ^ (code & 1 == 1);
         let name = out_names
             .get(&idx)
@@ -495,11 +534,13 @@ mod binary_tests {
 
     #[test]
     fn binary_rejects_malformed() {
-        assert!(from_aig_binary(b"").is_err());
-        assert!(from_aig_binary(b"aig 1 1 1 0 0\n").is_err()); // latch
-        assert!(from_aig_binary(b"aig 2 1 0 0 2\n").is_err()); // M != I+A
-                                                               // Truncated delta stream.
-        assert!(from_aig_binary(b"aig 2 1 0 0 1\n").is_err());
+        let kind = |bytes: &[u8]| from_aig_binary(bytes).unwrap_err().kind;
+        assert_eq!(kind(b""), NetlistErrorKind::Truncated);
+        assert_eq!(kind(b"aig 1 1 1 0 0\n"), NetlistErrorKind::Latch);
+        assert_eq!(kind(b"aig 2 1 0 0 2\n"), NetlistErrorKind::Syntax); // M != I+A
+        assert_eq!(kind(b"aig 2 1 0 0 1\n"), NetlistErrorKind::Truncated); // no deltas
+        let e = from_aig_binary(b"aig 1 1 0 1 0\n4\n").unwrap_err();
+        assert_eq!((e.kind, e.line), (NetlistErrorKind::Undeclared, 2), "{e}");
     }
 
     #[test]

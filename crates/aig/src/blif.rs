@@ -9,9 +9,10 @@
 //! [`NetlistErrorKind::Unsupported`].
 //!
 //! `.names` blocks may appear in any order (a cover may reference a
-//! signal defined later); definitions are resolved to a fixpoint and
-//! genuine combinational cycles are reported as
-//! [`NetlistErrorKind::Cycle`].
+//! signal defined later): they are built in dependency order by the
+//! shared resolver in [`crate::netlist`], which also reports
+//! redefinitions, undefined signals and combinational cycles
+//! ([`NetlistErrorKind::Cycle`]).
 //!
 //! [`write_blif`] emits one two-input `.names` per AND gate (cover
 //! columns carry the fanin polarities) plus one buffer `.names` per
@@ -19,9 +20,11 @@
 //! rebuilds a node-for-node identical AIG, which the conformance suite
 //! asserts.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use crate::netlist::{sanitize_name, NetlistError, NetlistErrorKind};
+use crate::netlist::{
+    build_definitions, sanitize_name, Definition, NetlistError, NetlistErrorKind,
+};
 use crate::{Aig, Lit};
 
 const FORMAT: &str = "blif";
@@ -80,15 +83,10 @@ fn logical_lines(text: &str) -> Result<Vec<LogicalLine<'_>>, NetlistError> {
     Ok(out)
 }
 
-/// A parsed `.names` block, before signal resolution.
-struct NamesDef<'a> {
-    line: usize,
-    inputs: Vec<&'a str>,
-    output: &'a str,
-    /// Cover rows as (input plane, output value). All rows of one
-    /// block share the output value (checked during parsing).
-    rows: Vec<(&'a str, bool)>,
-}
+/// A `.names` block: its cover rows as (input plane, output value).
+/// All rows of one block share the output value (checked during
+/// parsing).
+type NamesDef<'a> = Definition<&'a str, Vec<(&'a str, bool)>>;
 
 /// Parses a combinational BLIF model into an [`Aig`].
 ///
@@ -171,9 +169,9 @@ pub fn parse_blif(text: &str) -> Result<Aig, NetlistError> {
                 let (cover_inputs, output) = sigs.split_at(sigs.len() - 1);
                 let mut def = NamesDef {
                     line: line.line,
-                    inputs: cover_inputs.to_vec(),
                     output: output[0],
-                    rows: Vec::new(),
+                    inputs: cover_inputs.to_vec(),
+                    gate: Vec::new(),
                 };
                 i += 1;
                 let mut output_value: Option<bool> = None;
@@ -230,7 +228,7 @@ pub fn parse_blif(text: &str) -> Result<Aig, NetlistError> {
                             "cover mixes ON-set and OFF-set rows",
                         ));
                     }
-                    def.rows.push((plane, value));
+                    def.gate.push((plane, value));
                     i += 1;
                 }
                 defs.push(def);
@@ -273,115 +271,24 @@ pub fn parse_blif(text: &str) -> Result<Aig, NetlistError> {
         ));
     }
 
-    // Signal table: inputs first (declaration order fixes ordinals).
-    let mut aig = Aig::new();
-    let mut signals: HashMap<&str, Lit> = HashMap::new();
-    for &(line, name) in &inputs {
-        let lit = aig.add_input();
-        if signals.insert(name, lit).is_some() {
-            return Err(err(
-                NetlistErrorKind::Syntax,
-                line,
-                format!("input {name:?} declared twice"),
-            ));
-        }
-    }
-    let mut defined: HashSet<&str> = signals.keys().copied().collect();
-    for def in &defs {
-        if !defined.insert(def.output) {
-            let what = if signals.contains_key(def.output) {
-                "redefines input"
-            } else {
-                "is defined twice"
-            };
-            return Err(err(
-                NetlistErrorKind::Syntax,
-                def.line,
-                format!("signal {:?} {what}", def.output),
-            ));
-        }
-    }
-
-    // Resolve .names blocks in dependency order (Kahn-style worklist,
-    // linear in cover references): order in the file does not matter,
-    // only the dependency DAG does. The ready queue is a min-heap on
-    // the definition index, so a topologically ordered file — in
-    // particular anything `write_blif` produced — is rebuilt in file
-    // order, keeping round trips node-for-node exact.
-    let mut waiters: HashMap<&str, Vec<usize>> = HashMap::new();
-    let mut missing: Vec<usize> = vec![0; defs.len()];
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-        std::collections::BinaryHeap::new();
-    for (i, def) in defs.iter().enumerate() {
-        for name in &def.inputs {
-            if !signals.contains_key(name) {
-                missing[i] += 1;
-                waiters.entry(name).or_default().push(i);
-            }
-        }
-        if missing[i] == 0 {
-            ready.push(std::cmp::Reverse(i));
-        }
-    }
-    let mut resolved = 0usize;
-    while let Some(std::cmp::Reverse(i)) = ready.pop() {
-        let def = &defs[i];
-        let lit = build_sop(&mut aig, def, &signals);
-        signals.insert(def.output, lit);
-        resolved += 1;
-        if let Some(blocked) = waiters.remove(def.output) {
-            for w in blocked {
-                missing[w] -= 1;
-                if missing[w] == 0 {
-                    ready.push(std::cmp::Reverse(w));
-                }
-            }
-        }
-    }
-    if resolved < defs.len() {
-        // Diagnose across the whole stuck frontier: a signal that is
-        // never defined anywhere means an undeclared reference; if
-        // every reference has a definition, the blockage is a cycle.
-        let stuck = || defs.iter().filter(|def| !signals.contains_key(def.output));
-        for def in stuck() {
-            if let Some(ghost) = def.inputs.iter().find(|name| !defined.contains(**name)) {
-                return Err(err(
-                    NetlistErrorKind::Undeclared,
-                    def.line,
-                    format!("signal {ghost:?} used by {:?} is never defined", def.output),
-                ));
-            }
-        }
-        let def = stuck().next().expect("resolved < defs.len()");
-        return Err(err(
-            NetlistErrorKind::Cycle,
-            def.line,
-            format!("combinational cycle through {:?}", def.output),
-        ));
-    }
-
-    for &(line, name) in &outputs {
-        let lit = signals.get(name).copied().ok_or_else(|| {
-            err(
-                NetlistErrorKind::Undeclared,
-                line,
-                format!("output {name:?} is never defined"),
-            )
+    let (mut aig, lits) =
+        build_definitions(FORMAT, &[], &inputs, &defs, &outputs, |aig, rows, ins| {
+            build_sop(aig, rows, ins)
         })?;
+    for (&(_, name), lit) in outputs.iter().zip(lits) {
         aig.add_output(name, lit);
     }
     Ok(aig)
 }
 
-/// Lowers one resolved SOP cover into the AIG.
-fn build_sop(aig: &mut Aig, def: &NamesDef<'_>, signals: &HashMap<&str, Lit>) -> Lit {
-    let ins: Vec<Lit> = def.inputs.iter().map(|name| signals[name]).collect();
-    let mut terms = Vec::with_capacity(def.rows.len());
+/// Lowers one SOP cover over the input literals `ins` into the AIG.
+fn build_sop(aig: &mut Aig, rows: &[(&str, bool)], ins: &[Lit]) -> Lit {
+    let mut terms = Vec::with_capacity(rows.len());
     let mut on_set = true;
-    for (plane, value) in &def.rows {
+    for (plane, value) in rows {
         on_set = *value;
         let mut product = Lit::TRUE;
-        for (ch, &lit) in plane.chars().zip(&ins) {
+        for (ch, &lit) in plane.chars().zip(ins) {
             match ch {
                 '1' => product = aig.and(product, lit),
                 '0' => product = aig.and(product, !lit),

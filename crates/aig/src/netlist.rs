@@ -1,6 +1,8 @@
 //! Format-agnostic netlist ingestion: the [`Netlist`] frontend trait,
-//! the shared [`NetlistError`] type, and the [`read_netlist`]
-//! dispatcher that picks a frontend from a file extension.
+//! the shared [`NetlistError`] type, the [`read_netlist`] dispatcher
+//! that picks a frontend from a file extension, and the one definition
+//! resolver the text frontends (BLIF, Verilog, ASCII AIGER) build
+//! through.
 //!
 //! Four frontends are registered ([`FRONTENDS`]):
 //!
@@ -15,12 +17,20 @@
 //! (simulation, saturation, fingerprinting) is source-format agnostic:
 //! isomorphic netlists produce identical structures no matter which
 //! format delivered them.
+//!
+//! The text frontends only tokenize and check what is specific to their
+//! format; turning the gate definitions into AIG nodes is one shared
+//! step, so definition order, redefinitions, undefined signals and
+//! cycles are handled — and reported with the same
+//! [`NetlistErrorKind`]s — identically for every text format.
 
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
+use std::hash::Hash;
 use std::path::Path;
 
-use crate::Aig;
+use crate::{Aig, Lit};
 
 /// What went wrong while reading or writing a netlist file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,7 +166,7 @@ impl Netlist for AagFormat {
     fn parse(&self, bytes: &[u8]) -> Result<Aig, NetlistError> {
         let text = std::str::from_utf8(bytes)
             .map_err(|_| NetlistError::new("aag", NetlistErrorKind::Syntax, "file is not UTF-8"))?;
-        crate::aiger::from_aag(text).map_err(aiger_error)
+        crate::aiger::from_aag(text)
     }
     fn write(&self, aig: &Aig) -> Vec<u8> {
         crate::aiger::to_aag(aig).into_bytes()
@@ -174,7 +184,7 @@ impl Netlist for AigerBinaryFormat {
         &["aig"]
     }
     fn parse(&self, bytes: &[u8]) -> Result<Aig, NetlistError> {
-        crate::aiger::from_aig_binary(bytes).map_err(aiger_error)
+        crate::aiger::from_aig_binary(bytes)
     }
     fn write(&self, aig: &Aig) -> Vec<u8> {
         crate::aiger::to_aig_binary(aig)
@@ -221,18 +231,6 @@ impl Netlist for VerilogFormat {
     fn write(&self, aig: &Aig) -> Vec<u8> {
         crate::verilog::write_verilog(aig).into_bytes()
     }
-}
-
-fn aiger_error(e: crate::aiger::ParseAigerError) -> NetlistError {
-    let message = e.to_string();
-    let kind = if message.contains("latch") {
-        NetlistErrorKind::Latch
-    } else if message.contains("EOF") || message.contains("truncated") {
-        NetlistErrorKind::Truncated
-    } else {
-        NetlistErrorKind::Syntax
-    };
-    NetlistError::new("aiger", kind, message)
 }
 
 /// Every registered frontend, in dispatch order.
@@ -319,6 +317,146 @@ pub fn write_netlist(path: impl AsRef<Path>, aig: &Aig) -> Result<(), NetlistErr
             format!("cannot write {}: {e}", path.display()),
         )
     })
+}
+
+/// One gate definition of a text netlist, as a frontend hands it to
+/// [`build_definitions`].
+pub(crate) struct Definition<K, G> {
+    /// 1-based source line.
+    pub(crate) line: usize,
+    /// The signal the definition drives.
+    pub(crate) output: K,
+    /// The signals it reads, in operand order.
+    pub(crate) inputs: Vec<K>,
+    /// What it computes, in the frontend's terms (a BLIF cover, a
+    /// Verilog primitive, an AIGER AND's fanin polarities).
+    pub(crate) gate: G,
+}
+
+/// Builds a text netlist into an [`Aig`]: binds `constants`, adds
+/// `inputs` as primary inputs in order, lowers every definition through
+/// `lower` (which receives the gate and its fanin literals in operand
+/// order) and looks up `outputs`, returning their literals in order.
+/// The caller names the outputs.
+///
+/// Definitions are built in dependency order by a Kahn worklist whose
+/// ready queue is a min-heap on the definition index, so their order in
+/// the file does not matter, and a topologically ordered file — in
+/// particular anything this crate's writers produce — is rebuilt in
+/// file order, node for node.
+///
+/// # Errors
+///
+/// Typed [`NetlistError`]s tagged with `format` and the offending line:
+/// [`NetlistErrorKind::Syntax`] for an input declared twice or a signal
+/// defined twice or redefining an input, [`NetlistErrorKind::Undeclared`]
+/// for a definition or output reading a signal nothing defines, and
+/// [`NetlistErrorKind::Cycle`] for a combinational loop.
+pub(crate) fn build_definitions<K, G>(
+    format: &'static str,
+    constants: &[(K, Lit)],
+    inputs: &[(usize, K)],
+    defs: &[Definition<K, G>],
+    outputs: &[(usize, K)],
+    mut lower: impl FnMut(&mut Aig, &G, &[Lit]) -> Lit,
+) -> Result<(Aig, Vec<Lit>), NetlistError>
+where
+    K: Copy + Eq + Hash + fmt::Debug,
+{
+    let err = |kind, line, message: String| NetlistError::at(format, kind, line, message);
+    let mut aig = Aig::new();
+    let mut signals: HashMap<K, Lit> = constants.iter().copied().collect();
+    for &(line, key) in inputs {
+        let lit = aig.add_input();
+        if signals.insert(key, lit).is_some() {
+            return Err(err(
+                NetlistErrorKind::Syntax,
+                line,
+                format!("input {key:?} declared twice"),
+            ));
+        }
+    }
+    let mut defined: HashSet<K> = signals.keys().copied().collect();
+    for def in defs {
+        if !defined.insert(def.output) {
+            let what = if signals.contains_key(&def.output) {
+                "redefines input"
+            } else {
+                "is defined twice"
+            };
+            return Err(err(
+                NetlistErrorKind::Syntax,
+                def.line,
+                format!("signal {:?} {what}", def.output),
+            ));
+        }
+    }
+
+    let mut waiters: HashMap<K, Vec<usize>> = HashMap::new();
+    let mut missing: Vec<usize> = vec![0; defs.len()];
+    let mut ready: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+    for (i, def) in defs.iter().enumerate() {
+        for key in &def.inputs {
+            if !signals.contains_key(key) {
+                missing[i] += 1;
+                waiters.entry(*key).or_default().push(i);
+            }
+        }
+        if missing[i] == 0 {
+            ready.push(Reverse(i));
+        }
+    }
+    let mut fanins: Vec<Lit> = Vec::new();
+    let mut built = 0usize;
+    while let Some(Reverse(i)) = ready.pop() {
+        let def = &defs[i];
+        fanins.clear();
+        fanins.extend(def.inputs.iter().map(|key| signals[key]));
+        let lit = lower(&mut aig, &def.gate, &fanins);
+        signals.insert(def.output, lit);
+        built += 1;
+        for w in waiters.remove(&def.output).unwrap_or_default() {
+            missing[w] -= 1;
+            if missing[w] == 0 {
+                ready.push(Reverse(w));
+            }
+        }
+    }
+    if built < defs.len() {
+        // Diagnose across the whole stuck frontier: a signal defined
+        // nowhere means an undeclared reference; if every reference has
+        // a definition, the blockage is a cycle.
+        let stuck = || defs.iter().filter(|def| !signals.contains_key(&def.output));
+        for def in stuck() {
+            if let Some(ghost) = def.inputs.iter().find(|key| !defined.contains(*key)) {
+                return Err(err(
+                    NetlistErrorKind::Undeclared,
+                    def.line,
+                    format!("signal {ghost:?} used by {:?} is never defined", def.output),
+                ));
+            }
+        }
+        let def = stuck().next().expect("built < defs.len()");
+        return Err(err(
+            NetlistErrorKind::Cycle,
+            def.line,
+            format!("combinational cycle through {:?}", def.output),
+        ));
+    }
+
+    let outputs = outputs
+        .iter()
+        .map(|&(line, key)| {
+            signals.get(&key).copied().ok_or_else(|| {
+                err(
+                    NetlistErrorKind::Undeclared,
+                    line,
+                    format!("output {key:?} is never defined"),
+                )
+            })
+        })
+        .collect::<Result<Vec<Lit>, NetlistError>>()?;
+    Ok((aig, outputs))
 }
 
 /// Sanitizes `raw` into an identifier (letters, digits, `_`) that is

@@ -5,9 +5,10 @@
 //! the gate primitives `and`, `nand`, `or`, `nor`, `xor`, `xnor`
 //! (n-ary), `not`, `buf` (two-port), simple alias assignments
 //! (`assign y = x;`), and the constant literals `1'b0`/`1'b1` as
-//! operands. Instances may appear in any order; definitions are
-//! resolved to a fixpoint and combinational cycles are reported as
-//! [`NetlistErrorKind::Cycle`].
+//! operands. Instances may appear in any order: they are built in
+//! dependency order by the shared resolver in [`crate::netlist`], which
+//! also reports multiple drivers, undriven nets and combinational
+//! cycles ([`NetlistErrorKind::Cycle`]).
 //!
 //! Outside the subset — vectors (`[3:0]`), `always`/`initial` blocks,
 //! `reg` declarations, module instantiation, expression assigns — the
@@ -20,9 +21,11 @@
 //! `parse_verilog(write_verilog(aig))` rebuilds a node-for-node
 //! identical AIG; the conformance suite asserts this.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use crate::netlist::{sanitize_name, NetlistError, NetlistErrorKind};
+use crate::netlist::{
+    build_definitions, sanitize_name, Definition, NetlistError, NetlistErrorKind,
+};
 use crate::{Aig, Lit};
 
 const FORMAT: &str = "verilog";
@@ -32,24 +35,24 @@ fn err(kind: NetlistErrorKind, line: usize, message: impl Into<String>) -> Netli
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
+enum Tok<'a> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'a str),
     /// `1'b0` / `1'b1` (payload is the bit value).
     Const(bool),
     /// A bare number (only legal inside constructs the parser then
     /// rejects as unsupported, e.g. vector ranges).
-    Number(String),
+    Number(&'a str),
     /// Single punctuation character: `( ) , ; = [ ] .` etc.
     Punct(char),
 }
 
-struct Token {
-    tok: Tok,
+struct Token<'a> {
+    tok: Tok<'a>,
     line: usize,
 }
 
-fn tokenize(text: &str) -> Result<Vec<Token>, NetlistError> {
+fn tokenize(text: &str) -> Result<Vec<Token<'_>>, NetlistError> {
     let mut out = Vec::new();
     let bytes = text.as_bytes();
     let mut i = 0usize;
@@ -101,7 +104,7 @@ fn tokenize(text: &str) -> Result<Vec<Token>, NetlistError> {
                     i += 1;
                 }
                 out.push(Token {
-                    tok: Tok::Ident(text[start..i].to_owned()),
+                    tok: Tok::Ident(&text[start..i]),
                     line,
                 });
             }
@@ -143,7 +146,7 @@ fn tokenize(text: &str) -> Result<Vec<Token>, NetlistError> {
                     });
                 } else {
                     out.push(Token {
-                        tok: Tok::Number(text[start..i].to_owned()),
+                        tok: Tok::Number(&text[start..i]),
                         line,
                     });
                 }
@@ -172,20 +175,21 @@ fn tokenize(text: &str) -> Result<Vec<Token>, NetlistError> {
     Ok(out)
 }
 
-/// A gate operand: a named net or a constant literal.
-#[derive(Debug, Clone)]
-enum Operand {
-    Net(String),
-    Const(bool),
+/// The constant literals as operands: `1'b0` and `1'b1` are signals
+/// bound before anything else (no identifier can spell them).
+const CONSTANTS: [(&str, Lit); 2] = [("1'b0", Lit::FALSE), ("1'b1", Lit::TRUE)];
+
+/// The operand signal for a constant literal.
+fn constant(value: bool) -> &'static str {
+    CONSTANTS[usize::from(value)].0
+}
+
+fn is_constant(signal: &str) -> bool {
+    CONSTANTS.iter().any(|&(c, _)| c == signal)
 }
 
 /// One primitive instance (or alias assign), pre-resolution.
-struct Instance {
-    line: usize,
-    kind: GateKind,
-    output: String,
-    inputs: Vec<Operand>,
-}
+type Instance<'a> = Definition<&'a str, GateKind>;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GateKind {
@@ -216,13 +220,13 @@ impl GateKind {
 }
 
 /// Token-stream cursor with one-token lookahead.
-struct Cursor {
-    tokens: Vec<Token>,
+struct Cursor<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Cursor {
-    fn peek(&self) -> Option<&Tok> {
+impl<'a> Cursor<'a> {
+    fn peek(&self) -> Option<&Tok<'a>> {
         self.tokens.get(self.pos).map(|t| &t.tok)
     }
 
@@ -233,7 +237,7 @@ impl Cursor {
             .unwrap_or(0)
     }
 
-    fn next(&mut self) -> Option<&Token> {
+    fn next(&mut self) -> Option<&Token<'a>> {
         let t = self.tokens.get(self.pos);
         if t.is_some() {
             self.pos += 1;
@@ -260,13 +264,13 @@ impl Cursor {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, usize), NetlistError> {
+    fn expect_ident(&mut self) -> Result<(&'a str, usize), NetlistError> {
         let line = self.line();
         match self.next() {
             Some(Token {
                 tok: Tok::Ident(name),
                 line,
-            }) => Ok((name.clone(), *line)),
+            }) => Ok((*name, *line)),
             Some(t) => Err(err(
                 NetlistErrorKind::Syntax,
                 t.line,
@@ -318,18 +322,13 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
     }
     let _module_name = cur.expect_ident()?;
 
-    // Declarations, in declaration order.
-    let mut classes: HashMap<String, (NetClass, usize)> = HashMap::new();
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut port_names: Vec<String> = Vec::new();
-    let mut declare = |name: String,
-                       class: NetClass,
-                       line: usize,
-                       inputs: &mut Vec<String>,
-                       outputs: &mut Vec<String>|
-     -> Result<(), NetlistError> {
-        if classes.insert(name.clone(), (class, line)).is_some() {
+    // Declarations, in declaration order, with their lines.
+    let mut declared: HashSet<&str> = HashSet::new();
+    let mut inputs: Vec<(usize, &str)> = Vec::new();
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
+    let mut port_names: Vec<&str> = Vec::new();
+    let mut declare = |name, class, line| -> Result<(), NetlistError> {
+        if !declared.insert(name) {
             return Err(err(
                 NetlistErrorKind::Syntax,
                 line,
@@ -337,8 +336,8 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
             ));
         }
         match class {
-            NetClass::Input => inputs.push(name),
-            NetClass::Output => outputs.push(name),
+            NetClass::Input => inputs.push((line, name)),
+            NetClass::Output => outputs.push((line, name)),
             NetClass::Wire => {}
         }
         Ok(())
@@ -354,7 +353,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
             let mut class: Option<NetClass> = None;
             loop {
                 while let Some(Tok::Ident(word)) = cur.peek() {
-                    match word.as_str() {
+                    match *word {
                         "input" => class = Some(NetClass::Input),
                         "output" => class = Some(NetClass::Output),
                         "wire" => {}
@@ -378,7 +377,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                 }
                 let (name, line) = cur.expect_ident()?;
                 if let Some(class) = class {
-                    declare(name.clone(), class, line, &mut inputs, &mut outputs)?;
+                    declare(name, class, line)?;
                 }
                 port_names.push(name);
                 match cur.peek() {
@@ -399,7 +398,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
     while let Some(tok) = cur.peek() {
         let line = cur.line();
         let word = match tok {
-            Tok::Ident(word) => word.clone(),
+            Tok::Ident(word) => *word,
             other => {
                 return Err(err(
                     NetlistErrorKind::Syntax,
@@ -408,7 +407,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                 ));
             }
         };
-        match word.as_str() {
+        match word {
             "endmodule" => {
                 cur.next();
                 saw_endmodule = true;
@@ -417,7 +416,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                 // would analyze (and cache!) the wrong circuit.
                 match cur.peek() {
                     None => {}
-                    Some(Tok::Ident(word)) if word == "module" => {
+                    Some(Tok::Ident("module")) => {
                         return Err(err(
                             NetlistErrorKind::Unsupported,
                             cur.line(),
@@ -436,7 +435,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
             }
             "input" | "output" | "wire" => {
                 cur.next();
-                let class = match word.as_str() {
+                let class = match word {
                     "input" => NetClass::Input,
                     "output" => NetClass::Output,
                     _ => NetClass::Wire,
@@ -450,7 +449,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                 }
                 loop {
                     let (name, line) = cur.expect_ident()?;
-                    declare(name, class, line, &mut inputs, &mut outputs)?;
+                    declare(name, class, line)?;
                     match cur.peek() {
                         Some(Tok::Punct(',')) => {
                             cur.next();
@@ -468,10 +467,10 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                     Some(Token {
                         tok: Tok::Ident(name),
                         ..
-                    }) => Operand::Net(name.clone()),
+                    }) => *name,
                     Some(Token {
                         tok: Tok::Const(v), ..
-                    }) => Operand::Const(*v),
+                    }) => constant(*v),
                     other => {
                         return Err(err(
                             NetlistErrorKind::Unsupported,
@@ -494,9 +493,9 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                 }
                 instances.push(Instance {
                     line,
-                    kind: GateKind::Buf,
                     output: lhs,
                     inputs: vec![rhs],
+                    gate: GateKind::Buf,
                 });
             }
             "always" | "initial" | "reg" => {
@@ -507,7 +506,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                 ));
             }
             _ => {
-                let Some(kind) = GateKind::from_keyword(&word) else {
+                let Some(kind) = GateKind::from_keyword(word) else {
                     return Err(err(
                         NetlistErrorKind::Unsupported,
                         line,
@@ -522,17 +521,17 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                     cur.next();
                 }
                 cur.expect_punct('(')?;
-                let mut operands: Vec<(Operand, usize)> = Vec::new();
+                let mut operands: Vec<&str> = Vec::new();
                 loop {
                     let opline = cur.line();
                     let op = match cur.next() {
                         Some(Token {
                             tok: Tok::Ident(name),
                             ..
-                        }) => Operand::Net(name.clone()),
+                        }) => *name,
                         Some(Token {
                             tok: Tok::Const(v), ..
-                        }) => Operand::Const(*v),
+                        }) => constant(*v),
                         Some(Token {
                             tok: Tok::Punct('.'),
                             line,
@@ -551,7 +550,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                             ));
                         }
                     };
-                    operands.push((op, opline));
+                    operands.push(op);
                     match cur.peek() {
                         Some(Tok::Punct(',')) => {
                             cur.next();
@@ -579,22 +578,19 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
                         ),
                     ));
                 }
-                let (out, _) = operands.remove(0);
-                let output = match out {
-                    Operand::Net(name) => name,
-                    Operand::Const(_) => {
-                        return Err(err(
-                            NetlistErrorKind::Syntax,
-                            line,
-                            "a gate output must be a net, not a constant",
-                        ));
-                    }
-                };
+                let output = operands[0];
+                if is_constant(output) {
+                    return Err(err(
+                        NetlistErrorKind::Syntax,
+                        line,
+                        "a gate output must be a net, not a constant",
+                    ));
+                }
                 instances.push(Instance {
                     line,
-                    kind,
                     output,
-                    inputs: operands.into_iter().map(|(op, _)| op).collect(),
+                    inputs: operands[1..].to_vec(),
+                    gate: kind,
                 });
             }
         }
@@ -610,7 +606,7 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
     // Every header port must be classed; non-ANSI headers rely on body
     // declarations for this.
     for name in &port_names {
-        if !classes.contains_key(name) {
+        if !declared.contains(name) {
             return Err(err(
                 NetlistErrorKind::Undeclared,
                 0,
@@ -618,140 +614,35 @@ pub fn parse_verilog(text: &str) -> Result<Aig, NetlistError> {
             ));
         }
     }
-
-    // Semantic checks on drivers.
-    let mut driver_of: HashMap<&str, &Instance> = HashMap::new();
+    // Every net a gate touches must be declared; redefinitions, undriven
+    // nets and cycles are the resolver's to report.
     for inst in &instances {
-        let Some((class, _)) = classes.get(inst.output.as_str()) else {
+        if !declared.contains(inst.output) {
             return Err(err(
                 NetlistErrorKind::Undeclared,
                 inst.line,
                 format!("undeclared net {:?} driven by a gate", inst.output),
             ));
-        };
-        if *class == NetClass::Input {
+        }
+        let known = |name: &&str| declared.contains(name) || is_constant(name);
+        if let Some(name) = inst.inputs.iter().find(|name| !known(name)) {
             return Err(err(
-                NetlistErrorKind::Syntax,
-                inst.line,
-                format!("gate drives input port {:?}", inst.output),
-            ));
-        }
-        if driver_of.insert(&inst.output, inst).is_some() {
-            return Err(err(
-                NetlistErrorKind::Syntax,
-                inst.line,
-                format!("net {:?} has multiple drivers", inst.output),
-            ));
-        }
-        for op in &inst.inputs {
-            if let Operand::Net(name) = op {
-                if !classes.contains_key(name.as_str()) {
-                    return Err(err(
-                        NetlistErrorKind::Undeclared,
-                        inst.line,
-                        format!("undeclared net {name:?} used as a gate input"),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Build: inputs in declaration order, then gate fixpoint.
-    let mut aig = Aig::new();
-    let mut signals: HashMap<&str, Lit> = HashMap::new();
-    for name in &inputs {
-        let lit = aig.add_input();
-        signals.insert(name, lit);
-    }
-    // Kahn-style worklist (linear in operand references); the ready
-    // queue is a min-heap on instance index, so a topologically
-    // ordered file — in particular anything `write_verilog` produced —
-    // is rebuilt in file order, keeping round trips node-for-node
-    // exact.
-    let mut waiters: HashMap<&str, Vec<usize>> = HashMap::new();
-    let mut missing: Vec<usize> = vec![0; instances.len()];
-    let mut ready: std::collections::BinaryHeap<std::cmp::Reverse<usize>> =
-        std::collections::BinaryHeap::new();
-    for (i, inst) in instances.iter().enumerate() {
-        for op in &inst.inputs {
-            if let Operand::Net(name) = op {
-                if !signals.contains_key(name.as_str()) {
-                    missing[i] += 1;
-                    waiters.entry(name).or_default().push(i);
-                }
-            }
-        }
-        if missing[i] == 0 {
-            ready.push(std::cmp::Reverse(i));
-        }
-    }
-    let mut unresolved = instances.len();
-    while let Some(std::cmp::Reverse(i)) = ready.pop() {
-        let inst = &instances[i];
-        let fanins: Vec<Lit> = inst
-            .inputs
-            .iter()
-            .map(|op| match op {
-                Operand::Net(name) => signals[name.as_str()],
-                Operand::Const(true) => Lit::TRUE,
-                Operand::Const(false) => Lit::FALSE,
-            })
-            .collect();
-        let lit = build_gate(&mut aig, inst.kind, &fanins);
-        signals.insert(&inst.output, lit);
-        unresolved -= 1;
-        if let Some(blocked) = waiters.remove(inst.output.as_str()) {
-            for w in blocked {
-                missing[w] -= 1;
-                if missing[w] == 0 {
-                    ready.push(std::cmp::Reverse(w));
-                }
-            }
-        }
-    }
-    if unresolved > 0 {
-        // Diagnose across the whole stuck frontier: an operand net
-        // with no driver anywhere means an undriven wire; if every
-        // operand has a driver, the blockage is a cycle.
-        let stuck = || {
-            instances
-                .iter()
-                .filter(|inst| !signals.contains_key(inst.output.as_str()))
-        };
-        for inst in stuck() {
-            let undriven = inst.inputs.iter().find_map(|op| match op {
-                Operand::Net(name)
-                    if !driver_of.contains_key(name.as_str())
-                        && !signals.contains_key(name.as_str()) =>
-                {
-                    Some(name)
-                }
-                _ => None,
-            });
-            if let Some(name) = undriven {
-                return Err(err(
-                    NetlistErrorKind::Undeclared,
-                    inst.line,
-                    format!("net {name:?} is declared but never driven"),
-                ));
-            }
-        }
-        let inst = stuck().next().expect("unresolved > 0");
-        return Err(err(
-            NetlistErrorKind::Cycle,
-            inst.line,
-            format!("combinational cycle through {:?}", inst.output),
-        ));
-    }
-
-    for name in &outputs {
-        let lit = signals.get(name.as_str()).copied().ok_or_else(|| {
-            err(
                 NetlistErrorKind::Undeclared,
-                0,
-                format!("output {name:?} is never driven"),
-            )
-        })?;
+                inst.line,
+                format!("undeclared net {name:?} used as a gate input"),
+            ));
+        }
+    }
+
+    let (mut aig, lits) = build_definitions(
+        FORMAT,
+        &CONSTANTS,
+        &inputs,
+        &instances,
+        &outputs,
+        |aig, &kind, fanins| build_gate(aig, kind, fanins),
+    )?;
+    for (&(_, name), lit) in outputs.iter().zip(lits) {
         aig.add_output(name, lit);
     }
     Ok(aig)

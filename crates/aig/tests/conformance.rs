@@ -328,6 +328,28 @@ fn corrupt_files_produce_typed_errors_not_panics() {
             "this is not an aiger file\n",
             NetlistErrorKind::Syntax,
         ),
+        (
+            "redefined.aag",
+            "aag 3 2 0 1 2\n2\n4\n6\n6 2 4\n6 4 3\n",
+            NetlistErrorKind::Syntax,
+        ),
+        (
+            "undefined-output.aag",
+            "aag 2 1 0 1 0\n2\n4\n",
+            NetlistErrorKind::Undeclared,
+        ),
+        (
+            "cycle.aag",
+            "aag 4 1 0 1 2\n2\n6\n6 8 2\n8 6 2\n",
+            NetlistErrorKind::Cycle,
+        ),
+        ("empty.aag", "", NetlistErrorKind::Truncated),
+        ("latch.aag", "aag 2 1 1 0 0\n2\n4 2\n", NetlistErrorKind::Latch),
+        (
+            "truncated-deltas.aig",
+            "aig 2 1 0 0 1\n\x02",
+            NetlistErrorKind::Truncated,
+        ),
     ];
     for (file, contents, kind) in cases {
         let path = dir.join(file);

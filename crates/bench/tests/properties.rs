@@ -28,14 +28,30 @@ proptest! {
         prop_assert!(aig::sim::exhaustive_equiv_check(&aig, &balanced));
     }
 
-    /// AIGER round trips preserve functionality and interface.
+    /// AIGER round trips preserve functionality and interface, also
+    /// with the AND lines shuffled (ASCII AIGER allows any order).
     #[test]
-    fn prop_aiger_roundtrip(aig in random_aig(4, 20)) {
+    fn prop_aiger_roundtrip(aig in random_aig(4, 20), seed: u64) {
         let text = aig::aiger::to_aag(&aig);
         let parsed = aig::aiger::from_aag(&text).expect("self-produced aiger parses");
         prop_assert_eq!(parsed.num_inputs(), aig.num_inputs());
         prop_assert_eq!(parsed.num_outputs(), aig.num_outputs());
         prop_assert!(aig::sim::exhaustive_equiv_check(&aig, &parsed));
+
+        let mut lines: Vec<&str> = text.lines().collect();
+        let first_and = 1 + aig.num_inputs() + aig.num_outputs();
+        let ands = &mut lines[first_and..first_and + aig.num_ands()];
+        let mut state = seed;
+        for k in (1..ands.len()).rev() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ands.swap(k, (state >> 33) as usize % (k + 1));
+        }
+        let shuffled = aig::aiger::from_aag(&(lines.join("\n") + "\n"))
+            .expect("shuffled aiger parses");
+        prop_assert_eq!(shuffled.num_ands(), aig.num_ands());
+        prop_assert!(aig::sim::exhaustive_equiv_check(&aig, &shuffled));
     }
 
     /// Every block the ABC-style detector reports satisfies the adder

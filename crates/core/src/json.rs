@@ -22,7 +22,6 @@ use std::time::Duration;
 use egraph::StopReason;
 
 use crate::pair::PairStats;
-use crate::pipeline::BooleResult;
 use crate::saturate::SaturationStats;
 
 /// A JSON document value.
@@ -598,30 +597,6 @@ impl ToJson for crate::pipeline::RecoveredFa {
     }
 }
 
-impl ToJson for BooleResult {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("exact_fa_count", Json::from(self.exact_fa_count())),
-            (
-                "reconstructed",
-                Json::obj([
-                    ("inputs", Json::from(self.reconstructed.num_inputs())),
-                    ("outputs", Json::from(self.reconstructed.num_outputs())),
-                    ("ands", Json::from(self.reconstructed.num_ands())),
-                ]),
-            ),
-            ("fas", Json::arr(self.fas.iter().map(ToJson::to_json))),
-            (
-                "original_fas",
-                Json::arr(self.original_fas.iter().map(ToJson::to_json)),
-            ),
-            ("saturation", self.saturation.to_json()),
-            ("pairing", self.pairing.to_json()),
-            ("runtime_ms", Json::duration_ms(self.runtime)),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -795,22 +770,5 @@ mod tests {
             0..8,
         )
         .prop_map(|chars| chars.into_iter().collect())
-    }
-
-    #[test]
-    fn boole_result_serializes() {
-        let aig = aig::gen::csa_multiplier(3);
-        let result = crate::BoolE::new(crate::BooleParams::small()).run(&aig);
-        let text = result.to_json().to_string();
-        assert!(text.contains("\"exact_fa_count\":"));
-        assert!(text.contains("\"saturation\":"));
-        assert!(text.contains("\"runtime_ms\":"));
-        // Stats sub-documents round through their own impls.
-        assert!(result
-            .saturation
-            .to_json()
-            .to_string()
-            .contains("nodes_after_r1"));
-        assert!(result.pairing.to_json().to_string().contains("fa_inserted"));
     }
 }

@@ -323,23 +323,23 @@ fn merge_rule_profiles(
 /// multiset, only one representative is kept (the paper's third
 /// optimization: `XOR(a,b,c)` and `XOR(b,a,c)` need not coexist).
 pub fn prune_redundant(egraph: &mut EGraph<BoolLang>) -> usize {
-    // Collect the representatives to keep.
-    let mut keep: FxHashSet<(Id, BoolLang)> = FxHashSet::default();
-    for class in egraph.classes() {
-        let mut seen: FxHashSet<(std::mem::Discriminant<BoolLang>, Vec<Id>)> = FxHashSet::default();
-        for node in class.iter() {
-            if node.is_symmetric() {
-                let mut key: Vec<Id> = node.children().to_vec();
-                key.sort_unstable();
-                if seen.insert((std::mem::discriminant(node), key)) {
-                    keep.insert((class.id, node.clone()));
-                }
-            } else {
-                keep.insert((class.id, node.clone()));
-            }
+    // `retain_nodes` visits one class at a time and each class's nodes
+    // in order, so a seen-set cleared at every class change keeps the
+    // first node of each group.
+    let mut current: Option<Id> = None;
+    let mut seen: FxHashSet<(std::mem::Discriminant<BoolLang>, Vec<Id>)> = FxHashSet::default();
+    egraph.retain_nodes(|class, node| {
+        if !node.is_symmetric() {
+            return true;
         }
-    }
-    egraph.retain_nodes(|class, node| keep.contains(&(class.id, node.clone())))
+        if current != Some(class.id) {
+            current = Some(class.id);
+            seen.clear();
+        }
+        let mut key: Vec<Id> = node.children().to_vec();
+        key.sort_unstable();
+        seen.insert((std::mem::discriminant(node), key))
+    })
 }
 
 #[cfg(test)]

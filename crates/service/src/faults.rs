@@ -24,12 +24,8 @@
 //!    error classification layer can tell "the chaos harness did this
 //!    (transient, retry it)" from a real bug.
 //!
-//! The failpoint names are constants in [`site`]; a schedule can also
-//! be parsed from a compact text form (see [`FaultRegistry::parse`]):
-//!
-//! ```text
-//! cache.insert=error@nth:1;worker.pipeline=panic@every:3;queue.accept=error@prob:1/4:seed:7
-//! ```
+//! The failpoint names are constants in [`site`]; a schedule is built
+//! with [`FaultRegistry::configure`], one [`FaultPolicy`] per site.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -71,8 +67,7 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    /// Stable lowercase name (the spelling [`FaultRegistry::parse`]
-    /// accepts).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             FaultAction::Error => "error",
@@ -254,93 +249,11 @@ impl FaultRegistry {
         }
     }
 
-    /// Parses a compact schedule: `;`-separated `site=action@trigger`
-    /// clauses, where `action` is `error|panic` and `trigger`
-    /// is `nth:N`, `every:K`, `always`, or `prob:N/D[:seed:S]`
-    /// (seed defaults to 0). Unknown sites are rejected so schedule
-    /// typos fail loudly instead of injecting nothing.
-    pub fn parse(text: &str) -> Result<FaultRegistry, String> {
-        let registry = FaultRegistry::new();
-        for clause in text.split(';').filter(|c| !c.trim().is_empty()) {
-            let (site, rest) = clause
-                .trim()
-                .split_once('=')
-                .ok_or_else(|| format!("fault clause {clause:?}: expected site=action@trigger"))?;
-            if !site::ALL.contains(&site) {
-                return Err(format!(
-                    "unknown failpoint {site:?} (expected one of {})",
-                    site::ALL.join(", ")
-                ));
-            }
-            let (action, trigger) = rest
-                .split_once('@')
-                .ok_or_else(|| format!("fault clause {clause:?}: expected action@trigger"))?;
-            let action = match action {
-                "error" => FaultAction::Error,
-                "panic" => FaultAction::Panic,
-                other => return Err(format!("unknown fault action {other:?}")),
-            };
-            let trigger = parse_trigger(trigger)?;
-            registry.configure(site, FaultPolicy { trigger, action });
-        }
-        Ok(registry)
-    }
-
     /// The sites lock never guards anything that can be left torn —
     /// recover from poisoning instead of cascading a chaos panic.
     fn lock(&self) -> std::sync::MutexGuard<'_, FxHashMap<String, SiteState>> {
         self.sites.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
-
-fn parse_trigger(text: &str) -> Result<Trigger, String> {
-    if text == "always" {
-        return Ok(Trigger::Always);
-    }
-    if let Some(n) = text.strip_prefix("nth:") {
-        let n: u64 = n.parse().map_err(|e| format!("bad nth trigger: {e}"))?;
-        if n == 0 {
-            return Err("nth trigger is 1-based; use nth:1 for the first hit".to_owned());
-        }
-        return Ok(Trigger::Nth(n));
-    }
-    if let Some(k) = text.strip_prefix("every:") {
-        let k: u64 = k.parse().map_err(|e| format!("bad every trigger: {e}"))?;
-        if k == 0 {
-            return Err("every trigger needs k >= 1".to_owned());
-        }
-        return Ok(Trigger::EveryKth(k));
-    }
-    if let Some(rest) = text.strip_prefix("prob:") {
-        let (fraction, seed) = match rest.split_once(":seed:") {
-            Some((fraction, seed)) => (
-                fraction,
-                seed.parse::<u64>()
-                    .map_err(|e| format!("bad prob seed: {e}"))?,
-            ),
-            None => (rest, 0),
-        };
-        let (numerator, denominator) = fraction
-            .split_once('/')
-            .ok_or_else(|| format!("bad prob trigger {rest:?}: expected N/D"))?;
-        let numerator: u64 = numerator
-            .parse()
-            .map_err(|e| format!("bad prob numerator: {e}"))?;
-        let denominator: u64 = denominator
-            .parse()
-            .map_err(|e| format!("bad prob denominator: {e}"))?;
-        if denominator == 0 {
-            return Err("prob trigger needs a nonzero denominator".to_owned());
-        }
-        return Ok(Trigger::Probability {
-            numerator,
-            denominator,
-            seed,
-        });
-    }
-    Err(format!(
-        "unknown trigger {text:?} (nth:N | every:K | always | prob:N/D[:seed:S])"
-    ))
 }
 
 /// Evaluates an optional registry at `site`; the everyone-disabled
@@ -454,49 +367,5 @@ mod tests {
             registry.hit(site::CACHE_INSERT).is_some(),
             "counter must reset"
         );
-    }
-
-    #[test]
-    fn parse_round_trips_every_clause_form() {
-        let registry = FaultRegistry::parse(
-            "cache.insert=error@nth:1; worker.pipeline=panic@every:3;\
-             queue.accept=error@prob:1/4:seed:7",
-        )
-        .unwrap();
-        assert_eq!(registry.hit(site::CACHE_INSERT), Some(FaultAction::Error));
-        assert_eq!(registry.hit(site::CACHE_INSERT), None);
-        assert_eq!(registry.hit(site::WORKER_PIPELINE), None);
-        assert_eq!(registry.hit(site::WORKER_PIPELINE), None);
-        assert_eq!(
-            registry.hit(site::WORKER_PIPELINE),
-            Some(FaultAction::Panic)
-        );
-        let always = FaultRegistry::parse("cache.insert=panic@always").unwrap();
-        assert_eq!(always.hit(site::CACHE_INSERT), Some(FaultAction::Panic));
-        assert_eq!(always.hit(site::CACHE_INSERT), Some(FaultAction::Panic));
-        // The empty schedule parses to an un-armed registry.
-        assert_eq!(FaultRegistry::parse("").unwrap().fired_total(), 0);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_schedules() {
-        for bad in [
-            "cache.insert",                       // no action
-            "cache.insert=error",                 // no trigger
-            "cache.teleport=error@nth:1",         // unknown site
-            "cache.insert=explode@nth:1",         // unknown action
-            "worker.pipeline=corrupt@nth:1",      // unknown action
-            "cache.insert=error@nth:0",           // nth is 1-based
-            "cache.insert=error@every:0",         // k >= 1
-            "cache.insert=error@prob:1/0",        // zero denominator
-            "cache.insert=error@prob:1",          // not a fraction
-            "cache.insert=error@sometimes",       // unknown trigger
-            "cache.insert=error@prob:1/2:seed:x", // bad seed
-        ] {
-            assert!(
-                FaultRegistry::parse(bad).is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
     }
 }

@@ -163,6 +163,51 @@ fn run_command_reads_an_aag_file() {
 }
 
 #[test]
+fn out_of_order_aag_gives_the_result_of_its_ordered_twin() {
+    let dir = std::env::temp_dir().join(format!("boole-cli-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let netlist = aig::gen::csa_multiplier(3);
+    let ordered = aig::aiger::to_aag(&netlist);
+    // Hoist to the front every AND line that reads the AND written just
+    // before it: each hoisted gate now precedes its fanins, yet it
+    // becomes buildable right after that previous gate and, listed
+    // first, is built next — so both files rebuild the same AIG.
+    let mut lines: Vec<&str> = ordered.lines().collect();
+    let first_and = 1 + netlist.num_inputs() + netlist.num_outputs();
+    let ands: Vec<&str> = lines[first_and..first_and + netlist.num_ands()].to_vec();
+    let var = |line: &str, field: usize| -> u32 {
+        line.split(' ').nth(field).unwrap().parse::<u32>().unwrap() & !1
+    };
+    let (hoisted, kept): (Vec<usize>, Vec<usize>) = (0..ands.len()).partition(|&k| {
+        k > 0
+            && [1, 2]
+                .iter()
+                .any(|&f| var(ands[k], f) == var(ands[k - 1], 0))
+    });
+    assert!(!hoisted.is_empty());
+    let reordered = hoisted.iter().chain(&kept).map(|&k| ands[k]);
+    lines.splice(first_and..first_and + ands.len(), reordered);
+    std::fs::write(dir.join("ordered.aag"), &ordered).unwrap();
+    std::fs::write(dir.join("shuffled.aag"), lines.join("\n") + "\n").unwrap();
+
+    let result = |file: &str| {
+        let output = boole()
+            .arg("run")
+            .arg(dir.join(file))
+            .args(["--params", "small", "--no-timing", "--compact"])
+            .output()
+            .expect("spawn boole");
+        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+        assert!(output.status.success(), "{file}: {stdout}");
+        let doc = boole::json::Json::parse(&stdout).expect("json");
+        let job = &doc.field("jobs").and_then(|j| j.as_array()).expect("jobs")[0];
+        job.field("result").expect("result").to_string()
+    };
+    assert_eq!(result("shuffled.aag"), result("ordered.aag"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn run_command_reads_blif_and_verilog_files() {
     let dir = std::env::temp_dir().join(format!("boole-cli-fmt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

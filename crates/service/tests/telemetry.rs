@@ -8,7 +8,10 @@ use std::time::Duration;
 
 use boole::telemetry::{EventBus, EventKind, TelemetryEvent, TelemetrySink};
 use boole::{BooleParams, Json};
-use boole_service::{FaultRegistry, GenSpec, JobSpec, Service, ServiceConfig};
+use boole_service::faults::site;
+use boole_service::{
+    FaultAction, FaultPolicy, FaultRegistry, GenSpec, JobSpec, Service, ServiceConfig, Trigger,
+};
 
 fn sink() -> TelemetrySink {
     Arc::new(EventBus::default())
@@ -267,7 +270,14 @@ fn stream_counts_agree_with_the_stats_block() {
     // misses, evictions and a failure, and every count the stats block
     // reports must be recoverable from the event stream alone.
     let telemetry = sink();
-    let faults = FaultRegistry::parse("worker.pipeline=error@nth:1").unwrap();
+    let faults = FaultRegistry::new();
+    faults.configure(
+        site::WORKER_PIPELINE,
+        FaultPolicy {
+            trigger: Trigger::Nth(1),
+            action: FaultAction::Error,
+        },
+    );
     let service = Service::new(
         ServiceConfig {
             num_workers: 1,
