@@ -362,12 +362,21 @@ fn push_delta(out: &mut Vec<u8>, mut delta: u32) {
     }
 }
 
+/// The most inputs a binary AIGER header may declare. Binary inputs
+/// are implicit, so nothing in the file bounds the count: a 26-byte
+/// header could otherwise ask for billions of inputs before any byte
+/// of the body is read. 2^20 is far above any multiplier (an n-bit one
+/// has 2n inputs).
+const MAX_BINARY_INPUTS: u32 = 1 << 20;
+
 /// Parses a binary AIGER (`.aig`) combinational file.
 ///
 /// # Errors
 ///
 /// Typed [`NetlistError`]s: [`NetlistErrorKind::Truncated`] for a file
 /// that ends inside its header, output lines or delta stream,
+/// [`NetlistErrorKind::Unsupported`] for a header declaring more than
+/// 2^20 inputs (checked before anything is allocated),
 /// [`NetlistErrorKind::Latch`] for latches,
 /// [`NetlistErrorKind::Undeclared`] for an output literal beyond the
 /// last variable, and [`NetlistErrorKind::Syntax`] for the rest
@@ -391,6 +400,13 @@ pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, NetlistError> {
             NetlistErrorKind::Syntax,
             1,
             "binary aiger requires M = I + A",
+        ));
+    }
+    if i > MAX_BINARY_INPUTS {
+        return Err(err(
+            NetlistErrorKind::Unsupported,
+            1,
+            format!("{i} inputs exceed the supported {MAX_BINARY_INPUTS}"),
         ));
     }
     let mut pos = newline + 1;

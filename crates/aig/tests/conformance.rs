@@ -350,6 +350,11 @@ fn corrupt_files_produce_typed_errors_not_panics() {
             "aig 2 1 0 0 1\n\x02",
             NetlistErrorKind::Truncated,
         ),
+        (
+            "too-many-inputs.aig",
+            "aig 2000000 2000000 0 0 0\n",
+            NetlistErrorKind::Unsupported,
+        ),
     ];
     for (file, contents, kind) in cases {
         let path = dir.join(file);

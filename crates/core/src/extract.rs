@@ -23,9 +23,9 @@
 //! set whose union with its siblings shrinks), so the realized FA count
 //! is the one [`crate::reconstruct_aig`] reports.
 //!
-//! Following the paper's memory optimization, cost sets store FA ids
-//! as `u16` when the e-graph has fewer than 65 536 classes and `u32`
-//! otherwise.
+//! A cost set is a sorted `Vec<u32>` of FA indices. The paper stores
+//! them as `u16` on small e-graphs; here one width serves every size,
+//! and the narrower ids made no measurable difference to peak memory.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -33,56 +33,8 @@ use egraph::{EGraph, Id, Language};
 
 use crate::BoolLang;
 
-/// A compact sorted set of FA identifiers with adaptive width
-/// (the paper's u16/u32 cost-map key optimization).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaSet {
-    /// 16-bit ids (e-graphs below 65 536 classes).
-    Small(Vec<u16>),
-    /// 32-bit ids.
-    Large(Vec<u32>),
-}
-
-impl FaSet {
-    fn empty(small: bool) -> FaSet {
-        if small {
-            FaSet::Small(Vec::new())
-        } else {
-            FaSet::Large(Vec::new())
-        }
-    }
-
-    fn singleton(id: usize, small: bool) -> FaSet {
-        if small {
-            FaSet::Small(vec![id as u16])
-        } else {
-            FaSet::Large(vec![id as u32])
-        }
-    }
-
-    /// Number of FAs in the set.
-    pub fn len(&self) -> usize {
-        match self {
-            FaSet::Small(v) => v.len(),
-            FaSet::Large(v) => v.len(),
-        }
-    }
-
-    /// Returns `true` if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn merge(&mut self, other: &FaSet) {
-        match (self, other) {
-            (FaSet::Small(a), FaSet::Small(b)) => merge_sorted(a, b),
-            (FaSet::Large(a), FaSet::Large(b)) => merge_sorted(a, b),
-            _ => panic!("mixed FaSet widths"),
-        }
-    }
-}
-
-fn merge_sorted<T: Ord + Copy>(a: &mut Vec<T>, b: &[T]) {
+/// Merges the sorted set `b` into the sorted set `a`.
+fn merge_sorted(a: &mut Vec<u32>, b: &[u32]) {
     if b.is_empty() {
         return;
     }
@@ -115,9 +67,10 @@ fn merge_sorted<T: Ord + Copy>(a: &mut Vec<T>, b: &[T]) {
 pub struct DagChoice {
     /// The selected e-node (children are canonical class ids).
     pub node: BoolLang,
-    /// FA tuple classes reachable through the selection when this
-    /// choice was made (may be stale; see the module docs).
-    pub fas: FaSet,
+    /// Indices of the FA tuple classes reachable through the selection
+    /// when this choice was made, sorted (may be stale; see the module
+    /// docs).
+    pub fas: Vec<u32>,
     /// Weighted-depth tie-breaker (max-plus over children; cannot
     /// saturate, unlike tree size).
     pub size: u64,
@@ -173,12 +126,10 @@ fn node_size(node: &BoolLang) -> u64 {
 pub fn extract_dag(egraph: &EGraph<BoolLang>) -> DagExtraction {
     assert!(egraph.is_clean(), "extraction requires a clean e-graph");
     // Index FA tuple classes for compact cost sets.
-    let fa_pos: HashMap<Id, usize> = crate::pair::fa_classes(egraph)
+    let fa_pos: HashMap<Id, u32> = crate::pair::fa_classes(egraph)
         .into_iter()
-        .enumerate()
-        .map(|(i, id)| (id, i))
+        .zip(0..)
         .collect();
-    let small = fa_pos.len() < u16::MAX as usize && egraph.num_classes() < u16::MAX as usize;
 
     // Parent index: which classes reference a class as a child
     // (Algorithm 2's `node.parents()`).
@@ -214,15 +165,15 @@ pub fn extract_dag(egraph: &EGraph<BoolLang>) -> DagExtraction {
             if !eligible {
                 continue;
             }
-            let mut fas = FaSet::empty(small);
+            let mut fas = Vec::new();
             let mut size = node_size(node);
             for &c in node.children() {
                 let child = &choices[&egraph.find(c)];
-                fas.merge(&child.fas);
+                merge_sorted(&mut fas, &child.fas);
                 size = size.max(node_size(node) + child.size);
             }
             if let BoolLang::Fa(_) = node {
-                fas.merge(&FaSet::singleton(fa_pos[&class_id], small));
+                merge_sorted(&mut fas, &[fa_pos[&class_id]]);
             }
             let incumbent = best.as_ref().or_else(|| choices.get(&class_id));
             let better = match incumbent {
@@ -312,10 +263,9 @@ mod tests {
 
     #[test]
     fn fa_set_merge_dedups() {
-        let mut a = FaSet::Small(vec![1, 3, 5]);
-        a.merge(&FaSet::Small(vec![2, 3, 6]));
-        assert_eq!(a, FaSet::Small(vec![1, 2, 3, 5, 6]));
-        assert_eq!(a.len(), 5);
+        let mut a = vec![1, 3, 5];
+        merge_sorted(&mut a, &[2, 3, 6]);
+        assert_eq!(a, [1, 2, 3, 5, 6]);
     }
 
     #[test]

@@ -2,6 +2,18 @@
 //! bounded queue, per-job deadlines carried by each job's
 //! [`CancelToken`], and the in-memory structural-hash result cache with
 //! single-flight deduplication.
+//!
+//! A job's cell (its `JobState`) is the one completion primitive: a
+//! caller's [`JobHandle::wait`] blocks on it, and so does a job that
+//! coalesces onto an identical job already running its pipeline. The
+//! flights table maps each running pipeline's [`CacheKey`] to its
+//! leader's cell. The leader's guard removes that entry before the
+//! cell turns terminal, on every exit path, and a completing leader
+//! fills the cache before that. A follower woken by a leader that
+//! ran the pipeline takes its result; one woken by a leader that gave
+//! up, or that was itself answered from the cache, goes back to the
+//! cache-or-lead decision. One retry loop, with one backoff, serves
+//! both netlist loading and the pipeline run.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -219,12 +231,12 @@ struct JobCell {
     outcome: Option<Arc<JobOutcome>>,
 }
 
-/// Locks a mutex, recovering from poisoning. The job cell, the flight
-/// slot, and the flights table all hold plain state (enums, `Arc`s, a
-/// map) that is valid after any partial update, and a panicking waiter
-/// or pipeline must not turn every later `wait()` into a cascading
-/// panic — one failed job may not take down the handles of every
-/// other job parked on the same primitive.
+/// Locks a mutex, recovering from poisoning. The job cell and the
+/// flights table hold plain state (enums, `Arc`s, a map) that is valid
+/// after any partial update, and a panicking waiter or pipeline must
+/// not turn every later `wait()` into a cascading panic — one failed
+/// job may not take down the handles of every other job parked on the
+/// same cell.
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -265,6 +277,36 @@ impl JobState {
         self.done.notify_all();
         outcome
     }
+
+    /// Blocks until the job is terminal and returns its outcome, or
+    /// returns `None` once `deadline` passes or `cancel` reads as
+    /// cancelled. The token is polled every 10 ms, so a follower whose
+    /// own deadline expires stops waiting on a slow leader.
+    fn wait(
+        &self,
+        deadline: Option<Instant>,
+        cancel: Option<&CancelToken>,
+    ) -> Option<Arc<JobOutcome>> {
+        const POLL: Duration = Duration::from_millis(10);
+        let mut cell = lock_recover(&self.cell);
+        loop {
+            if let Some(outcome) = &cell.outcome {
+                return Some(Arc::clone(outcome));
+            }
+            if cancel.is_some_and(CancelToken::is_cancelled) {
+                return None;
+            }
+            let slice = match deadline {
+                Some(at) => at.checked_duration_since(Instant::now())?.min(POLL),
+                None => POLL,
+            };
+            cell = self
+                .done
+                .wait_timeout(cell, slice)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
 }
 
 /// A claim ticket for a submitted job.
@@ -297,143 +339,46 @@ impl JobHandle {
 
     /// Blocks until the job reaches a terminal state.
     pub fn wait(&self) -> Arc<JobOutcome> {
-        let mut cell = lock_recover(&self.state.cell);
-        loop {
-            if let Some(outcome) = &cell.outcome {
-                return Arc::clone(outcome);
-            }
-            cell = self
-                .state
-                .done
-                .wait(cell)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.state
+            .wait(None, None)
+            .expect("a wait without deadline or token ends only at an outcome")
     }
 
     /// Like [`JobHandle::wait`] with a timeout; `None` on timeout.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Arc<JobOutcome>> {
         // An unrepresentable deadline (e.g. `Duration::MAX`) waits with
         // no timeout.
-        let Some(deadline) = Instant::now().checked_add(timeout) else {
-            return Some(self.wait());
-        };
-        let mut cell = lock_recover(&self.state.cell);
-        loop {
-            if let Some(outcome) = &cell.outcome {
-                return Some(Arc::clone(outcome));
-            }
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            let (next, timed_out) = self
-                .state
-                .done
-                .wait_timeout(cell, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            cell = next;
-            if timed_out.timed_out() && cell.outcome.is_none() {
-                return None;
-            }
-        }
+        self.state.wait(Instant::now().checked_add(timeout), None)
     }
 }
 
 /// The worker-shared end of the bounded job queue.
 type JobQueue = Mutex<Receiver<(JobSpec, Arc<JobState>)>>;
 
-/// One pipeline execution other jobs with the same [`CacheKey`] can
-/// wait on instead of running their own (single-flight deduplication).
-///
-/// The slot distinguishes "still running" (`None`) from "leader
-/// published" (`Some(Some(summary))`) and "leader gave up without a
-/// result — cancelled, failed, or panicked" (`Some(None)`). Followers
-/// observing the last case loop back to the cache-or-lead decision, so
-/// a cancelled leader never strands the jobs queued behind it.
-struct InFlight {
-    slot: Mutex<Option<Option<Arc<ResultSummary>>>>,
-    done: Condvar,
-}
-
-impl InFlight {
-    fn new() -> Self {
-        InFlight {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn publish(&self, result: Option<Arc<ResultSummary>>) {
-        *lock_recover(&self.slot) = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Blocks until the leader publishes, polling `cancel` so a
-    /// follower with an expired deadline resolves as cancelled instead
-    /// of waiting out a slow leader.
-    fn wait(&self, cancel: &CancelToken) -> FlightWait {
-        let mut slot = lock_recover(&self.slot);
-        loop {
-            if let Some(published) = slot.as_ref() {
-                return match published {
-                    Some(summary) => FlightWait::Ready(Arc::clone(summary)),
-                    None => FlightWait::LeaderGone,
-                };
-            }
-            if cancel.is_cancelled() {
-                return FlightWait::Cancelled;
-            }
-            let (next, _) = self
-                .done
-                .wait_timeout(slot, Duration::from_millis(10))
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
-        }
-    }
-}
-
-enum FlightWait {
-    Ready(Arc<ResultSummary>),
-    LeaderGone,
-    Cancelled,
-}
-
-/// Removes the leader's flight entry and publishes on every exit path.
-/// The `Drop` arm is the panic/cancellation safety net: if the leader
-/// never reaches [`FlightGuard::complete`], waiting followers are
-/// released with "leader gone" rather than blocked forever.
+/// A leader's claim on its flights-table entry. Dropping it removes
+/// the entry, when the leader returns and while a panic unwinds alike.
+/// The leader's cell turns terminal only after that (`worker_loop`
+/// finalizes it once `execute_job` has returned or unwound), so a
+/// follower woken by the cell never finds the finished leader still in
+/// the table.
 struct FlightGuard<'a> {
     shared: &'a Shared,
     key: CacheKey,
-    flight: Arc<InFlight>,
-    completed: bool,
-}
-
-impl FlightGuard<'_> {
-    fn complete(mut self, summary: Arc<ResultSummary>) {
-        self.retire(Some(summary));
-        self.completed = true;
-    }
-
-    fn retire(&self, result: Option<Arc<ResultSummary>>) {
-        // Remove-then-publish: a job arriving after the removal misses
-        // the flight and consults the cache, which the leader filled
-        // before calling complete().
-        lock_recover(&self.shared.flights).remove(&self.key);
-        self.flight.publish(result);
-    }
 }
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        if !self.completed {
-            self.retire(None);
-        }
+        lock_recover(&self.shared.flights).remove(&self.key);
     }
 }
 
 struct Shared {
     cache: ResultCache,
-    /// Keys with a pipeline currently executing, for single-flight
-    /// deduplication of concurrent identical submissions.
-    flights: Mutex<FxHashMap<CacheKey, Arc<InFlight>>>,
+    /// The leader of each pipeline currently executing, by cache key:
+    /// a concurrent identical submission waits on the leader's job cell
+    /// instead of running its own pipeline (single-flight
+    /// deduplication).
+    flights: Mutex<FxHashMap<CacheKey, Arc<JobState>>>,
     counters: Counters,
     /// Out-of-band event bus; `None` disables all telemetry.
     telemetry: Option<TelemetrySink>,
@@ -674,20 +619,17 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
         // A panicking job must not strand the JobHandle: convert the
         // panic into a terminal Panicked outcome so wait() always
         // returns and this worker survives to take the next job. This
-        // is the job's one panic boundary: a pipeline panic unwinds
-        // through execute_job, and dropping its flight guard on the
-        // way releases any followers with "leader gone".
+        // is the job's one panic boundary, and the one place its cell
+        // turns terminal: `execute_job` has returned or unwound by
+        // now, so its flight guard has left the flights table.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_job(&spec, &state, shared)
         }));
-        let outcome = run.unwrap_or_else(|payload| {
-            state.finalize(
-                JobVerdict::Panicked {
-                    message: panic_message(payload.as_ref()),
-                },
-                false,
-            )
+        let (verdict, from_cache) = run.unwrap_or_else(|payload| {
+            let message = panic_message(payload.as_ref());
+            (JobVerdict::Panicked { message }, false)
         });
+        let outcome = state.finalize(verdict, from_cache);
         debug_assert!(outcome.status().is_terminal());
         match &outcome.verdict {
             JobVerdict::Completed(_) => &shared.counters.completed,
@@ -762,56 +704,39 @@ fn load_netlist(source: &JobSource) -> Result<aig::Aig, (String, ErrorClass)> {
 
 /// A worker's role for one cache key, decided under the flights lock:
 /// either it runs the pipeline (and owns the flight entry via the
-/// guard), or it waits on whoever does.
+/// guard), or it waits on the cell of the job that does.
 enum FlightRole<'a> {
     Leader(FlightGuard<'a>),
-    Follower(Arc<InFlight>),
+    Follower(Arc<JobState>),
 }
 
-fn join_or_lead<'a>(shared: &'a Shared, key: CacheKey) -> FlightRole<'a> {
+fn join_or_lead<'a>(shared: &'a Shared, key: CacheKey, state: &Arc<JobState>) -> FlightRole<'a> {
     let mut flights = lock_recover(&shared.flights);
     match flights.get(&key) {
-        Some(flight) => FlightRole::Follower(Arc::clone(flight)),
+        Some(leader) => FlightRole::Follower(Arc::clone(leader)),
         None => {
-            let flight = Arc::new(InFlight::new());
-            flights.insert(key, Arc::clone(&flight));
-            FlightRole::Leader(FlightGuard {
-                shared,
-                key,
-                flight,
-                completed: false,
-            })
+            flights.insert(key, Arc::clone(state));
+            FlightRole::Leader(FlightGuard { shared, key })
         }
     }
 }
 
-/// Runs one job to a terminal outcome. Unless the spec opts out, the
-/// result cache is consulted/populated and concurrent
-/// identical submissions are deduplicated to one pipeline run.
-fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<JobOutcome> {
+/// Runs one job to its verdict and whether the verdict came from the
+/// cache; the caller turns them into the job's terminal outcome. Unless
+/// the spec opts out, the result cache is consulted/populated and
+/// concurrent identical submissions are deduplicated to one pipeline
+/// run.
+fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> (JobVerdict, bool) {
     if state.cancel.is_cancelled() {
-        return state.finalize(JobVerdict::Cancelled { phase: None }, false);
+        return (JobVerdict::Cancelled { phase: None }, false);
     }
     state.set_status(JobStatus::Running);
     let telemetry = shared.telemetry.as_ref();
     // Loading happens before fingerprinting, so a flaky read retries
     // here rather than surfacing as a spurious cache miss.
-    let netlist = {
-        let mut attempt = 0u32;
-        loop {
-            match load_netlist(&spec.source) {
-                Ok(netlist) => break netlist,
-                Err((err, class)) => {
-                    if class == ErrorClass::Permanent || attempt >= shared.max_retries {
-                        return state.finalize(JobVerdict::Failed(err), false);
-                    }
-                    if !note_retry(state, shared, attempt) {
-                        return state.finalize(JobVerdict::Cancelled { phase: None }, false);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
+    let netlist = match retry(state, shared, || load_netlist(&spec.source)) {
+        Ok(netlist) => netlist,
+        Err(verdict) => return (verdict, false),
     };
     let cache_key = CacheKey {
         netlist: fingerprint_aig(&netlist),
@@ -819,7 +744,7 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
     };
     // The cached path. Key ordering invariant: cache lookups happen
     // only while *holding* the key's flight entry, and a completing
-    // leader fills the cache before retiring its entry — so a
+    // leader fills the cache before its guard removes the entry — so a
     // job that acquires leadership after a previous leader finished is
     // guaranteed to see that leader's result in the cache. This is
     // what makes "N concurrent identical submissions run saturation
@@ -827,34 +752,35 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
     // job could miss the cache, find the flight table empty, and
     // re-run a pipeline that completed in between.
     //
-    // The loop re-enters when a leader gives up without publishing
-    // (cancelled/failed/panicked) — some waiting job then becomes the
-    // new leader, so one doomed leader never strands the rest.
+    // The loop re-enters when a leader ends without running the
+    // pipeline to a result (cancelled/failed/panicked, or answered from
+    // the cache) — some waiting job then becomes the new leader or hits
+    // the cache, so one doomed leader never strands the rest.
     let guard = if spec.use_cache {
         loop {
             if state.cancel.is_cancelled() {
-                return state.finalize(JobVerdict::Cancelled { phase: None }, false);
+                return (JobVerdict::Cancelled { phase: None }, false);
             }
-            match join_or_lead(shared, cache_key) {
+            match join_or_lead(shared, cache_key, state) {
                 FlightRole::Leader(guard) => {
                     let looked_up = shared.cache.get(&cache_key);
                     publish_cache_lookup(telemetry, state.id, looked_up.is_some());
                     if let Some(summary) = looked_up {
-                        // Guard drop retires the (useless) flight.
-                        return state.finalize(JobVerdict::Completed(summary), true);
+                        return (JobVerdict::Completed(summary), true);
                     }
                     break Some(guard);
                 }
-                FlightRole::Follower(flight) => match flight.wait(&state.cancel) {
-                    FlightWait::Ready(summary) => {
+                FlightRole::Follower(leader) => {
+                    let Some(outcome) = leader.wait(None, Some(&state.cancel)) else {
+                        return (JobVerdict::Cancelled { phase: None }, false);
+                    };
+                    if let (JobVerdict::Completed(summary), false) =
+                        (&outcome.verdict, outcome.from_cache)
+                    {
                         shared.counters.coalesced.fetch_add(1, Ordering::Relaxed);
-                        return state.finalize(JobVerdict::Completed(summary), true);
+                        return (JobVerdict::Completed(Arc::clone(summary)), true);
                     }
-                    FlightWait::Cancelled => {
-                        return state.finalize(JobVerdict::Cancelled { phase: None }, false);
-                    }
-                    FlightWait::LeaderGone => continue,
-                },
+                }
             }
         }
     } else {
@@ -868,60 +794,70 @@ fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<Jo
     if let Some(telemetry) = telemetry {
         engine = engine.with_telemetry(Arc::clone(telemetry), state.id);
     }
-    // The attempt loop. Retries run under the same flight leadership
-    // (the guard stays held), so followers keep waiting through a
-    // retry instead of racing to run the pipeline themselves. A
-    // *panic* is terminal (a deterministic bug would panic again): it
-    // unwinds to worker_loop, dropping the guard, which releases
-    // followers to elect a new leader.
-    let mut attempt = 0u32;
-    let result = loop {
+    // Retries run under the same flight leadership (the guard stays
+    // held), so followers keep waiting through a retry instead of
+    // racing to run the pipeline themselves. A *panic* is terminal (a
+    // deterministic bug would panic again): it unwinds to worker_loop,
+    // dropping the guard, and the followers woken by the panicked cell
+    // elect a new leader. A cancelled pipeline is an answer, not an
+    // error: it passes through without a retry.
+    let run = retry(state, shared, || {
         // One failpoint consultation per attempt: Panic fires exactly
         // where a real pipeline bug would; Error models a
         // transiently-failing pipeline and feeds the retry path.
-        let run = match faults::check(shared.faults.as_ref(), site::WORKER_PIPELINE) {
+        match faults::check(shared.faults.as_ref(), site::WORKER_PIPELINE) {
             Some(FaultAction::Panic) => {
                 panic!("{}", FaultRegistry::injected(site::WORKER_PIPELINE))
             }
-            Some(FaultAction::Error) => {
-                Err(FaultRegistry::injected(site::WORKER_PIPELINE).to_string())
-            }
+            Some(FaultAction::Error) => Err((
+                FaultRegistry::injected(site::WORKER_PIPELINE).to_string(),
+                ErrorClass::Transient,
+            )),
             None => Ok(engine.try_run(&netlist)),
-        };
-        match run {
-            Err(transient) => {
-                if attempt >= shared.max_retries {
-                    return state.finalize(JobVerdict::Failed(transient), false);
-                }
-                if !note_retry(state, shared, attempt) {
-                    return state.finalize(JobVerdict::Cancelled { phase: None }, false);
-                }
-                attempt += 1;
-            }
-            Ok(Err(cancelled)) => {
-                // `guard` drops here (if leading): followers are
-                // released with "leader gone" and elect a new leader.
-                return state.finalize(
-                    JobVerdict::Cancelled {
-                        phase: Some(cancelled.phase),
-                    },
-                    false,
-                );
-            }
-            Ok(Ok(result)) => break result,
         }
+    });
+    let result = match run {
+        Ok(Ok(result)) => result,
+        Ok(Err(cancelled)) => {
+            let phase = Some(cancelled.phase);
+            return (JobVerdict::Cancelled { phase }, false);
+        }
+        Err(verdict) => return (verdict, false),
     };
     let summary = Arc::new(ResultSummary::from(&result));
     if spec.use_cache {
         shared.cache.insert(cache_key, Arc::clone(&summary));
     }
-    // The cache is populated before followers wake (and before late
-    // arrivals can miss the flight), so a released follower finds
-    // either the flight result or a cache hit.
-    if let Some(guard) = guard {
-        guard.complete(Arc::clone(&summary));
+    // The cache is filled before the guard drops here, so a job that
+    // misses the flight afterwards finds the result in the cache.
+    drop(guard);
+    (JobVerdict::Completed(summary), false)
+}
+
+/// Runs `attempt` until it succeeds, retrying transient errors under
+/// the deterministic backoff. A permanent error, or a transient one
+/// once the retry budget is spent, fails the job; a cancel while
+/// backing off resolves it as cancelled before any phase. Netlist
+/// loading and the pipeline run share this one policy.
+fn retry<T>(
+    state: &JobState,
+    shared: &Shared,
+    mut attempt: impl FnMut() -> Result<T, (String, ErrorClass)>,
+) -> Result<T, JobVerdict> {
+    let mut retries = 0;
+    loop {
+        let (err, class) = match attempt() {
+            Ok(value) => return Ok(value),
+            Err(failure) => failure,
+        };
+        if class == ErrorClass::Permanent || retries >= shared.max_retries {
+            return Err(JobVerdict::Failed(err));
+        }
+        if !note_retry(state, shared, retries) {
+            return Err(JobVerdict::Cancelled { phase: None });
+        }
+        retries += 1;
     }
-    state.finalize(JobVerdict::Completed(summary), false)
 }
 
 /// Deterministic backoff for retry `attempt` of job `job_id`:
@@ -1035,13 +971,25 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_flight_slot_still_publishes_and_wakes_waiters() {
-        let flight = InFlight::new();
-        poison(&flight.slot);
-        flight.publish(None);
-        assert!(matches!(
-            flight.wait(&CancelToken::new()),
-            FlightWait::LeaderGone
-        ));
+    fn follower_waiting_on_a_poisoned_leader_cell_wakes_at_its_outcome() {
+        let leader = fresh_state();
+        poison(&leader.cell);
+        let follower = CancelToken::new();
+        let started = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let waiting = scope.spawn(|| {
+                started.wait();
+                leader.wait(None, Some(&follower))
+            });
+            started.wait();
+            leader.finalize(JobVerdict::Failed("leader gone".to_owned()), false);
+            let outcome = waiting.join().unwrap().expect("the leader's outcome");
+            assert!(matches!(outcome.verdict, JobVerdict::Failed(_)));
+        });
+        // A cancelled follower stops waiting on a leader that never ends.
+        let stuck = fresh_state();
+        poison(&stuck.cell);
+        follower.cancel();
+        assert!(stuck.wait(None, Some(&follower)).is_none());
     }
 }

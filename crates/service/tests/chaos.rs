@@ -254,9 +254,10 @@ fn chaos_round(rng: &mut TestRng) {
         if rng.below(2) == 0 {
             continue;
         }
-        let trigger = match rng.below(3) {
+        let trigger = match rng.below(4) {
             0 => Trigger::Nth(1 + rng.below(3)),
             1 => Trigger::EveryKth(2 + rng.below(2)),
+            2 => Trigger::Always,
             _ => Trigger::Probability {
                 numerator: 1 + rng.below(3),
                 denominator: 4,
@@ -305,6 +306,14 @@ fn chaos_round(rng: &mut TestRng) {
         assert_eq!(handle.wait().status(), outcome.status());
     }
     let stats = service.shutdown();
+    // Shutdown drains: no handle is left non-terminal once it returns.
+    for handle in &handles {
+        assert!(
+            handle.status().is_terminal(),
+            "job {} non-terminal after shutdown",
+            handle.id()
+        );
+    }
     assert_eq!(stats.submitted, jobs as u64);
     assert_balanced(&stats);
 }
