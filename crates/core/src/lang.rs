@@ -113,6 +113,27 @@ impl Language for BoolLang {
         }
     }
 
+    /// One bit per operator, assigned in declaration order. Every input
+    /// shares one bit whatever its name: rules never name an input, and
+    /// a bit drawn from the name's interned id would make matcher work
+    /// depend on what the process interned first.
+    fn operator_bit(&self) -> u32 {
+        match self {
+            BoolLang::Const(false) => 0,
+            BoolLang::Const(true) => 1,
+            BoolLang::Var(_) => 2,
+            BoolLang::Not(_) => 3,
+            BoolLang::And(_) => 4,
+            BoolLang::Or(_) => 5,
+            BoolLang::Xor(_) => 6,
+            BoolLang::Xor3(_) => 7,
+            BoolLang::Maj(_) => 8,
+            BoolLang::Fa(_) => 9,
+            BoolLang::Fst(_) => 10,
+            BoolLang::Snd(_) => 11,
+        }
+    }
+
     fn children(&self) -> &[Id] {
         match self {
             BoolLang::Const(_) | BoolLang::Var(_) => &[],
@@ -214,5 +235,35 @@ mod tests {
         assert!(e.as_slice().last().unwrap().is_symmetric());
         let e: RecExpr<BoolLang> = "(! a)".parse().unwrap();
         assert!(!e.as_slice().last().unwrap().is_symmetric());
+    }
+
+    /// The matcher's class signatures give each operator one of 64
+    /// bits. Every operator must get its own, or a signature could
+    /// never tell a class holding one from a class holding the other,
+    /// and every input must get the same one, whatever its name, so
+    /// that matcher work never depends on symbol interning order.
+    #[test]
+    fn operators_get_pairwise_distinct_signature_bits() {
+        let c = Id::from_index(0);
+        let nodes = [
+            BoolLang::Const(false),
+            BoolLang::Const(true),
+            BoolLang::var("a"),
+            BoolLang::Not(c),
+            BoolLang::And([c; 2]),
+            BoolLang::Or([c; 2]),
+            BoolLang::Xor([c; 2]),
+            BoolLang::Xor3([c; 3]),
+            BoolLang::Maj([c; 3]),
+            BoolLang::Fa([c; 3]),
+            BoolLang::Fst(c),
+            BoolLang::Snd(c),
+        ];
+        let mask = nodes
+            .iter()
+            .fold(0u64, |mask, node| mask | 1 << node.operator_bit());
+        assert_eq!(mask.count_ones() as usize, nodes.len(), "{mask:#066b}");
+        let fresh = BoolLang::var("an-input-no-other-test-interns");
+        assert_eq!(fresh.operator_bit(), BoolLang::var("a").operator_bit());
     }
 }

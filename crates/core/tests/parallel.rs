@@ -8,12 +8,16 @@
 //! counts, stop reasons, final e-graph, extraction, reconstruction)
 //! must be indistinguishable from a one-thread run. These tests pin
 //! that contract across generator families, bit widths, and the
-//! technology-mapping round trip.
+//! technology-mapping round trip, and pin that saturation does not
+//! depend on the names of the inputs either.
 
 use std::time::{Duration, Instant};
 
-use boole::convert::aig_to_egraph;
-use boole::{saturate, BoolE, BooleParams, CancelToken, SaturateParams, SaturationStats, ToJson};
+use boole::convert::{aig_to_egraph, NetlistEGraph};
+use boole::{
+    saturate, BoolE, BoolLang, BooleParams, CancelToken, SaturateParams, SaturationStats, ToJson,
+};
+use egraph::{EGraph, Id};
 use proptest::prelude::*;
 
 fn netlist(family: usize, bits: usize, mapped: bool) -> aig::Aig {
@@ -52,6 +56,77 @@ fn struct_outcome(stats: &SaturationStats) -> Vec<(String, usize, usize)> {
         .iter()
         .map(|r| (r.name.clone(), r.matches, r.applications))
         .collect()
+}
+
+/// `aig_to_egraph` with AIG input `k` named `{prefix}{k}` instead of
+/// `i{k}`: the same e-graph, class for class, over names the process
+/// has not interned before.
+fn renamed_egraph(aig: &aig::Aig, prefix: &str) -> NetlistEGraph {
+    let mut egraph: EGraph<BoolLang> = EGraph::default();
+    let mut vmap: Vec<Id> = Vec::with_capacity(aig.num_nodes());
+    let mut inputs = Vec::new();
+    let lit_id = |egraph: &mut EGraph<BoolLang>, vmap: &[Id], lit: aig::Lit| {
+        let id = vmap[lit.var().index()];
+        if lit.is_complemented() {
+            egraph.add(BoolLang::Not(id))
+        } else {
+            id
+        }
+    };
+    for node in aig.nodes() {
+        let id = match *node {
+            aig::Node::Const => egraph.add(BoolLang::Const(false)),
+            aig::Node::Input(ordinal) => {
+                let id = egraph.add(BoolLang::var(format!("{prefix}{ordinal}")));
+                inputs.push(id);
+                id
+            }
+            aig::Node::And(a, b) => {
+                let ia = lit_id(&mut egraph, &vmap, a);
+                let ib = lit_id(&mut egraph, &vmap, b);
+                egraph.add(BoolLang::And([ia, ib]))
+            }
+        };
+        vmap.push(id);
+    }
+    let outputs = aig
+        .outputs()
+        .iter()
+        .map(|(name, lit)| (name.clone(), lit_id(&mut egraph, &vmap, *lit)))
+        .collect();
+    egraph.rebuild();
+    NetlistEGraph {
+        egraph,
+        inputs,
+        outputs,
+        vmap,
+    }
+}
+
+/// The matcher skips e-nodes by their child classes' operator bits. An
+/// input's bit must not come from its name's interned id, or the work
+/// each search spends, and every result the work budget cuts, would
+/// depend on which names the process interned first.
+#[test]
+fn saturation_does_not_depend_on_input_names() {
+    let aig = netlist(0, 6, true);
+    let outcome = |net: NetlistEGraph| {
+        let (net, stats) = saturate(net, &params(1));
+        let visits: Vec<_> = stats.rules.iter().map(|r| r.search.visits).collect();
+        (
+            stats.to_json().to_string(),
+            struct_outcome(&stats),
+            visits,
+            net.egraph.total_number_of_nodes(),
+        )
+    };
+    let named = outcome(aig_to_egraph(&aig));
+    for prefix in ["renamed-", "zz", "input_"] {
+        assert!(
+            named == outcome(renamed_egraph(&aig, prefix)),
+            "prefix {prefix:?}"
+        );
+    }
 }
 
 proptest! {
@@ -149,7 +224,9 @@ fn parallel_saturation_cancels_mid_search() {
             token.cancel();
         })
     };
-    let net = aig_to_egraph(&aig::gen::csa_multiplier(6));
+    // csa:10, because csa:6 now saturates completely in less than the
+    // killer's 100 ms.
+    let net = aig_to_egraph(&aig::gen::csa_multiplier(10));
     let start = Instant::now();
     let (_, stats) = saturate(net, &params);
     let elapsed = start.elapsed();

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::hash::FxHashMap;
+use crate::signature::Signature;
 use crate::{Id, Language, RecExpr, UnionFind};
 
 /// An equivalence class of e-nodes.
@@ -64,6 +65,10 @@ pub struct EGraph<L: Language> {
     /// Classes containing at least one e-node with a given operator;
     /// rebuilt by [`EGraph::rebuild`] and used to speed up searches.
     by_op: FxHashMap<L::Discriminant, Vec<Id>>,
+    /// Each class's operator [`Signature`], indexed by class id (dead
+    /// ids hold stale or empty masks); rebuilt with `by_op` and read by
+    /// the matching VM.
+    signatures: Vec<Signature>,
     clean: bool,
     /// Live-class count, maintained incrementally (`add` +1, merging
     /// `union` -1) so [`EGraph::num_classes`] is O(1).
@@ -86,6 +91,7 @@ impl<L: Language> Default for EGraph<L> {
             classes: Vec::new(),
             pending: Vec::new(),
             by_op: FxHashMap::default(),
+            signatures: Vec::new(),
             clean: true,
             n_live_classes: 0,
             n_nodes: 0,
@@ -170,6 +176,13 @@ impl<L: Language> EGraph<L> {
             .as_ref()
             .expect("canonical id must have a class")
             .nodes
+    }
+
+    /// The operator [`Signature`] of class `id`, which must be
+    /// canonical (valid on a clean e-graph).
+    pub(crate) fn signature(&self, id: Id) -> Signature {
+        debug_assert_eq!(id, self.find(id), "class id must be canonical");
+        self.signatures[id.index()]
     }
 
     /// Canonicalizes the children of `enode`.
@@ -300,12 +313,15 @@ impl<L: Language> EGraph<L> {
 
     fn rebuild_classes(&mut self) {
         // Canonicalize and dedup the node lists of every live class,
-        // and rebuild the operator index. Clearing the index's buckets
-        // in place (rather than dropping them) keeps their allocations
-        // across rebuilds.
+        // and rebuild the operator index and the signatures' `ops`
+        // masks. Clearing the index's buckets in place (rather than
+        // dropping them) keeps their allocations across rebuilds.
         for bucket in self.by_op.values_mut() {
             bucket.clear();
         }
+        self.signatures.clear();
+        self.signatures
+            .resize(self.classes.len(), Signature::default());
         let mut ids = std::mem::take(&mut self.scratch_ids);
         ids.clear();
         ids.extend(
@@ -329,9 +345,20 @@ impl<L: Language> EGraph<L> {
                     entry.push(id);
                 }
             }
+            self.signatures[id.index()].ops = ops_mask(&nodes);
             self.classes[id.index()].as_mut().expect("live class").nodes = nodes;
         }
+        self.fill_pairs(&ids);
         self.scratch_ids = ids;
+    }
+
+    /// Sets the `pairs` mask of every class in `ids` from its e-nodes
+    /// and their child classes' `ops` masks, which must be current.
+    fn fill_pairs(&mut self, ids: &[Id]) {
+        for &id in ids {
+            let nodes = &self.classes[id.index()].as_ref().expect("live class").nodes;
+            self.signatures[id.index()].pairs = pairs_mask(nodes, &self.signatures);
+        }
     }
 
     /// Removes e-nodes for which `keep` returns `false`.
@@ -341,7 +368,7 @@ impl<L: Language> EGraph<L> {
     /// of a symmetric operator) can be dropped to save memory without
     /// affecting the equivalence relation. The e-graph must be clean.
     /// E-nodes are never removed if they are the last node of their
-    /// class.
+    /// class. Class signatures are recomputed for the kept e-nodes.
     ///
     /// Returns the number of removed e-nodes.
     ///
@@ -355,7 +382,7 @@ impl<L: Language> EGraph<L> {
             .map(Id::from_index)
             .filter(|id| self.classes[id.index()].is_some())
             .collect();
-        for id in ids {
+        for &id in &ids {
             let class = self.classes[id.index()].take().expect("live class");
             let mut kept: Vec<L> = Vec::with_capacity(class.nodes.len());
             let mut dropped: Vec<L> = Vec::new();
@@ -375,11 +402,13 @@ impl<L: Language> EGraph<L> {
             for node in dropped {
                 self.memo.remove(&node);
             }
+            self.signatures[id.index()].ops = ops_mask(&kept);
             self.classes[id.index()] = Some(EClass {
                 nodes: kept,
                 ..class
             });
         }
+        self.fill_pairs(&ids);
         self.n_nodes -= removed;
         removed
     }
@@ -448,7 +477,46 @@ impl<L: Language> EGraph<L> {
                 "by_op bucket must list each live canonical class once, ascending"
             );
         }
+        // Every live class's signature must be exactly what its e-nodes
+        // give now: a missing bit would make the VM skip a real match,
+        // and a stale extra bit would cost pruning.
+        for class in self.classes() {
+            assert_eq!(
+                self.signatures[class.id.index()].ops,
+                ops_mask(&class.nodes),
+                "class {} has a stale ops mask",
+                class.id
+            );
+        }
+        for class in self.classes() {
+            assert_eq!(
+                self.signatures[class.id.index()].pairs,
+                pairs_mask(&class.nodes, &self.signatures),
+                "class {} has a stale pairs mask",
+                class.id
+            );
+        }
     }
+}
+
+/// The `ops` mask of a class holding `nodes`.
+fn ops_mask<L: Language>(nodes: &[L]) -> u64 {
+    nodes
+        .iter()
+        .fold(0, |ops, node| ops | 1 << node.operator_bit())
+}
+
+/// The `pairs` mask of a class holding `nodes`, given every class's
+/// current `ops` mask.
+fn pairs_mask<L: Language>(nodes: &[L], signatures: &[Signature]) -> u64 {
+    let mut pairs = 0;
+    for node in nodes {
+        let op = node.operator_bit();
+        for &child in node.children() {
+            pairs |= Signature::pair_mask(op, signatures[child.index()].ops);
+        }
+    }
+    pairs
 }
 
 struct ClassIter<'a, L> {

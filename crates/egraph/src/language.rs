@@ -2,7 +2,7 @@
 //! [`SymbolLang`], a generic language useful for tests and prototyping.
 
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash};
 
 use crate::{Id, Symbol};
 
@@ -21,6 +21,17 @@ pub trait Language: fmt::Debug + fmt::Display + Clone + Eq + Ord + Hash {
 
     /// Returns the operator discriminant of this e-node.
     fn discriminant(&self) -> Self::Discriminant;
+
+    /// The bit, in `0..64`, that this e-node's operator sets in its
+    /// e-class's operator signature, the filter the matcher uses to
+    /// skip e-nodes whose child classes cannot match (see
+    /// [`machine`](crate::machine)). It must be a function of the
+    /// operator's meaning alone, never of process state such as the
+    /// order in which [`Symbol`]s were interned, or the matcher's work,
+    /// and with it every result the work budget cuts, would depend on
+    /// what the process ran before. Operators may share a bit: that
+    /// costs pruning, never a match.
+    fn operator_bit(&self) -> u32;
 
     /// Returns `true` if `self` and `other` have the same operator and
     /// arity (children ids are ignored).
@@ -136,6 +147,12 @@ impl Language for SymbolLang {
 
     fn discriminant(&self) -> Symbol {
         self.op
+    }
+
+    /// Hashes the operator's name, not its interned id.
+    fn operator_bit(&self) -> u32 {
+        let hash = crate::hash::FxBuildHasher::default().hash_one(self.op.as_str());
+        (hash >> 58) as u32
     }
 
     fn children(&self) -> &[Id] {

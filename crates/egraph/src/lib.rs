@@ -5,18 +5,20 @@
 //! The crate provides:
 //!
 //! * [`EGraph`] — an e-graph with hash-consing, a union-find over
-//!   e-classes, and deferred congruence-closure rebuilding. It keeps
-//!   no per-class analysis data: the BoolE passes that need per-class
-//!   facts (FA pairing, DAG extraction) compute them in their own
-//!   passes over a finished e-graph.
+//!   e-classes, and deferred congruence-closure rebuilding. Beside
+//!   each class's operator signature, which rebuilding refreshes for
+//!   the matcher, it keeps no per-class analysis data: the BoolE
+//!   passes that need per-class facts (FA pairing, DAG extraction)
+//!   compute them in their own passes over a finished e-graph.
 //! * [`Language`] — the trait describing the operators of a term
 //!   language, plus [`RecExpr`] for concrete terms.
 //! * [`Pattern`] — s-expression patterns with variables (`?x`), each
 //!   compiled once into an e-matching VM program ([`machine`]) of
-//!   three instructions: `Bind` scans a class's e-nodes, `Build`
-//!   probes the hash-cons memo for a subterm whose variables are all
-//!   bound (variable-free subterms included), and `Compare` checks
-//!   two registers name one class.
+//!   three instructions: `Bind` scans a class's e-nodes, skipping
+//!   those whose child classes' operator signatures rule them out,
+//!   `Build` probes the hash-cons memo for a subterm whose variables
+//!   are all bound (variable-free subterms included, probed once per
+//!   search), and `Compare` checks two registers name one class.
 //! * [`Rewrite`] / [`Runner`] — rewrite rules and a saturation driver
 //!   with iteration, node, and time limits plus backoff scheduling. A
 //!   rule has one shape: a left-hand-side pattern rooted at an
@@ -59,6 +61,7 @@ mod pattern;
 mod recexpr;
 mod rewrite;
 mod runner;
+mod signature;
 mod symbol;
 mod unionfind;
 

@@ -5,16 +5,18 @@
 //! construction) into a linear [`Program`] of instructions executed
 //! against a bank of registers holding e-class [`Id`]s:
 //!
-//! * [`Instruction::Bind`] — iterate the e-nodes of the class in
-//!   register `i` that match a pattern operator, writing each node's
-//!   children into fresh registers (the only backtracking point);
-//! * [`Instruction::Compare`] — require two registers to name the same
-//!   e-class (non-linear patterns, e.g. `(& ?a ?a)`);
-//! * [`Instruction::Build`] — rebuild one e-node from registers and
-//!   probe the e-graph's hash-cons `memo` for its class. A subpattern
-//!   whose variables are all bound by earlier instructions compiles to
-//!   a bottom-up chain of `Build`s followed by one `Compare`, instead
-//!   of `Bind`s: in a clean e-graph a bound subterm names at most one
+//! * `Bind` — iterate the e-nodes of the class in register `i` that
+//!   match a pattern operator, writing each node's children into fresh
+//!   registers (the only backtracking point). An e-node whose child
+//!   classes lack an operator the pattern needs there is skipped
+//!   before any register is written (see below);
+//! * `Compare` — require two registers to name the same e-class
+//!   (non-linear patterns, e.g. `(& ?a ?a)`);
+//! * `Build` — rebuild one e-node from registers and probe the
+//!   e-graph's hash-cons `memo` for its class. A subpattern whose
+//!   variables are all bound by earlier instructions compiles to a
+//!   bottom-up chain of `Build`s followed by one `Compare`, instead of
+//!   `Bind`s: in a clean e-graph a bound subterm names at most one
 //!   canonical e-node, so one probe replaces a scan of every e-node of
 //!   the subterm's classes. In `(| (& ?a ?b) (! (& ?a ?b)))`, once
 //!   `(& ?a ?b)` has bound `?a` and `?b`, `(! (& ?a ?b))` is two
@@ -31,6 +33,27 @@
 //! and `?b` instead of once per e-node of the `(& X ?c)` class, and a
 //! failed probe skips that scan. Moving a check earlier prunes sooner
 //! but never changes which matches are found or their order.
+//!
+//! Every class carries an operator signature: one bit per operator
+//! among its e-nodes ([`Language::operator_bit`]) and one per
+//! (operator, child-operator) pair. Each `Bind` carries one required
+//! signature per child whose subpattern is an e-node: that e-node's
+//! operator bit, plus one pair bit per e-node grandchild. When a `Bind`
+//! finds an e-node of the right operator, it checks each child class's
+//! signature against the requirement, and skips the e-node if a bit is
+//! missing: preorder would otherwise enumerate a whole deep first
+//! child, such as the XNOR-NAND cone of `xor-00`, before it ever looked
+//! at a sibling class that holds no `!` or `&` at all. Bits only
+//! over-approximate, so no match is lost and match order is unchanged;
+//! the skipped e-node is still charged its budget unit. Only where the
+//! work budget binds can results move, because the search gets further
+//! before it runs out.
+//!
+//! The ground probes, the `Build` chains of variable-free subterms,
+//! come first in a program and do not depend on the candidate class.
+//! They run once per search, before any candidate, and a failed one
+//! ends the search: `(& ?a true)` on an e-graph without `true` costs
+//! one probe, not one per `&` class.
 //!
 //! Search requires a clean e-graph, so every register holds a canonical
 //! id and the VM never re-canonicalizes: a `Bind` reads the class's
@@ -51,14 +74,15 @@
 //! ([`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET)), the per-class
 //! match cap ([`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS)),
 //! and a cooperative [`CancelToken`] are all enforced *inside* the VM
-//! loop. One **budget unit** is one e-node a `Bind` visits or one
-//! probe a `Build` makes; the token is polled every
-//! [`CANCEL_CHECK_QUANTUM`] units, so cancellation latency is bounded
-//! by that many units rather than by a whole rule search. The search
-//! driver polls between candidate classes on the same rule, once per
-//! quantum of units rather than once per class, since a token with a
-//! deadline reads the clock on every poll. The units a search spends
-//! are reported as [`SearchStats::visits`].
+//! loop. One **budget unit** is one e-node a `Bind` visits, skipped or
+//! not, or one probe a `Build` makes; the ground probes are charged to
+//! the search's visits but to no class's budget. The token is polled
+//! every [`CANCEL_CHECK_QUANTUM`] units, so cancellation latency is
+//! bounded by that many units rather than by a whole rule search. The
+//! search driver polls between candidate classes on the same rule,
+//! once per quantum of units rather than once per class, since a token
+//! with a deadline reads the clock on every poll. The units a search
+//! spends are reported as [`SearchStats::visits`].
 //!
 //! [`search_rules`] drives a whole ruleset: one program per rule, rules
 //! spread over a work-stealing thread pool.
@@ -67,6 +91,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::pattern::ENodeOrVar;
+use crate::signature::Signature;
 use crate::{CancelToken, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var};
 
 /// A register index in the VM's register bank.
@@ -74,10 +99,11 @@ pub type Reg = u16;
 
 /// One instruction of a compiled pattern program.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Instruction<L> {
+pub(crate) enum Instruction<L> {
     /// Iterate the e-nodes of class `regs[i]` whose operator and arity
-    /// match `node`; for each, write the children into
-    /// `regs[out..out + arity]` and continue (backtracking point).
+    /// match `node` and whose child classes cover `needs`; for each,
+    /// write the children into `regs[out..out + arity]` and continue
+    /// (backtracking point).
     Bind {
         /// The pattern e-node to match (only its operator and arity
         /// are consulted; its child ids index the pattern AST).
@@ -86,6 +112,11 @@ pub enum Instruction<L> {
         i: Reg,
         /// First output register for the matched node's children.
         out: Reg,
+        /// `(child position, required signature)` for each child whose
+        /// subpattern is an e-node: the child class must cover the
+        /// signature, or the e-node is skipped. Variable children need
+        /// nothing and are not listed.
+        needs: Vec<(usize, Signature)>,
     },
     /// Continue only if `regs[i]` and `regs[j]` are the same class.
     Compare {
@@ -176,6 +207,11 @@ pub enum RunOutcome {
 #[derive(Debug, Clone)]
 pub struct Program<L> {
     instructions: Vec<Instruction<L>>,
+    /// How many leading instructions are ground probes: the `Build`s
+    /// of variable-free subterms, whose classes do not depend on the
+    /// candidate class, so [`Program::probe_ground`] runs them once per
+    /// search and [`Program::run`] starts after them.
+    ground: usize,
     /// `(var, register)` pairs in first-occurrence order; materializing
     /// a match reads these registers into a [`Subst`].
     subst_template: Vec<(Var, Reg)>,
@@ -183,14 +219,14 @@ pub struct Program<L> {
 }
 
 impl<L: Language> Program<L> {
-    /// Compiles a pattern AST. The [`Instruction::Bind`]s follow the
+    /// Compiles a pattern AST. The `Bind` instructions follow the
     /// pattern's depth-first preorder (root first, children left to
     /// right), which keeps the VM's match enumeration order aligned
-    /// with the classic recursive matcher. Each check — a
-    /// [`Instruction::Build`] or [`Instruction::Compare`], neither of
-    /// which branches — runs as soon as its inputs are bound: it sits
-    /// just after the instruction that writes the last register it
-    /// reads, behind the checks already placed there. A failing check
+    /// with the classic recursive matcher. Each check — a `Build` or
+    /// `Compare`, neither of which branches — runs as soon as its
+    /// inputs are bound: it sits just after the instruction that
+    /// writes the last register it reads, behind the checks already
+    /// placed there. A failing check
     /// then prunes the sibling `Bind`s the preorder would have run
     /// before it, and a passing one runs once per binding of its
     /// inputs rather than once per e-node of those siblings; matches
@@ -200,10 +236,18 @@ impl<L: Language> Program<L> {
     pub fn compile(ast: &RecExpr<ENodeOrVar<L>>) -> Self {
         let mut prog = Program {
             instructions: Vec::new(),
+            ground: 0,
             subst_template: Vec::new(),
             n_regs: 1,
         };
         prog.compile_node(ast, ast.root(), 0);
+        // Before the first `Bind` only ground probes' registers are
+        // bound, so every leading `Build` is a ground probe.
+        prog.ground = prog
+            .instructions
+            .iter()
+            .take_while(|ins| matches!(ins, Instruction::Build { .. }))
+            .count();
         prog
     }
 
@@ -222,10 +266,18 @@ impl<L: Language> Program<L> {
             }
             ENodeOrVar::ENode(node) => {
                 let out = self.alloc_regs(node.children().len());
+                let needs = node
+                    .children()
+                    .iter()
+                    .map(|&child| required_signature(ast, child))
+                    .enumerate()
+                    .filter(|(_, need)| *need != Signature::default())
+                    .collect();
                 self.instructions.push(Instruction::Bind {
                     node: node.clone(),
                     i: reg,
                     out,
+                    needs,
                 });
                 for (k, &child) in node.children().iter().enumerate() {
                     self.compile_node(ast, child, out + k as Reg);
@@ -307,26 +359,49 @@ impl<L: Language> Program<L> {
         self.n_regs
     }
 
-    /// The compiled instructions (for inspection and tests).
-    pub fn instructions(&self) -> &[Instruction<L>] {
+    #[cfg(test)]
+    fn instructions(&self) -> &[Instruction<L>] {
         &self.instructions
+    }
+
+    /// Prepares the register bank `regs` for a search of a clean
+    /// e-graph: sizes it for this program (one allocation serves the
+    /// whole multi-class search) and runs the ground probes, in order,
+    /// into their registers. Returns how many probes ran and whether
+    /// every one found its e-node. If one did not, no class can match
+    /// and the search ends; otherwise `regs` is ready for
+    /// [`Program::run`] on every candidate class.
+    pub(crate) fn probe_ground(&self, egraph: &EGraph<L>, regs: &mut Vec<Id>) -> (usize, bool) {
+        debug_assert!(egraph.is_clean(), "the VM runs on a clean e-graph");
+        regs.clear();
+        regs.resize(self.n_regs, Id::from_index(0));
+        for (k, probe) in self.instructions[..self.ground].iter().enumerate() {
+            let Instruction::Build { node, out } = probe else {
+                unreachable!("ground probes are Builds");
+            };
+            match egraph.lookup_canonical(&node.map_children(|r| regs[r.index()])) {
+                Some(class) => regs[*out as usize] = class,
+                None => return (k + 1, false),
+            }
+        }
+        (self.ground, true)
     }
 
     /// Runs the program against one candidate e-class of a clean
     /// e-graph, appending a [`Subst`] to `substs` for every match
-    /// found. `regs` is the reusable register bank (resized here, so
-    /// one allocation serves a whole multi-class search). `budget` is
-    /// decremented once per budget unit (a `Bind` e-node visit or a
-    /// `Build` probe); matching stops when it reaches zero, when
-    /// `substs` has grown by `max_substs`, or within
-    /// [`CANCEL_CHECK_QUANTUM`] units of `cancel` being set.
+    /// found. `regs` is the register bank [`Program::probe_ground`]
+    /// prepared, with every ground probe found. `budget` is decremented
+    /// once per budget unit (a `Bind` e-node visit or a `Build`
+    /// probe); matching stops when it reaches zero, when `substs` has
+    /// grown by `max_substs`, or within [`CANCEL_CHECK_QUANTUM`] units
+    /// of `cancel` being set.
     ///
     /// Every register holds a canonical id, so no instruction
     /// re-canonicalizes: the root is `find`-ed here, a `Bind` copies
     /// children out of a clean class's canonical node list, and a
     /// `Build` stores the `find` of the class the memo returns.
     #[allow(clippy::too_many_arguments)]
-    pub fn run(
+    pub(crate) fn run(
         &self,
         egraph: &EGraph<L>,
         eclass: Id,
@@ -337,8 +412,7 @@ impl<L: Language> Program<L> {
         cancel: &CancelToken,
     ) -> RunOutcome {
         debug_assert!(egraph.is_clean(), "the VM runs on a clean e-graph");
-        regs.clear();
-        regs.resize(self.n_regs, Id::from_index(0));
+        debug_assert_eq!(regs.len(), self.n_regs, "regs come from probe_ground");
         regs[0] = egraph.find(eclass);
         let mut machine = Machine {
             regs,
@@ -346,7 +420,29 @@ impl<L: Language> Program<L> {
             max_substs,
             cancel,
         };
-        machine.exec(egraph, self, 0, budget, substs)
+        machine.exec(egraph, self, self.ground, budget, substs)
+    }
+}
+
+/// The signature a class must cover to match pattern node `pat`:
+/// nothing for a variable; for an e-node, its operator's bit plus one
+/// pair bit per child that is itself an e-node.
+fn required_signature<L: Language>(ast: &RecExpr<ENodeOrVar<L>>, pat: Id) -> Signature {
+    let ENodeOrVar::ENode(node) = &ast[pat] else {
+        return Signature::default();
+    };
+    let op = node.operator_bit();
+    let pairs = node
+        .children()
+        .iter()
+        .filter_map(|&child| match &ast[child] {
+            ENodeOrVar::ENode(grandchild) => Some(grandchild.operator_bit()),
+            ENodeOrVar::Var(_) => None,
+        })
+        .fold(0, |pairs, bit| pairs | Signature::pair_mask(op, 1 << bit));
+    Signature {
+        ops: 1 << op,
+        pairs,
     }
 }
 
@@ -401,12 +497,17 @@ impl Machine<'_> {
                 node,
                 i,
                 out: out_reg,
+                needs,
             } => {
                 for enode in egraph.canonical_class_nodes(self.regs[*i as usize]) {
                     if let Some(stop) = self.charge(budget) {
                         return stop;
                     }
-                    if !node.matches(enode) {
+                    if !node.matches(enode)
+                        || !needs
+                            .iter()
+                            .all(|&(k, need)| egraph.signature(enode.children()[k]).covers(need))
+                    {
                         continue;
                     }
                     let base = *out_reg as usize;
@@ -654,7 +755,9 @@ pub(crate) mod tests {
         let p = pat("(f ?x (g a b))");
         assert_eq!(shape(&p), (1, 3, 1));
         assert_eq!(shape(&pat("a")), (0, 1, 1));
-        // A ground leaf the e-graph lacks fails every candidate's probe.
+        // The ground probes run once per search, before any candidate:
+        // `a` is found and `b` is not, so the search ends after two
+        // probes, however many `f` classes there are.
         let mut eg = EG::default();
         eg.add_expr(&"(f x (g a c))".parse().unwrap());
         eg.add_expr(&"(f y (g c c))".parse().unwrap());
@@ -664,15 +767,82 @@ pub(crate) mod tests {
             .search_interruptible(&eg, usize::MAX, &CancelToken::new())
             .unwrap();
         assert!(matches.is_empty());
-        assert!(
-            stats.visits > 0,
-            "the ground probes still run per candidate"
+        assert_eq!(
+            stats,
+            SearchStats {
+                visits: 2,
+                budget_exhausted: 0,
+                capped: 0,
+            }
         );
         assert!(p.search_oracle(&eg).is_empty());
         let present = pat("(f ?x (g a c))");
         let found = present.search(&eg);
         assert_eq!(found.len(), 1);
         assert_eq!(flat(&found), flat(&present.search_oracle(&eg)));
+    }
+
+    #[test]
+    fn bind_skips_enodes_whose_child_classes_lack_needed_operators() {
+        // `SymbolLang` hashes operator names, so these bits are fixed:
+        // `f`, `h` and `k` are apart, and so are the pair bits of `f`
+        // over `a` and of `f` over `h`.
+        let bit = |name: &str| SymbolLang::leaf(name).operator_bit();
+        let (f, h, k) = (bit("f"), bit("h"), bit("k"));
+        assert!(f != h && k != f && k != h, "{f} {h} {k}");
+        assert_ne!(
+            Signature::pair_mask(f, 1 << bit("a")),
+            Signature::pair_mask(f, 1 << h)
+        );
+        let mut eg = EG::default();
+        let leaf = |eg: &mut EG, name: &str| eg.add(SymbolLang::leaf(name));
+        let (la, lc) = (leaf(&mut eg, "a"), leaf(&mut eg, "c"));
+        // P: ten `k` nodes and no `f`; Q: `(f a)`; W: `(f (h a))`.
+        let ks: Vec<Id> = (0..10)
+            .map(|i| {
+                let l = leaf(&mut eg, &format!("l{i}"));
+                eg.add(SymbolLang::new("k", vec![l]))
+            })
+            .collect();
+        for w in ks.windows(2) {
+            eg.union(w[0], w[1]);
+        }
+        let q = eg.add(SymbolLang::new("f", vec![la]));
+        let ha = eg.add(SymbolLang::new("h", vec![la]));
+        let w = eg.add(SymbolLang::new("f", vec![ha]));
+        // One root class holding `(g P c)`, `(g Q c)` and `(g W c)`.
+        let roots: Vec<Id> = [ks[0], q, w]
+            .iter()
+            .map(|&child| eg.add(SymbolLang::new("g", vec![child, lc])))
+            .collect();
+        eg.union(roots[0], roots[1]);
+        eg.union(roots[0], roots[2]);
+        eg.rebuild();
+        eg.check_invariants();
+        let search = |p: &Pattern<SymbolLang>| {
+            p.search_interruptible(&eg, usize::MAX, &CancelToken::new())
+                .unwrap()
+        };
+        let visits = |n| SearchStats {
+            visits: n,
+            budget_exhausted: 0,
+            capped: 0,
+        };
+        // P holds no `f`, so `(g P c)` costs its own unit and P's ten
+        // nodes are never scanned: three root nodes, then Q's and W's
+        // `f`, not 3 + 10 + 1 + 1.
+        let shallow = pat("(g (f ?x) ?y)");
+        let (matches, stats) = search(&shallow);
+        assert_eq!(stats, visits(3 + 1 + 1));
+        assert_eq!(matches[0].substs.len(), 2);
+        assert_eq!(flat(&matches), flat(&shallow.search_oracle(&eg)));
+        // Q holds an `f`, but none over an `h`: its pair bit is missing,
+        // so only `(g W c)` goes on, to W's `f` and then H's `h`.
+        let deep = pat("(g (f (h ?x)) ?y)");
+        let (matches, stats) = search(&deep);
+        assert_eq!(stats, visits(3 + 1 + 1));
+        assert_eq!(matches[0].substs.len(), 1);
+        assert_eq!(flat(&matches), flat(&deep.search_oracle(&eg)));
     }
 
     #[test]
@@ -689,13 +859,15 @@ pub(crate) mod tests {
     /// Builds a workload whose search does lots of *failing*
     /// backtracking (so the per-class match cap never stops it): two
     /// classes `A`/`B` each holding `width` f-nodes over disjoint
-    /// leaves, `n_roots` classes `(g A B t_r)` told apart by a tag
-    /// leaf, and the probe `(g (f ?x) (f ?y) (h ?x ?y))` that never
-    /// closes: its failing check, the `(h ?x ?y)` probe, needs both
-    /// variables, so every `(?x, ?y)` pair is enumerated and probed.
-    /// Each root costs ~`width²` budget units (up to the work budget)
-    /// but adds only two e-nodes, so searching dwarfs every other cost
-    /// of the e-graph.
+    /// leaves, `n_roots` classes `(g A B T_r)` whose tag class `T_r`
+    /// holds a leaf `t_r` and an `h` node over a leaf `u_r` of its own,
+    /// and the probe `(g (f ?x) (f ?y) (h ?x ?y))` that never closes.
+    /// The tag's `h` node gives every root the signature the probe
+    /// needs, so the VM cannot skip it; its failing check, the
+    /// `(h ?x ?y)` probe, needs both variables, so every `(?x, ?y)`
+    /// pair is enumerated and probed. Each root costs ~`width²` budget
+    /// units (up to the work budget) but adds only five e-nodes, so
+    /// searching dwarfs every other cost of the e-graph.
     pub(crate) fn explosive_workload(n_roots: usize, width: usize) -> (EG, Pattern<SymbolLang>) {
         let mut eg = EG::default();
         let side = |tag: &str, eg: &mut EG| {
@@ -714,6 +886,9 @@ pub(crate) mod tests {
         let b = side("b", &mut eg);
         for r in 0..n_roots {
             let tag = eg.add(SymbolLang::leaf(format!("t{r}")));
+            let u = eg.add(SymbolLang::leaf(format!("u{r}")));
+            let h = eg.add(SymbolLang::new("h", vec![u, u]));
+            eg.union(tag, h);
             eg.add(SymbolLang::new("g", vec![a, b, tag]));
         }
         eg.rebuild();
@@ -800,6 +975,7 @@ pub(crate) mod tests {
         let token = CancelToken::new();
         token.cancel();
         let mut regs = Vec::new();
+        assert_eq!(p.program().probe_ground(&eg, &mut regs), (0, true));
         let mut substs = Vec::new();
         let start_budget = 10_000usize;
         let mut budget = start_budget;

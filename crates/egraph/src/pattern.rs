@@ -65,6 +65,15 @@ impl<L: Language> Language for ENodeOrVar<L> {
         }
     }
 
+    /// A variable has no operator; patterns never enter an e-graph, so
+    /// its bit is never read.
+    fn operator_bit(&self) -> u32 {
+        match self {
+            ENodeOrVar::ENode(n) => n.operator_bit(),
+            ENodeOrVar::Var(_) => 0,
+        }
+    }
+
     fn children(&self) -> &[Id] {
         match self {
             ENodeOrVar::ENode(n) => n.children(),
@@ -264,6 +273,11 @@ impl<L: Language> Pattern<L> {
     /// matches with the budget units spent and the candidate classes
     /// whose run the work budget or the per-class match cap cut short.
     ///
+    /// The ground probes (the `Build`s of variable-free subterms, such
+    /// as the `true` of `(& ?a true)`) run once, before any candidate,
+    /// and are charged once to the search's visits, not to a class's
+    /// budget; if one misses, the search ends with no matches.
+    ///
     /// Each candidate class gets its own [`MATCH_WORK_BUDGET`] and at
     /// most [`MAX_SUBSTS_PER_CLASS`] matches, which contains the
     /// worst-case backtracking blow-up on very large e-classes;
@@ -285,9 +299,16 @@ impl<L: Language> Pattern<L> {
         let mut out = Vec::new();
         let mut stats = SearchStats::default();
         let mut total = 0usize;
+        // Ground probes do not depend on the candidate class: run them
+        // once, and if one misses, no class can match.
+        let mut regs = Vec::new();
+        let (probes, found) = self.program.probe_ground(egraph, &mut regs);
+        stats.visits += probes;
+        if !found {
+            return Some((out, stats));
+        }
         // Only classes containing the root operator can match; use the
         // e-graph's operator index to skip the rest.
-        let mut regs = Vec::new();
         // The in-VM poll only triggers on budget quanta *within* a
         // class; polling here too, once per quantum spent across
         // classes, keeps cancellation latency bounded over runs of
@@ -396,12 +417,12 @@ pub const MAX_SUBSTS_PER_CLASS: usize = 256;
 
 /// The deterministic cap on matcher *work* per candidate e-class, in
 /// budget units: one per e-node a VM `Bind` visits and one per
-/// hash-cons probe a VM `Build` makes (see [`crate::machine`]).
-/// Backtracking over several wide e-classes multiplies, so output caps
-/// alone do not bound the scan cost. The recursive oracle charges one
-/// unit per e-node it visits, and visits the e-nodes of bound subterms
-/// the VM probes instead, so the two agree only where neither runs
-/// out.
+/// hash-cons probe a VM `Build` makes after the ground probes, which
+/// run once per search (see [`crate::machine`]). Backtracking over
+/// several wide e-classes multiplies, so output caps alone do not
+/// bound the scan cost. The recursive oracle charges one unit per
+/// e-node it visits, and visits the e-nodes of bound subterms the VM
+/// probes instead, so the two agree only where neither runs out.
 pub const MATCH_WORK_BUDGET: usize = 50_000;
 
 #[cfg(any(test, feature = "oracle"))]

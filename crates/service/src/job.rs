@@ -249,7 +249,10 @@ pub struct ResultSummary {
     pub fas: Vec<RecoveredFa>,
     /// Recovered FAs in original-netlist literals.
     pub original_fas: Vec<RecoveredFa>,
-    /// Saturation statistics.
+    /// Saturation statistics without the per-rule profiles: `rules` is
+    /// empty. Neither JSON document carries them and nothing in the
+    /// service reads them, while a batch keeps every summary; callers
+    /// that want them run the pipeline and read [`BooleResult`].
     pub saturation: SaturationStats,
     /// Pairing statistics.
     pub pairing: PairStats,
@@ -266,7 +269,10 @@ impl From<&BooleResult> for ResultSummary {
             ands: result.reconstructed.num_ands(),
             fas: result.fas.clone(),
             original_fas: result.original_fas.clone(),
-            saturation: result.saturation.clone(),
+            saturation: SaturationStats {
+                rules: Vec::new(),
+                ..result.saturation.clone()
+            },
             pairing: result.pairing,
             pipeline_runtime: result.runtime,
         }
@@ -559,6 +565,20 @@ mod tests {
             proptest::prop_assert_eq!(&reparsed, &doc);
             proptest::prop_assert_eq!(reparsed.to_string(), text);
         }
+    }
+
+    #[test]
+    fn summary_drops_the_per_rule_profiles() {
+        let aig = GenSpec::parse("csa:3").unwrap().build();
+        let result = boole::BoolE::new(BooleParams::small()).run(&aig);
+        assert!(!result.saturation.rules.is_empty());
+        let summary = ResultSummary::from(&result);
+        assert!(summary.saturation.rules.is_empty());
+        assert_eq!(
+            summary.saturation.to_json(),
+            result.saturation.to_json(),
+            "the canonical document never carried them"
+        );
     }
 
     #[test]
