@@ -23,6 +23,8 @@ mod r2;
 
 pub use gen::{perms3, permuted_variants, PatExpr};
 
+use std::sync::OnceLock;
+
 use egraph::Rewrite;
 
 use crate::BoolLang;
@@ -76,21 +78,37 @@ fn build(specs: Vec<RuleSpec>) -> Vec<Rewrite<BoolLang>> {
         .collect()
 }
 
-/// Builds the `R1` rewrites.
+/// The `R1` rewrites, built and compiled once per process.
+pub fn r1_ruleset() -> &'static [Rewrite<BoolLang>] {
+    static RULES: OnceLock<Vec<Rewrite<BoolLang>>> = OnceLock::new();
+    RULES.get_or_init(|| build(r1_table()))
+}
+
+/// The lightweight `R1` rewrites, built and compiled once per process.
+pub fn r1_lightweight_ruleset() -> &'static [Rewrite<BoolLang>] {
+    static RULES: OnceLock<Vec<Rewrite<BoolLang>>> = OnceLock::new();
+    RULES.get_or_init(|| build(r1_lightweight_table()))
+}
+
+/// The full `R2` rewrites (majority + XOR identification), built and
+/// compiled once per process.
+pub fn r2_ruleset() -> &'static [Rewrite<BoolLang>] {
+    static RULES: OnceLock<Vec<Rewrite<BoolLang>>> = OnceLock::new();
+    RULES.get_or_init(|| {
+        let mut specs = maj_table();
+        specs.extend(xor_table());
+        build(specs)
+    })
+}
+
+/// A copy of the `R1` rewrites ([`r1_ruleset`]).
 pub fn r1_rules() -> Vec<Rewrite<BoolLang>> {
-    build(r1_table())
+    r1_ruleset().to_vec()
 }
 
-/// Builds the lightweight `R1` rewrites.
-pub fn r1_lightweight_rules() -> Vec<Rewrite<BoolLang>> {
-    build(r1_lightweight_table())
-}
-
-/// Builds the full `R2` rewrites (majority + XOR identification).
+/// A copy of the full `R2` rewrites ([`r2_ruleset`]).
 pub fn r2_rules() -> Vec<Rewrite<BoolLang>> {
-    let mut specs = maj_table();
-    specs.extend(xor_table());
-    build(specs)
+    r2_ruleset().to_vec()
 }
 
 #[cfg(test)]

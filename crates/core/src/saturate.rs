@@ -198,11 +198,11 @@ pub fn saturate_observed(
     observer: Option<IterationObserver>,
 ) -> (NetlistEGraph, SaturationStats) {
     let r1 = if params.lightweight {
-        rules::r1_lightweight_rules()
+        rules::r1_lightweight_ruleset()
     } else {
-        rules::r1_rules()
+        rules::r1_ruleset()
     };
-    let r2 = rules::r2_rules();
+    let r2 = rules::r2_ruleset();
 
     let initial_nodes = net.egraph.total_number_of_nodes();
     let r1_node_limit = ((initial_nodes as f64 * params.r1_growth) as usize)
@@ -219,7 +219,7 @@ pub fn saturate_observed(
     if let Some(obs) = observer.clone() {
         runner1 = runner1.with_iteration_hook(move |i, it| obs("r1", i, it));
     }
-    let runner1 = runner1.run(&r1);
+    let runner1 = runner1.run(r1);
     let nodes_after_r1 = runner1.egraph.total_number_of_nodes();
     let r1_stop = runner1.stop_reason.clone().expect("phase 1 ran");
     let r1_iterations = runner1.iterations.len();
@@ -252,7 +252,7 @@ pub fn saturate_observed(
     if let Some(obs) = observer {
         runner2 = runner2.with_iteration_hook(move |i, it| obs("r2", i, it));
     }
-    let runner2 = runner2.run(&r2);
+    let runner2 = runner2.run(r2);
     accumulate(&runner2.iterations);
     let rules = merge_rule_profiles(&runner1.rule_profiles, &runner2.rule_profiles);
     let mut egraph = runner2.egraph;

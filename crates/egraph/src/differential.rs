@@ -51,7 +51,11 @@ fn random_egraph(rng: &mut TestRng) -> EG {
 
 /// The pattern shapes exercised: linear/nonlinear, nested, and ground
 /// subterms (whole patterns and arguments beside variables), which the
-/// VM probes through `Build` chains.
+/// VM probes through `Build` chains, and repeated subterms, which it
+/// binds once and enumerates last: a repeat nested in a repeat, one
+/// whose second occurrence is reached only through a `Build` chain,
+/// two distinct repeats in one pattern, and one whose variable also
+/// occurs outside it, which compiles in preorder.
 const PATTERNS: &[&str] = &[
     "(f ?x)",
     "(g ?x ?y)",
@@ -67,6 +71,10 @@ const PATTERNS: &[&str] = &[
     "(+ ?x (f ?x))",
     "(h (h ?a ?b) (h ?c ?d))",
     "a",
+    "(h (g (f ?x) (f ?x)) (g (f ?x) (f ?x)))",
+    "(+ (h (f ?x) ?y) (h ?y (f ?x)))",
+    "(g (h (f ?x) (f ?y)) (h (f ?y) (f ?x)))",
+    "(m (f ?x) (f ?x) ?x)",
 ];
 
 /// Flattens search results for comparison: both matchers canonicalize,

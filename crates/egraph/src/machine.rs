@@ -24,15 +24,32 @@
 //!   `true` leaf of `(& ?a true)`, is the vacuous case: a chain whose
 //!   leaves are childless `Build`s.
 //!
-//! `Bind`s run in the pattern's preorder. `Build` and `Compare` never
-//! branch; they are checks, and each runs as soon as the registers it
-//! reads are bound (see [`Program::compile`]). In maj-37,
+//! `Bind`s run in the pattern's preorder, except for repeated
+//! subterms. `Build` and `Compare` never branch; they are checks, and
+//! each runs as soon as the registers it reads are bound (see
+//! [`Program::compile`]). In maj-37,
 //! `(| (& ?a ?b) (& (& (! (& ?a ?b)) (| ?a ?b)) ?c))`, the four probes
 //! of `(& (! (& ?a ?b)) (| ?a ?b))` run once `(& ?a ?b)` binds `?b`,
 //! before the `(& X ?c)` `Bind`, so they run once per binding of `?a`
 //! and `?b` instead of once per e-node of the `(& X ?c)` class, and a
-//! failed probe skips that scan. Moving a check earlier prunes sooner
-//! but never changes which matches are found or their order.
+//! failed probe skips that scan.
+//!
+//! A repeated subterm whose variables occur nowhere else is matched
+//! once, and its structure is enumerated last. In a NAND-ladder sum
+//! such as `xor-00`, `(& (! (& (! X) ?c)) (! (& X (! ?c))))` with the
+//! XOR2 `X` written out twice, the first `X` is only the class its
+//! parent's `Bind` writes, the second branch becomes a probe of
+//! `(! (& X (! ?c)))` against it, and `X`'s own `Bind`s run only for
+//! roots where that probe passes. In a clean e-graph both occurrences
+//! of `X` under one substitution are one class, so this is the same
+//! conjunctive query in a cheaper join order ("Better Together",
+//! Zhang et al., PLDI 2023).
+//!
+//! Neither reordering changes which matches a class has, and the
+//! search sorts and deduplicates each class's substitutions, so the
+//! results are unchanged. Only the raw enumeration order and the work
+//! spent change, so results can move only where the work budget or
+//! the per-class match cap cuts a class short.
 //!
 //! Every class carries an operator signature: one bit per operator
 //! among its e-nodes ([`Language::operator_bit`]) and one per
@@ -90,6 +107,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::hash::FxHashMap;
 use crate::pattern::ENodeOrVar;
 use crate::signature::Signature;
 use crate::{CancelToken, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var};
@@ -221,93 +239,47 @@ pub struct Program<L> {
 impl<L: Language> Program<L> {
     /// Compiles a pattern AST. The `Bind` instructions follow the
     /// pattern's depth-first preorder (root first, children left to
-    /// right), which keeps the VM's match enumeration order aligned
-    /// with the classic recursive matcher. Each check — a `Build` or
-    /// `Compare`, neither of which branches — runs as soon as its
-    /// inputs are bound: it sits just after the instruction that
-    /// writes the last register it reads, behind the checks already
-    /// placed there. A failing check
-    /// then prunes the sibling `Bind`s the preorder would have run
-    /// before it, and a passing one runs once per binding of its
-    /// inputs rather than once per e-node of those siblings; matches
-    /// and their order are unchanged. A bare variable compiles to no
-    /// instructions at all; searches reject such patterns, since they
-    /// have no root operator to select candidate classes by.
+    /// right), with one exception, the repeated subterms below. Each
+    /// check — a `Build` or `Compare`, neither of which branches —
+    /// runs as soon as its inputs are bound: it sits just after the
+    /// instruction that writes the last register it reads, behind the
+    /// checks already placed there. A failing check then prunes the
+    /// sibling `Bind`s the preorder would have run before it, and a
+    /// passing one runs once per binding of its inputs rather than
+    /// once per e-node of those siblings. A bare variable compiles to
+    /// no instructions at all; searches reject such patterns, since
+    /// they have no root operator to select candidate classes by.
+    ///
+    /// A repeated subterm is matched once (see the module docs). Take
+    /// a maximal compound subterm that occurs at least twice and whose
+    /// variables occur nowhere outside its occurrences. Its first
+    /// occurrence compiles to nothing but the register its parent's
+    /// `Bind` writes, and that `Bind` still checks the child's
+    /// signature. Each later occurrence is checked against that
+    /// register, by a `Compare` or as a register leaf of a `Build`
+    /// chain. The subterm's own `Bind`s come right after its last
+    /// occurrence has been compiled, and the same rule applies inside
+    /// them. The variable condition keeps every other branch
+    /// constrained: in maj-37 the repeated `(& ?a ?b)` shares `?a` and
+    /// `?b` with `(| ?a ?b)`, and deferring it would leave them to be
+    /// enumerated unconstrained, so maj-37 compiles in preorder.
     pub fn compile(ast: &RecExpr<ENodeOrVar<L>>) -> Self {
-        let mut prog = Program {
-            instructions: Vec::new(),
-            ground: 0,
-            subst_template: Vec::new(),
-            n_regs: 1,
-        };
-        prog.compile_node(ast, ast.root(), 0);
-        // Before the first `Bind` only ground probes' registers are
-        // bound, so every leading `Build` is a ground probe.
-        prog.ground = prog
-            .instructions
-            .iter()
-            .take_while(|ins| matches!(ins, Instruction::Build { .. }))
-            .count();
-        prog
+        let mut compiler = Compiler::new(ast);
+        compiler.find_repeats(ast.root());
+        compiler.finish()
     }
 
-    fn compile_node(&mut self, ast: &RecExpr<ENodeOrVar<L>>, pat: Id, reg: Reg) {
-        match &ast[pat] {
-            ENodeOrVar::Var(v) => {
-                if let Some(first) = self.var_reg(*v) {
-                    self.push_check(Instruction::Compare { i: reg, j: first });
-                } else {
-                    self.subst_template.push((*v, reg));
-                }
-            }
-            ENodeOrVar::ENode(_) if self.all_vars_bound(ast, pat) => {
-                let built = self.compile_build(ast, pat);
-                self.push_check(Instruction::Compare { i: reg, j: built });
-            }
-            ENodeOrVar::ENode(node) => {
-                let out = self.alloc_regs(node.children().len());
-                let needs = node
-                    .children()
-                    .iter()
-                    .map(|&child| required_signature(ast, child))
-                    .enumerate()
-                    .filter(|(_, need)| *need != Signature::default())
-                    .collect();
-                self.instructions.push(Instruction::Bind {
-                    node: node.clone(),
-                    i: reg,
-                    out,
-                    needs,
-                });
-                for (k, &child) in node.children().iter().enumerate() {
-                    self.compile_node(ast, child, out + k as Reg);
-                }
-            }
-        }
-    }
-
-    /// Emits the bottom-up [`Instruction::Build`] chain that rebuilds
-    /// the subterm at `pat` from bound registers (children left to
-    /// right, then the node) and returns the register holding its
-    /// class.
-    fn compile_build(&mut self, ast: &RecExpr<ENodeOrVar<L>>, pat: Id) -> Reg {
-        match &ast[pat] {
-            ENodeOrVar::Var(v) => self
-                .var_reg(*v)
-                .expect("bound subterms bind every variable"),
-            ENodeOrVar::ENode(node) => {
-                let node =
-                    node.map_children(|c| Id::from_index(usize::from(self.compile_build(ast, c))));
-                let out = self.alloc_regs(1);
-                self.push_check(Instruction::Build { node, out });
-                out
-            }
-        }
+    /// Compiles with every `Bind` in preorder, repeated subterms
+    /// included: the program [`Program::compile`] improves on.
+    #[cfg(test)]
+    fn compile_in_preorder(ast: &RecExpr<ENodeOrVar<L>>) -> Self {
+        Compiler::new(ast).finish()
     }
 
     /// Places a check just after the last writer of the registers it
     /// reads (at the start if it reads none), behind the checks
-    /// already there, so checks keep their preorder among themselves.
+    /// already there, so checks keep their compile order among
+    /// themselves.
     fn push_check(&mut self, check: Instruction<L>) {
         let reads = check.reads();
         let mut at = self
@@ -332,13 +304,6 @@ impl<L: Language> Program<L> {
             .iter()
             .find(|(u, _)| *u == v)
             .map(|&(_, r)| r)
-    }
-
-    fn all_vars_bound(&self, ast: &RecExpr<ENodeOrVar<L>>, pat: Id) -> bool {
-        match &ast[pat] {
-            ENodeOrVar::Var(v) => self.var_reg(*v).is_some(),
-            ENodeOrVar::ENode(node) => node.children().iter().all(|&c| self.all_vars_bound(ast, c)),
-        }
     }
 
     /// Reserves `n` consecutive registers and returns the first.
@@ -421,6 +386,267 @@ impl<L: Language> Program<L> {
             cancel,
         };
         machine.exec(egraph, self, self.ground, budget, substs)
+    }
+}
+
+/// The pattern tree hash-consed: one number per distinct subterm, in
+/// one pass over the pattern.
+struct Subterms {
+    /// The subterm each pattern node roots, by node index.
+    of: Vec<usize>,
+    /// Per subterm: the subterms of its distinct variables, sorted.
+    vars: Vec<Vec<usize>>,
+    /// Per subterm: how many variable leaves it has, repeats counted.
+    var_leaves: Vec<usize>,
+}
+
+impl Subterms {
+    fn new<L: Language>(ast: &RecExpr<ENodeOrVar<L>>) -> Self {
+        let mut numbers: FxHashMap<ENodeOrVar<L>, usize> = FxHashMap::default();
+        let mut subterms = Subterms {
+            of: Vec::with_capacity(ast.len()),
+            vars: Vec::new(),
+            var_leaves: Vec::new(),
+        };
+        // Children come before their parents, so each key is built
+        // from its children's numbers.
+        for node in ast.iter() {
+            let key = node.map_children(|c| Id::from_index(subterms.of[c.index()]));
+            let fresh = numbers.len();
+            let term = *numbers.entry(key).or_insert(fresh);
+            if term == fresh {
+                let children = node.children().iter().map(|c| subterms.of[c.index()]);
+                let (vars, var_leaves) = match node {
+                    ENodeOrVar::Var(_) => (vec![term], 1),
+                    ENodeOrVar::ENode(_) => {
+                        let mut vars: Vec<usize> = children
+                            .clone()
+                            .flat_map(|c| subterms.vars[c].iter().copied())
+                            .collect();
+                        vars.sort_unstable();
+                        vars.dedup();
+                        (vars, children.map(|c| subterms.var_leaves[c]).sum())
+                    }
+                };
+                subterms.vars.push(vars);
+                subterms.var_leaves.push(var_leaves);
+            }
+            subterms.of.push(term);
+        }
+        subterms
+    }
+}
+
+/// A repeated subterm that [`Program::compile`] matches once.
+struct Repeat {
+    /// Occurrences not compiled yet.
+    left: usize,
+    /// The first compiled occurrence: its pattern node and the register
+    /// its parent's `Bind` writes.
+    first: Option<(Id, Reg)>,
+}
+
+/// [`Program::compile`]'s working state.
+struct Compiler<'a, L> {
+    ast: &'a RecExpr<ENodeOrVar<L>>,
+    subterms: Subterms,
+    /// The repeats, by subterm.
+    repeats: FxHashMap<usize, Repeat>,
+    /// Repeats whose last occurrence is compiled and whose own `Bind`s
+    /// are due: their first occurrence's pattern node and register.
+    due: Vec<(Id, Reg)>,
+    prog: Program<L>,
+}
+
+impl<'a, L: Language> Compiler<'a, L> {
+    fn new(ast: &'a RecExpr<ENodeOrVar<L>>) -> Self {
+        Compiler {
+            ast,
+            subterms: Subterms::new(ast),
+            repeats: FxHashMap::default(),
+            due: Vec::new(),
+            prog: Program {
+                instructions: Vec::new(),
+                ground: 0,
+                subst_template: Vec::new(),
+                n_regs: 1,
+            },
+        }
+    }
+
+    /// Finds the repeats strictly below pattern node `body`, in one
+    /// occurrence of it, then the repeats inside each repeat found.
+    /// Every subterm in `body` is counted once, top down: the first
+    /// qualifying subterm on a path is a maximal one.
+    fn find_repeats(&mut self, body: Id) {
+        let ast = self.ast;
+        let subterms = &self.subterms;
+        let mut count: FxHashMap<usize, usize> = FxHashMap::default();
+        let mut stack = ast[body].children().to_vec();
+        while let Some(pat) = stack.pop() {
+            *count.entry(subterms.of[pat.index()]).or_default() += 1;
+            stack.extend_from_slice(ast[pat].children());
+        }
+        let mut found = Vec::new();
+        stack.extend_from_slice(ast[body].children());
+        while let Some(pat) = stack.pop() {
+            let term = subterms.of[pat.index()];
+            if self.repeats.contains_key(&term) {
+                continue;
+            }
+            let (n, leaves) = (count[&term], subterms.var_leaves[term]);
+            // The `n` occurrences are disjoint, so their variable
+            // leaves number `n * leaves` and cover every leaf of these
+            // variables exactly when the counts agree.
+            let closed =
+                || subterms.vars[term].iter().map(|v| count[v]).sum::<usize>() == n * leaves;
+            if matches!(ast[pat], ENodeOrVar::ENode(_)) && leaves > 0 && n >= 2 && closed() {
+                self.repeats.insert(
+                    term,
+                    Repeat {
+                        left: n,
+                        first: None,
+                    },
+                );
+                found.push(pat);
+            } else {
+                stack.extend_from_slice(ast[pat].children());
+            }
+        }
+        for pat in found {
+            self.find_repeats(pat);
+        }
+    }
+
+    fn finish(mut self) -> Program<L> {
+        self.compile_node(self.ast.root(), 0);
+        let mut prog = self.prog;
+        // Before the first `Bind` only ground probes' registers are
+        // bound, so every leading `Build` is a ground probe.
+        prog.ground = prog
+            .instructions
+            .iter()
+            .take_while(|ins| matches!(ins, Instruction::Build { .. }))
+            .count();
+        prog
+    }
+
+    /// Compiles the subterm at `pat`, whose class is in `reg`, then the
+    /// `Bind`s of every repeat whose last occurrence it compiled.
+    fn compile_node(&mut self, pat: Id, reg: Reg) {
+        let ast = self.ast;
+        let term = self.subterms.of[pat.index()];
+        match &ast[pat] {
+            ENodeOrVar::Var(v) => {
+                if let Some(first) = self.prog.var_reg(*v) {
+                    self.prog
+                        .push_check(Instruction::Compare { i: reg, j: first });
+                } else {
+                    self.prog.subst_template.push((*v, reg));
+                }
+            }
+            ENodeOrVar::ENode(_) if self.repeats.contains_key(&term) => {
+                if let Some(first) = self.repeat_occurrence(pat, reg) {
+                    self.prog
+                        .push_check(Instruction::Compare { i: reg, j: first });
+                }
+            }
+            ENodeOrVar::ENode(_) if self.all_vars_bound(pat) => {
+                let built = self.compile_build(pat);
+                self.prog
+                    .push_check(Instruction::Compare { i: reg, j: built });
+            }
+            ENodeOrVar::ENode(_) => self.compile_bind(pat, reg),
+        }
+        for (pat, reg) in std::mem::take(&mut self.due) {
+            self.compile_bind(pat, reg);
+        }
+    }
+
+    /// Emits the `Bind` of the e-node at `pat` on class `reg`, then
+    /// compiles its children into the registers it writes.
+    fn compile_bind(&mut self, pat: Id, reg: Reg) {
+        let ast = self.ast;
+        let ENodeOrVar::ENode(node) = &ast[pat] else {
+            unreachable!("only e-nodes are bound");
+        };
+        let out = self.prog.alloc_regs(node.children().len());
+        let needs = node
+            .children()
+            .iter()
+            .map(|&child| required_signature(ast, child))
+            .enumerate()
+            .filter(|(_, need)| *need != Signature::default())
+            .collect();
+        self.prog.instructions.push(Instruction::Bind {
+            node: node.clone(),
+            i: reg,
+            out,
+            needs,
+        });
+        for (k, &child) in node.children().iter().enumerate() {
+            self.compile_node(child, out + k as Reg);
+        }
+    }
+
+    /// Emits the bottom-up [`Instruction::Build`] chain that rebuilds
+    /// the subterm at `pat` from bound registers (children left to
+    /// right, then the node) and returns the register holding its
+    /// class. A repeat already seen is a leaf: its first occurrence's
+    /// register.
+    fn compile_build(&mut self, pat: Id) -> Reg {
+        if let Some(first) = self.repeat_reg(pat) {
+            self.repeat_occurrence(pat, first);
+            return first;
+        }
+        match &self.ast[pat] {
+            ENodeOrVar::Var(v) => self
+                .prog
+                .var_reg(*v)
+                .expect("bound subterms bind every variable"),
+            ENodeOrVar::ENode(node) => {
+                let node =
+                    node.map_children(|c| Id::from_index(usize::from(self.compile_build(c))));
+                let out = self.prog.alloc_regs(1);
+                self.prog.push_check(Instruction::Build { node, out });
+                out
+            }
+        }
+    }
+
+    /// Whether every variable of the subterm at `pat` is bound, or a
+    /// repeat already seen stands for it.
+    fn all_vars_bound(&self, pat: Id) -> bool {
+        self.repeat_reg(pat).is_some()
+            || match &self.ast[pat] {
+                ENodeOrVar::Var(v) => self.prog.var_reg(*v).is_some(),
+                ENodeOrVar::ENode(node) => node.children().iter().all(|&c| self.all_vars_bound(c)),
+            }
+    }
+
+    /// The register of the first occurrence of the repeat at `pat`, if
+    /// `pat` is a repeat and that occurrence is compiled.
+    fn repeat_reg(&self, pat: Id) -> Option<Reg> {
+        let repeat = self.repeats.get(&self.subterms.of[pat.index()])?;
+        repeat.first.map(|(_, reg)| reg)
+    }
+
+    /// Counts one compiled occurrence of the repeat at `pat`, whose
+    /// class is in `reg`, and returns the register of the repeat's
+    /// first occurrence, or `None` if this is it. After the last
+    /// occurrence, the repeat's own `Bind`s are due.
+    fn repeat_occurrence(&mut self, pat: Id, reg: Reg) -> Option<Reg> {
+        let repeat = self
+            .repeats
+            .get_mut(&self.subterms.of[pat.index()])
+            .expect("a repeat");
+        let earlier = repeat.first.map(|(_, first)| first);
+        let first = *repeat.first.get_or_insert((pat, reg));
+        repeat.left -= 1;
+        if repeat.left == 0 {
+            self.due.push(first);
+        }
+        earlier
     }
 }
 
@@ -929,6 +1155,12 @@ pub(crate) mod tests {
                 "compare r5 r10",
             ]
         );
+        // Its repeated `(& ?a ?b)` shares `?a` and `?b` with `(| ?a ?b)`,
+        // so it is not matched once: maj-37 compiles in preorder.
+        assert_eq!(
+            maj37.program().instructions(),
+            Program::compile_in_preorder(&maj37.ast).instructions()
+        );
         // The repeated `?x` is checked once the first `f` binds it,
         // before the second `f` is scanned.
         let early = pat("(g (f ?x) (f ?y) ?x)");
@@ -963,6 +1195,112 @@ pub(crate) mod tests {
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].substs.len(), 30);
         assert_eq!(flat(&found), flat(&early.search_oracle(&eg)));
+    }
+
+    /// The budget units `prog` spends searching every class that holds
+    /// `op`, as [`Pattern::search`] runs it, with no limit.
+    fn visits_of(prog: &Program<SymbolLang>, eg: &EG, op: &str) -> usize {
+        let mut regs = Vec::new();
+        let (mut visits, found) = prog.probe_ground(eg, &mut regs);
+        assert!(found);
+        for &class in eg.classes_with_op(&SymbolLang::leaf(op).discriminant()) {
+            let mut budget = usize::MAX;
+            let token = CancelToken::new();
+            let outcome = prog.run(
+                eg,
+                class,
+                &mut regs,
+                &mut Vec::new(),
+                &mut budget,
+                usize::MAX,
+                &token,
+            );
+            assert_eq!(outcome, RunOutcome::Complete);
+            visits += usize::MAX - budget;
+        }
+        visits
+    }
+
+    #[test]
+    fn repeated_subterm_is_bound_once_and_enumerated_last() {
+        // The shape of xor-00: `(f ?x ?y)` occurs twice, and `?x` and
+        // `?y` occur nowhere else. Its first occurrence is just the r3
+        // that `(k X ?z)`'s Bind writes; the second is the r3 leaf of
+        // the `(k ?z X)` probe; the `f` Bind comes last.
+        let p = pat("(g (k (f ?x ?y) ?z) (k ?z (f ?x ?y)))");
+        assert_eq!(
+            layout(&p),
+            ["bind r0", "bind r1", "build r5", "compare r2 r5", "bind r3"]
+        );
+        let Instruction::Build { node, .. } = &p.program().instructions()[2] else {
+            panic!("a Build");
+        };
+        assert_eq!(node.children(), [Id::from_index(4), Id::from_index(3)]);
+        // A repeat inside a repeat is matched once per match of the
+        // outer one.
+        assert_eq!(
+            layout(&pat("(h (g (f ?x) (f ?x)) (g (f ?x) (f ?x)))")),
+            [
+                "bind r0",
+                "compare r2 r1",
+                "bind r1",
+                "compare r4 r3",
+                "bind r3"
+            ]
+        );
+        // A repeat whose variable occurs outside it, and a ground one,
+        // compile in preorder.
+        for unchanged in ["(m (f ?x) (f ?x) ?x)", "(g (f a) (f a))"] {
+            let p = pat(unchanged);
+            assert_eq!(
+                p.program().instructions(),
+                Program::compile_in_preorder(&p.ast).instructions(),
+                "{unchanged}"
+            );
+        }
+        // F holds `n` f-nodes. The root `(g (k F z) (k z F))` matches
+        // once per f-node; each of `m` roots `(g (k F z) (k z G_j))`,
+        // where G_j holds one other f-node, does not match.
+        let (n, m) = (6, 4);
+        let mut eg = EG::default();
+        let leaf = |eg: &mut EG, name: String| eg.add(SymbolLang::leaf(name));
+        let fs: Vec<Id> = (0..n)
+            .map(|i| {
+                let (x, y) = (
+                    leaf(&mut eg, format!("x{i}")),
+                    leaf(&mut eg, format!("y{i}")),
+                );
+                eg.add(SymbolLang::new("f", vec![x, y]))
+            })
+            .collect();
+        for w in fs.windows(2) {
+            eg.union(w[0], w[1]);
+        }
+        let z = leaf(&mut eg, "z".into());
+        let left = eg.add(SymbolLang::new("k", vec![fs[0], z]));
+        let right = eg.add(SymbolLang::new("k", vec![z, fs[0]]));
+        eg.add(SymbolLang::new("g", vec![left, right]));
+        for j in 0..m {
+            let (p, q) = (
+                leaf(&mut eg, format!("p{j}")),
+                leaf(&mut eg, format!("q{j}")),
+            );
+            let other = eg.add(SymbolLang::new("f", vec![p, q]));
+            let miss = eg.add(SymbolLang::new("k", vec![z, other]));
+            eg.add(SymbolLang::new("g", vec![left, miss]));
+        }
+        eg.rebuild();
+        let matches = p.search(&eg);
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].substs.len(), n);
+        assert_eq!(flat(&matches), flat(&p.search_oracle(&eg)));
+        // Each root costs its g, the `(k F z)` k and the `(k z F)` probe;
+        // the matching root then scans F's `n` f-nodes.
+        assert_eq!(visits_of(p.program(), &eg, "g"), (m + 1) * 3 + n);
+        // In preorder every root scans F, and each f-node costs its
+        // visit and two probes, `(f x_i y_i)` and `(k z F)`.
+        let preorder = Program::compile_in_preorder(&p.ast);
+        assert_eq!(visits_of(&preorder, &eg, "g"), (m + 1) * (2 + 3 * n));
     }
 
     #[test]
