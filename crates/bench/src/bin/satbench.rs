@@ -35,10 +35,10 @@
 //! the measured time of that rule's own searches.
 //!
 //! `visits` (per run, in `totals` and per `top_rules` entry) counts the
-//! matcher's budget units: e-nodes the VM's `Bind`s visited plus
-//! hash-cons probes its `Build`s made. It is a work count, identical on
-//! every run, machine and thread count, not a time; `--repeat` asserts
-//! that it is identical across repeats.
+//! matcher's budget units: e-nodes of each VM `Bind`'s operator that
+//! it walked, plus hash-cons probes its `Build`s made. It is a work
+//! count, identical on every run, machine and thread count, not a
+//! time; `--repeat` asserts that it is identical across repeats.
 //!
 //! Under `--repeat N`, each run's `search_ms` is the least of its `N`
 //! repeats and `search_spread` is `(max - min) / min` over them;
@@ -447,9 +447,9 @@ fn main() {
                  main pass vs comparison (same corpus, different threads), or \
                  runs from the same machine (nproc). search_ms is the least \
                  of repeat runs and search_spread is (max - min) / min over \
-                 them. visits counts matcher budget units (Bind e-node \
-                 visits plus Build hash-cons probes): a deterministic work \
-                 count, not a time.",
+                 them. visits counts matcher budget units (e-nodes of each \
+                 Bind's operator plus Build hash-cons probes): a \
+                 deterministic work count, not a time.",
             ),
         ),
         ("totals", totals.json()),

@@ -237,6 +237,45 @@ mod tests {
         assert!(!e.as_slice().last().unwrap().is_symmetric());
     }
 
+    /// The matcher walks only its operator's run of a class's sorted
+    /// e-nodes, so `Ord` must sort by discriminant first, as the
+    /// derived `Ord` of this enum does: every class of a saturated and
+    /// paired csa:4 e-graph, which holds both constants, several
+    /// inputs and every operator, keeps each discriminant in one run
+    /// (`check_invariants` asserts it). The multiplier folds nothing to
+    /// `true`, so a tautology over its inputs is added to saturate too.
+    #[test]
+    fn ord_keeps_each_discriminant_in_one_run() {
+        let mut net = crate::convert::aig_to_egraph(&aig::gen::csa_multiplier(4));
+        net.egraph
+            .add_expr(&"(| i0 (! i0))".parse().expect("a BoolLang expression"));
+        let (net, _) = crate::saturate::saturate(net, &crate::SaturateParams::small());
+        let mut egraph = net.egraph;
+        crate::pair::pair_full_adders(&mut egraph);
+        egraph.check_invariants();
+        let ops: std::collections::HashSet<BoolOp> = egraph
+            .classes()
+            .flat_map(|class| class.iter().map(Language::discriminant))
+            .collect();
+        let inputs = ops.iter().filter(|op| matches!(op, BoolOp::Var(_))).count();
+        assert!(inputs > 1, "{inputs} inputs");
+        for op in [
+            BoolOp::Const(false),
+            BoolOp::Const(true),
+            BoolOp::Not,
+            BoolOp::And,
+            BoolOp::Or,
+            BoolOp::Xor,
+            BoolOp::Xor3,
+            BoolOp::Maj,
+            BoolOp::Fa,
+            BoolOp::Fst,
+            BoolOp::Snd,
+        ] {
+            assert!(ops.contains(&op), "no {op:?} e-node");
+        }
+    }
+
     /// The matcher's class signatures give each operator one of 64
     /// bits. Every operator must get its own, or a signature could
     /// never tell a class holding one from a class holding the other,

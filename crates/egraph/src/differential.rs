@@ -166,6 +166,15 @@ proptest! {
         }
     }
 
+    /// `SymbolLang`'s derived `Ord` sorts by operator first, so every
+    /// class of a rebuilt e-graph holds each operator in one run, the
+    /// order the VM's `Bind` walks (`check_invariants` asserts it).
+    #[test]
+    fn prop_rebuilt_classes_hold_one_run_per_operator(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::seeded(seed);
+        random_egraph(&mut rng).check_invariants();
+    }
+
     /// A pre-set cancel token makes the fan-out report every rule as
     /// skipped (no partial match sets leak), at any thread count.
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::hash::FxHashMap;
+use crate::hash::{FxHashMap, FxHashSet};
 use crate::signature::Signature;
 use crate::{Id, Language, RecExpr, UnionFind};
 
@@ -413,8 +413,9 @@ impl<L: Language> EGraph<L> {
         removed
     }
 
-    /// Checks internal invariants (memo canonicity, congruence); used by
-    /// tests. Cheap enough for debug assertions on small graphs.
+    /// Checks internal invariants (memo canonicity, congruence, sorted
+    /// class e-nodes with one run per operator); used by tests. Cheap
+    /// enough for debug assertions on small graphs.
     ///
     /// # Panics
     ///
@@ -437,6 +438,26 @@ impl<L: Language> EGraph<L> {
         );
         for class in self.classes() {
             assert_eq!(class.id, self.find(class.id), "class id must be canonical");
+            // The matcher walks only its operator's run of a class's
+            // e-nodes, so they must be sorted, and `Ord` must give each
+            // discriminant one run (see `Language`).
+            assert!(
+                class.nodes.windows(2).all(|w| w[0] < w[1]),
+                "class {} nodes must be sorted and distinct",
+                class.id
+            );
+            let mut ops = FxHashSet::default();
+            for run in class
+                .nodes
+                .chunk_by(|a, b| a.discriminant() == b.discriminant())
+            {
+                assert!(
+                    ops.insert(run[0].discriminant()),
+                    "class {} splits the operator of {:?} into two runs",
+                    class.id,
+                    run[0]
+                );
+            }
             for node in &class.nodes {
                 let canon = self.canonicalize(node);
                 assert_eq!(&canon, node, "class nodes must be canonical");

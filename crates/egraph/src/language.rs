@@ -15,6 +15,15 @@ use crate::{Id, Symbol};
 ///
 /// The `Display` implementation must print the operator *without*
 /// children (it is used to render s-expressions).
+///
+/// `Ord` must order e-nodes by [`Language::discriminant`] first: two
+/// e-nodes with equal discriminants must never sort on either side of
+/// one with a different discriminant. Rebuilding sorts every class's
+/// e-nodes, so each discriminant is then one contiguous run, and the
+/// matcher walks only its operator's run (see
+/// [`machine`](crate::machine)). Deriving `Ord` on a struct whose
+/// first field is the operator, or on an enum with one variant per
+/// operator, satisfies this.
 pub trait Language: fmt::Debug + fmt::Display + Clone + Eq + Ord + Hash {
     /// A cheap identifier of the operator, ignoring children.
     type Discriminant: PartialEq + Eq + Hash + Clone;

@@ -14,11 +14,12 @@
 //!   language, plus [`RecExpr`] for concrete terms.
 //! * [`Pattern`] — s-expression patterns with variables (`?x`), each
 //!   compiled once into an e-matching VM program ([`machine`]) of
-//!   three instructions: `Bind` scans a class's e-nodes, skipping
-//!   those whose child classes' operator signatures rule them out,
-//!   `Build` probes the hash-cons memo for a subterm whose variables
-//!   are all bound (variable-free subterms included, probed once per
-//!   search), and `Compare` checks two registers name one class.
+//!   three instructions: `Bind` walks its operator's run of a class's
+//!   sorted e-nodes, skipping those whose child classes' operator
+//!   signatures rule them out, `Build` probes the hash-cons memo for
+//!   a subterm whose variables are all bound (variable-free subterms
+//!   included, probed once per search), and `Compare` checks two
+//!   registers name one class.
 //! * [`Rewrite`] / [`Runner`] — rewrite rules and a saturation driver
 //!   with iteration, node, and time limits plus backoff scheduling. A
 //!   rule has one shape: a left-hand-side pattern rooted at an

@@ -7,9 +7,12 @@
 //!
 //! * `Bind` — iterate the e-nodes of the class in register `i` that
 //!   match a pattern operator, writing each node's children into fresh
-//!   registers (the only backtracking point). An e-node whose child
-//!   classes lack an operator the pattern needs there is skipped
-//!   before any register is written (see below);
+//!   registers (the only backtracking point). A clean class's e-nodes
+//!   are sorted, and [`Language`]'s `Ord` puts each operator in one
+//!   contiguous run, so a `Bind` finds the first e-node of its
+//!   operator with an uncharged linear scan and walks only that run.
+//!   An e-node whose child classes lack an operator the pattern needs
+//!   there is skipped before any register is written (see below);
 //! * `Compare` — require two registers to name the same e-class
 //!   (non-linear patterns, e.g. `(& ?a ?a)`);
 //! * `Build` — rebuild one e-node from registers and probe the
@@ -91,11 +94,13 @@
 //! ([`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET)), the per-class
 //! match cap ([`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS)),
 //! and a cooperative [`CancelToken`] are all enforced *inside* the VM
-//! loop. One **budget unit** is one e-node a `Bind` visits, skipped or
-//! not, or one probe a `Build` makes; the ground probes are charged to
-//! the search's visits but to no class's budget. The token is polled
-//! every [`CANCEL_CHECK_QUANTUM`] units, so cancellation latency is
-//! bounded by that many units rather than by a whole rule search. The
+//! loop. One **budget unit** is one e-node of the `Bind`'s operator,
+//! skipped or not, or one probe a `Build` makes; the e-nodes of other
+//! operators that a `Bind`'s scan passes on its way to its run cost
+//! nothing, and the ground probes are charged to the search's visits
+//! but to no class's budget. The token is polled every
+//! [`CANCEL_CHECK_QUANTUM`] units, so cancellation latency is bounded
+//! by that many units rather than by a whole rule search. The
 //! search driver polls between candidate classes on the same rule,
 //! once per quantum of units rather than once per class, since a token
 //! with a deadline reads the clock on every poll. The units a search
@@ -179,17 +184,17 @@ impl<L: Language> Instruction<L> {
     }
 }
 
-/// How often (in budget units: `Bind` e-node visits and `Build`
-/// probes) the VM polls its [`CancelToken`]: a cancellation request
-/// stops the search within one such quantum.
+/// How often (in budget units: e-nodes of a `Bind`'s operator and
+/// `Build` probes) the VM polls its [`CancelToken`]: a cancellation
+/// request stops the search within one such quantum.
 pub const CANCEL_CHECK_QUANTUM: usize = 256;
 
 /// What one rule search spent and where it was cut short.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Budget units spent (see the module docs): `Bind` e-node visits
-    /// plus `Build` probes. Deterministic for a given e-graph and
-    /// pattern, on any machine and at any thread count.
+    /// Budget units spent (see the module docs): e-nodes of each
+    /// `Bind`'s operator plus `Build` probes. Deterministic for a given
+    /// e-graph and pattern, on any machine and at any thread count.
     pub visits: usize,
     /// Candidate classes whose run stopped on
     /// [`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET).
@@ -356,10 +361,10 @@ impl<L: Language> Program<L> {
     /// e-graph, appending a [`Subst`] to `substs` for every match
     /// found. `regs` is the register bank [`Program::probe_ground`]
     /// prepared, with every ground probe found. `budget` is decremented
-    /// once per budget unit (a `Bind` e-node visit or a `Build`
-    /// probe); matching stops when it reaches zero, when `substs` has
-    /// grown by `max_substs`, or within [`CANCEL_CHECK_QUANTUM`] units
-    /// of `cancel` being set.
+    /// once per budget unit (one e-node of the `Bind`'s operator or one
+    /// `Build` probe); matching stops when it reaches zero, when
+    /// `substs` has grown by `max_substs`, or within
+    /// [`CANCEL_CHECK_QUANTUM`] units of `cancel` being set.
     ///
     /// Every register holds a canonical id, so no instruction
     /// re-canonicalizes: the root is `find`-ed here, a `Bind` copies
@@ -725,7 +730,16 @@ impl Machine<'_> {
                 out: out_reg,
                 needs,
             } => {
-                for enode in egraph.canonical_class_nodes(self.regs[*i as usize]) {
+                // A clean class is sorted, and `Ord` puts each operator
+                // in one run: find it uncharged, then walk only it.
+                let op = node.discriminant();
+                let nodes = egraph.canonical_class_nodes(self.regs[*i as usize]);
+                let start = nodes
+                    .iter()
+                    .position(|n| n.discriminant() == op)
+                    .unwrap_or(nodes.len());
+                let run = nodes[start..].iter().take_while(|n| n.discriminant() == op);
+                for enode in run {
                     if let Some(stop) = self.charge(budget) {
                         return stop;
                     }
@@ -909,7 +923,7 @@ where
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{Pattern, SymbolLang};
+    use crate::{Pattern, Symbol, SymbolLang};
 
     fn pat(s: &str) -> Pattern<SymbolLang> {
         s.parse().unwrap()
@@ -1069,6 +1083,70 @@ pub(crate) mod tests {
         assert_eq!(stats, visits(3 + 1 + 1));
         assert_eq!(matches[0].substs.len(), 1);
         assert_eq!(flat(&matches), flat(&deep.search_oracle(&eg)));
+    }
+
+    #[test]
+    fn bind_walks_only_its_operators_run() {
+        // Operators interned here, in this order, sort `+` < `g` < `f`
+        // < `h` (a `Symbol` orders by interning order); the names are
+        // this test's own, so no other test interns them first.
+        let [plus, g, f, h] = ["+", "g", "f", "h"].map(|op| Symbol::new(format!("run{op}")));
+        let mut eg = EG::default();
+        let leaf = |eg: &mut EG, name: &str| eg.add(SymbolLang::leaf(name));
+        let (x, y, u, v) = (
+            leaf(&mut eg, "x"),
+            leaf(&mut eg, "y"),
+            leaf(&mut eg, "u"),
+            leaf(&mut eg, "v"),
+        );
+        let class = |eg: &mut EG, nodes: Vec<SymbolLang>| {
+            let ids: Vec<Id> = nodes.into_iter().map(|n| eg.add(n)).collect();
+            for w in ids.windows(2) {
+                eg.union(w[0], w[1]);
+            }
+            ids[0]
+        };
+        // M, the mixed child class: two `f`s among a `+`, a `g` and an
+        // `h`.
+        let m = class(
+            &mut eg,
+            vec![
+                SymbolLang::new(plus, vec![x, y]),
+                SymbolLang::new(f, vec![u]),
+                SymbolLang::new(g, vec![y, x]),
+                SymbolLang::new(f, vec![v]),
+                SymbolLang::new(h, vec![x]),
+            ],
+        );
+        // R, the root class: three `f`s, one over M, between a `+`, a
+        // `g` and two `h`s.
+        let r = class(
+            &mut eg,
+            vec![
+                SymbolLang::new(h, vec![y]),
+                SymbolLang::new(f, vec![m]),
+                SymbolLang::new(plus, vec![x, x]),
+                SymbolLang::new(f, vec![x]),
+                SymbolLang::new(g, vec![x, y]),
+                SymbolLang::new(f, vec![y]),
+                SymbolLang::new(h, vec![u]),
+            ],
+        );
+        eg.rebuild();
+        eg.check_invariants();
+        let ops = |id: Id| -> Vec<Symbol> { eg.eclass(id).nodes.iter().map(|n| n.op).collect() };
+        assert_eq!(ops(r), [plus, g, f, f, f, h, h]);
+        assert_eq!(ops(m), [plus, g, f, f, h]);
+        let p = pat("(runf (runf ?z))");
+        let matches = p.search(&eg);
+        assert_eq!(flat(&matches), flat(&p.search_oracle(&eg)));
+        assert_eq!(matches.len(), 1);
+        assert_eq!(matches[0].eclass, eg.find(r));
+        assert_eq!(matches[0].substs.len(), 2);
+        // R costs its three `f`s, and its `(f M)` descends into M's two;
+        // M costs its own two, whose leaf children hold no `f`. Scanning
+        // whole classes would cost 7 + 5 + 5.
+        assert_eq!(visits_of(p.program(), &eg, "runf"), (3 + 2) + 2);
     }
 
     #[test]

@@ -416,11 +416,12 @@ impl<L: Language> Pattern<L> {
 pub const MAX_SUBSTS_PER_CLASS: usize = 256;
 
 /// The deterministic cap on matcher *work* per candidate e-class, in
-/// budget units: one per e-node a VM `Bind` visits and one per
-/// hash-cons probe a VM `Build` makes after the ground probes, which
-/// run once per search (see [`crate::machine`]). Backtracking over
-/// several wide e-classes multiplies, so output caps alone do not
-/// bound the scan cost. The recursive oracle charges one unit per
+/// budget units: one per e-node of the VM `Bind`'s operator (a
+/// `Bind` walks only its operator's run of a class's sorted e-nodes)
+/// and one per hash-cons probe a VM `Build` makes after the ground
+/// probes, which run once per search (see [`crate::machine`]).
+/// Backtracking over several wide e-classes multiplies, so output caps
+/// alone do not bound the scan cost. The recursive oracle charges one unit per
 /// e-node it visits, and visits the e-nodes of bound subterms the VM
 /// probes instead, so the two agree only where neither runs out.
 pub const MATCH_WORK_BUDGET: usize = 50_000;
