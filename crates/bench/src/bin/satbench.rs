@@ -39,6 +39,11 @@
 //! it walked, plus hash-cons probes its `Build`s made. It is a work
 //! count, identical on every run, machine and thread count, not a
 //! time; `--repeat` asserts that it is identical across repeats.
+//! `replayed` (in the same three places) counts the candidate roots
+//! whose match count a search replayed from the rule's previous search
+//! instead of searching them, because no change since reached them:
+//! equally deterministic, it shows where semi-naive search saved
+//! visits.
 //!
 //! Under `--repeat N`, each run's `search_ms` is the least of its `N`
 //! repeats and `search_spread` is `(max - min) / min` over them;
@@ -158,6 +163,7 @@ fn record_json(r: &RunRecord) -> Json {
         ("matches", Json::from(r.stats.total_matches)),
         ("matches_per_sec", Json::from(matches_per_sec)),
         ("visits", Json::from(r.stats.search.visits)),
+        ("replayed", Json::from(r.stats.search.replayed)),
     ])
 }
 
@@ -166,31 +172,39 @@ fn record_json(r: &RunRecord) -> Json {
 /// "which rewrite is the engine spending its matcher budget on", which
 /// is where a scheduler or rule-set change shows up first.
 fn top_rules_json(records: &[RunRecord], top_k: usize) -> Json {
-    let mut agg: std::collections::BTreeMap<&str, (std::time::Duration, usize, usize, usize)> =
-        std::collections::BTreeMap::new();
+    /// One rule's totals over the corpus.
+    #[derive(Default)]
+    struct RuleTotals {
+        search: std::time::Duration,
+        matches: usize,
+        applications: usize,
+        visits: usize,
+        replayed: usize,
+    }
+    let mut agg: std::collections::BTreeMap<&str, RuleTotals> = std::collections::BTreeMap::new();
     for record in records {
         for rule in &record.stats.rules {
             let entry = agg.entry(rule.name.as_str()).or_default();
-            entry.0 += rule.search_time;
-            entry.1 += rule.matches;
-            entry.2 += rule.applications;
-            entry.3 += rule.search.visits;
+            entry.search += rule.search_time;
+            entry.matches += rule.matches;
+            entry.applications += rule.applications;
+            entry.visits += rule.search.visits;
+            entry.replayed += rule.search.replayed;
         }
     }
     let mut rows: Vec<_> = agg.into_iter().collect();
     // Sort by search time descending, name-tiebroken for stable output.
-    rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(b.0)));
-    Json::arr(rows.into_iter().take(top_k).map(
-        |(name, (search, matches, applications, visits))| {
-            Json::obj([
-                ("rule", Json::str(name)),
-                ("search_ms", Json::from(ms(search))),
-                ("matches", Json::from(matches)),
-                ("applications", Json::from(applications)),
-                ("visits", Json::from(visits)),
-            ])
-        },
-    ))
+    rows.sort_by(|a, b| b.1.search.cmp(&a.1.search).then(a.0.cmp(b.0)));
+    Json::arr(rows.into_iter().take(top_k).map(|(name, totals)| {
+        Json::obj([
+            ("rule", Json::str(name)),
+            ("search_ms", Json::from(ms(totals.search))),
+            ("matches", Json::from(totals.matches)),
+            ("applications", Json::from(totals.applications)),
+            ("visits", Json::from(totals.visits)),
+            ("replayed", Json::from(totals.replayed)),
+        ])
+    }))
 }
 
 /// Panics unless the two runs of the same config reached the same
@@ -243,6 +257,7 @@ struct Totals {
     apply: f64,
     rebuild: f64,
     visits: usize,
+    replayed: usize,
 }
 
 impl Totals {
@@ -254,6 +269,7 @@ impl Totals {
             ("apply_ms", Json::from(self.apply)),
             ("rebuild_ms", Json::from(self.rebuild)),
             ("visits", Json::from(self.visits)),
+            ("replayed", Json::from(self.replayed)),
         ])
     }
 
@@ -263,6 +279,7 @@ impl Totals {
         self.apply += ms(r.stats.apply_time);
         self.rebuild += ms(r.stats.rebuild_time);
         self.visits += r.stats.search.visits;
+        self.replayed += r.stats.search.replayed;
     }
 }
 
@@ -305,8 +322,9 @@ fn print_row(r: &RunRecord) {
 
 fn print_totals(totals: &Totals) {
     eprintln!(
-        "totals: search {:.1}ms  merge {:.1}ms  apply {:.1}ms  rebuild {:.1}ms  visits {}",
-        totals.search, totals.merge, totals.apply, totals.rebuild, totals.visits
+        "totals: search {:.1}ms  merge {:.1}ms  apply {:.1}ms  rebuild {:.1}ms  visits {}  \
+         replayed {}",
+        totals.search, totals.merge, totals.apply, totals.rebuild, totals.visits, totals.replayed
     );
 }
 
@@ -449,7 +467,9 @@ fn main() {
                  of repeat runs and search_spread is (max - min) / min over \
                  them. visits counts matcher budget units (e-nodes of each \
                  Bind's operator plus Build hash-cons probes): a \
-                 deterministic work count, not a time.",
+                 deterministic work count, not a time. replayed counts \
+                 candidate roots whose match count was replayed from \
+                 the rule's previous search instead of searched.",
             ),
         ),
         ("totals", totals.json()),

@@ -274,6 +274,7 @@ impl BoolE {
                     visits: it.search.visits,
                     budget_exhausted: it.search.budget_exhausted,
                     capped: it.search.capped,
+                    replayed: it.search.replayed,
                 });
             }) as IterationObserver
         });

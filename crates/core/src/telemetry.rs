@@ -90,6 +90,10 @@ pub enum EventKind {
         /// Candidate classes whose match run stopped at the per-class
         /// match cap.
         capped: usize,
+        /// Candidate classes whose match count was replayed from the
+        /// rule's previous search instead of searched, because no
+        /// change since reaches them.
+        replayed: usize,
     },
     /// The result cache answered a lookup.
     CacheHit {
@@ -211,6 +215,7 @@ impl TelemetryEvent {
                 visits,
                 budget_exhausted,
                 capped,
+                replayed,
             } => {
                 push("job", Json::Int(*job as i64));
                 push("ruleset", Json::str(*ruleset));
@@ -225,6 +230,7 @@ impl TelemetryEvent {
                 push("visits", Json::Int(*visits as i64));
                 push("budget_exhausted", Json::Int(*budget_exhausted as i64));
                 push("capped", Json::Int(*capped as i64));
+                push("replayed", Json::Int(*replayed as i64));
             }
             EventKind::CacheHit { job } | EventKind::CacheMiss { job } => {
                 push("job", Json::Int(*job as i64))
@@ -581,6 +587,7 @@ mod tests {
                 visits: 5_000,
                 budget_exhausted: 1,
                 capped: 2,
+                replayed: 3,
             },
             EventKind::CacheHit { job: 1 },
             EventKind::CacheMiss { job: 1 },

@@ -11,7 +11,10 @@
 
 use proptest::{proptest, ProptestConfig, TestRng};
 
-use crate::{search_rules, CancelToken, EGraph, Id, Pattern, RuleDirective, SymbolLang};
+use crate::{
+    search_rules, BackoffScheduler, CancelToken, EGraph, Id, Pattern, Rewrite, RuleDirective,
+    Runner, SymbolLang,
+};
 
 type EG = EGraph<SymbolLang>;
 
@@ -75,6 +78,19 @@ const PATTERNS: &[&str] = &[
     "(+ (h (f ?x) ?y) (h ?y (f ?x)))",
     "(g (h (f ?x) (f ?y)) (h (f ?y) (f ?x)))",
     "(m (f ?x) (f ?x) ?x)",
+];
+
+/// A small ruleset over `random_egraph`'s operators: commutativity
+/// and associativity, which merge old classes, and rules that build
+/// new operators over matched ones, which old classes gain.
+const RULES: &[(&str, &str, &str)] = &[
+    ("comm-g", "(g ?x ?y)", "(g ?y ?x)"),
+    ("comm-plus", "(+ ?x ?y)", "(+ ?y ?x)"),
+    ("assoc-plus", "(+ (+ ?a ?b) ?c)", "(+ ?a (+ ?b ?c))"),
+    ("f-of-g", "(f (g ?x ?y))", "(h ?x ?y)"),
+    ("h-idem", "(h ?a ?a)", "?a"),
+    ("lift-f", "(+ (f ?x) ?y)", "(f (+ ?x ?y))"),
+    ("m-to-g", "(m ?a ?b ?a)", "(g ?a ?b)"),
 ];
 
 /// Flattens search results for comparison: both matchers canonicalize,
@@ -173,6 +189,60 @@ proptest! {
     fn prop_rebuilt_classes_hold_one_run_per_operator(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::seeded(seed);
         random_egraph(&mut rng).check_invariants();
+    }
+
+    /// Pruning any e-nodes keeps every invariant, the operator index
+    /// included, even where a class loses its last e-node of an
+    /// operator.
+    #[test]
+    fn prop_retain_nodes_keeps_invariants(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::seeded(seed);
+        let mut eg = random_egraph(&mut rng);
+        eg.retain_nodes(|_, _| rng.below(3) != 0);
+        eg.check_invariants();
+    }
+
+    /// Semi-naive saturation reproduces a run whose every search is
+    /// full: the same matches per iteration (the runner's test-build
+    /// check also compares every replaying search's per-root counts
+    /// with a full search on the same e-graph) and the same e-graph,
+    /// class by class, under match limits tight enough to ban.
+    #[test]
+    fn prop_semi_naive_runner_matches_full_searches(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::seeded(seed);
+        let eg = random_egraph(&mut rng);
+        let rules: Vec<Rewrite<SymbolLang>> = RULES
+            .iter()
+            .map(|(name, lhs, rhs)| Rewrite::parse(name, lhs, rhs).unwrap())
+            .collect();
+        let match_limit = [4, 16, 1_000][rng.below(3) as usize];
+        let threads = 1 + rng.below(2) as usize;
+        let runner = || {
+            Runner::default()
+                .with_egraph(eg.clone())
+                .with_iter_limit(4)
+                .with_node_limit(5_000)
+                .with_scheduler(BackoffScheduler::new(match_limit, 1))
+                .with_search_threads(threads)
+        };
+        let semi = runner().run(&rules);
+        let full = runner().run_full_searches(&rules);
+        let per_iteration = |r: &Runner<SymbolLang>| -> Vec<(usize, usize, usize)> {
+            r.iterations
+                .iter()
+                .map(|it| (it.total_matches, it.egraph_nodes, it.egraph_classes))
+                .collect()
+        };
+        assert_eq!(per_iteration(&semi), per_iteration(&full), "seed {seed:#x}");
+        assert_eq!(semi.stop_reason, full.stop_reason, "seed {seed:#x}");
+        let classes = |r: &Runner<SymbolLang>| -> Vec<(Id, Vec<SymbolLang>)> {
+            r.egraph.classes().map(|c| (c.id, c.nodes.clone())).collect()
+        };
+        assert_eq!(classes(&semi), classes(&full), "seed {seed:#x}");
+        let full_visits: usize = full.iterations.iter().map(|it| it.search.visits).sum();
+        let semi_visits: usize = semi.iterations.iter().map(|it| it.search.visits).sum();
+        assert!(semi_visits <= full_visits, "seed {seed:#x}");
+        assert!(full.iterations.iter().all(|it| it.search.replayed == 0));
     }
 
     /// A pre-set cancel token makes the fan-out report every rule as

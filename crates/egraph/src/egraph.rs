@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::delta::Delta;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::signature::Signature;
 use crate::{Id, Language, RecExpr, UnionFind};
@@ -63,7 +64,8 @@ pub struct EGraph<L: Language> {
     /// Parents that need congruence re-processing.
     pending: Vec<(L, Id)>,
     /// Classes containing at least one e-node with a given operator;
-    /// rebuilt by [`EGraph::rebuild`] and used to speed up searches.
+    /// rebuilt by [`EGraph::rebuild`] and [`EGraph::retain_nodes`] and
+    /// used to speed up searches.
     by_op: FxHashMap<L::Discriminant, Vec<Id>>,
     /// Each class's operator [`Signature`], indexed by class id (dead
     /// ids hold stale or empty masks); rebuilt with `by_op` and read by
@@ -81,6 +83,10 @@ pub struct EGraph<L: Language> {
     /// Scratch buffer reused across [`EGraph::rebuild`] calls to avoid
     /// re-allocating the live-id worklist every iteration.
     scratch_ids: Vec<Id>,
+    /// What unions changed since [`EGraph::start_delta`], for
+    /// semi-naive search (see [`crate::delta`]); `None` until a delta
+    /// starts, and after [`EGraph::retain_nodes`] ends it.
+    delta: Option<Delta>,
 }
 
 impl<L: Language> Default for EGraph<L> {
@@ -96,6 +102,7 @@ impl<L: Language> Default for EGraph<L> {
             n_live_classes: 0,
             n_nodes: 0,
             scratch_ids: Vec::new(),
+            delta: None,
         }
     }
 }
@@ -183,6 +190,39 @@ impl<L: Language> EGraph<L> {
     pub(crate) fn signature(&self, id: Id) -> Signature {
         debug_assert_eq!(id, self.find(id), "class id must be canonical");
         self.signatures[id.index()]
+    }
+
+    /// The number of class ids handed out so far, live or merged away:
+    /// every [`Id`] of this e-graph indexes below it.
+    pub(crate) fn class_slots(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// The parent e-nodes of class `id`, which must be canonical, each
+    /// with its class: every e-node that has `id` as a child is listed
+    /// at least once, in some form, with some id of its class.
+    pub(crate) fn parents(&self, id: Id) -> &[(L, Id)] {
+        &self.classes[id.index()]
+            .as_ref()
+            .expect("canonical id must have a class")
+            .parents
+    }
+
+    /// Starts recording what unions change, from the current e-graph
+    /// on: the classes that exist now are the old ones, and any
+    /// previous delta is dropped. A search calls this, so the delta
+    /// always covers the changes since the last one.
+    pub(crate) fn start_delta(&mut self) {
+        let mut delta = self.delta.take().unwrap_or_default();
+        delta.old = self.classes.len();
+        delta.touched.clear();
+        self.delta = Some(delta);
+    }
+
+    /// The changes recorded since [`EGraph::start_delta`], if a delta
+    /// is pending.
+    pub(crate) fn delta(&self) -> Option<&Delta> {
+        self.delta.as_ref()
     }
 
     /// Canonicalizes the children of `enode`.
@@ -283,6 +323,13 @@ impl<L: Language> EGraph<L> {
         let from_class = self.classes[from.index()]
             .take()
             .expect("from class must exist");
+        if let Some(delta) = &mut self.delta {
+            let to_nodes = &self.classes[to.index()]
+                .as_ref()
+                .expect("to class must exist")
+                .nodes;
+            delta.union(to, to_nodes, from, &from_class.nodes);
+        }
         self.pending.extend(from_class.parents.iter().cloned());
 
         let to_class = self.classes[to.index()]
@@ -339,12 +386,7 @@ impl<L: Language> EGraph<L> {
             nodes.sort_unstable();
             nodes.dedup();
             self.n_nodes -= before - nodes.len();
-            for node in &nodes {
-                let entry = self.by_op.entry(node.discriminant()).or_default();
-                if entry.last() != Some(&id) {
-                    entry.push(id);
-                }
-            }
+            index_ops(&mut self.by_op, id, &nodes);
             self.signatures[id.index()].ops = ops_mask(&nodes);
             self.classes[id.index()].as_mut().expect("live class").nodes = nodes;
         }
@@ -368,7 +410,14 @@ impl<L: Language> EGraph<L> {
     /// of a symmetric operator) can be dropped to save memory without
     /// affecting the equivalence relation. The e-graph must be clean.
     /// E-nodes are never removed if they are the last node of their
-    /// class. Class signatures are recomputed for the kept e-nodes.
+    /// class. The operator index and the class signatures are rebuilt
+    /// for the kept e-nodes.
+    ///
+    /// Removing e-nodes can take matches away, which the union-only
+    /// delta of semi-naive search cannot describe, so this ends any
+    /// pending delta: the next search of a running saturation would be
+    /// full. The runner never calls it mid-run; BoolE prunes after its
+    /// last saturation phase.
     ///
     /// Returns the number of removed e-nodes.
     ///
@@ -377,11 +426,15 @@ impl<L: Language> EGraph<L> {
     /// Panics if the e-graph is not clean (call [`EGraph::rebuild`]).
     pub fn retain_nodes<F: FnMut(&EClass<L>, &L) -> bool>(&mut self, mut keep: F) -> usize {
         assert!(self.clean, "retain_nodes requires a clean e-graph");
+        self.delta = None;
         let mut removed = 0;
         let ids: Vec<Id> = (0..self.classes.len())
             .map(Id::from_index)
             .filter(|id| self.classes[id.index()].is_some())
             .collect();
+        for bucket in self.by_op.values_mut() {
+            bucket.clear();
+        }
         for &id in &ids {
             let class = self.classes[id.index()].take().expect("live class");
             let mut kept: Vec<L> = Vec::with_capacity(class.nodes.len());
@@ -402,6 +455,7 @@ impl<L: Language> EGraph<L> {
             for node in dropped {
                 self.memo.remove(&node);
             }
+            index_ops(&mut self.by_op, id, &kept);
             self.signatures[id.index()].ops = ops_mask(&kept);
             self.classes[id.index()] = Some(EClass {
                 nodes: kept,
@@ -520,8 +574,17 @@ impl<L: Language> EGraph<L> {
     }
 }
 
+/// Lists class `id`, which holds the sorted `nodes`, in the operator
+/// index bucket of each of their operators. Called in ascending id
+/// order, so every bucket stays ascending.
+fn index_ops<L: Language>(by_op: &mut FxHashMap<L::Discriminant, Vec<Id>>, id: Id, nodes: &[L]) {
+    for run in nodes.chunk_by(|a, b| a.discriminant() == b.discriminant()) {
+        by_op.entry(run[0].discriminant()).or_default().push(id);
+    }
+}
+
 /// The `ops` mask of a class holding `nodes`.
-fn ops_mask<L: Language>(nodes: &[L]) -> u64 {
+pub(crate) fn ops_mask<L: Language>(nodes: &[L]) -> u64 {
     nodes
         .iter()
         .fold(0, |ops, node| ops | 1 << node.operator_bit())
@@ -651,6 +714,109 @@ mod tests {
         // Lookup for the removed node now misses.
         assert_eq!(eg.lookup(&SymbolLang::new("+", vec![b, a])), None);
         assert!(eg.lookup(&SymbolLang::new("+", vec![a, b])).is_some());
+    }
+
+    #[test]
+    fn retain_nodes_drops_a_class_from_an_operator_it_no_longer_holds() {
+        let mut eg = EG::default();
+        let a = eg.add(SymbolLang::leaf("a"));
+        let fa = eg.add(SymbolLang::new("f", vec![a]));
+        let ga = eg.add(SymbolLang::new("g", vec![a]));
+        eg.union(fa, ga);
+        eg.rebuild();
+        let f = SymbolLang::leaf("f").discriminant();
+        assert_eq!(eg.classes_with_op(&f), [eg.find(fa)]);
+        assert_eq!(eg.retain_nodes(|_, node| node.op.as_str() != "f"), 1);
+        assert!(eg.classes_with_op(&f).is_empty());
+        eg.check_invariants();
+    }
+
+    /// The bit of operator `op`, as a touch mask.
+    fn bit(op: &str) -> u64 {
+        1 << SymbolLang::leaf(op).operator_bit()
+    }
+
+    /// The touch recorded for the class of `id`, if any.
+    fn touch(eg: &EG, id: Id) -> Option<crate::delta::Touch> {
+        let delta = eg.delta().expect("a delta is pending");
+        delta.touched.get(&eg.find(id)).copied()
+    }
+
+    /// An e-graph holding the old classes `x`, `y`, `(f x)` and
+    /// `(g y)`, with a delta started after them.
+    fn old_classes() -> (EG, [Id; 4]) {
+        let mut eg = EG::default();
+        let x = eg.add(SymbolLang::leaf("x"));
+        let y = eg.add(SymbolLang::leaf("y"));
+        let fx = eg.add(SymbolLang::new("f", vec![x]));
+        let gy = eg.add(SymbolLang::new("g", vec![y]));
+        eg.rebuild();
+        eg.start_delta();
+        (eg, [x, y, fx, gy])
+    }
+
+    #[test]
+    fn adding_records_nothing_and_a_union_with_a_new_class_gains_its_operators() {
+        let (mut eg, [x, _, fx, _]) = old_classes();
+        // `(h x)` is a new class over an old one: no touch.
+        let hx = eg.add(SymbolLang::new("h", vec![x]));
+        assert_eq!(eg.delta().unwrap().touched.len(), 0);
+        // `(f x)` gains `h` and nothing else.
+        eg.union(fx, hx);
+        eg.rebuild();
+        assert_eq!(
+            touch(&eg, fx),
+            Some(crate::delta::Touch {
+                merged: false,
+                gained: bit("h"),
+            })
+        );
+        assert_eq!(eg.delta().unwrap().touched.len(), 1);
+        // Two new classes uniting touch nothing.
+        let k = eg.add(SymbolLang::leaf("k"));
+        let m = eg.add(SymbolLang::leaf("m"));
+        eg.union(k, m);
+        eg.rebuild();
+        assert_eq!(touch(&eg, k), None);
+    }
+
+    #[test]
+    fn a_union_of_two_old_classes_is_a_merge() {
+        let (mut eg, [x, y, fx, gy]) = old_classes();
+        eg.union(x, y);
+        eg.rebuild();
+        // Congruence merges nothing here, so only `x` and `y` merged.
+        assert!(touch(&eg, x).unwrap().merged);
+        assert_eq!(touch(&eg, fx), None);
+        assert_eq!(touch(&eg, gy), None);
+    }
+
+    #[test]
+    fn a_new_class_that_wins_a_union_still_holds_the_old_one() {
+        let (mut eg, [x, y, _, _]) = old_classes();
+        // `n` is new, with two parents to `x`'s one, so it wins the
+        // union and its id becomes the class's.
+        let n = eg.add(SymbolLang::leaf("n"));
+        eg.add(SymbolLang::new("p", vec![n]));
+        eg.add(SymbolLang::new("q", vec![n]));
+        let (root, _) = eg.union(x, n);
+        assert_eq!(root, n);
+        // The old `x` gained the new side's operator, `n`.
+        let gained = touch(&eg, n).unwrap();
+        assert!(!gained.merged);
+        assert_eq!(gained.gained, bit("n"));
+        // It holds `x`, so a union with another old class is a merge.
+        eg.union(n, y);
+        eg.rebuild();
+        assert!(touch(&eg, y).unwrap().merged);
+    }
+
+    #[test]
+    fn retain_nodes_ends_the_delta() {
+        let (mut eg, _) = old_classes();
+        assert!(eg.delta().is_some());
+        eg.retain_nodes(|_, _| true);
+        assert!(eg.delta().is_none());
     }
 
     #[test]

@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 mod cancel;
+mod delta;
 #[cfg(test)]
 mod differential;
 mod egraph;

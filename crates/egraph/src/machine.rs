@@ -108,10 +108,40 @@
 //!
 //! [`search_rules`] drives a whole ruleset: one program per rule, rules
 //! spread over a work-stealing thread pool.
+//!
+//! The runner's searches are semi-naive. After a run's first
+//! iteration, a rule runs its program only on the candidate roots that
+//! are new since its last search, that the budget or the match cap cut
+//! short then, or that a change since can reach: a merge of two old
+//! classes within the pattern's e-node depth `D` below the root, or an
+//! old class within `D - 1` levels that gained one of the pattern's
+//! operators by a union with a new class. Every other root is clean:
+//! its cone, the classes the program can visit from it, holds the same
+//! e-nodes of the pattern's operators under the same class identities,
+//! so it has the same matches. The search adds the root's match count,
+//! as the rule's last search recorded it, to its running total, in
+//! candidate order, and leaves the root's substitutions out: applying
+//! them after the last search already added their right-hand sides
+//! and unions. The running total, and with it the match limit's cut,
+//! the backoff ban and every match count the runner reports, are what
+//! a search of every root gives.
+//!
+//! The budget binds as before. Each searched root gets a fresh
+//! [`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET), and a root the
+//! budget or the match cap cut is searched again, never replayed. A
+//! replayed root ran to completion last time. A full search could spend
+//! more on it now only through e-nodes outside its cone: a probe that
+//! newly finds an e-node in some other class and goes on to fail, or a
+//! signature bit a change elsewhere set. Only where that growth would
+//! push a root from completion over the budget could a replayed count
+//! differ from a search's. The canonical job JSON of every benchmark
+//! configuration, the budget-bound ones included, is byte-identical to
+//! searching every root.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::delta::{Replay, SearchRecord};
 use crate::hash::FxHashMap;
 use crate::pattern::ENodeOrVar;
 use crate::signature::Signature;
@@ -202,6 +232,11 @@ pub struct SearchStats {
     /// Candidate classes whose run stopped at
     /// [`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS) matches.
     pub capped: usize,
+    /// Candidate classes not searched because no change since the
+    /// rule's last search reaches them: their match count was replayed
+    /// from that search (see the module docs). Deterministic, like
+    /// `visits`.
+    pub replayed: usize,
 }
 
 impl std::ops::AddAssign for SearchStats {
@@ -209,6 +244,7 @@ impl std::ops::AddAssign for SearchStats {
         self.visits += other.visits;
         self.budget_exhausted += other.budget_exhausted;
         self.capped += other.capped;
+        self.replayed += other.replayed;
     }
 }
 
@@ -801,12 +837,27 @@ pub enum RuleDirective {
 /// One rule's completed search, as [`search_rules`] reports it.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSearch {
-    /// The matches, one entry per matching e-class.
+    /// The matches, one entry per matching e-class that was searched.
     pub matches: Vec<SearchMatches>,
-    /// Budget units spent and truncations hit.
+    /// The matches counted at replayed roots, whose substitutions are
+    /// not in `matches` (see the module docs).
+    pub replayed_matches: usize,
+    /// Budget units spent, truncations hit and roots replayed.
     pub stats: SearchStats,
     /// Wall-clock time the search took.
     pub elapsed: Duration,
+    /// Per-root counts for the rule's next search to replay from;
+    /// `None` if the search was skipped, the match limit cut it short
+    /// or a ground probe missed.
+    pub(crate) record: Option<SearchRecord>,
+}
+
+impl RuleSearch {
+    /// Substitutions counted: those in `matches` plus the replayed
+    /// ones. This is what a full search would have found.
+    pub fn total_matches(&self) -> usize {
+        self.matches.iter().map(|m| m.substs.len()).sum::<usize>() + self.replayed_matches
+    }
 }
 
 /// Searches every pattern under its directive — each rule on its own
@@ -818,6 +869,9 @@ pub struct RuleSearch {
 /// deadline), or that no worker claimed after such a trip. Slots are
 /// identical at any thread count, short of those interruptions and
 /// the measured `elapsed` times.
+///
+/// Every candidate root is searched; the runner's own searches replay
+/// the roots no change reached (see the module docs).
 pub fn search_rules<L>(
     patterns: &[&Pattern<L>],
     egraph: &EGraph<L>,
@@ -829,17 +883,36 @@ where
     L: Language + Sync,
     L::Discriminant: Sync,
 {
+    search_rules_since(patterns, egraph, directives, None, cancel, threads)
+}
+
+/// [`search_rules`], where with a [`Replay`] each rule that has a
+/// record replays its clean roots (see [`Pattern::search_since`]); for
+/// a rule without a record, every candidate root is searched.
+pub(crate) fn search_rules_since<L>(
+    patterns: &[&Pattern<L>],
+    egraph: &EGraph<L>,
+    directives: &[RuleDirective],
+    replay: Option<Replay<'_>>,
+    cancel: &CancelToken,
+    threads: usize,
+) -> Vec<Option<RuleSearch>>
+where
+    L: Language + Sync,
+    L::Discriminant: Sync,
+{
     assert_eq!(directives.len(), patterns.len());
+    if let Some(replay) = replay {
+        assert_eq!(replay.records.len(), patterns.len());
+    }
     search_rules_slots(patterns.len(), threads, cancel, |i| match directives[i] {
         RuleDirective::Skip => Some(RuleSearch::default()),
         RuleDirective::Limit(limit) => {
             let start = Instant::now();
-            let (matches, stats) = patterns[i].search_interruptible(egraph, limit, cancel)?;
-            Some(RuleSearch {
-                matches,
-                stats,
-                elapsed: start.elapsed(),
-            })
+            let since = replay.and_then(|r| r.records[i].as_ref().map(|record| (r.cone, record)));
+            let mut found = patterns[i].search_since(egraph, limit, cancel, since)?;
+            found.elapsed = start.elapsed();
+            Some(found)
         }
     })
 }
@@ -1013,6 +1086,7 @@ pub(crate) mod tests {
                 visits: 2,
                 budget_exhausted: 0,
                 capped: 0,
+                replayed: 0,
             }
         );
         assert!(p.search_oracle(&eg).is_empty());
@@ -1067,6 +1141,7 @@ pub(crate) mod tests {
             visits: n,
             budget_exhausted: 0,
             capped: 0,
+            replayed: 0,
         };
         // P holds no `f`, so `(g P c)` costs its own unit and P's ten
         // nodes are never scanned: three root nodes, then Q's and W's
@@ -1260,6 +1335,7 @@ pub(crate) mod tests {
                 visits: 3 * (1 + width),
                 budget_exhausted: 0,
                 capped: 0,
+                replayed: 0,
             }
         );
         assert_eq!(flat(&matches), flat(&early.search_oracle(&eg)));
@@ -1438,6 +1514,7 @@ pub(crate) mod tests {
                 visits: 3 * crate::MATCH_WORK_BUDGET,
                 budget_exhausted: 3,
                 capped: 0,
+                replayed: 0,
             }
         );
         // The same shape without the failing `?x` closes on every
@@ -1456,6 +1533,7 @@ pub(crate) mod tests {
                 visits: 3 * (2 + cap),
                 budget_exhausted: 0,
                 capped: 3,
+                replayed: 0,
             }
         );
     }

@@ -4,11 +4,19 @@
 //! [`crate::machine`]; the legacy recursive backtracking matcher is
 //! retained behind the `oracle` feature (and in unit tests) purely as
 //! a differential-testing oracle.
+//!
+//! Each pattern also knows its cone's shape, its operators and its
+//! e-node depth, which decide which candidate roots a semi-naive search
+//! must visit and which it replays ([`Pattern::search_since`],
+//! [`crate::delta`]): a root is searched if it is new, if its last run
+//! was cut short, or if a merge lies within the depth below it or a
+//! class that gained one of the operators lies one level closer.
 
 use std::fmt;
 use std::str::FromStr;
 
-use crate::machine::{Program, RunOutcome, SearchStats, CANCEL_CHECK_QUANTUM};
+use crate::delta::{Cone, Replayer, SearchRecord};
+use crate::machine::{Program, RuleSearch, RunOutcome, SearchStats, CANCEL_CHECK_QUANTUM};
 use crate::recexpr::{parse_sexp, Sexp};
 use crate::{CancelToken, EGraph, FromOp, Id, Language, ParseRecExprError, RecExpr, Symbol};
 
@@ -207,6 +215,12 @@ pub struct Pattern<L> {
     /// The e-matching VM program this pattern compiles to (built once,
     /// at construction).
     program: Program<L>,
+    /// The operator bits of the pattern's e-nodes: the `O` of its cone
+    /// (see [`crate::delta`]).
+    ops: u64,
+    /// The pattern's e-node depth, the `D` of its cone: 1 for a single
+    /// operator over variables.
+    depth: usize,
 }
 
 impl<L: Language> PartialEq for Pattern<L> {
@@ -230,7 +244,41 @@ impl<L: Language> Pattern<L> {
             }
         }
         let program = Program::compile(&ast);
-        Self { ast, vars, program }
+        let mut ops = 0;
+        let mut depths: Vec<usize> = Vec::with_capacity(ast.len());
+        for node in ast.iter() {
+            let depth = match node {
+                ENodeOrVar::Var(_) => 0,
+                ENodeOrVar::ENode(n) => {
+                    ops |= 1 << n.operator_bit();
+                    1 + n
+                        .children()
+                        .iter()
+                        .map(|c| depths[c.index()])
+                        .max()
+                        .unwrap_or(0)
+                }
+            };
+            depths.push(depth);
+        }
+        let depth = depths[ast.root().index()];
+        Self {
+            ast,
+            vars,
+            program,
+            ops,
+            depth,
+        }
+    }
+
+    /// The operator bits of the pattern's e-nodes.
+    pub(crate) fn ops(&self) -> u64 {
+        self.ops
+    }
+
+    /// The pattern's e-node depth.
+    pub(crate) fn depth(&self) -> usize {
+        self.depth
     }
 
     /// The distinct variables in this pattern, in first-occurrence order.
@@ -258,55 +306,81 @@ impl<L: Language> Pattern<L> {
             .0
     }
 
-    /// Searches every class holding the root operator, stopping once
-    /// more than `limit` substitutions have been collected (the
-    /// boundary class is kept whole). The [`CancelToken`] is polled
-    /// *inside* the matching VM (every
-    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] budget units) and,
-    /// on the same quantum, between candidate classes: before the
-    /// first one, then before the first class after each further
-    /// quantum of units spent. So even a single explosive rule search,
-    /// or a long run of small classes, stops promptly, whether the
-    /// token's flag is set or its deadline passes, without a clock
-    /// read per class. Returns `None` if the search was interrupted —
-    /// a partial match set is never returned — and otherwise the
-    /// matches with the budget units spent and the candidate classes
-    /// whose run the work budget or the per-class match cap cut short.
-    ///
-    /// The ground probes (the `Build`s of variable-free subterms, such
-    /// as the `true` of `(& ?a true)`) run once, before any candidate,
-    /// and are charged once to the search's visits, not to a class's
-    /// budget; if one misses, the search ends with no matches.
-    ///
-    /// Each candidate class gets its own [`MATCH_WORK_BUDGET`] and at
-    /// most [`MAX_SUBSTS_PER_CLASS`] matches, which contains the
-    /// worst-case backtracking blow-up on very large e-classes;
-    /// truncation is deterministic.
-    ///
-    /// # Panics
-    ///
-    /// As [`Pattern::search`].
+    /// [`Pattern::search_since`] with nothing to replay, as matches
+    /// and stats.
     pub(crate) fn search_interruptible(
         &self,
         egraph: &EGraph<L>,
         limit: usize,
         cancel: &CancelToken,
     ) -> Option<(Vec<SearchMatches>, SearchStats)> {
+        self.search_since(egraph, limit, cancel, None)
+            .map(|found| (found.matches, found.stats))
+    }
+
+    /// Searches every class holding the root operator, stopping once
+    /// more than `limit` substitutions have been counted (the boundary
+    /// class is kept whole). The [`CancelToken`] is polled *inside*
+    /// the matching VM (every [`crate::machine::CANCEL_CHECK_QUANTUM`]
+    /// budget units) and, on the same quantum, between candidate
+    /// classes: before the first one, then before the first class
+    /// after each further quantum of units spent. So even a single
+    /// explosive rule search, or a long run of small classes, stops
+    /// promptly, whether the token's flag is set or its deadline
+    /// passes, without a clock read per class. Returns `None` if the
+    /// search was interrupted — a partial match set is never returned.
+    ///
+    /// With `since`, the [`Cone`] of the changes since this pattern's
+    /// last search and that search's [`SearchRecord`], each clean
+    /// candidate root (see [`crate::delta`]) is not searched: its
+    /// match count from the record is added to the running total in
+    /// candidate order, so the limit cuts exactly where a full search
+    /// would, and its substitutions, which the last search's rule
+    /// application already applied, are left out of the matches. The
+    /// returned [`RuleSearch`] counts those roots in
+    /// [`SearchStats::replayed`] and their matches in
+    /// [`RuleSearch::replayed_matches`], and carries this search's own
+    /// record unless the limit cut it short or a ground probe missed.
+    ///
+    /// The ground probes (the `Build`s of variable-free subterms, such
+    /// as the `true` of `(& ?a true)`) run once, before any candidate,
+    /// and are charged once to the search's visits, not to a class's
+    /// budget; if one misses, the search ends with no matches.
+    ///
+    /// Each searched candidate class gets its own [`MATCH_WORK_BUDGET`]
+    /// and at most [`MAX_SUBSTS_PER_CLASS`] matches, which contains the
+    /// worst-case backtracking blow-up on very large e-classes;
+    /// truncation is deterministic, and a root it cut is searched again
+    /// next time, never replayed.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pattern::search`].
+    pub(crate) fn search_since(
+        &self,
+        egraph: &EGraph<L>,
+        limit: usize,
+        cancel: &CancelToken,
+        since: Option<(&Cone, &SearchRecord)>,
+    ) -> Option<RuleSearch> {
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
         );
-        let mut out = Vec::new();
-        let mut stats = SearchStats::default();
-        let mut total = 0usize;
+        let mut found = RuleSearch::default();
+        let stats = &mut found.stats;
         // Ground probes do not depend on the candidate class: run them
         // once, and if one misses, no class can match.
         let mut regs = Vec::new();
-        let (probes, found) = self.program.probe_ground(egraph, &mut regs);
+        let (probes, ground) = self.program.probe_ground(egraph, &mut regs);
         stats.visits += probes;
-        if !found {
-            return Some((out, stats));
+        if !ground {
+            return Some(found);
         }
+        let mut replayer =
+            since.map(|(cone, record)| Replayer::new(cone, record, self.ops, self.depth));
+        let mut record = SearchRecord::default();
+        let mut total = 0usize;
         // Only classes containing the root operator can match; use the
         // e-graph's operator index to skip the rest.
         // The in-VM poll only triggers on budget quanta *within* a
@@ -322,24 +396,37 @@ impl<L: Language> Pattern<L> {
                 }
                 next_poll = stats.visits + CANCEL_CHECK_QUANTUM;
             }
-            let mut budget = MATCH_WORK_BUDGET;
-            let (m, outcome) = self.run_vm_on_class(egraph, id, &mut regs, &mut budget, cancel);
-            stats.visits += MATCH_WORK_BUDGET - budget;
-            match outcome {
-                RunOutcome::Complete => {}
-                RunOutcome::BudgetExhausted => stats.budget_exhausted += 1,
-                RunOutcome::SubstLimit => stats.capped += 1,
-                RunOutcome::Cancelled => return None,
-            }
-            if let Some(m) = m {
-                total += m.substs.len();
-                out.push(m);
+            if let Some(count) = replayer.as_mut().and_then(|r| r.count(id)) {
+                stats.replayed += 1;
+                found.replayed_matches += count;
+                total += count;
+                record.complete(id, count);
+            } else {
+                let mut budget = MATCH_WORK_BUDGET;
+                let (m, outcome) = self.run_vm_on_class(egraph, id, &mut regs, &mut budget, cancel);
+                stats.visits += MATCH_WORK_BUDGET - budget;
+                let count = m.as_ref().map_or(0, |m| m.substs.len());
+                match outcome {
+                    RunOutcome::Complete => record.complete(id, count),
+                    RunOutcome::BudgetExhausted => {
+                        stats.budget_exhausted += 1;
+                        record.truncate(id);
+                    }
+                    RunOutcome::SubstLimit => {
+                        stats.capped += 1;
+                        record.truncate(id);
+                    }
+                    RunOutcome::Cancelled => return None,
+                }
+                total += count;
+                found.matches.extend(m);
             }
             if total > limit {
-                break;
+                return Some(found);
             }
         }
-        Some((out, stats))
+        found.record = Some(record);
+        Some(found)
     }
 
     /// The operator at the pattern's root, which selects a search's

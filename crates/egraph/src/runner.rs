@@ -4,9 +4,10 @@
 use std::fmt;
 use std::time::{Duration, Instant};
 
+use crate::delta::{Cone, Replay, SearchRecord};
 use crate::hash::FxHashMap;
-use crate::machine::{search_rules, RuleDirective, SearchStats};
-use crate::{CancelToken, EGraph, Id, Language, RecExpr, Rewrite, SearchMatches, Symbol};
+use crate::machine::{search_rules_since, RuleDirective, SearchStats};
+use crate::{CancelToken, EGraph, Id, Language, RecExpr, Rewrite, Symbol};
 
 /// Why a [`Runner`] stopped.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,12 +49,13 @@ pub struct RuleProfile {
     /// Wall-clock time spent searching this rule, summed over all
     /// iterations.
     pub search_time: Duration,
-    /// Substitutions the searcher yielded (post-scheduling), summed.
+    /// Substitutions the searcher yielded (post-scheduling), summed,
+    /// replayed ones included.
     pub matches: usize,
     /// Applications that changed the e-graph, summed.
     pub applications: usize,
-    /// Budget units spent and truncations hit by the rule's completed
-    /// searches, summed.
+    /// Budget units spent, truncations hit and roots replayed by the
+    /// rule's completed searches, summed.
     pub search: SearchStats,
 }
 
@@ -83,7 +85,8 @@ pub struct Iteration {
     /// Applications per rule that changed the e-graph.
     pub applied: FxHashMap<Symbol, usize>,
     /// Total substitutions found across all rules this iteration
-    /// (after scheduling caps, before application).
+    /// (after scheduling caps, before application), replayed ones
+    /// included: the count a search of every root would give.
     pub total_matches: usize,
     /// Time spent searching for matches — the search fan-out only.
     /// The serial post-join merge (`BackoffScheduler` ban
@@ -108,9 +111,9 @@ pub struct Iteration {
     /// [`RuleProfile`]s untouched, so per-rule accounting only reflects
     /// searches that ran to completion.
     pub rules_skipped: usize,
-    /// Budget units spent and truncations hit by this iteration's
-    /// completed rule searches, summed over rules (the sum of this
-    /// iteration's [`RuleProfile::search`] increments).
+    /// Budget units spent, truncations hit and roots replayed by this
+    /// iteration's completed rule searches, summed over rules (the sum
+    /// of this iteration's [`RuleProfile::search`] increments).
     pub search: SearchStats,
 }
 
@@ -208,30 +211,30 @@ impl BackoffScheduler {
         }
     }
 
-    /// Records the outcome of one rule's search and returns the match
-    /// set the apply phase should use (empty if the rule is banned).
-    /// Called exactly once per searched rule per iteration, serially,
-    /// in rule-index order, so scheduler state stays deterministic.
+    /// Records the outcome of one rule's search, which counted `total`
+    /// substitutions, and returns whether its matches stand (`false` if
+    /// the rule is banned, now or already). Called exactly once per
+    /// searched rule per iteration, serially, in rule-index order, so
+    /// scheduler state stays deterministic.
     fn finish_rewrite<L: Language>(
         &mut self,
         iteration: usize,
         rewrite: &Rewrite<L>,
-        matches: Vec<SearchMatches>,
-    ) -> Vec<SearchMatches> {
+        total: usize,
+    ) -> bool {
         let stats = self.rule_stats(rewrite.name());
         if iteration < stats.banned_until {
             // The search phase saw the same ban and returned nothing.
-            return vec![];
+            return false;
         }
         let allowed = stats.match_limit << stats.times_banned;
-        let total: usize = matches.iter().map(|m| m.substs.len()).sum();
         if total > allowed {
             let ban = stats.ban_length << stats.times_banned;
             stats.times_banned += 1;
             stats.banned_until = iteration + ban;
-            return vec![];
+            return false;
         }
-        matches
+        true
     }
 
     /// Returns `true` if saturation can be trusted (no rule is banned
@@ -249,6 +252,18 @@ impl Default for BackoffScheduler {
 
 /// Drives equality saturation: repeatedly search all rules, apply the
 /// matches, and rebuild, until saturation or a limit is hit.
+///
+/// Search is semi-naive (see [`crate::machine`]). The first iteration of
+/// each [`Runner::run`] searches every candidate root. After that, a
+/// rule searches only the roots that a change since its last search
+/// can reach, and replays every other root's match count from that
+/// search. Replayed counts feed the match limit, the backoff ban,
+/// [`RuleProfile::matches`] and [`Iteration::total_matches`] exactly
+/// as found ones do, so scheduling and the e-graph are what searching
+/// every root would give; only the matcher's work drops. A rule's next
+/// search is full again if its last one was banned, interrupted or
+/// cut by its match limit, or if a node-limit or interrupt abort of
+/// the apply phase stopped before the rule's matches were applied.
 ///
 /// ```
 /// use egraph::{Runner, Rewrite, SymbolLang, RecExpr};
@@ -278,6 +293,10 @@ pub struct Runner<L: Language> {
     cancel: CancelToken,
     iteration_hook: Option<IterationHook>,
     search_threads: usize,
+    /// Drops every rule's record before each search, so every search
+    /// is full: the reference run semi-naive search must reproduce.
+    #[cfg(test)]
+    forget_records: bool,
 }
 
 impl<L: Language> Default for Runner<L> {
@@ -295,6 +314,8 @@ impl<L: Language> Default for Runner<L> {
             cancel: CancelToken::new(),
             iteration_hook: None,
             search_threads: 1,
+            #[cfg(test)]
+            forget_records: false,
         }
     }
 }
@@ -407,11 +428,39 @@ impl<L: Language> Runner<L> {
             Some(at) => self.cancel.with_deadline(at),
             None => self.cancel.clone(),
         };
+        // Each rule's record from its last search, for the next one to
+        // replay clean roots from; `None` makes the next search full.
+        let mut records: Vec<Option<SearchRecord>> = vec![None; rules.len()];
+        // Per level `k`, the operators of the recorded patterns deeper
+        // than `k` (see `Cone::new`).
+        let mut levels: Vec<u64> = Vec::new();
         for iteration in 0..self.limits.iter_limit {
             if self.cancel.is_cancelled() {
                 self.stop_reason = Some(StopReason::Cancelled);
                 return self;
             }
+            #[cfg(test)]
+            if self.forget_records {
+                records.fill(None);
+            }
+            // Which roots the changes since the last search reach, for
+            // the patterns that have a record to replay from; then a
+            // fresh delta for the next search.
+            levels.clear();
+            for (p, _) in patterns.iter().zip(&records).filter(|(_, r)| r.is_some()) {
+                if levels.len() < p.depth() {
+                    levels.resize(p.depth(), 0);
+                }
+                for level in &mut levels[..p.depth()] {
+                    *level |= p.ops();
+                }
+            }
+            let cone = Cone::new(&self.egraph, &levels);
+            let replay = cone.as_ref().map(|cone| Replay {
+                cone,
+                records: &records,
+            });
+            self.egraph.start_delta();
             let search_start = Instant::now();
             // Search phase (time limit and cancellation enforced per
             // rule and per quantum of matcher work, not only per
@@ -423,50 +472,74 @@ impl<L: Language> Runner<L> {
                 .iter()
                 .map(|r| self.scheduler.search_directive(iteration, r))
                 .collect();
-            let searched = search_rules(&patterns, &self.egraph, &directives, &interrupt, threads);
+            let searched = search_rules_since(
+                &patterns,
+                &self.egraph,
+                &directives,
+                replay,
+                &interrupt,
+                threads,
+            );
             let search_time = search_start.elapsed();
+            // Free the cone before the apply phase grows the e-graph:
+            // held across it, its buffers fragment the heap.
+            drop(cone);
+            #[cfg(test)]
+            self.assert_replay_exact(&patterns, &directives, &searched);
 
             // Merge phase: serial, rule-index order, regardless of how
             // the searches fanned out. Timed separately from the
             // search — scheduler accounting is not match finding.
             let merge_start = Instant::now();
             let mut all_matches = Vec::with_capacity(rules.len());
+            let mut total_matches = 0;
             let mut rules_skipped = 0usize;
             let mut search = SearchStats::default();
-            for (rule, slot) in rules.iter().zip(searched) {
+            for ((rule, slot), record) in rules.iter().zip(searched).zip(&mut records) {
                 match slot {
                     Some(result) => {
-                        let matches =
-                            self.scheduler
-                                .finish_rewrite(iteration, rule, result.matches);
+                        let total = result.total_matches();
+                        let stands = self.scheduler.finish_rewrite(iteration, rule, total);
                         let profile = self.rule_profiles.entry(rule.name()).or_default();
                         profile.search_time += result.elapsed;
-                        profile.matches += matches.iter().map(|m| m.substs.len()).sum::<usize>();
                         profile.search += result.stats;
                         search += result.stats;
-                        all_matches.push(matches);
+                        if stands {
+                            profile.matches += total;
+                            total_matches += total;
+                            *record = result.record;
+                            all_matches.push(result.matches);
+                        } else {
+                            *record = None;
+                            all_matches.push(vec![]);
+                        }
                     }
                     // Skipped by a mid-search time-limit/cancel trip:
                     // no matches, and the rule's profile is untouched.
                     None => {
                         rules_skipped += 1;
+                        *record = None;
                         all_matches.push(vec![]);
                     }
                 }
             }
-            let total_matches = all_matches.iter().flatten().map(|m| m.substs.len()).sum();
             let merge_time = merge_start.elapsed();
 
             // Apply phase. The node limit is also enforced *between*
             // rules so a single explosive iteration cannot overshoot by
-            // more than one rule's worth of matches.
+            // more than one rule's worth of matches. A replayed root's
+            // substitutions were applied after an earlier search, so
+            // they are not applied again.
             let apply_start = Instant::now();
             let mut applied: FxHashMap<Symbol, usize> = FxHashMap::default();
             let mut apply_aborted = false;
-            for (rule, matches) in rules.iter().zip(&all_matches) {
+            for (k, (rule, matches)) in rules.iter().zip(&all_matches).enumerate() {
                 if self.egraph.total_number_of_nodes() > self.limits.node_limit
                     || interrupt.is_cancelled()
                 {
+                    // The rules from here on were not applied, so their
+                    // next searches cannot replay these matches.
+                    records[k..].fill(None);
                     apply_aborted = true;
                     break;
                 }
@@ -528,9 +601,51 @@ impl<L: Language> Runner<L> {
 }
 
 #[cfg(test)]
+impl<L: Language + Sync> Runner<L>
+where
+    L::Discriminant: Sync,
+{
+    /// [`Runner::run`] with every rule's record dropped before each
+    /// search, so every search is full: what semi-naive search must
+    /// reproduce.
+    pub(crate) fn run_full_searches(mut self, rules: &[Rewrite<L>]) -> Self {
+        self.forget_records = true;
+        self.run(rules)
+    }
+
+    /// Checks every search that replayed a root against a full search
+    /// of the same rule on the same e-graph: the same per-root counts,
+    /// truncations and total. Test builds run it on every iteration.
+    fn assert_replay_exact(
+        &self,
+        patterns: &[&crate::Pattern<L>],
+        directives: &[RuleDirective],
+        searched: &[Option<crate::RuleSearch>],
+    ) {
+        let replayed =
+            |slot: &Option<crate::RuleSearch>| slot.as_ref().is_some_and(|s| s.stats.replayed > 0);
+        if !searched.iter().any(replayed) {
+            return;
+        }
+        let full = crate::search_rules(patterns, &self.egraph, directives, &CancelToken::new(), 1);
+        for (i, (slot, full)) in searched.iter().zip(full).enumerate() {
+            if !replayed(slot) {
+                continue;
+            }
+            let (slot, full) = (slot.as_ref().unwrap(), full.unwrap());
+            assert_eq!(slot.record, full.record, "rule {i}: per-root counts differ");
+            assert_eq!(slot.total_matches(), full.total_matches(), "rule {i}");
+            assert_eq!(slot.stats.budget_exhausted, full.stats.budget_exhausted);
+            assert_eq!(slot.stats.capped, full.stats.capped);
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::search_rules_slots;
+    use crate::SearchMatches;
     use crate::SymbolLang;
 
     type RW = Rewrite<SymbolLang>;
@@ -837,6 +952,65 @@ mod tests {
             "per-rule search times ({rule_total:?}) exceed the search phase total \
              ({phase_total:?})"
         );
+    }
+
+    #[test]
+    fn a_banned_rule_searches_every_root_next_time() {
+        // Three `(+ x_i y_i)` roots and a match limit of 2: iteration 0
+        // bans comm-add, so its matches are never applied, and only
+        // `tag` changes the e-graph, far from the roots. Iteration 1
+        // allows 4 matches; had the banned search kept its record, all
+        // three roots would replay.
+        let mut egraph = EGraph::default();
+        for i in 0..3 {
+            egraph.add_expr(&format!("(+ x{i} y{i})").parse().unwrap());
+        }
+        egraph.add_expr(&"(k w)".parse().unwrap());
+        let rules = vec![
+            RW::parse("comm-add", "(+ ?a ?b)", "(+ ?b ?a)").unwrap(),
+            RW::parse("tag", "(k ?a)", "(t ?a)").unwrap(),
+        ];
+        let runner = Runner::default()
+            .with_egraph(egraph)
+            .with_scheduler(BackoffScheduler::new(2, 1))
+            .with_iter_limit(2)
+            .run(&rules);
+        assert_eq!(runner.iterations.len(), 2);
+        let comm = &runner.rule_profiles[&Symbol::from("comm-add")];
+        assert_eq!(comm.matches, 3, "banned at iteration 0, standing at 1");
+        assert_eq!(comm.search.replayed, 0);
+    }
+
+    #[test]
+    fn a_rule_the_apply_abort_skipped_searches_every_root_next_time() {
+        // `merge` unites x and y; `grow` then adds (g x) and (g y),
+        // which puts the e-graph over its node limit, so the apply
+        // phase stops before `keep`. Rebuilding merges the copies back
+        // under the limit, and the run goes on. `keep` matches only
+        // (h z), which no change reaches: it replays there only if its
+        // matches were applied.
+        let mut egraph = EGraph::default();
+        for expr in ["(f x)", "(f y)", "(h z)"] {
+            egraph.add_expr(&expr.parse().unwrap());
+        }
+        egraph.rebuild();
+        let rules = vec![
+            RW::parse("merge", "x", "y").unwrap(),
+            RW::parse("grow", "(f ?a)", "(g ?a)").unwrap(),
+            RW::parse("keep", "(h ?a)", "(h ?a)").unwrap(),
+        ];
+        let run = |node_limit| {
+            let runner = Runner::default()
+                .with_egraph(egraph.clone())
+                .with_node_limit(node_limit)
+                .with_iter_limit(2)
+                .run(&rules);
+            assert_eq!(runner.iterations.len(), 2);
+            runner.rule_profiles[&Symbol::from("keep")].search.replayed
+        };
+        assert_eq!(egraph.total_number_of_nodes(), 6);
+        assert_eq!(run(6), 0);
+        assert_eq!(run(100), 1);
     }
 
     #[test]

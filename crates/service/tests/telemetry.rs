@@ -206,10 +206,13 @@ fn tiny_bus_drops_under_backpressure_but_accounts_for_every_seq() {
 /// Renders every event as its NDJSON line, strict-parses it back, and
 /// checks the pipeline-published fields: per job, the iteration phase
 /// times never add up to more than the saturate phase that contains
-/// them.
+/// them; the first iteration of each ruleset replays no candidate
+/// class (each saturation phase starts with a full search), and later
+/// ones replay some.
 fn assert_lines_parse_and_iterations_fit_saturate(events: &[TelemetryEvent]) {
     let mut iteration_us: std::collections::BTreeMap<i64, i64> = Default::default();
     let mut saturate_us: std::collections::BTreeMap<i64, i64> = Default::default();
+    let mut replayed = 0;
     for event in events {
         let line = event.to_json().to_string();
         let parsed =
@@ -223,6 +226,10 @@ fn assert_lines_parse_and_iterations_fit_saturate(events: &[TelemetryEvent]) {
         };
         match parsed.field("event").and_then(Json::as_str) {
             Some("iteration") => {
+                if int("index") == 0 {
+                    assert_eq!(int("replayed"), 0, "a first iteration replayed: {line}");
+                }
+                replayed += int("replayed");
                 let spent = ["search_us", "merge_us", "apply_us", "rebuild_us"]
                     .iter()
                     .map(|key| int(key))
@@ -242,6 +249,7 @@ fn assert_lines_parse_and_iterations_fit_saturate(events: &[TelemetryEvent]) {
         saturate_us.keys().collect::<Vec<_>>(),
         "every saturating job reports iterations"
     );
+    assert!(replayed > 0, "no iteration replayed a candidate class");
     for (job, spent) in &iteration_us {
         assert!(
             *spent <= saturate_us[job],
