@@ -273,7 +273,6 @@ impl BoolE {
                     rebuild_time: it.rebuild_time,
                     visits: it.search.visits,
                     budget_exhausted: it.search.budget_exhausted,
-                    capped: it.search.capped,
                     replayed: it.search.replayed,
                 });
             }) as IterationObserver

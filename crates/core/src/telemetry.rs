@@ -87,9 +87,6 @@ pub enum EventKind {
         visits: usize,
         /// Candidate classes whose match run the work budget cut short.
         budget_exhausted: usize,
-        /// Candidate classes whose match run stopped at the per-class
-        /// match cap.
-        capped: usize,
         /// Candidate classes whose match count was replayed from the
         /// rule's previous search instead of searched, because no
         /// change since reaches them.
@@ -214,7 +211,6 @@ impl TelemetryEvent {
                 rebuild_time,
                 visits,
                 budget_exhausted,
-                capped,
                 replayed,
             } => {
                 push("job", Json::Int(*job as i64));
@@ -229,7 +225,6 @@ impl TelemetryEvent {
                 push("rebuild_us", micros(*rebuild_time));
                 push("visits", Json::Int(*visits as i64));
                 push("budget_exhausted", Json::Int(*budget_exhausted as i64));
-                push("capped", Json::Int(*capped as i64));
                 push("replayed", Json::Int(*replayed as i64));
             }
             EventKind::CacheHit { job } | EventKind::CacheMiss { job } => {
@@ -586,7 +581,6 @@ mod tests {
                 rebuild_time: Duration::from_micros(100),
                 visits: 5_000,
                 budget_exhausted: 1,
-                capped: 2,
                 replayed: 3,
             },
             EventKind::CacheHit { job: 1 },

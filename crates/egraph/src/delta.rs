@@ -17,12 +17,12 @@
 //!
 //! A candidate root is *clean* for a rule if none of these holds:
 //! its canonical id was created since the rule's last search; that
-//! search's run on it was cut by the work budget or the match cap; a
-//! merge lies within `D` e-node levels below it; a class that gained
-//! an operator of `O` lies within `D - 1` levels below it. A clean
-//! root's cone is the one the last search enumerated, so its match
-//! set is the same, and the search replays the root's match count
-//! from its [`SearchRecord`] instead of running the matcher on it.
+//! search's run on it was cut by the work budget; a merge lies within
+//! `D` e-node levels below it; a class that gained an operator of `O`
+//! lies within `D - 1` levels below it. A clean root's cone is the one
+//! the last search enumerated, so its match set is the same, and the
+//! search replays the root's match count from its [`SearchRecord`]
+//! instead of running the matcher on it.
 //! A `Build` probe, which looks a subterm up in the hash-cons memo,
 //! only contributes to a match when it lands in a cone class, so an
 //! e-node it newly finds there arrived through one of those gains.
@@ -293,8 +293,8 @@ fn set_bits(mask: u64) -> impl Iterator<Item = u32> {
 
 /// What a rule's last complete search found, root by root: the match
 /// count of every candidate root that matched, and the roots whose run
-/// the work budget or the match cap cut short. Every other candidate
-/// matched nothing. Ids ascend, as candidates do.
+/// the work budget cut short. Every other candidate matched nothing.
+/// Ids ascend, as candidates do.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct SearchRecord {
     matched: Vec<(Id, u32)>,
@@ -470,23 +470,27 @@ mod tests {
         assert_eq!(next.matches.len(), 1);
         assert_eq!(next.matches[0].eclass, eg.find(new));
         assert_eq!(next.record, search(&p, &eg, None).record);
+        // Replayed counts alone can overflow: the two old roots' pass a
+        // limit of one.
+        let over = p.search_since(&eg, 1, &CancelToken::new(), Some((&cone, &record)));
+        assert!(over.is_some_and(|over| over.overflowed && over.stats.visits == 0));
     }
 
     #[test]
     fn truncated_roots_are_always_searched() {
-        // Every root of the probe runs out of budget, and every root of
-        // the open pattern stops at the match cap: nothing changes, yet
-        // nothing is replayed.
+        // Every root of the probe, which never closes, and of the open
+        // pattern, which closes on every pair, runs out of budget:
+        // nothing changes, yet nothing is replayed.
         let (mut eg, probe) = crate::machine::tests::explosive_workload(3, 400);
         eg.start_delta();
         for p in [probe, pat("(g (f ?x) (f ?y) ?t)")] {
             let first = search(&p, &eg, None);
-            let truncated = first.stats.budget_exhausted + first.stats.capped;
-            assert_eq!(truncated, 3);
-            let record = first.record.unwrap();
-            let next = search(&p, &eg, Some((&cone(&eg, &p), &record)));
+            assert_eq!(first.stats.budget_exhausted, 3);
+            let record = first.record.as_ref().unwrap();
+            let next = search(&p, &eg, Some((&cone(&eg, &p), record)));
             assert_eq!(next.stats.replayed, 0);
             assert_eq!(next.stats, first.stats);
+            assert_eq!(next.total_matches(), first.total_matches());
         }
     }
 
@@ -499,6 +503,7 @@ mod tests {
         eg.rebuild();
         let p = pat("(f ?x ?y)");
         let cut = p.search_since(&eg, 1, &CancelToken::new(), None).unwrap();
+        assert!(cut.overflowed);
         assert!(cut.record.is_none());
         assert!(search(&pat("(f ?x c)"), &eg, None).record.is_none());
         assert!(search(&p, &eg, None).record.is_some());

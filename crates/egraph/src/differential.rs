@@ -20,9 +20,9 @@ type EG = EGraph<SymbolLang>;
 
 /// Builds a random e-graph: leaves from a small alphabet, random
 /// operator applications over already-present classes, then a few
-/// random unions and a rebuild. Sized so the matcher's deterministic
-/// caps cannot bind (equality of truncated sets is not guaranteed
-/// between enumeration orders).
+/// random unions and a rebuild. Sized so the work budget cannot bind
+/// (equality of truncated sets is not guaranteed between enumeration
+/// orders).
 fn random_egraph(rng: &mut TestRng) -> EG {
     let mut eg = EG::default();
     let mut ids: Vec<Id> = ["a", "b", "c", "x", "y"]
@@ -93,9 +93,9 @@ const RULES: &[(&str, &str, &str)] = &[
     ("m-to-g", "(m ?a ?b ?a)", "(g ?a ?b)"),
 ];
 
-/// Flattens search results for comparison: both matchers canonicalize,
-/// sort, and dedup per-class substitutions, so equal match *sets* mean
-/// equal flattened forms.
+/// Flattens search results for comparison: both matchers sort each
+/// class's distinct substitutions (the oracle canonicalizes and dedups
+/// its own), so equal match *sets* mean equal flattened forms.
 fn flatten(matches: Vec<crate::SearchMatches>) -> Vec<(Id, Vec<crate::Subst>)> {
     let mut v: Vec<_> = matches.into_iter().map(|m| (m.eclass, m.substs)).collect();
     v.sort_unstable_by_key(|(id, _)| *id);
@@ -144,10 +144,10 @@ proptest! {
         }
     }
 
-    /// Backoff-style envelopes: the fan-out honors `Skip` directives and
-    /// truncates over-limit rules exactly where the oracle does. Limits
-    /// small enough to bind are exercised because truncation points
-    /// must align (the "finish the class, then stop" discipline).
+    /// Backoff-style envelopes: the fan-out honors `Skip` directives,
+    /// and under `Limit(n)` a search overflows exactly when the
+    /// oracle's full match count exceeds `n`, and otherwise returns the
+    /// oracle's matches. Limits small enough to bind are exercised.
     #[test]
     fn prop_all_backends_agree_under_directives(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::seeded(seed);
@@ -168,14 +168,17 @@ proptest! {
             for (((pat, p), directive), slot) in
                 PATTERNS.iter().zip(&patterns).zip(&directives).zip(slots)
             {
-                let expected = match *directive {
-                    RuleDirective::Skip => Vec::new(),
-                    RuleDirective::Limit(limit) => flatten(p.search_oracle_with_limit(&eg, limit)),
-                };
                 let searched = slot.expect("no rule may be skipped without a cancel/deadline");
                 assert_eq!(searched.stats.budget_exhausted, 0, "{pat} hit the budget (seed {seed:#x})");
+                let oracle = flatten(p.search_oracle(&eg));
+                let count: usize = oracle.iter().map(|(_, substs)| substs.len()).sum();
+                let (overflows, expected) = match *directive {
+                    RuleDirective::Limit(limit) if count <= limit => (false, oracle),
+                    RuleDirective::Limit(_) => (true, Vec::new()),
+                    RuleDirective::Skip => (false, Vec::new()),
+                };
                 assert_eq!(
-                    flatten(searched.matches), expected,
+                    (searched.overflowed, flatten(searched.matches)), (overflows, expected),
                     "VM vs oracle diverged under {directive:?} on {pat} at {threads} threads (seed {seed:#x})"
                 );
             }

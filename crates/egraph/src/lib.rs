@@ -73,7 +73,6 @@ pub use crate::language::{FromOp, FromOpError, Language, SymbolLang};
 pub use crate::machine::{search_rules, RuleDirective, RuleSearch, SearchStats};
 pub use crate::pattern::{
     ENodeOrVar, ParsePatternError, Pattern, SearchMatches, Subst, Var, MATCH_WORK_BUDGET,
-    MAX_SUBSTS_PER_CLASS,
 };
 pub use crate::recexpr::{ParseRecExprError, RecExpr};
 pub use crate::rewrite::Rewrite;

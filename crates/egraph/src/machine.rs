@@ -49,10 +49,10 @@
 //! Zhang et al., PLDI 2023).
 //!
 //! Neither reordering changes which matches a class has, and the
-//! search sorts and deduplicates each class's substitutions, so the
-//! results are unchanged. Only the raw enumeration order and the work
-//! spent change, so results can move only where the work budget or
-//! the per-class match cap cuts a class short.
+//! search sorts each class's substitutions, so the results are
+//! unchanged. Only the raw enumeration order and the work spent
+//! change, so results can move only where the work budget cuts a
+//! class short.
 //!
 //! Every class carries an operator signature: one bit per operator
 //! among its e-nodes ([`Language::operator_bit`]) and one per
@@ -90,12 +90,16 @@
 //! Unlike the classic backtracking matcher this replaces, the VM never
 //! allocates or clones a substitution while searching: bindings live in
 //! the register bank, and a [`Subst`] is materialized only for each
-//! *surviving* match. The work budget
-//! ([`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET)), the per-class
-//! match cap ([`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS)),
-//! and a cooperative [`CancelToken`] are all enforced *inside* the VM
-//! loop. One **budget unit** is one e-node of the `Bind`'s operator,
-//! skipped or not, or one probe a `Build` makes; the e-nodes of other
+//! *surviving* match; on a clean e-graph those are distinct, as
+//! hash-consing fixes every e-node of a match once its variables are
+//! bound. The rule's match limit ([`RuleDirective::Limit`], the only
+//! bound on its matches, as in egg), the work budget
+//! ([`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET)) and a cooperative
+//! [`CancelToken`] are all enforced *inside* the VM loop: a search
+//! stops as soon as the rule's count passes its limit, even in the
+//! middle of a class, and returns no matches. One **budget unit** is
+//! one e-node of the `Bind`'s operator, skipped or not, or one probe a
+//! `Build` makes; the e-nodes of other
 //! operators that a `Bind`'s scan passes on its way to its run cost
 //! nothing, and the ground probes are charged to the search's visits
 //! but to no class's budget. The token is polled every
@@ -111,11 +115,11 @@
 //!
 //! The runner's searches are semi-naive. After a run's first
 //! iteration, a rule runs its program only on the candidate roots that
-//! are new since its last search, that the budget or the match cap cut
-//! short then, or that a change since can reach: a merge of two old
-//! classes within the pattern's e-node depth `D` below the root, or an
-//! old class within `D - 1` levels that gained one of the pattern's
-//! operators by a union with a new class. Every other root is clean:
+//! are new since its last search, that the budget cut short then, or
+//! that a change since can reach: a merge of two old classes within
+//! the pattern's e-node depth `D` below the root, or an old class
+//! within `D - 1` levels that gained one of the pattern's operators by
+//! a union with a new class. Every other root is clean:
 //! its cone, the classes the program can visit from it, holds the same
 //! e-nodes of the pattern's operators under the same class identities,
 //! so it has the same matches. The search adds the root's match count,
@@ -128,11 +132,11 @@
 //!
 //! The budget binds as before. Each searched root gets a fresh
 //! [`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET), and a root the
-//! budget or the match cap cut is searched again, never replayed. A
-//! replayed root ran to completion last time. A full search could spend
-//! more on it now only through e-nodes outside its cone: a probe that
-//! newly finds an e-node in some other class and goes on to fail, or a
-//! signature bit a change elsewhere set. Only where that growth would
+//! budget cut is searched again, never replayed. A replayed root ran
+//! to completion last time. A full search could spend more on it now
+//! only through e-nodes outside its cone: a probe that newly finds an
+//! e-node in some other class and goes on to fail, or a signature bit
+//! a change elsewhere set. Only where that growth would
 //! push a root from completion over the budget could a replayed count
 //! differ from a search's. The canonical job JSON of every benchmark
 //! configuration, the budget-bound ones included, is byte-identical to
@@ -229,9 +233,6 @@ pub struct SearchStats {
     /// Candidate classes whose run stopped on
     /// [`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET).
     pub budget_exhausted: usize,
-    /// Candidate classes whose run stopped at
-    /// [`MAX_SUBSTS_PER_CLASS`](crate::MAX_SUBSTS_PER_CLASS) matches.
-    pub capped: usize,
     /// Candidate classes not searched because no change since the
     /// rule's last search reaches them: their match count was replayed
     /// from that search (see the module docs). Deterministic, like
@@ -243,7 +244,6 @@ impl std::ops::AddAssign for SearchStats {
     fn add_assign(&mut self, other: Self) {
         self.visits += other.visits;
         self.budget_exhausted += other.budget_exhausted;
-        self.capped += other.capped;
         self.replayed += other.replayed;
     }
 }
@@ -253,8 +253,9 @@ impl std::ops::AddAssign for SearchStats {
 pub enum RunOutcome {
     /// The whole match space was enumerated.
     Complete,
-    /// The per-class substitution cap was reached.
-    SubstLimit,
+    /// The run found `max_substs` matches: the rule's count passed its
+    /// match limit.
+    Overflow,
     /// The work budget was exhausted.
     BudgetExhausted,
     /// The [`CancelToken`] was set; the driver should stop the whole
@@ -271,8 +272,9 @@ pub struct Program<L> {
     /// candidate class, so [`Program::probe_ground`] runs them once per
     /// search and [`Program::run`] starts after them.
     ground: usize,
-    /// `(var, register)` pairs in first-occurrence order; materializing
-    /// a match reads these registers into a [`Subst`].
+    /// `(var, register)` pairs sorted by variable; materializing a
+    /// match reads these registers into a [`Subst`], so its pairs come
+    /// out in the order [`Subst`]'s `Ord` compares them by.
     subst_template: Vec<(Var, Reg)>,
     n_regs: usize,
 }
@@ -394,12 +396,13 @@ impl<L: Language> Program<L> {
     }
 
     /// Runs the program against one candidate e-class of a clean
-    /// e-graph, appending a [`Subst`] to `substs` for every match
-    /// found. `regs` is the register bank [`Program::probe_ground`]
+    /// e-graph, pushing a [`Subst`] to the empty `substs` for every
+    /// match found. `regs` is the register bank [`Program::probe_ground`]
     /// prepared, with every ground probe found. `budget` is decremented
     /// once per budget unit (one e-node of the `Bind`'s operator or one
-    /// `Build` probe); matching stops when it reaches zero, when
-    /// `substs` has grown by `max_substs`, or within
+    /// `Build` probe); matching stops when it reaches zero, as soon as
+    /// `substs` holds `max_substs` (the rule's headroom under its match
+    /// limit, see the module docs), or within
     /// [`CANCEL_CHECK_QUANTUM`] units of `cancel` being set.
     ///
     /// Every register holds a canonical id, so no instruction
@@ -422,7 +425,6 @@ impl<L: Language> Program<L> {
         regs[0] = egraph.find(eclass);
         let mut machine = Machine {
             regs,
-            found: 0,
             max_substs,
             cancel,
         };
@@ -562,6 +564,7 @@ impl<'a, L: Language> Compiler<'a, L> {
     fn finish(mut self) -> Program<L> {
         self.compile_node(self.ast.root(), 0);
         let mut prog = self.prog;
+        prog.subst_template.sort_unstable();
         // Before the first `Bind` only ground probes' registers are
         // bound, so every leading `Build` is a ground probe.
         prog.ground = prog
@@ -715,7 +718,6 @@ fn required_signature<L: Language>(ast: &RecExpr<ENodeOrVar<L>>, pat: Id) -> Sig
 
 struct Machine<'a> {
     regs: &'a mut Vec<Id>,
-    found: usize,
     max_substs: usize,
     cancel: &'a CancelToken,
 }
@@ -752,9 +754,8 @@ impl Machine<'_> {
                     .map(|&(v, r)| (v, self.regs[r as usize]))
                     .collect(),
             ));
-            self.found += 1;
-            return if self.found >= self.max_substs {
-                RunOutcome::SubstLimit
+            return if out.len() >= self.max_substs {
+                RunOutcome::Overflow
             } else {
                 RunOutcome::Complete
             };
@@ -828,9 +829,11 @@ pub enum RuleDirective {
     /// Do not search the rule at all this iteration (e.g. a backoff
     /// ban). The rule still gets a (empty) match slot, not a skip.
     Skip,
-    /// Search the rule; stop visiting further classes for it once its
-    /// total substitution count exceeds the limit (the boundary class
-    /// is kept whole, so a limit never splits one class's matches).
+    /// Search the rule, and stop as soon as its substitution count
+    /// exceeds the limit, even in the middle of a class: the search
+    /// then returns no matches and reports
+    /// [`RuleSearch::overflowed`]. The limit is the only bound on a
+    /// rule's matches.
     Limit(usize),
 }
 
@@ -844,17 +847,21 @@ pub struct RuleSearch {
     pub replayed_matches: usize,
     /// Budget units spent, truncations hit and roots replayed.
     pub stats: SearchStats,
+    /// The rule's count passed its match limit: the search stopped
+    /// there, and `matches` and `replayed_matches` are empty.
+    pub overflowed: bool,
     /// Wall-clock time the search took.
     pub elapsed: Duration,
     /// Per-root counts for the rule's next search to replay from;
-    /// `None` if the search was skipped, the match limit cut it short
-    /// or a ground probe missed.
+    /// `None` if the search was skipped, overflowed or a ground probe
+    /// missed.
     pub(crate) record: Option<SearchRecord>,
 }
 
 impl RuleSearch {
     /// Substitutions counted: those in `matches` plus the replayed
-    /// ones. This is what a full search would have found.
+    /// ones. This is what a full search would have found, unless the
+    /// search overflowed.
     pub fn total_matches(&self) -> usize {
         self.matches.iter().map(|m| m.substs.len()).sum::<usize>() + self.replayed_matches
     }
@@ -1085,7 +1092,6 @@ pub(crate) mod tests {
             SearchStats {
                 visits: 2,
                 budget_exhausted: 0,
-                capped: 0,
                 replayed: 0,
             }
         );
@@ -1140,7 +1146,6 @@ pub(crate) mod tests {
         let visits = |n| SearchStats {
             visits: n,
             budget_exhausted: 0,
-            capped: 0,
             replayed: 0,
         };
         // P holds no `f`, so `(g P c)` costs its own unit and P's ten
@@ -1236,7 +1241,7 @@ pub(crate) mod tests {
     type EG = EGraph<SymbolLang>;
 
     /// Builds a workload whose search does lots of *failing*
-    /// backtracking (so the per-class match cap never stops it): two
+    /// backtracking (so it finds no match at all): two
     /// classes `A`/`B` each holding `width` f-nodes over disjoint
     /// leaves, `n_roots` classes `(g A B T_r)` whose tag class `T_r`
     /// holds a leaf `t_r` and an `h` node over a leaf `u_r` of its own,
@@ -1334,7 +1339,6 @@ pub(crate) mod tests {
             SearchStats {
                 visits: 3 * (1 + width),
                 budget_exhausted: 0,
-                capped: 0,
                 replayed: 0,
             }
         );
@@ -1513,29 +1517,21 @@ pub(crate) mod tests {
             SearchStats {
                 visits: 3 * crate::MATCH_WORK_BUDGET,
                 budget_exhausted: 3,
-                capped: 0,
                 replayed: 0,
             }
         );
         // The same shape without the failing `?x` closes on every
-        // `(?x, ?y)` pair: each root stops at the match cap after one
-        // g, one f of `A` and `MAX_SUBSTS_PER_CLASS` f's of `B`.
+        // `(?x, ?y)` pair, so each root runs into the budget too: every
+        // unit after the g is a match, except one per f of `A`.
         let open = pat("(g (f ?x) (f ?y) ?t)");
-        let (matches, stats) = open
+        let (matches, open_stats) = open
             .search_interruptible(&eg, usize::MAX, &CancelToken::new())
             .unwrap();
+        assert_eq!(open_stats, stats);
+        let units = crate::MATCH_WORK_BUDGET - 1;
+        let per_root = units - units.div_ceil(1 + 400);
+        assert!(matches.iter().all(|m| m.substs.len() == per_root));
         assert_eq!(matches.len(), 3);
-        let cap = crate::MAX_SUBSTS_PER_CLASS;
-        assert!(matches.iter().all(|m| m.substs.len() == cap));
-        assert_eq!(
-            stats,
-            SearchStats {
-                visits: 3 * (2 + cap),
-                budget_exhausted: 0,
-                capped: 3,
-                replayed: 0,
-            }
-        );
     }
 
     #[test]
@@ -1596,33 +1592,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn match_limit_directive_masks_at_class_boundary() {
-        // Ten classes with one match each: a limit stops the search
-        // once the total *exceeds* it, so the boundary class is kept.
-        let mut eg = EG::default();
-        for i in 0..10 {
-            let a = eg.add(SymbolLang::leaf(format!("a{i}")));
-            let b = eg.add(SymbolLang::leaf(format!("b{i}")));
-            eg.add(SymbolLang::new("g", vec![a, b]));
-        }
-        eg.rebuild();
-        let p = pat("(g ?x ?y)");
-        for limit in [0usize, 3, 9, 100] {
-            let slots = search_rules(
-                &[&p],
-                &eg,
-                &[RuleDirective::Limit(limit)],
-                &CancelToken::new(),
-                1,
-            );
-            let matches = &slots[0].as_ref().unwrap().matches;
-            assert_eq!(matches.len(), (limit + 1).min(10), "limit={limit}");
-            assert_eq!(
-                flat(matches),
-                flat(&p.search_oracle_with_limit(&eg, limit)),
-                "limit={limit}"
-            );
-        }
+    fn match_limit_directive_stops_mid_class_and_returns_no_matches() {
+        // One explosive root with ~50,000 matches: under `Limit(k)` the
+        // search stops inside it at match `k + 1`, after one g, one f
+        // of `A` and `k + 1` f's of `B`.
+        let (eg, _) = explosive_workload(1, 400);
+        let open = pat("(g (f ?x) (f ?y) ?t)");
+        let k = 10;
+        let directives = [RuleDirective::Limit(k), RuleDirective::Limit(usize::MAX)];
+        let slots = search_rules(&[&open, &open], &eg, &directives, &CancelToken::new(), 1);
+        let (limited, unlimited) = (slots[0].as_ref().unwrap(), slots[1].as_ref().unwrap());
+        assert!(limited.overflowed && limited.matches.is_empty() && limited.record.is_none());
+        assert_eq!(limited.stats.visits, 1 + 1 + (k + 1));
+        assert!(!unlimited.overflowed);
+        assert_eq!(unlimited.stats.visits, crate::MATCH_WORK_BUDGET);
     }
 
     #[test]

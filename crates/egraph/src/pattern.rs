@@ -151,6 +151,7 @@ impl Subst {
         self.vec.iter()
     }
 
+    #[cfg(any(test, feature = "oracle"))]
     pub(crate) fn canonicalize<L: Language>(&mut self, egraph: &EGraph<L>) {
         for (_, id) in &mut self.vec {
             *id = egraph.find(*id);
@@ -318,9 +319,12 @@ impl<L: Language> Pattern<L> {
             .map(|found| (found.matches, found.stats))
     }
 
-    /// Searches every class holding the root operator, stopping once
-    /// more than `limit` substitutions have been counted (the boundary
-    /// class is kept whole). The [`CancelToken`] is polled *inside*
+    /// Searches every class holding the root operator, stopping as soon
+    /// as more than `limit` substitutions have been counted, even in
+    /// the middle of a class: each class's run gets the rule's
+    /// remaining headroom, `limit - total + 1`, as its cap, and an
+    /// over-limit search returns no matches, only
+    /// [`RuleSearch::overflowed`]. The [`CancelToken`] is polled *inside*
     /// the matching VM (every [`crate::machine::CANCEL_CHECK_QUANTUM`]
     /// budget units) and, on the same quantum, between candidate
     /// classes: before the first one, then before the first class
@@ -334,24 +338,24 @@ impl<L: Language> Pattern<L> {
     /// last search and that search's [`SearchRecord`], each clean
     /// candidate root (see [`crate::delta`]) is not searched: its
     /// match count from the record is added to the running total in
-    /// candidate order, so the limit cuts exactly where a full search
-    /// would, and its substitutions, which the last search's rule
+    /// candidate order, so the search overflows exactly where a full
+    /// search would, and its substitutions, which the last search's rule
     /// application already applied, are left out of the matches. The
     /// returned [`RuleSearch`] counts those roots in
     /// [`SearchStats::replayed`] and their matches in
     /// [`RuleSearch::replayed_matches`], and carries this search's own
-    /// record unless the limit cut it short or a ground probe missed.
+    /// record unless it overflowed or a ground probe missed.
     ///
     /// The ground probes (the `Build`s of variable-free subterms, such
     /// as the `true` of `(& ?a true)`) run once, before any candidate,
     /// and are charged once to the search's visits, not to a class's
     /// budget; if one misses, the search ends with no matches.
     ///
-    /// Each searched candidate class gets its own [`MATCH_WORK_BUDGET`]
-    /// and at most [`MAX_SUBSTS_PER_CLASS`] matches, which contains the
-    /// worst-case backtracking blow-up on very large e-classes;
-    /// truncation is deterministic, and a root it cut is searched again
-    /// next time, never replayed.
+    /// Each searched candidate class gets its own [`MATCH_WORK_BUDGET`],
+    /// which contains the worst-case backtracking blow-up on very
+    /// large e-classes and, since each match costs at least one unit,
+    /// bounds the class's matches; truncation is deterministic, and a
+    /// root it cut is searched again next time, never replayed.
     ///
     /// # Panics
     ///
@@ -403,7 +407,11 @@ impl<L: Language> Pattern<L> {
                 record.complete(id, count);
             } else {
                 let mut budget = MATCH_WORK_BUDGET;
-                let (m, outcome) = self.run_vm_on_class(egraph, id, &mut regs, &mut budget, cancel);
+                // The run stops at the match that takes the rule past
+                // its limit; `total <= limit` here.
+                let headroom = (limit - total).saturating_add(1);
+                let (m, outcome) =
+                    self.run_vm_on_class(egraph, id, &mut regs, &mut budget, headroom, cancel);
                 stats.visits += MATCH_WORK_BUDGET - budget;
                 let count = m.as_ref().map_or(0, |m| m.substs.len());
                 match outcome {
@@ -412,17 +420,19 @@ impl<L: Language> Pattern<L> {
                         stats.budget_exhausted += 1;
                         record.truncate(id);
                     }
-                    RunOutcome::SubstLimit => {
-                        stats.capped += 1;
-                        record.truncate(id);
-                    }
+                    // `total + count` passes the limit just below.
+                    RunOutcome::Overflow => {}
                     RunOutcome::Cancelled => return None,
                 }
                 total += count;
                 found.matches.extend(m);
             }
             if total > limit {
-                return Some(found);
+                return Some(RuleSearch {
+                    stats: found.stats,
+                    overflowed: true,
+                    ..RuleSearch::default()
+                });
             }
         }
         found.record = Some(record);
@@ -443,14 +453,18 @@ impl<L: Language> Pattern<L> {
     }
 
     /// Runs the compiled program on one candidate class, spending from
-    /// `budget`, and packages surviving matches (canonicalized, sorted,
-    /// deduplicated).
+    /// `budget` and stopping at `max_substs` matches, and packages the
+    /// matches, sorted: the order in which the rule applies them. On a
+    /// clean e-graph the VM's substitutions are canonical and distinct
+    /// (see [`crate::machine`]), so the raw count the match limit is
+    /// checked against is the class's match count.
     fn run_vm_on_class(
         &self,
         egraph: &EGraph<L>,
         eclass: Id,
         regs: &mut Vec<Id>,
         budget: &mut usize,
+        max_substs: usize,
         cancel: &CancelToken,
     ) -> (Option<SearchMatches>, RunOutcome) {
         let eclass = egraph.find(eclass);
@@ -461,14 +475,14 @@ impl<L: Language> Pattern<L> {
             regs,
             &mut substs,
             budget,
-            MAX_SUBSTS_PER_CLASS,
+            max_substs,
             cancel,
         );
-        for s in &mut substs {
-            s.canonicalize(egraph);
-        }
         substs.sort_unstable();
-        substs.dedup();
+        debug_assert!(
+            substs.windows(2).all(|w| w[0] != w[1]),
+            "a clean e-graph gives each class distinct substitutions"
+        );
         let matches = if substs.is_empty() {
             None
         } else {
@@ -499,18 +513,17 @@ impl<L: Language> Pattern<L> {
     }
 }
 
-/// The deterministic cap on substitutions explored per e-class.
-pub const MAX_SUBSTS_PER_CLASS: usize = 256;
-
 /// The deterministic cap on matcher *work* per candidate e-class, in
 /// budget units: one per e-node of the VM `Bind`'s operator (a
 /// `Bind` walks only its operator's run of a class's sorted e-nodes)
 /// and one per hash-cons probe a VM `Build` makes after the ground
 /// probes, which run once per search (see [`crate::machine`]).
-/// Backtracking over several wide e-classes multiplies, so output caps
-/// alone do not bound the scan cost. The recursive oracle charges one unit per
-/// e-node it visits, and visits the e-nodes of bound subterms the VM
-/// probes instead, so the two agree only where neither runs out.
+/// Backtracking over several wide e-classes multiplies, so the budget,
+/// not a rule's match limit, bounds the scan cost; each match costs at
+/// least one unit, so it also bounds a class's matches. The recursive
+/// oracle charges one unit per e-node it visits, and visits the
+/// e-nodes of bound subterms the VM probes instead, so the two agree
+/// only where neither runs out.
 pub const MATCH_WORK_BUDGET: usize = 50_000;
 
 #[cfg(any(test, feature = "oracle"))]
@@ -518,45 +531,22 @@ impl<L: Language> Pattern<L> {
     /// Searches the whole e-graph with the *legacy recursive
     /// backtracking matcher* — retained only as a differential-testing
     /// oracle for the compiled VM (enable the `oracle` feature to use
-    /// it from other crates' tests). No limits beyond the per-class
-    /// caps are applied.
+    /// it from other crates' tests). No match limit is applied; each
+    /// class's visits are bounded by [`MATCH_WORK_BUDGET`].
     ///
     /// # Panics
     ///
     /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
     pub fn search_oracle(&self, egraph: &EGraph<L>) -> Vec<SearchMatches> {
-        self.search_oracle_with_limit(egraph, usize::MAX)
-    }
-
-    /// [`Pattern::search_oracle`] with the VM driver's limit semantics
-    /// (see [`Pattern::search_interruptible`]): classes in the same order,
-    /// stopping once more than `limit` substitutions were collected,
-    /// the boundary class kept whole.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the e-graph is not clean (see [`EGraph::rebuild`]).
-    pub(crate) fn search_oracle_with_limit(
-        &self,
-        egraph: &EGraph<L>,
-        limit: usize,
-    ) -> Vec<SearchMatches> {
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
         );
-        let mut out = Vec::new();
-        let mut total = 0usize;
-        for &id in egraph.classes_with_op(&self.root_op()) {
-            if let Some(m) = self.search_eclass_oracle(egraph, id) {
-                total += m.substs.len();
-                out.push(m);
-            }
-            if total > limit {
-                break;
-            }
-        }
-        out
+        egraph
+            .classes_with_op(&self.root_op())
+            .iter()
+            .filter_map(|&id| self.search_eclass_oracle(egraph, id))
+            .collect()
     }
 
     /// Searches one e-class with the legacy recursive matcher (see
@@ -588,9 +578,8 @@ impl<L: Language> Pattern<L> {
 }
 
 /// Recursively matches pattern node `pat_id` against e-class `eclass`,
-/// extending `subst`; pushes every complete substitution into `out`
-/// (up to [`MAX_SUBSTS_PER_CLASS`], spending at most `budget` e-node
-/// visits).
+/// extending `subst`; pushes every complete substitution into `out`,
+/// spending at most `budget` e-node visits.
 #[cfg(any(test, feature = "oracle"))]
 #[allow(clippy::too_many_arguments)]
 fn match_pattern<L: Language>(
@@ -602,7 +591,7 @@ fn match_pattern<L: Language>(
     out: &mut Vec<Subst>,
     budget: &mut usize,
 ) {
-    if out.len() >= MAX_SUBSTS_PER_CLASS || *budget == 0 {
+    if *budget == 0 {
         return;
     }
     match &ast[pat_id] {
@@ -621,7 +610,7 @@ fn match_pattern<L: Language>(
         ENodeOrVar::ENode(pat_node) => {
             let class = egraph.eclass(eclass);
             for enode in class.iter() {
-                if out.len() >= MAX_SUBSTS_PER_CLASS || *budget == 0 {
+                if *budget == 0 {
                     return;
                 }
                 *budget -= 1;
@@ -637,7 +626,7 @@ fn match_pattern<L: Language>(
                     }
                     let mut next = Vec::new();
                     for s in &partial {
-                        if next.len() >= MAX_SUBSTS_PER_CLASS || *budget == 0 {
+                        if *budget == 0 {
                             break;
                         }
                         match_pattern(egraph, ast, pat_child, eclass_child, s, &mut next, budget);

@@ -211,24 +211,24 @@ impl BackoffScheduler {
         }
     }
 
-    /// Records the outcome of one rule's search, which counted `total`
-    /// substitutions, and returns whether its matches stand (`false` if
-    /// the rule is banned, now or already). Called exactly once per
-    /// searched rule per iteration, serially, in rule-index order, so
-    /// scheduler state stays deterministic.
+    /// Records the outcome of one rule's search, which passed the
+    /// limit `search_directive` gave it if `overflowed`, and returns
+    /// whether its matches stand (`false` if the rule is banned, now or
+    /// already). Called exactly once per searched rule per iteration,
+    /// serially, in rule-index order, so scheduler state stays
+    /// deterministic.
     fn finish_rewrite<L: Language>(
         &mut self,
         iteration: usize,
         rewrite: &Rewrite<L>,
-        total: usize,
+        overflowed: bool,
     ) -> bool {
         let stats = self.rule_stats(rewrite.name());
         if iteration < stats.banned_until {
             // The search phase saw the same ban and returned nothing.
             return false;
         }
-        let allowed = stats.match_limit << stats.times_banned;
-        if total > allowed {
+        if overflowed {
             let ban = stats.ban_length << stats.times_banned;
             stats.times_banned += 1;
             stats.banned_until = iteration + ban;
@@ -237,8 +237,9 @@ impl BackoffScheduler {
         true
     }
 
-    /// Returns `true` if saturation can be trusted (no rule is banned
-    /// at `iteration`).
+    /// Returns `true` if saturation can be trusted after `iteration`:
+    /// no rule is banned at it, so every rule searched the e-graph
+    /// that iteration searched (egg's check).
     fn can_stop(&self, iteration: usize) -> bool {
         self.stats.values().all(|s| iteration >= s.banned_until)
     }
@@ -262,7 +263,7 @@ impl Default for BackoffScheduler {
 /// as found ones do, so scheduling and the e-graph are what searching
 /// every root would give; only the matcher's work drops. A rule's next
 /// search is full again if its last one was banned, interrupted or
-/// cut by its match limit, or if a node-limit or interrupt abort of
+/// overflowed its match limit, or if a node-limit or interrupt abort of
 /// the apply phase stopped before the rule's matches were applied.
 ///
 /// ```
@@ -499,7 +500,9 @@ impl<L: Language> Runner<L> {
                 match slot {
                     Some(result) => {
                         let total = result.total_matches();
-                        let stands = self.scheduler.finish_rewrite(iteration, rule, total);
+                        let stands =
+                            self.scheduler
+                                .finish_rewrite(iteration, rule, result.overflowed);
                         let profile = self.rule_profiles.entry(rule.name()).or_default();
                         profile.search_time += result.elapsed;
                         profile.search += result.stats;
@@ -560,7 +563,7 @@ impl<L: Language> Runner<L> {
             let rebuild_time = rebuild_start.elapsed();
 
             let saturated =
-                applied.is_empty() && !apply_aborted && self.scheduler.can_stop(iteration + 1);
+                applied.is_empty() && !apply_aborted && self.scheduler.can_stop(iteration);
             self.iterations.push(Iteration {
                 egraph_nodes: self.egraph.total_number_of_nodes(),
                 egraph_classes: self.egraph.num_classes(),
@@ -636,7 +639,7 @@ where
             assert_eq!(slot.record, full.record, "rule {i}: per-root counts differ");
             assert_eq!(slot.total_matches(), full.total_matches(), "rule {i}");
             assert_eq!(slot.stats.budget_exhausted, full.stats.budget_exhausted);
-            assert_eq!(slot.stats.capped, full.stats.capped);
+            assert_eq!(slot.overflowed, full.overflowed, "rule {i}");
         }
     }
 }
@@ -1027,5 +1030,24 @@ mod tests {
             .egraph
             .lookup_expr(&"(+ a (+ b (+ c d)))".parse().unwrap());
         assert!(simplified.is_some());
+    }
+
+    #[test]
+    fn saturation_waits_for_a_banned_rule_to_search_again() {
+        // `grow` has two matches against a limit of one, so iteration 0
+        // bans it for two iterations, and `idle`, which never matches,
+        // applies nothing in iteration 1: the run must go on until
+        // `grow` searches again and applies in iteration 2.
+        let rules = vec![
+            RW::parse("grow", "(f ?x)", "(g ?x)").unwrap(),
+            RW::parse("idle", "(h ?x)", "(k ?x)").unwrap(),
+        ];
+        let runner = Runner::default()
+            .with_expr(&"(p (f a) (f b))".parse().unwrap())
+            .with_scheduler(BackoffScheduler::new(1, 2))
+            .run(&rules);
+        assert_eq!(runner.stop_reason, Some(StopReason::Saturated));
+        assert_eq!(runner.iterations.len(), 4);
+        assert_eq!(runner.iterations[2].applied[&Symbol::from("grow")], 2);
     }
 }
